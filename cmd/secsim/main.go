@@ -5,7 +5,7 @@
 //
 //	secsim [-bench mcf] [-scheme snc-lru] [-scale 1.0] [-snc 64] [-ways 0]
 //	       [-crypto 50] [-l2 256] [-l2ways 4] [-compare] [-jobs N]
-//	       [-simjobs K|auto] [-seq] [-stream] [-store DIR] [-list]
+//	       [-seq] [-stream] [-store DIR] [-list]
 //	secsim -multi mcf,gzip [-quantum 100000] [-switch flush|pid] [...]
 //	secsim -perf [-perfout BENCH.json]
 //	secsim -perfcmp base.json,cur.json [-perftol 0.10]
@@ -15,18 +15,13 @@
 // "otp-mac:verify=blocking" (see -list). -bench accepts a single
 // benchmark, a comma-separated list, or "all"; multi-benchmark runs fan
 // out over the experiment layer's worker pool (-jobs, default GOMAXPROCS)
-// and print in deterministic order. With -simjobs K > 1, a single
-// simulation may additionally split its measured phase into K speculative
-// epochs and run them on idle -jobs slots (optimistic epoch-parallel
-// simulation over checkpoints); "-simjobs auto" sizes the split from
-// observed idle slots instead of a fixed K. Results are byte-identical to
-// serial runs and a speculation summary is printed on stderr when the
-// machinery engages. With -stream, each benchmark's result prints as an
-// NDJSON line on stdout the moment its simulation completes (completion
-// order, not request order) instead of a buffered report — incompatible
-// with -compare and -multi. With -compare, every registered scheme
-// runs per benchmark and a slowdown summary is printed (one benchmark's
-// slice of the paper's Figure 5, extended to the full registry).
+// and print in deterministic order. With -stream, each benchmark's result
+// prints as an NDJSON line on stdout the moment its simulation completes
+// (completion order, not request order) instead of a buffered report —
+// incompatible with -compare and -multi. With -compare, every registered
+// scheme runs per benchmark and a slowdown summary is printed (one
+// benchmark's slice of the paper's Figure 5, extended to the full
+// registry).
 //
 // With -store DIR, completed results are persisted under DIR (keyed by run
 // configuration and the timing-model version): a later secsim or secsimd
@@ -168,7 +163,6 @@ func main() {
 	perfCmp := flag.String("perfcmp", "", "compare two perf snapshots \"base.json,cur.json\"; exit 1 on regression")
 	perfTol := flag.Float64("perftol", 0.10, "ns/op regression tolerance for -perfcmp (fraction)")
 	jobs := flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	simJobs := flag.String("simjobs", "0", `epochs one simulation may run speculatively in parallel on idle -jobs slots (0/1 = serial, "auto" = size from idle slots)`)
 	seq := flag.Bool("seq", false, "run simulations sequentially (same as -jobs 1)")
 	streamOut := flag.Bool("stream", false, "print each result as an NDJSON line the moment it completes")
 	storeDir := flag.String("store", "", "persist results in this directory across runs (empty = off)")
@@ -239,13 +233,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sj, err := experiments.ParseSimJobs(*simJobs)
-	if err != nil {
-		fatal(err)
-	}
 	runner := experiments.NewRunner(*scale)
 	runner.Jobs = *jobs
-	runner.SimJobs = sj
 	if *seq {
 		runner.Jobs = 1
 	}
@@ -303,7 +292,6 @@ func main() {
 			}
 			fmt.Print(t.String())
 		}
-		printSpeculation(runner)
 		printDispatch(runner)
 		fmt.Fprintf(os.Stderr, "(%d simulations, %.1fs)\n", runner.Simulations(), time.Since(start).Seconds())
 		return
@@ -337,7 +325,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		printSpeculation(runner)
 		printDispatch(runner)
 		if len(benches) > 1 {
 			fmt.Fprintf(os.Stderr, "(%d simulations, %.1fs)\n", runner.Simulations(), time.Since(start).Seconds())
@@ -378,24 +365,10 @@ func main() {
 		}
 		fmt.Printf("stalls: rob=%d mshr=%d dep=%d\n", r.ROBStallCycles, r.MSHRStallCycles, r.DepStallCycles)
 	}
-	printSpeculation(runner)
 	printDispatch(runner)
 	if len(benches) > 1 {
 		fmt.Fprintf(os.Stderr, "(%d simulations, %.1fs)\n", runner.Simulations(), time.Since(start).Seconds())
 	}
-}
-
-// printSpeculation reports the epoch-parallel bookkeeping on stderr when any
-// simulation ran wide (-simjobs > 1 with idle -jobs slots). Results are
-// byte-identical either way; this line is how a user sees the machinery
-// engage.
-func printSpeculation(r *experiments.Runner) {
-	st := r.SpeculationStats()
-	if st.ParallelRuns == 0 {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "(speculation: %d parallel runs, %d epochs, %d commits, %d rollbacks, %d cycles re-simulated)\n",
-		st.ParallelRuns, st.Epochs, st.Commits, st.Rollbacks, st.ResimCycles)
 }
 
 // printDispatch reports the dispatch layer's counters on stderr after a

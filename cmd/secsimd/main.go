@@ -6,17 +6,10 @@
 //
 // Usage:
 //
-//	secsimd [-addr :8080] [-scale 1.0] [-jobs N] [-simjobs K|auto]
+//	secsimd [-addr :8080] [-scale 1.0] [-jobs N]
 //	        [-memo-capacity 0] [-trace-capacity 0] [-drain 30s]
 //	        [-store DIR] [-maxadmit 0] [-stream]
 //	        [-peers host:port,... -self host:port] [-hoplimit 3]
-//	        [-batchwindow 0]
-//
-// With -simjobs K > 1, a single uncached simulation may split its measured
-// phase into K speculative epochs and run them on idle -jobs slots (see
-// /metrics "speculation"); results are byte-identical to serial runs.
-// "-simjobs auto" sizes the split from observed idle slots instead of a
-// fixed K.
 //
 // With -maxadmit N > 0, at most N simulation requests (/v1/run, /v1/sweep,
 // /v1/figures) are admitted concurrently; request N+1 is rejected
@@ -43,9 +36,7 @@
 // must appear in the other members' -peers lists). A request that has
 // already been forwarded -hoplimit times is served locally (the loop guard
 // for misconfigured rings), and an unreachable owner degrades the request
-// to local execution after one retry — never to a failure. With
-// -batchwindow > 0, locally-owned /v1/run requests arriving within one
-// window execute together as a single deduplicated batch. Cluster
+// to local execution after one retry — never to a failure. Cluster
 // counters, per-peer health and a fleet-wide rollup appear under
 // "cluster" in /metrics.
 //
@@ -63,6 +54,11 @@
 //	GET  /metrics             memo size, hit/miss/coalesced/eviction
 //	                          counts, in-flight simulations, cluster rollup
 //
+// A client must finish sending its request headers within
+// readHeaderTimeout, and an idle keep-alive connection is closed after
+// idleTimeout, so stalled clients cannot pin connections. Request bodies
+// and responses are not time-bounded: streamed sweeps are long-lived.
+//
 // On SIGINT/SIGTERM the server stops accepting connections and drains
 // in-flight requests for up to -drain before exiting.
 package main
@@ -78,15 +74,27 @@ import (
 	"syscall"
 	"time"
 
-	"secureproc/internal/experiments"
 	"secureproc/internal/server"
 )
+
+// Connection timeouts against slow or stalled clients (see the package
+// documentation).
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the listener-side server around h. Only header
+// reads and idle keep-alives are bounded; ReadTimeout and WriteTimeout
+// stay unset because a streamed sweep legitimately runs for minutes.
+func newHTTPServer(addr string, h http.Handler, headerTimeout, idle time.Duration) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: headerTimeout, IdleTimeout: idle}
+}
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	scale := flag.Float64("scale", 1.0, "workload scale for every simulation")
 	jobs := flag.Int("jobs", 0, "concurrent simulations in sweep fan-out (0 = GOMAXPROCS)")
-	simJobs := flag.String("simjobs", "0", `epochs one simulation may run speculatively in parallel on idle -jobs slots (0/1 = serial, "auto" = size from idle slots)`)
 	capacity := flag.Int("memo-capacity", 0, "result-memo LRU capacity in entries (0 = unbounded)")
 	traceCap := flag.Int("trace-capacity", 0, "materialized-trace memo LRU capacity (0 = unbounded)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout")
@@ -96,17 +104,11 @@ func main() {
 	peers := flag.String("peers", "", "comma-separated fleet members (host:port,...); enables cluster sharding")
 	self := flag.String("self", "", "this node's advertised host:port on the ring (required with -peers)")
 	hopLimit := flag.Int("hoplimit", 0, "max forwards per request before serving locally (0 = default)")
-	batchWindow := flag.Duration("batchwindow", 0, "hold locally-owned /v1/run requests this long and execute each window as one deduplicated batch (0 = off)")
 	flag.Parse()
 
-	sj, err := experiments.ParseSimJobs(*simJobs)
-	if err != nil {
-		log.Fatalf("secsimd: %v", err)
-	}
 	cfg := server.Config{
 		Scale:         *scale,
 		Jobs:          *jobs,
-		SimJobs:       sj,
 		Capacity:      *capacity,
 		TraceCapacity: *traceCap,
 		StoreDir:      *storeDir,
@@ -121,17 +123,16 @@ func main() {
 			}
 		}
 		cfg.Cluster = &server.ClusterConfig{
-			Self:        *self,
-			Peers:       members,
-			HopLimit:    *hopLimit,
-			BatchWindow: *batchWindow,
+			Self:     *self,
+			Peers:    members,
+			HopLimit: *hopLimit,
 		}
 	}
 	srv, err := server.New(cfg)
 	if err != nil {
 		log.Fatalf("secsimd: %v", err)
 	}
-	hs := &http.Server{Addr: *addr, Handler: srv}
+	hs := newHTTPServer(*addr, srv, readHeaderTimeout, idleTimeout)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -146,8 +147,8 @@ func main() {
 	if cfg.Cluster != nil {
 		clusterNote = *self + " in {" + *peers + "}"
 	}
-	log.Printf("secsimd listening on %s (scale %.2f, jobs %d, simjobs %s, memo capacity %d, trace capacity %d, store %s, maxadmit %d, stream %v, cluster %s)",
-		*addr, *scale, *jobs, *simJobs, *capacity, *traceCap, storeNote, *maxAdmit, *stream, clusterNote)
+	log.Printf("secsimd listening on %s (scale %.2f, jobs %d, memo capacity %d, trace capacity %d, store %s, maxadmit %d, stream %v, cluster %s)",
+		*addr, *scale, *jobs, *capacity, *traceCap, storeNote, *maxAdmit, *stream, clusterNote)
 
 	select {
 	case err := <-errc:

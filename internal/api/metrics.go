@@ -30,13 +30,6 @@ type Metrics struct {
 	ResultStore *store.Stats `json:"result_store,omitempty"`
 	// Checkpoints exposes the process-wide post-warmup checkpoint cache.
 	Checkpoints experiments.CheckpointStats `json:"checkpoints"`
-	// Speculation aggregates the epoch-parallel bookkeeping across every
-	// simulation this runner dispatched wide (zero when SimJobs is off or
-	// the budget never had slack).
-	Speculation experiments.SpeculationTotals `json:"speculation"`
-	// EpochSims exposes the process-wide epoch-simulator cache backing the
-	// speculative runs.
-	EpochSims experiments.EpochCacheStats `json:"epoch_sims"`
 	// Dispatch exposes the execution dispatch layer: the admission gate
 	// (rejections become 429s) and the weighted-fair queue over the shared
 	// worker budget.
@@ -88,10 +81,6 @@ type NodeStats struct {
 	// HopLimitStops counts requests served locally because the hop budget
 	// was exhausted (a misconfigured ring would otherwise loop them).
 	HopLimitStops int64 `json:"hop_limit_stops_total"`
-	// Batches and BatchedSpecs count the cross-request batching window:
-	// BatchedSpecs specs were coalesced into Batches dispatcher entries.
-	Batches      int64 `json:"batches_total"`
-	BatchedSpecs int64 `json:"batched_specs_total"`
 }
 
 // PeerMetrics is one remote peer as seen from this node.

@@ -13,8 +13,6 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-
-	"secureproc/internal/statehash"
 )
 
 // Config describes one cache.
@@ -247,43 +245,18 @@ type Snapshot struct {
 
 // Snapshot captures the cache's full mutable state.
 func (c *Cache) Snapshot() Snapshot {
-	var s Snapshot
-	c.SnapshotInto(&s)
-	return s
-}
-
-// SnapshotInto captures the cache's state into s, reusing s's arrays when
-// they are already the right size. Repeated boundary checkpoints into the
-// same Snapshot are allocation-free in steady state.
-func (c *Cache) SnapshotInto(s *Snapshot) {
-	if len(s.tags) != len(c.tags) {
-		s.tags = make([]uint64, len(c.tags))
-	}
-	if len(s.meta) != len(c.meta) {
-		s.meta = make([]lineMeta, len(c.meta))
+	s := Snapshot{
+		tags:       make([]uint64, len(c.tags)),
+		meta:       make([]lineMeta, len(c.meta)),
+		tick:       c.tick,
+		accesses:   c.Accesses,
+		hits:       c.Hits,
+		misses:     c.Misses,
+		writebacks: c.Writebacks,
 	}
 	copy(s.tags, c.tags)
 	copy(s.meta, c.meta)
-	s.tick = c.tick
-	s.accesses = c.Accesses
-	s.hits = c.Hits
-	s.misses = c.Misses
-	s.writebacks = c.Writebacks
-}
-
-// HashState folds the snapshot's behavior-affecting state into h: tags,
-// per-line metadata (VA, LRU timestamp, dirty bit) and the LRU tick. The
-// stat counters are excluded on purpose — see cpu.Snapshot.HashState.
-func (s *Snapshot) HashState(h *statehash.Hash) {
-	h.Words(s.tags)
-	h.Int(len(s.meta))
-	for i := range s.meta {
-		m := &s.meta[i]
-		h.Word(m.va)
-		h.Word(m.used)
-		h.Bool(m.dirty)
-	}
-	h.Word(s.tick)
+	return s
 }
 
 // Restore reinstates a snapshot taken from a cache with the same geometry

@@ -92,8 +92,6 @@ type Fabric struct {
 	fallback        atomic.Int64
 	retries         atomic.Int64
 	hopStops        atomic.Int64
-	batches         atomic.Int64
-	batchedSpecs    atomic.Int64
 }
 
 // New builds the fabric. It fails only on an unusable membership (no self,
@@ -167,17 +165,6 @@ func (f *Fabric) NoteServedForwarded() { f.servedForwarded.Add(1) }
 // NoteHopLimit counts a request served locally because its hop budget was
 // exhausted — the loop guard for inconsistent rings.
 func (f *Fabric) NoteHopLimit() { f.hopStops.Add(1) }
-
-// noteBatch records one flushed batching window of n coalesced specs.
-func (f *Fabric) noteBatch(n int) {
-	f.batches.Add(1)
-	f.batchedSpecs.Add(int64(n))
-}
-
-// NewBatcher builds a batching window wired to this fabric's counters.
-func (f *Fabric) NewBatcher(window time.Duration, exec ExecFunc) *Batcher {
-	return NewBatcher(window, exec, f.noteBatch)
-}
 
 // Forward POSTs body to the owner's endpoint (path is "/v1/run" or
 // "/v1/sweep") and decodes the 200 response into out.
@@ -284,8 +271,6 @@ func (f *Fabric) LocalStats(sims int64) api.NodeStats {
 		Fallback:        f.fallback.Load(),
 		Retries:         f.retries.Load(),
 		HopLimitStops:   f.hopStops.Load(),
-		Batches:         f.batches.Load(),
-		BatchedSpecs:    f.batchedSpecs.Load(),
 	}
 }
 

@@ -2,12 +2,9 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
-	"slices"
 
 	"secureproc/internal/crypto/engine"
 	"secureproc/internal/snc"
-	"secureproc/internal/statehash"
 )
 
 // SchemeState is an opaque snapshot of a scheme's mutable state. A state is
@@ -31,57 +28,6 @@ type Snapshottable interface {
 	RestoreState(SchemeState) error
 }
 
-// SnapshottableInto is an optional extension of Snapshottable for schemes
-// that can capture into a previously returned state, reusing its
-// allocations. Epoch-parallel simulation checkpoints at every epoch
-// boundary, so this is what keeps boundary snapshots allocation-free in
-// steady state.
-type SnapshottableInto interface {
-	Snapshottable
-	// SnapshotStateInto captures the scheme's mutable state, reusing prev's
-	// storage when prev is a state of the right kind (pass nil to allocate
-	// fresh). The returned state may or may not be prev; callers must use
-	// the return value.
-	SnapshotStateInto(prev SchemeState) SchemeState
-}
-
-// HashSchemeState folds a scheme state's behavior-affecting contents into h,
-// excluding pure statistics counters (two states that will simulate
-// identically must hash identically). It reports false for state kinds it
-// does not know, in which case h is unchanged and the caller must not rely
-// on the hash for equality.
-func HashSchemeState(s SchemeState, h *statehash.Hash) bool {
-	switch st := s.(type) {
-	case baselineState:
-		h.Word(1)
-	case xomState:
-		h.Word(2)
-	case *otpState:
-		h.Word(3)
-		st.hashInto(h)
-	case *otpMACState:
-		h.Word(4)
-		st.otp.hashInto(h)
-		st.macUnit.HashState(h)
-	case *otpPreState:
-		h.Word(5)
-		st.otp.hashInto(h)
-		st.padFor.hashInto(h)
-		st.instrPad.hashInto(h)
-	default:
-		return false
-	}
-	return true
-}
-
-// hashInto folds the OTP state's behavior-affecting portion: SNC contents,
-// the architectural sequence-number table, and the running process ID.
-func (st *otpState) hashInto(h *statehash.Hash) {
-	st.snc.HashState(h)
-	st.seqMem.hashInto(h)
-	h.Int(st.pid)
-}
-
 // clone deep-copies a sequence-number table. The last-chunk cache is left
 // cold; it repopulates on first access.
 func (t *seqTable) clone() *seqTable {
@@ -90,8 +36,8 @@ func (t *seqTable) clone() *seqTable {
 
 // cloneInto deep-copies t into dst (allocating one when dst is nil),
 // returning dst. Chunks already present in dst are overwritten in place and
-// stale ones deleted, so repeated clones between the same pair of tables
-// are allocation-free once the working set stabilizes. The last-chunk cache
+// stale ones deleted, so repeatedly restoring checkpoints into the same
+// live table is allocation-free once the working set stabilizes. The last-chunk cache
 // is left cold; it repopulates on first access.
 func (t *seqTable) cloneInto(dst *seqTable) *seqTable {
 	if dst == nil {
@@ -113,32 +59,6 @@ func (t *seqTable) cloneInto(dst *seqTable) *seqTable {
 		*d = *ch
 	}
 	return dst
-}
-
-// hashInto folds the table's contents into h in deterministic order (chunk
-// numbers sorted via the table's scratch buffer): per chunk, the presence
-// bitmap and the present sequence numbers. Absent cells may hold stale
-// values from deleted entries and are excluded so logically equal tables
-// hash equal.
-func (t *seqTable) hashInto(h *statehash.Hash) {
-	t.hashScratch = t.hashScratch[:0]
-	for cn := range t.chunks {
-		t.hashScratch = append(t.hashScratch, cn)
-	}
-	slices.Sort(t.hashScratch)
-	h.Int(len(t.hashScratch))
-	for _, cn := range t.hashScratch {
-		ch := t.chunks[cn]
-		h.Word(cn)
-		for w, bm := range ch.present {
-			h.Word(bm)
-			for bm != 0 {
-				b := bm & -bm
-				h.U16(ch.seq[w*64+bits.TrailingZeros64(bm)])
-				bm ^= b
-			}
-		}
-	}
 }
 
 // baselineState is the (empty) snapshot of the insecure baseline: the scheme
@@ -205,27 +125,24 @@ type otpState struct {
 func (*otpState) schemeState() {}
 
 // captureOTP builds the shared OTP portion of a snapshot (also used by the
-// wrapping schemes). prev's storage is reused when non-nil.
-func (o *OTP) captureOTP(prev *otpState) *otpState {
-	st := prev
-	if st == nil {
-		st = &otpState{snc: &snc.Snapshot{}}
+// wrapping schemes).
+func (o *OTP) captureOTP() *otpState {
+	return &otpState{
+		snc:          o.snc.Snapshot(),
+		seqMem:       o.seqMem.clone(),
+		pid:          o.pid,
+		instrReads:   o.instrReads,
+		queryHits:    o.queryHits,
+		queryMisses:  o.queryMisses,
+		updateHits:   o.updateHits,
+		updateMisses: o.updateMisses,
+		directReads:  o.directReads,
+		directWrites: o.directWrites,
+		spills:       o.spills,
+		seqFetches:   o.seqFetches,
+		reencrypts:   o.reencrypts,
+		switches:     o.switches,
 	}
-	o.snc.SnapshotInto(st.snc)
-	st.seqMem = o.seqMem.cloneInto(st.seqMem)
-	st.pid = o.pid
-	st.instrReads = o.instrReads
-	st.queryHits = o.queryHits
-	st.queryMisses = o.queryMisses
-	st.updateHits = o.updateHits
-	st.updateMisses = o.updateMisses
-	st.directReads = o.directReads
-	st.directWrites = o.directWrites
-	st.spills = o.spills
-	st.seqFetches = o.seqFetches
-	st.reencrypts = o.reencrypts
-	st.switches = o.switches
-	return st
 }
 
 // restoreOTP reinstates the shared OTP portion. The sequence table is cloned
@@ -250,13 +167,7 @@ func (o *OTP) restoreOTP(st *otpState) {
 }
 
 // SnapshotState implements Snapshottable.
-func (o *OTP) SnapshotState() SchemeState { return o.captureOTP(nil) }
-
-// SnapshotStateInto implements SnapshottableInto.
-func (o *OTP) SnapshotStateInto(prev SchemeState) SchemeState {
-	st, _ := prev.(*otpState)
-	return o.captureOTP(st)
-}
+func (o *OTP) SnapshotState() SchemeState { return o.captureOTP() }
 
 // RestoreState implements Snapshottable.
 func (o *OTP) RestoreState(s SchemeState) error {
@@ -283,21 +194,15 @@ type otpMACState struct {
 func (*otpMACState) schemeState() {}
 
 // SnapshotState implements Snapshottable.
-func (m *OTPMAC) SnapshotState() SchemeState { return m.SnapshotStateInto(nil) }
-
-// SnapshotStateInto implements SnapshottableInto.
-func (m *OTPMAC) SnapshotStateInto(prev SchemeState) SchemeState {
-	st, _ := prev.(*otpMACState)
-	if st == nil {
-		st = &otpMACState{}
+func (m *OTPMAC) SnapshotState() SchemeState {
+	return &otpMACState{
+		otp:         m.captureOTP(),
+		macUnit:     m.macUnit.Snapshot(),
+		macFetches:  m.macFetches,
+		macUpdates:  m.macUpdates,
+		verified:    m.verified,
+		stallCycles: m.stallCycles,
 	}
-	st.otp = m.captureOTP(st.otp)
-	m.macUnit.SnapshotInto(&st.macUnit)
-	st.macFetches = m.macFetches
-	st.macUpdates = m.macUpdates
-	st.verified = m.verified
-	st.stallCycles = m.stallCycles
-	return st
 }
 
 // RestoreState implements Snapshottable.
@@ -330,21 +235,15 @@ type otpPreState struct {
 func (*otpPreState) schemeState() {}
 
 // SnapshotState implements Snapshottable.
-func (p *OTPPre) SnapshotState() SchemeState { return p.SnapshotStateInto(nil) }
-
-// SnapshotStateInto implements SnapshottableInto.
-func (p *OTPPre) SnapshotStateInto(prev SchemeState) SchemeState {
-	st, _ := prev.(*otpPreState)
-	if st == nil {
-		st = &otpPreState{}
+func (p *OTPPre) SnapshotState() SchemeState {
+	return &otpPreState{
+		otp:          p.captureOTP(),
+		padFor:       p.padFor.clone(),
+		instrPad:     p.instrPad.clone(),
+		padHits:      p.padHits,
+		padMisses:    p.padMisses,
+		hiddenCycles: p.hiddenCycles,
 	}
-	st.otp = p.captureOTP(st.otp)
-	st.padFor = p.padFor.cloneInto(st.padFor)
-	st.instrPad = p.instrPad.cloneInto(st.instrPad)
-	st.padHits = p.padHits
-	st.padMisses = p.padMisses
-	st.hiddenCycles = p.hiddenCycles
-	return st
 }
 
 // RestoreState implements Snapshottable.

@@ -17,11 +17,7 @@
 // enough to sweep the paper's full parameter space.
 package cpu
 
-import (
-	"fmt"
-
-	"secureproc/internal/statehash"
-)
+import "fmt"
 
 // Config describes the core.
 type Config struct {
@@ -297,49 +293,20 @@ type Snapshot struct {
 
 // Snapshot captures the core's full mutable state.
 func (c *CPU) Snapshot() Snapshot {
-	var s Snapshot
-	c.SnapshotInto(&s)
-	return s
-}
-
-// SnapshotInto captures the core's state into s, reusing s's miss buffer
-// when it is already the right size. Repeated boundary checkpoints into the
-// same Snapshot are allocation-free in steady state.
-func (c *CPU) SnapshotInto(s *Snapshot) {
-	if len(s.misses) != len(c.misses) {
-		s.misses = make([]inflight, len(c.misses))
+	s := Snapshot{
+		clock:        c.clock,
+		retired:      c.retired,
+		misses:       make([]inflight, len(c.misses)),
+		missHead:     c.missHead,
+		missN:        c.missN,
+		lastLoadDone: c.lastLoadDone,
+		slot:         c.slot,
+		robStall:     c.ROBStallCycles,
+		mshrStall:    c.MSHRStallCycles,
+		depStall:     c.DepStallCycles,
 	}
 	copy(s.misses, c.misses)
-	s.clock = c.clock
-	s.retired = c.retired
-	s.missHead = c.missHead
-	s.missN = c.missN
-	s.lastLoadDone = c.lastLoadDone
-	s.slot = c.slot
-	s.robStall = c.ROBStallCycles
-	s.mshrStall = c.MSHRStallCycles
-	s.depStall = c.DepStallCycles
-}
-
-// HashState folds the snapshot's behavior-affecting state into h: the clock,
-// retirement position, issue slack, dependence chain tail, and the live
-// in-flight misses in logical (oldest-first) order. Statistics counters are
-// deliberately excluded — two states that will simulate identically must
-// hash identically even if their histories accumulated stats differently.
-func (s *Snapshot) HashState(h *statehash.Hash) {
-	h.Word(s.clock)
-	h.Word(s.retired)
-	h.Word(s.lastLoadDone)
-	h.Word(s.slot)
-	h.Int(s.missN)
-	for i := 0; i < s.missN; i++ {
-		j := s.missHead + i
-		if j >= len(s.misses) {
-			j -= len(s.misses)
-		}
-		h.Word(s.misses[j].complete)
-		h.Word(s.misses[j].seq)
-	}
+	return s
 }
 
 // Restore reinstates a snapshot taken from a core with the same

@@ -14,11 +14,7 @@
 // ciphers.
 package engine
 
-import (
-	"fmt"
-
-	"secureproc/internal/statehash"
-)
+import "fmt"
 
 // Config describes one crypto unit.
 type Config struct {
@@ -132,29 +128,14 @@ type Snapshot struct {
 
 // Snapshot captures the engine's full mutable state.
 func (e *Engine) Snapshot() Snapshot {
-	var s Snapshot
-	e.SnapshotInto(&s)
-	return s
-}
-
-// SnapshotInto captures the engine's state into s, reusing s's port array
-// when it is already the right size, so repeated boundary checkpoints into
-// the same snapshot are allocation-free in steady state.
-func (e *Engine) SnapshotInto(s *Snapshot) {
-	if len(s.nextFree) != len(e.nextFree) {
-		s.nextFree = make([]uint64, len(e.nextFree))
+	s := Snapshot{
+		nextFree:    make([]uint64, len(e.nextFree)),
+		issued:      e.Issued,
+		busyStalls:  e.BusyStalls,
+		stallCycles: e.StallCycles,
 	}
 	copy(s.nextFree, e.nextFree)
-	s.issued = e.Issued
-	s.busyStalls = e.BusyStalls
-	s.stallCycles = e.StallCycles
-}
-
-// HashState folds the snapshot's behavior-affecting state into h: per-port
-// pipeline availability. The issue/stall counters are statistics and
-// deliberately excluded.
-func (s *Snapshot) HashState(h *statehash.Hash) {
-	h.Words(s.nextFree)
+	return s
 }
 
 // Restore reinstates a snapshot taken from an engine with the same port

@@ -2,16 +2,13 @@
 // process runs: one shared worker budget, a weighted-fair queue over
 // request owners, and admission control for the long-lived service.
 //
-// Before this package the concurrency machinery was smeared across four
-// layers — the experiment pool's goroutine fan-out, the lock-free borrow
-// seam epoch-parallel simulation drew idle slots from, the server's
+// Before this package the concurrency machinery was smeared across
+// layers — the experiment pool's goroutine fan-out, the server's
 // detach/await handlers, and the daemon's drain logic — so no single
 // place could admit, order, or shed load. dispatch centralizes the three
 // decisions:
 //
-//   - Budget: how many workers exist, who holds one right now, and how
-//     much slack is left for a simulation that wants to go wide
-//     (sim.EpochSim draws its extra epoch workers from here).
+//   - Budget: how many workers exist and who holds one right now.
 //   - Dispatcher: which queued job runs next. Jobs are tagged with an
 //     owner; owners share the budget by stride scheduling (an owner's
 //     virtual "pass" advances inversely to its weight each time it runs),
@@ -39,10 +36,9 @@ import (
 //
 //   - Hold marks a worker as busy unconditionally (a caller that will run
 //     regardless, like a direct library Run); used may exceed the cap,
-//     which simply leaves no slack for anyone else.
-//   - TryAcquire claims slots only while used < cap and never blocks —
-//     the dispatcher claims one slot per running job this way, and
-//     epoch-parallel simulation claims its extra workers this way.
+//     which simply delays dispatched jobs until holders release.
+//   - tryAcquire claims one slot only while used < cap and never blocks —
+//     the dispatcher claims one slot per running job this way.
 //
 // The zero value is usable after SetCap.
 type Budget struct {
@@ -58,7 +54,7 @@ func NewBudget(n int) *Budget {
 }
 
 // SetCap sets the number of worker slots. Safe to call concurrently;
-// shrinking below the currently-used count just leaves zero slack until
+// shrinking below the currently-used count just blocks new grants until
 // holders release.
 func (b *Budget) SetCap(n int) { b.capv.Store(int64(n)) }
 
@@ -69,48 +65,26 @@ func (b *Budget) Cap() int { return int(b.capv.Load()) }
 // unconditional holders overcommit).
 func (b *Budget) Used() int { return int(b.used.Load()) }
 
-// Slack returns the number of idle slots (never negative).
-func (b *Budget) Slack() int {
-	s := b.capv.Load() - b.used.Load()
-	if s < 0 {
-		return 0
-	}
-	return int(s)
-}
-
-// Hold marks one worker busy unconditionally. Pair with Release(1).
+// Hold marks one worker busy unconditionally. Pair with Release.
 func (b *Budget) Hold() { b.used.Add(1) }
 
-// TryAcquire claims up to want idle slots and returns how many it got —
-// possibly zero. It never blocks and never overcommits: grants stop at
-// the cap, so no interleaving of holders and acquirers can oversubscribe
-// through this path.
-func (b *Budget) TryAcquire(want int) int {
-	if want <= 0 {
-		return 0
-	}
+// tryAcquire claims one idle slot, reporting whether it got one. It never
+// blocks and never overcommits: grants stop at the cap, so no interleaving
+// of holders and acquirers can oversubscribe through this path.
+func (b *Budget) tryAcquire() bool {
 	for {
 		cur := b.used.Load()
-		avail := b.capv.Load() - cur
-		if avail <= 0 {
-			return 0
+		if cur >= b.capv.Load() {
+			return false
 		}
-		n := int64(want)
-		if n > avail {
-			n = avail
-		}
-		if b.used.CompareAndSwap(cur, cur+n) {
-			return int(n)
+		if b.used.CompareAndSwap(cur, cur+1) {
+			return true
 		}
 	}
 }
 
-// Release returns n slots claimed by Hold or TryAcquire.
-func (b *Budget) Release(n int) {
-	if n > 0 {
-		b.used.Add(int64(-n))
-	}
-}
+// Release returns one slot claimed by Hold or tryAcquire.
+func (b *Budget) Release() { b.used.Add(-1) }
 
 // ownerKey carries the fairness tag through a context.
 type ownerKey struct{}
@@ -207,9 +181,6 @@ func NewDispatcher(b *Budget) *Dispatcher {
 	return &Dispatcher{budget: b, owners: make(map[string]*ownerQ)}
 }
 
-// Budget exposes the shared worker budget.
-func (d *Dispatcher) Budget() *Budget { return d.budget }
-
 // Submit enqueues run under the owner's fairness queue and starts it as
 // soon as the weighted-fair order and the worker budget allow. run
 // receives ctx and is always called exactly once, even after ctx is
@@ -248,7 +219,7 @@ func (d *Dispatcher) Submit(ctx context.Context, owner string, weight int, run f
 // d.mu held.
 func (d *Dispatcher) kick() {
 	for d.queued > 0 {
-		if d.budget.TryAcquire(1) != 1 {
+		if !d.budget.tryAcquire() {
 			return
 		}
 		j := d.pick()
@@ -322,7 +293,7 @@ func (d *Dispatcher) exec(j *job) {
 		d.mu.Lock()
 		d.running--
 		d.completed++
-		d.budget.Release(1)
+		d.budget.Release()
 		d.kick()
 		d.mu.Unlock()
 	}()

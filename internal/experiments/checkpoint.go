@@ -47,47 +47,33 @@ type CheckpointStats struct {
 	Evictions int64 `json:"evictions"`
 }
 
-// cpEntry is one cached checkpoint with intrusive LRU links.
-type cpEntry struct {
-	key        runKey
-	cp         *sim.Checkpoint
-	prev, next *cpEntry
-}
-
 // checkpointCache is a mutex-guarded LRU map of post-warmup checkpoints.
 // No singleflight: the result memo already deduplicates within a Runner, and
 // a cross-Runner duplicate warmup is rare and harmless.
 type checkpointCache struct {
-	mu         sync.Mutex
-	cap        int
-	entries    map[runKey]*cpEntry
-	head, tail *cpEntry
-	hits       int64
-	misses     int64
-	evictions  int64
+	mu      sync.Mutex
+	entries lru[runKey, *sim.Checkpoint]
+	hits    int64
+	misses  int64
 }
 
 // checkpoints is the process-wide cache keyed by runKey. The key carries the
 // full configuration (benchmark, scheme, SNC and L2 geometry, crypto
 // latency) and deliberately not the scale — see the file comment.
-var checkpoints = &checkpointCache{
-	cap:     checkpointCapacity,
-	entries: make(map[runKey]*cpEntry),
-}
+var checkpoints = &checkpointCache{entries: newLRU[runKey, *sim.Checkpoint](checkpointCapacity)}
 
 // get returns the checkpoint for k, refreshing its recency. The miss
 // counter is charged here: every simulate() call asks exactly once.
 func (c *checkpointCache) get(k runKey) (*sim.Checkpoint, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[k]
+	n, ok := c.entries.get(k)
 	if !ok {
 		c.misses++
 		return nil, false
 	}
 	c.hits++
-	c.moveToFront(e)
-	return e.cp, true
+	return n.val, true
 }
 
 // put caches the checkpoint for k, evicting the least-recently-used entry
@@ -95,64 +81,22 @@ func (c *checkpointCache) get(k runKey) (*sim.Checkpoint, bool) {
 func (c *checkpointCache) put(k runKey, cp *sim.Checkpoint) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[k]; ok {
-		e.cp = cp
-		c.moveToFront(e)
+	if n, ok := c.entries.get(k); ok {
+		n.val = cp
 		return
 	}
-	e := &cpEntry{key: k, cp: cp}
-	c.entries[k] = e
-	c.pushFront(e)
-	for c.cap > 0 && len(c.entries) > c.cap && c.tail != nil {
-		victim := c.tail
-		c.unlink(victim)
-		delete(c.entries, victim.key)
-		c.evictions++
-	}
-}
-
-func (c *checkpointCache) pushFront(e *cpEntry) {
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	} else {
-		c.tail = e
-	}
-	c.head = e
-}
-
-func (c *checkpointCache) unlink(e *cpEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (c *checkpointCache) moveToFront(e *cpEntry) {
-	if c.head == e {
-		return
-	}
-	c.unlink(e)
-	c.pushFront(e)
+	c.entries.link(c.entries.add(k, cp))
 }
 
 func (c *checkpointCache) stats() CheckpointStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CheckpointStats{
-		Size:      len(c.entries),
-		Capacity:  c.cap,
+		Size:      c.entries.len(),
+		Capacity:  c.entries.cap,
 		Hits:      c.hits,
 		Misses:    c.misses,
-		Evictions: c.evictions,
+		Evictions: c.entries.evictions,
 	}
 }
 

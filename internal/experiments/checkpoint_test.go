@@ -85,6 +85,36 @@ func TestRunnerMatchesStraightThrough(t *testing.T) {
 	}
 }
 
+// TestCheckpointCacheLRU pins the checkpoint cache's eviction order: a get
+// refreshes recency, re-putting a present key replaces its checkpoint in
+// place, and the least-recently-used entry goes first beyond capacity.
+func TestCheckpointCacheLRU(t *testing.T) {
+	c := &checkpointCache{entries: newLRU[runKey, *sim.Checkpoint](2)}
+	a, b, d := runKey{bench: "a"}, runKey{bench: "b"}, runKey{bench: "d"}
+	cpA, cpB, cpD := new(sim.Checkpoint), new(sim.Checkpoint), new(sim.Checkpoint)
+	c.put(a, cpA)
+	c.put(b, cpB)
+	if got, ok := c.get(a); !ok || got != cpA { // a is now most recent
+		t.Fatalf("get(a) = (%p, %v), want (%p, true)", got, ok, cpA)
+	}
+	c.put(b, cpB) // refresh in place: no eviction, b becomes most recent
+	if st := c.stats(); st.Size != 2 || st.Evictions != 0 {
+		t.Fatalf("after re-put: %+v, want size 2 and no evictions", st)
+	}
+	c.put(d, cpD) // evicts a, the least recently used
+	if _, ok := c.get(a); ok {
+		t.Error("least-recently-used checkpoint survived eviction")
+	}
+	for _, k := range []runKey{b, d} {
+		if _, ok := c.get(k); !ok {
+			t.Errorf("checkpoint %s evicted, want it kept", k.bench)
+		}
+	}
+	if st := c.stats(); st.Size != 2 || st.Evictions != 1 || st.Hits != 3 || st.Misses != 1 {
+		t.Errorf("stats = %+v, want size 2, 1 eviction, 3 hits, 1 miss", st)
+	}
+}
+
 // TestForkedFiguresByteIdentical renders every figure through two
 // independent Runners: the second answers nothing from its own memo, so its
 // measurement runs fork from the checkpoints of the first wherever possible.

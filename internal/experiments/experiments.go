@@ -116,20 +116,9 @@ type Runner struct {
 	Scale float64
 
 	// Jobs caps the total worker budget: the number of simulations the
-	// sweep engine runs concurrently, and — shared with SimJobs — the
-	// slots a single simulation may borrow to parallelize internally.
-	// 0 means runtime.GOMAXPROCS(0); 1 forces the sequential path. Set it
-	// before the first figure request.
+	// sweep engine runs concurrently. 0 means runtime.GOMAXPROCS(0); 1
+	// forces the sequential path. Set it before the first figure request.
 	Jobs int
-
-	// SimJobs, when > 1, lets one simulation split its measured phase into
-	// SimJobs epochs and run them speculatively in parallel (sim.EpochSim)
-	// whenever the shared Jobs budget has idle slots — see epoch.go. The
-	// result is byte-identical to the serial run. SimJobsAuto (-1) sizes
-	// the epoch count adaptively from the budget's observed slack instead
-	// of a fixed K. 0 or 1 keeps every simulation serial. Set it before the
-	// first request.
-	SimJobs int
 
 	// Capacity bounds the result memo: once more than Capacity completed
 	// simulations are memoized, the least-recently-used ones are evicted.
@@ -161,9 +150,8 @@ type Runner struct {
 	sims  atomic.Int64
 
 	// budget is the shared worker-slot ledger (cap = jobs()): every
-	// in-flight simulation holds one slot, and epoch-parallel runs draw
-	// their extra workers from the slack — see epoch.go. Embedded by value
-	// (two atomics) so the sequential path pays nothing for it.
+	// in-flight simulation holds one slot. Embedded by value (two atomics)
+	// so the sequential path pays nothing for it.
 	budget dispatch.Budget
 
 	// disp is the weighted-fair dispatcher behind SweepEach and
@@ -173,13 +161,6 @@ type Runner struct {
 	// and treat nil as "never dispatched".
 	dispMu sync.Mutex
 	disp   atomic.Pointer[dispatch.Dispatcher]
-
-	// Speculation totals across every epoch-parallel run (see epoch.go).
-	parallelRuns  atomic.Int64
-	specEpochs    atomic.Int64
-	specCommits   atomic.Int64
-	specRollbacks atomic.Int64
-	specResim     atomic.Int64
 
 	// traces memoizes materialized benchmark record sequences (see
 	// Runner.trace); independent latch domain from the result memo.

@@ -65,11 +65,10 @@ func TestRunWaiterCancellation(t *testing.T) {
 	spec := DefaultSpec("gzip", sim.SchemeBaseline)
 	k := spec.key()
 	m := r.results()
-	e := &memoEntry[runKey, sim.Result]{key: k, done: make(chan struct{})}
 	m.mu.Lock()
-	m.entries[k] = e
-	m.inflight++
+	n := m.entries.add(k, memoEntry[sim.Result]{done: make(chan struct{})})
 	m.mu.Unlock()
+	e := &n.val
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -81,8 +80,7 @@ func TestRunWaiterCancellation(t *testing.T) {
 	want := sim.Result{Scheme: "baseline", Cycles: 123, Instructions: 45}
 	m.mu.Lock()
 	e.val = want
-	m.inflight--
-	m.pushFront(e)
+	m.entries.link(n)
 	m.mu.Unlock()
 	close(e.done)
 	got, err := r.RunCtx(context.Background(), spec)
@@ -124,11 +122,10 @@ func TestOwnerDetachedFromCallerContext(t *testing.T) {
 		t.Fatal("gzip profile missing")
 	}
 	tm := r.traceMemo()
-	te := &memoEntry[string, []workload.Record]{key: prof.Name, done: make(chan struct{})}
 	tm.mu.Lock()
-	tm.entries[prof.Name] = te
-	tm.inflight++
+	tn := tm.entries.add(prof.Name, memoEntry[[]workload.Record]{done: make(chan struct{})})
 	tm.mu.Unlock()
+	te := &tn.val
 
 	spec := DefaultSpec("gzip", sim.SchemeBaseline)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -148,8 +145,7 @@ func TestOwnerDetachedFromCallerContext(t *testing.T) {
 	sentinel := errors.New("trace failed")
 	tm.mu.Lock()
 	te.err = sentinel
-	tm.inflight--
-	tm.pushFront(te)
+	tm.entries.link(tn)
 	tm.mu.Unlock()
 	close(te.done)
 	if err := <-resCh; !errors.Is(err, sentinel) {

@@ -42,17 +42,15 @@ type CacheStats struct {
 	Errors int64 `json:"errors"`
 }
 
-// memoEntry is one memo slot. The goroutine that inserts the entry owns the
-// computation; everyone else waits on done and then reads val/err.
-type memoEntry[K comparable, V any] struct {
-	key  K
+// memoEntry is one memo slot, stored by value in its LRU node. The
+// goroutine that inserts the entry owns the computation; everyone else
+// waits on done and then reads val/err. Completed entries are linked into
+// the LRU (the owner links the entry when it records the outcome);
+// in-flight entries stay pinned, so eviction never touches them.
+type memoEntry[V any] struct {
 	done chan struct{}
 	val  V
 	err  error
-	// LRU links, valid only for completed entries (the owner links the
-	// entry when it records the outcome). In-flight entries are unlinked
-	// and therefore pinned: eviction walks the LRU list only.
-	prev, next *memoEntry[K, V]
 }
 
 // memo deduplicates concurrent computations per key and caches the results
@@ -60,18 +58,13 @@ type memoEntry[K comparable, V any] struct {
 // value and call init before first use (the Runner embeds its memos by
 // value to keep them off the per-sweep allocation count).
 type memo[K comparable, V any] struct {
-	once    sync.Once
-	mu      sync.Mutex
-	cap     int // <= 0 means unbounded
-	entries map[K]*memoEntry[K, V]
-	// head/tail are the completed-entry LRU list, most recent first.
-	head, tail *memoEntry[K, V]
-	inflight   int
-	hits       int64
-	misses     int64
-	coalesced  int64
-	evictions  int64
-	errors     int64
+	once      sync.Once
+	mu        sync.Mutex
+	entries   lru[K, memoEntry[V]] // cap <= 0 means unbounded
+	hits      int64
+	misses    int64
+	coalesced int64
+	errors    int64
 	// describe renders a key for panic error messages ("simulation
 	// mcf/snc-lru"), set per memo so the message names what failed.
 	describe func(K) string
@@ -86,9 +79,8 @@ func newMemo[K comparable, V any](capacity int, describe func(K) string) *memo[K
 // publishes the fields to concurrent users.
 func (m *memo[K, V]) init(capacity int, describe func(K) string) *memo[K, V] {
 	m.once.Do(func() {
-		m.cap = capacity
+		m.entries = newLRU[K, memoEntry[V]](capacity)
 		m.describe = describe
-		m.entries = make(map[K]*memoEntry[K, V])
 	})
 	return m
 }
@@ -102,11 +94,11 @@ func (m *memo[K, V]) init(capacity int, describe func(K) string) *memo[K, V] {
 // and then re-raised in the owning goroutine.
 func (m *memo[K, V]) do(ctx context.Context, k K, fn func() (V, error)) (V, error) {
 	m.mu.Lock()
-	if e, ok := m.entries[k]; ok {
+	if n, ok := m.entries.get(k); ok {
+		e := &n.val
 		select {
 		case <-e.done: // completed: a plain cache hit
 			m.hits++
-			m.moveToFront(e)
 			m.mu.Unlock()
 			return e.val, e.err
 		default:
@@ -116,9 +108,8 @@ func (m *memo[K, V]) do(ctx context.Context, k K, fn func() (V, error)) (V, erro
 		return m.wait(ctx, e)
 	}
 	m.misses++
-	m.inflight++
-	e := &memoEntry[K, V]{key: k, done: make(chan struct{})}
-	m.entries[k] = e
+	n := m.entries.add(k, memoEntry[V]{done: make(chan struct{})})
+	e := &n.val
 	m.mu.Unlock()
 
 	defer func() {
@@ -127,17 +118,20 @@ func (m *memo[K, V]) do(ctx context.Context, k K, fn func() (V, error)) (V, erro
 			e.err = fmt.Errorf("experiments: %s panicked: %v", m.describe(k), p)
 		}
 		m.mu.Lock()
-		m.inflight--
 		if e.err != nil {
 			// A failed computation must not become a permanent negative
 			// cache: drop the entry so the next request recomputes. Waiters
 			// already holding the entry pointer still read the error through
 			// it after done closes.
-			delete(m.entries, e.key)
+			m.entries.remove(n)
 			m.errors++
 		} else {
-			m.pushFront(e)
-			m.evictLocked()
+			// Only completed entries count against the capacity: in-flight
+			// ones are pinned and must not force evictions of the very
+			// results a busy server is serving hits from (a burst of
+			// distinct in-flight specs would otherwise thrash the completed
+			// set down to nothing).
+			m.entries.link(n)
 		}
 		m.mu.Unlock()
 		close(e.done)
@@ -154,7 +148,7 @@ func (m *memo[K, V]) do(ctx context.Context, k K, fn func() (V, error)) (V, erro
 // pick randomly — nondeterministically returning ctx.Err() for an entry that
 // has in fact completed — so the done channel is re-checked first and a
 // finished computation always wins over a cancelled context.
-func (m *memo[K, V]) wait(ctx context.Context, e *memoEntry[K, V]) (V, error) {
+func (m *memo[K, V]) wait(ctx context.Context, e *memoEntry[V]) (V, error) {
 	select {
 	case <-e.done:
 		return e.val, e.err
@@ -169,67 +163,19 @@ func (m *memo[K, V]) wait(ctx context.Context, e *memoEntry[K, V]) (V, error) {
 	}
 }
 
-// evictLocked drops least-recently-used completed entries until at most
-// cap of them remain. Only completed entries count against the capacity:
-// in-flight ones are pinned off the LRU list and must not force evictions
-// of the very results a busy server is serving hits from (a burst of
-// distinct in-flight specs would otherwise thrash the completed set down
-// to nothing).
-func (m *memo[K, V]) evictLocked() {
-	for m.cap > 0 && len(m.entries)-m.inflight > m.cap && m.tail != nil {
-		e := m.tail
-		m.unlink(e)
-		delete(m.entries, e.key)
-		m.evictions++
-	}
-}
-
-func (m *memo[K, V]) pushFront(e *memoEntry[K, V]) {
-	e.prev = nil
-	e.next = m.head
-	if m.head != nil {
-		m.head.prev = e
-	} else {
-		m.tail = e
-	}
-	m.head = e
-}
-
-func (m *memo[K, V]) unlink(e *memoEntry[K, V]) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		m.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		m.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (m *memo[K, V]) moveToFront(e *memoEntry[K, V]) {
-	if m.head == e {
-		return
-	}
-	m.unlink(e)
-	m.pushFront(e)
-}
-
 // size reports the number of memoized entries (in-flight included).
 func (m *memo[K, V]) size() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.entries)
+	return m.entries.len()
 }
 
 // keys snapshots the memoized keys in map order.
 func (m *memo[K, V]) keys() []K {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]K, 0, len(m.entries))
-	for k := range m.entries {
+	out := make([]K, 0, m.entries.len())
+	for k := range m.entries.items {
 		out = append(out, k)
 	}
 	return out
@@ -240,13 +186,13 @@ func (m *memo[K, V]) stats() CacheStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return CacheStats{
-		Size:      len(m.entries),
-		Capacity:  m.cap,
-		InFlight:  m.inflight,
+		Size:      m.entries.len(),
+		Capacity:  m.entries.cap,
+		InFlight:  m.entries.len() - m.entries.linked,
 		Hits:      m.hits,
 		Misses:    m.misses,
 		Coalesced: m.coalesced,
-		Evictions: m.evictions,
+		Evictions: m.entries.evictions,
 		Errors:    m.errors,
 	}
 }

@@ -205,7 +205,7 @@ func TestMemoCompletedEntryBeatsCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for i := 0; i < 200; i++ {
-		e := &memoEntry[string, int]{key: "k", done: make(chan struct{}), val: 42}
+		e := &memoEntry[int]{done: make(chan struct{}), val: 42}
 		close(e.done)
 		v, err := m.wait(ctx, e)
 		if err != nil || v != 42 {
@@ -213,7 +213,7 @@ func TestMemoCompletedEntryBeatsCancelledContext(t *testing.T) {
 		}
 	}
 	// An entry that really is still in flight must still honour cancellation.
-	e := &memoEntry[string, int]{key: "k", done: make(chan struct{})}
+	e := &memoEntry[int]{done: make(chan struct{})}
 	if _, err := m.wait(ctx, e); !errors.Is(err, context.Canceled) {
 		t.Fatalf("in-flight wait under cancelled ctx = %v, want context.Canceled", err)
 	}

@@ -64,13 +64,10 @@ const sweepScale = 0.05
 // probeScale is the workload scale of the single-simulation probes.
 const probeScale = 0.1
 
-// latencyScale is the workload scale of the end-to-end latency probes. Full
-// scale, deliberately: intra-sim parallelism exists to cut the latency of
-// exactly one uncached full-length request, so the probe measures that.
+// latencyScale is the workload scale of the end-to-end latency probe. Full
+// scale, deliberately: the probe measures the latency of exactly one
+// uncached full-length request.
 const latencyScale = 1.0
-
-// latencyWorkers is the epoch/worker count of the parallel latency probe.
-const latencyWorkers = 4
 
 // Collect runs the full harness and returns the snapshot.
 func Collect() Snapshot {
@@ -88,9 +85,7 @@ func Collect() Snapshot {
 	} {
 		s[p.name] = measureSim(p.scheme, p.bench)
 	}
-	serial, parallel := measureLatencyPair()
-	s["latency-snc-lru-mcf-serial"] = serial
-	s[fmt.Sprintf("latency-snc-lru-mcf-simjobs%d", latencyWorkers)] = parallel
+	s["latency-snc-lru-mcf-serial"] = measureLatency()
 	s["dispatch-overhead"] = measureDispatch()
 	return s
 }
@@ -191,17 +186,10 @@ func measureSim(scheme sim.SchemeRef, bench string) Metric {
 	})
 }
 
-// measureLatencyPair times one full-scale measured phase forked from a
-// shared post-warmup checkpoint — the wall-clock a long-lived service pays
-// for one uncached request — twice: serially (restore + RunMeasured on one
-// settled system) and epoch-parallel (a persistent sim.EpochSim with
-// latencyWorkers workers). The EpochSim survives across ops, so measureOp's
-// untimed warmup op doubles as the recording run and the timed rounds
-// measure the warm speculation path where every predicted boundary commits.
-// On a single-core machine the two probes land near parity (the epochs
-// serialize); the speedup shows on multi-core runners, which is where the
-// CI gate compares them.
-func measureLatencyPair() (serial, parallel Metric) {
+// measureLatency times one full-scale measured phase forked from a shared
+// post-warmup checkpoint (restore + RunMeasured on one settled system) —
+// the wall-clock a long-lived service pays for one uncached request.
+func measureLatency() Metric {
 	prof, ok := workload.ByName("mcf")
 	if !ok {
 		panic("perf: unknown benchmark mcf")
@@ -225,25 +213,13 @@ func measureLatencyPair() (serial, parallel Metric) {
 	if !ok {
 		panic("perf: snc-lru checkpoint unavailable")
 	}
-	serial = measureOp(func() (int, uint64) {
+	return measureOp(func() (int, uint64) {
 		if err := sys.Restore(cp); err != nil {
 			panic(err)
 		}
 		res := sys.RunMeasured(workload.Replay(recs[warm:]))
 		return 1, res.Instructions
 	})
-	es, err := sim.NewEpochSim(cfg, latencyWorkers)
-	if err != nil {
-		panic(err)
-	}
-	parallel = measureOp(func() (int, uint64) {
-		res, err := es.RunMeasured(cp, recs[warm:], latencyWorkers)
-		if err != nil {
-			panic(err)
-		}
-		return 1, res.Instructions
-	})
-	return serial, parallel
 }
 
 // WriteFile stores the snapshot as deterministic, indented JSON.

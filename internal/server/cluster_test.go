@@ -57,7 +57,7 @@ func specOwner(t *testing.T, s *Server, body string) (addr string, local bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s.cluster.Load().fabric.Owner(specs[0].CanonicalKey())
+	return s.fabric.Load().Owner(specs[0].CanonicalKey())
 }
 
 // TestClusterExactlyOnceSharding is the tentpole contract: N concurrent
@@ -106,7 +106,7 @@ func TestClusterExactlyOnceSharding(t *testing.T) {
 		owner, other = sb, sa
 	}
 	// Ring agreement: both nodes must name the node that simulated.
-	ownerAddr := owner.cluster.Load().fabric.Self()
+	ownerAddr := owner.fabric.Load().Self()
 	if got, _ := specOwner(t, sa, body); got != ownerAddr {
 		t.Errorf("node A routes the spec to %q but %q simulated it", got, ownerAddr)
 	}
@@ -124,14 +124,14 @@ func TestClusterExactlyOnceSharding(t *testing.T) {
 		t.Errorf("owner memo coalesced(%d) + hits(%d) = %d, want %d", rm.Coalesced, rm.Hits, rm.Coalesced+rm.Hits, n-1)
 	}
 	// The non-owner forwarded its half of the traffic and ran nothing.
-	ns := other.cluster.Load().fabric.LocalStats(other.Runner().Simulations())
+	ns := other.fabric.Load().LocalStats(other.Runner().Simulations())
 	if ns.Forwarded < 1 {
 		t.Errorf("non-owner forwarded_total = %d, want >= 1", ns.Forwarded)
 	}
 	if ns.Simulations != 0 {
 		t.Errorf("non-owner ran %d simulations, want 0", ns.Simulations)
 	}
-	os := owner.cluster.Load().fabric.LocalStats(owner.Runner().Simulations())
+	os := owner.fabric.Load().LocalStats(owner.Runner().Simulations())
 	if os.ServedForwarded < 1 {
 		t.Errorf("owner served_forwarded_total = %d, want >= 1", os.ServedForwarded)
 	}
@@ -162,7 +162,7 @@ func TestClusterSweepPartitionsAndRollsUp(t *testing.T) {
 	}
 
 	// Each node must have simulated exactly the specs its ring arc owns.
-	f := sa.cluster.Load().fabric
+	f := sa.fabric.Load()
 	wantA := 0
 	for _, b := range workload.BenchmarkNames {
 		if _, local := f.Owner(mustSpec(t, b).CanonicalKey()); local {
@@ -289,7 +289,7 @@ func TestClusterHopLimitStopsForwardLoop(t *testing.T) {
 	}
 
 	// Find a spec that loops: A routes it to B and B routes it back to A.
-	fa, fb := sa.cluster.Load().fabric, sb.cluster.Load().fabric
+	fa, fb := sa.fabric.Load(), sb.fabric.Load()
 	var body string
 	for _, b := range workload.BenchmarkNames {
 		for _, scheme := range []string{"snc-lru", "baseline", "xom", "otp-mac"} {

@@ -32,13 +32,6 @@ type Config struct {
 	Scale float64
 	// Jobs caps concurrent simulations in sweep fan-out (0 = GOMAXPROCS).
 	Jobs int
-	// SimJobs, when > 1, lets a single simulation split its measured phase
-	// into that many speculative epochs whenever the shared Jobs budget has
-	// idle workers — cutting the latency of one uncached request without
-	// changing any result (see experiments.Runner.SimJobs).
-	// experiments.SimJobsAuto (-1) sizes the split from observed budget
-	// slack instead. 0 or 1 keeps simulations serial.
-	SimJobs int
 	// Capacity bounds the result memo (LRU; 0 = unbounded). In-flight
 	// simulations are pinned and never evicted.
 	Capacity int
@@ -76,20 +69,8 @@ type ClusterConfig struct {
 	ForwardTimeout time.Duration
 	// Cooldown is the down-peer probation window (0 = default).
 	Cooldown time.Duration
-	// BatchWindow, when > 0, holds locally-owned /v1/run requests for this
-	// long and executes each window's distinct specs as one batch.
-	BatchWindow time.Duration
 	// Client overrides the forwarding HTTP client (tests).
 	Client *http.Client
-}
-
-// clusterState bundles the fabric with its optional batching window; the
-// server holds it behind one atomic pointer so cluster mode can be enabled
-// after listeners are up (tests learn their addresses first) without racing
-// request handlers.
-type clusterState struct {
-	fabric  *cluster.Fabric
-	batcher *cluster.Batcher
 }
 
 // Server is the secsimd HTTP handler: /v1/run, /v1/sweep,
@@ -101,7 +82,11 @@ type Server struct {
 	stream    bool
 	mux       *http.ServeMux
 	start     time.Time
-	cluster   atomic.Pointer[clusterState]
+	// fabric is the cluster fabric, held behind an atomic pointer so
+	// cluster mode can be enabled after listeners are up (tests learn
+	// their addresses first) without racing request handlers; nil means
+	// single-node.
+	fabric atomic.Pointer[cluster.Fabric]
 
 	// Per-endpoint request counters for /metrics.
 	runReqs, sweepReqs, figureReqs, listReqs, healthReqs, metricReqs, clusterReqs atomic.Int64
@@ -124,7 +109,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	r := experiments.NewRunner(cfg.Scale)
 	r.Jobs = cfg.Jobs
-	r.SimJobs = cfg.SimJobs
 	r.Capacity = cfg.Capacity
 	r.TraceCapacity = cfg.TraceCapacity
 	if cfg.StoreDir != "" {
@@ -188,15 +172,7 @@ func (s *Server) EnableCluster(cfg ClusterConfig) error {
 	if err != nil {
 		return err
 	}
-	var b *cluster.Batcher
-	if cfg.BatchWindow > 0 {
-		b = f.NewBatcher(cfg.BatchWindow, func(ctx context.Context, specs []experiments.Spec, each func(int, sim.Result, error)) error {
-			// Batches execute under one synthetic fairness owner: the
-			// window already mixed multiple clients' specs together.
-			return s.runner.SweepEach(dispatch.WithOwner(ctx, "cluster-batch", runWeight), specs, each)
-		})
-	}
-	s.cluster.Store(&clusterState{fabric: f, batcher: b})
+	s.fabric.Store(f)
 	return nil
 }
 
@@ -380,19 +356,19 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	spec := specs[0]
 	hops := parseHops(r)
-	cs := s.cluster.Load()
+	f := s.fabric.Load()
 
 	// Cluster routing: a spec owned by a peer forwards there (once, with a
 	// retry); an unreachable owner degrades to local execution rather than
 	// failing the request, and an exhausted hop budget — possible only on
 	// an inconsistent ring — stops the loop by serving locally.
-	if cs != nil {
-		if owner, local := cs.fabric.Owner(spec.CanonicalKey()); !local {
-			if hops >= cs.fabric.HopLimit() {
-				cs.fabric.NoteHopLimit()
+	if f != nil {
+		if owner, local := f.Owner(spec.CanonicalKey()); !local {
+			if hops >= f.HopLimit() {
+				f.NoteHopLimit()
 			} else {
 				var out api.RunResponse
-				apiErr, ok := cs.fabric.Forward(r.Context(), owner, "/"+api.Version+"/run", hops,
+				apiErr, ok := f.Forward(r.Context(), owner, "/"+api.Version+"/run", hops,
 					r.Header.Get(api.HeaderClientID), api.RequestOf(spec), &out)
 				if ok {
 					if apiErr != nil {
@@ -406,21 +382,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if hops > 0 {
-			cs.fabric.NoteServedForwarded()
+			f.NoteServedForwarded()
 		}
 	}
 
 	// RunDispatched queues the job under this client's fairness owner and
 	// releases a cancelled caller promptly while a simulation already
-	// underway completes detached into the shared memo. With a batching
-	// window configured, locally-owned runs instead collect for one window
-	// and execute as a deduplicated batch.
-	var res sim.Result
-	if cs != nil && cs.batcher != nil {
-		res, err = cs.batcher.Run(ownerCtx(r, runWeight), spec)
-	} else {
-		res, err = s.runner.RunDispatched(ownerCtx(r, runWeight), spec)
-	}
+	// underway completes detached into the shared memo.
+	res, err := s.runner.RunDispatched(ownerCtx(r, runWeight), spec)
 	if err != nil {
 		if r.Context().Err() != nil {
 			// Client is gone; nothing useful to write.
@@ -469,9 +438,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		specs = append(specs, expanded...)
 	}
 	hops := parseHops(r)
-	cs := s.cluster.Load()
-	if cs != nil && hops > 0 {
-		cs.fabric.NoteServedForwarded()
+	f := s.fabric.Load()
+	if f != nil && hops > 0 {
+		f.NoteServedForwarded()
 	}
 
 	// runAll fans the expanded specs out — sharded across the ring when
@@ -479,10 +448,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// and reports each outcome through emit exactly once. Callbacks are
 	// serialized in both paths.
 	runAll := func(emit func(i int, res sim.Result, err error)) error {
-		if cs == nil {
+		if f == nil {
 			return s.runner.SweepEach(ownerCtx(r, sweepWeight), specs, emit)
 		}
-		return s.sweepCluster(cs, r, specs, hops, emit)
+		return s.sweepCluster(f, r, specs, hops, emit)
 	}
 
 	if s.streaming(req, r) {
@@ -513,8 +482,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // group of specs forwards as one buffered sub-sweep (in parallel, with the
 // usual down-peer degradation to local execution), while locally-owned
 // specs run through this node's dispatcher. emit is serialized internally.
-func (s *Server) sweepCluster(cs *clusterState, r *http.Request, specs []experiments.Spec, hops int, emit func(i int, res sim.Result, err error)) error {
-	f := cs.fabric
+func (s *Server) sweepCluster(f *cluster.Fabric, r *http.Request, specs []experiments.Spec, hops int, emit func(i int, res sim.Result, err error)) error {
 	atLimit := hops >= f.HopLimit()
 	groups := make(map[string][]int)
 	var localIdx []int
@@ -705,12 +673,12 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // peer's fleet rollup sums. 404 on single-node deployments.
 func (s *Server) handleClusterStats(w http.ResponseWriter, r *http.Request) {
 	s.clusterReqs.Add(1)
-	cs := s.cluster.Load()
-	if cs == nil {
+	f := s.fabric.Load()
+	if f == nil {
 		s.writeAPIError(w, "cluster", api.Errorf(api.CodeNotFound, "cluster mode is off (no -peers)"))
 		return
 	}
-	s.writeJSON(w, "cluster", http.StatusOK, cs.fabric.LocalStats(s.runner.Simulations()))
+	s.writeJSON(w, "cluster", http.StatusOK, f.LocalStats(s.runner.Simulations()))
 }
 
 // MetricsSnapshot assembles the current metrics (also used by tests). The
@@ -743,8 +711,6 @@ func (s *Server) MetricsSnapshot() api.Metrics {
 		TraceMemo:      s.runner.TraceStats(),
 		ResultStore:    storeStats,
 		Checkpoints:    experiments.CheckpointCacheStats(),
-		Speculation:    s.runner.SpeculationStats(),
-		EpochSims:      experiments.EpochSimCacheStats(),
 		Dispatch: api.DispatchMetrics{
 			Admission: s.admission.Stats(),
 			Queue:     s.runner.DispatchStats(),
@@ -756,12 +722,12 @@ func (s *Server) MetricsSnapshot() api.Metrics {
 			NumGC:          ms.NumGC,
 		},
 	}
-	if cs := s.cluster.Load(); cs != nil {
+	if f := s.fabric.Load(); f != nil {
 		m.Cluster = &api.ClusterMetrics{
-			Self:     cs.fabric.Self(),
-			HopLimit: cs.fabric.HopLimit(),
-			Local:    cs.fabric.LocalStats(m.Simulations),
-			Peers:    cs.fabric.PeerMetrics(),
+			Self:     f.Self(),
+			HopLimit: f.HopLimit(),
+			Local:    f.LocalStats(m.Simulations),
+			Peers:    f.PeerMetrics(),
 		}
 	}
 	return m
@@ -770,8 +736,8 @@ func (s *Server) MetricsSnapshot() api.Metrics {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metricReqs.Add(1)
 	m := s.MetricsSnapshot()
-	if cs := s.cluster.Load(); cs != nil && m.Cluster != nil {
-		m.Cluster.Fleet = cs.fabric.Rollup(r.Context(), m.Cluster.Local)
+	if f := s.fabric.Load(); f != nil && m.Cluster != nil {
+		m.Cluster.Fleet = f.Rollup(r.Context(), m.Cluster.Local)
 	}
 	s.writeJSON(w, "metrics", http.StatusOK, m)
 }

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"secureproc/internal/api"
-	"secureproc/internal/sim"
 )
 
 // testScale keeps simulations quick; the service contracts (coalescing,
@@ -448,48 +447,9 @@ func TestMetricsWithoutStore(t *testing.T) {
 	if _, ok := raw["checkpoints"]; !ok {
 		t.Error("/metrics missing checkpoints")
 	}
-	if _, ok := raw["speculation"]; !ok {
-		t.Error("/metrics missing speculation")
-	}
-	if _, ok := raw["epoch_sims"]; !ok {
-		t.Error("/metrics missing epoch_sims")
-	}
-}
-
-// TestSimJobsSpeculationMetrics: a service configured with intra-sim
-// parallelism runs an uncached request epoch-parallel and reports the
-// speculation bookkeeping on /metrics. Jobs=2 with one in-flight request
-// leaves exactly one idle slot to borrow, so the run splits into 2 epochs.
-func TestSimJobsSpeculationMetrics(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Jobs: 2, SimJobs: 2, Scale: 0.024})
-	resp, body := postJSON(t, ts.URL+"/v1/run", `{"bench":"mcf","scheme":"snc-lru"}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var rr api.RunResponse
-	if err := json.Unmarshal(body, &rr); err != nil {
-		t.Fatal(err)
-	}
-	if rr.Result.Speculation != (sim.SpecStats{}) {
-		t.Errorf("served Result carries speculation bookkeeping: %+v", rr.Result.Speculation)
-	}
-	m := srv.MetricsSnapshot()
-	if m.Speculation.ParallelRuns != 1 || m.Speculation.Epochs != 2 {
-		t.Errorf("speculation totals %+v, want 1 parallel run / 2 epochs", m.Speculation)
-	}
-	if m.EpochSims.Size < 1 {
-		t.Errorf("epoch-sim cache empty after a parallel run: %+v", m.EpochSims)
-	}
-	var raw map[string]json.RawMessage
-	getJSON(t, ts.URL+"/metrics", &raw)
-	var spec struct {
-		ParallelRuns int64 `json:"parallel_runs"`
-		Epochs       int64 `json:"epochs"`
-	}
-	if err := json.Unmarshal(raw["speculation"], &spec); err != nil {
-		t.Fatal(err)
-	}
-	if spec.ParallelRuns != 1 || spec.Epochs != 2 {
-		t.Errorf("/metrics speculation = %+v, want 1 parallel run / 2 epochs", spec)
+	for _, gone := range []string{"speculation", "epoch_sims"} {
+		if _, ok := raw[gone]; ok {
+			t.Errorf("/metrics still carries the removed %q block", gone)
+		}
 	}
 }

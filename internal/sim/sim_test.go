@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"secureproc/internal/core"
 	"secureproc/internal/mem"
 	"secureproc/internal/snc"
 	"secureproc/internal/workload"
@@ -162,6 +164,75 @@ func TestGccNoReplStory(t *testing.T) {
 	}
 	if sLRU > sXOM*0.25 {
 		t.Errorf("gcc LRU (%.1f%%) should be far below XOM (%.1f%%)", sLRU, sXOM)
+	}
+}
+
+// invariantScale is the workload scale of the full-grid invariant sweep.
+const invariantScale = 0.02
+
+// TestResultInvariants checks conservation invariants over every registered
+// scheme × every benchmark, for both a straight-through run and a run forked
+// from a post-warmup checkpoint into a fresh system:
+//
+//   - the forked Result equals the straight-through one;
+//   - no run retires more than IssueWidth instructions per cycle;
+//   - SNC and sequence-number counters are zero for schemes without an SNC;
+//   - a no-replacement SNC never moves sequence numbers over the bus;
+//   - MAC and integrity counters are zero for schemes without MACs.
+//
+// TestSNCCountersOnlyForOTP and TestTrafficAccounting keep the zero checks
+// from passing vacuously: they assert the nonzero side on vpr and mcf.
+func TestResultInvariants(t *testing.T) {
+	for _, bench := range workload.BenchmarkNames {
+		prof, ok := workload.ByName(bench)
+		if !ok {
+			t.Fatalf("no profile %s", bench)
+		}
+		recs, err := workload.Materialize(prof, invariantScale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm := min(prof.WarmupRefs(), len(recs))
+		for _, d := range core.Descriptors() {
+			ref := SchemeRef{Name: d.Name}
+			name := bench + "/" + d.Name
+
+			straight := newCheckpointSystem(t, ref)
+			want := straight.Run(workload.Replay(recs), warm)
+
+			src := newCheckpointSystem(t, ref)
+			src.RunWarmup(workload.Replay(recs[:warm]))
+			cp, ok := src.Checkpoint()
+			if !ok {
+				t.Fatalf("%s: scheme cannot checkpoint", name)
+			}
+			fork := newCheckpointSystem(t, ref)
+			if err := fork.Restore(cp); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got := fork.RunMeasured(workload.Replay(recs[warm:])); got != want {
+				t.Errorf("%s: forked run diverged from straight-through:\n got %+v\nwant %+v", name, got, want)
+			}
+
+			r := want
+			if width := straight.cfg.CPU.IssueWidth; r.Cycles*uint64(width) < r.Instructions {
+				t.Errorf("%s: %d instructions in %d cycles exceeds issue width %d",
+					name, r.Instructions, r.Cycles, width)
+			}
+			seq := []uint64{r.SNCQueryHits, r.SNCQueryMisses, r.SNCUpdateHits, r.SNCUpdateMiss,
+				r.SeqNumFetches, r.SeqNumSpills, r.SeqOverflows}
+			if !d.NeedsSNC && slices.ContainsFunc(seq, func(v uint64) bool { return v != 0 }) {
+				t.Errorf("%s: scheme without an SNC has SNC/sequence-number counters %v", name, seq)
+			}
+			if d.Name == SchemeOTPNoRepl.Name && r.SNCTraffic() != 0 {
+				t.Errorf("%s: no-replacement SNC moved %d sequence numbers", name, r.SNCTraffic())
+			}
+			_, hasMAC := straight.Scheme().(interface{ IntegrityCounters() (uint64, uint64) })
+			mac := []uint64{r.MACFetches, r.MACUpdates, r.IntegrityVerified, r.IntegrityStallCycles}
+			if !hasMAC && slices.ContainsFunc(mac, func(v uint64) bool { return v != 0 }) {
+				t.Errorf("%s: scheme without MACs has MAC/integrity counters %v", name, mac)
+			}
+		}
 	}
 }
 

@@ -1,7 +1,5 @@
 package snc
 
-import "secureproc/internal/statehash"
-
 // setSnapshot carries the per-set LRU endpoints and bump-allocator cursor.
 // The tag index is deliberately not captured: every slot in [base, base+bump)
 // holds a live entry (slots are handed out by a bump allocator and eviction
@@ -34,60 +32,24 @@ type Snapshot struct {
 
 // Snapshot captures the SNC's full mutable state.
 func (s *SNC) Snapshot() *Snapshot {
-	snap := &Snapshot{}
-	s.SnapshotInto(snap)
-	return snap
-}
-
-// SnapshotInto captures the SNC's state into snap, reusing snap's arrays
-// when they are already the right size. Repeated boundary checkpoints into
-// the same Snapshot are allocation-free in steady state.
-func (s *SNC) SnapshotInto(snap *Snapshot) {
-	if len(snap.entries) != len(s.entries) {
-		snap.entries = make([]entry, len(s.entries))
-	}
-	if len(snap.sets) != len(s.sets) {
-		snap.sets = make([]setSnapshot, len(s.sets))
+	snap := &Snapshot{
+		entries:      make([]entry, len(s.entries)),
+		sets:         make([]setSnapshot, len(s.sets)),
+		occupied:     s.occupied,
+		queryHits:    s.QueryHits,
+		queryMisses:  s.QueryMisses,
+		updateHits:   s.UpdateHits,
+		updateMisses: s.UpdateMisses,
+		evictions:    s.Evictions,
+		rejected:     s.Rejected,
+		seqOverflows: s.SeqOverflows,
 	}
 	copy(snap.entries, s.entries)
 	for i := range s.sets {
 		st := &s.sets[i]
 		snap.sets[i] = setSnapshot{head: st.head, tail: st.tail, bump: st.bump}
 	}
-	snap.occupied = s.occupied
-	snap.queryHits = s.QueryHits
-	snap.queryMisses = s.QueryMisses
-	snap.updateHits = s.UpdateHits
-	snap.updateMisses = s.UpdateMisses
-	snap.evictions = s.Evictions
-	snap.rejected = s.Rejected
-	snap.seqOverflows = s.SeqOverflows
-}
-
-// HashState folds the snapshot's behavior-affecting state into h: per-set
-// LRU endpoints and bump cursor, plus every allocated entry (tag, sequence
-// number, LRU links) in slot order. Unallocated slots and the statistics
-// counters are excluded — see cpu.Snapshot.HashState for the rationale.
-func (snap *Snapshot) HashState(h *statehash.Hash) {
-	h.Int(len(snap.sets))
-	if len(snap.sets) == 0 {
-		return
-	}
-	ways := len(snap.entries) / len(snap.sets)
-	for i := range snap.sets {
-		ss := &snap.sets[i]
-		h.I32(ss.head)
-		h.I32(ss.tail)
-		h.I32(ss.bump)
-		base := i * ways
-		for slot := base; slot < base+int(ss.bump); slot++ {
-			e := &snap.entries[slot]
-			h.Word(e.tag)
-			h.U16(e.seq)
-			h.I32(e.prev)
-			h.I32(e.next)
-		}
-	}
+	return snap
 }
 
 // Restore reinstates a snapshot taken from an SNC with the same

@@ -356,23 +356,6 @@ func (r *replay) Next() (Record, bool) {
 // records are never written.
 func Replay(recs []Record) Stream { return &replay{recs: recs} }
 
-// Slice cuts a materialized trace into k contiguous epochs of near-equal
-// length (differing by at most one record), returned as subslices of recs —
-// no records are copied, and replaying the epochs in order is
-// record-for-record identical to replaying recs. k greater than len(recs)
-// yields empty epochs; k < 1 is treated as 1.
-func Slice(recs []Record, k int) [][]Record {
-	if k < 1 {
-		k = 1
-	}
-	epochs := make([][]Record, k)
-	n := len(recs)
-	for i := 0; i < k; i++ {
-		epochs[i] = recs[i*n/k : (i+1)*n/k]
-	}
-	return epochs
-}
-
 // Materialize generates the profile's full trace into a slice, producing
 // exactly the records NewStream would emit at the same scale. Sweeps that
 // run one benchmark under many configurations materialize the trace once
