@@ -5,14 +5,14 @@
 //
 // Usage:
 //
-//	figures [-scale 1.0] [-fig fig5] [-jobs N] [-seq] [-list]
+//	figures [-scale 1.0] [-fig fig5] [-jobs N] [-list]
 //
 // With no -fig flag every figure is regenerated (simulations are shared
 // between figures). -scale trades trace length for runtime; warmup always
 // runs in full so cache/SNC state is faithful at any scale.
 //
-// Simulations fan out over a worker pool (-jobs, default GOMAXPROCS; -seq
-// forces the sequential path). Figure tables go to stdout and are
+// Simulations fan out over a worker pool (-jobs, default GOMAXPROCS;
+// -jobs 1 forces the sequential path). Figure tables go to stdout and are
 // byte-identical regardless of parallelism; per-figure wall-clock and the
 // run summary go to stderr.
 package main
@@ -30,8 +30,7 @@ import (
 func main() {
 	scale := flag.Float64("scale", 1.0, "workload scale (fraction of native trace length)")
 	fig := flag.String("fig", "", "single figure to regenerate (fig3, fig5, ..., fig10, figI1; see -list)")
-	jobs := flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	seq := flag.Bool("seq", false, "run simulations sequentially (same as -jobs 1)")
+	jobs := flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = sequential)")
 	list := flag.Bool("list", false, "list regenerable figures and exit")
 	flag.Parse()
 
@@ -47,9 +46,6 @@ func main() {
 	}
 	runner := experiments.NewRunner(*scale)
 	runner.Jobs = *jobs
-	if *seq {
-		runner.Jobs = 1
-	}
 	start := time.Now()
 	if *fig != "" {
 		fr, err := runner.ByName(*fig)

@@ -5,7 +5,7 @@
 //
 //	secsim [-bench mcf] [-scheme snc-lru] [-scale 1.0] [-snc 64] [-ways 0]
 //	       [-crypto 50] [-l2 256] [-l2ways 4] [-compare] [-jobs N]
-//	       [-seq] [-stream] [-store DIR] [-list]
+//	       [-stream] [-store DIR] [-list]
 //	secsim -multi mcf,gzip [-quantum 100000] [-switch flush|pid] [...]
 //	secsim -perf [-perfout BENCH.json]
 //	secsim -perfcmp base.json,cur.json [-perftol 0.10]
@@ -14,14 +14,14 @@
 // the scheme registry, optionally with parameters, e.g. "snc-lru" or
 // "otp-mac:verify=blocking" (see -list). -bench accepts a single
 // benchmark, a comma-separated list, or "all"; multi-benchmark runs fan
-// out over the experiment layer's worker pool (-jobs, default GOMAXPROCS)
-// and print in deterministic order. With -stream, each benchmark's result
-// prints as an NDJSON line on stdout the moment its simulation completes
-// (completion order, not request order) instead of a buffered report —
-// incompatible with -compare and -multi. With -compare, every registered
-// scheme runs per benchmark and a slowdown summary is printed (one
-// benchmark's slice of the paper's Figure 5, extended to the full
-// registry).
+// out over the experiment layer's worker pool (-jobs, default GOMAXPROCS;
+// -jobs 1 runs them one at a time) and print in deterministic order. With
+// -stream, each benchmark's result prints as an NDJSON line on stdout the
+// moment its simulation completes (completion order, not request order)
+// instead of a buffered report — incompatible with -compare and -multi.
+// With -compare, every registered scheme runs per benchmark and a
+// slowdown summary is printed (one benchmark's slice of the paper's
+// Figure 5, extended to the full registry).
 //
 // With -store DIR, completed results are persisted under DIR (keyed by run
 // configuration and the timing-model version): a later secsim or secsimd
@@ -162,12 +162,10 @@ func main() {
 	perfOut := flag.String("perfout", "", "with -perf: also write the snapshot JSON to this file")
 	perfCmp := flag.String("perfcmp", "", "compare two perf snapshots \"base.json,cur.json\"; exit 1 on regression")
 	perfTol := flag.Float64("perftol", 0.10, "ns/op regression tolerance for -perfcmp (fraction)")
-	jobs := flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	seq := flag.Bool("seq", false, "run simulations sequentially (same as -jobs 1)")
+	jobs := flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = sequential)")
 	streamOut := flag.Bool("stream", false, "print each result as an NDJSON line the moment it completes")
 	storeDir := flag.String("store", "", "persist results in this directory across runs (empty = off)")
 	list := flag.Bool("list", false, "list registered schemes and benchmarks, then exit")
-	listBench := flag.Bool("listbench", false, "list benchmarks and exit")
 	flag.Parse()
 
 	switchSet := false
@@ -216,12 +214,6 @@ func main() {
 		printRegistry()
 		return
 	}
-	if *listBench {
-		for _, n := range workload.BenchmarkNames {
-			fmt.Println(n)
-		}
-		return
-	}
 	if *streamOut && (*compare || *multi != "") {
 		fatal(fmt.Errorf("-stream streams per-benchmark sweep results; it is incompatible with -compare and -multi"))
 	}
@@ -235,9 +227,6 @@ func main() {
 	}
 	runner := experiments.NewRunner(*scale)
 	runner.Jobs = *jobs
-	if *seq {
-		runner.Jobs = 1
-	}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir, sim.TimingModelVersion)
 		if err != nil {

@@ -1,15 +1,14 @@
 // Command secsimd serves the simulation engine over HTTP: a long-lived
 // process in front of the experiment layer's singleflight memo, so
 // concurrent clients asking for the same configuration share one
-// simulation and repeated requests are answered from the LRU-bounded
-// cache.
+// simulation and repeated requests are answered from the result memo
+// (LRU-bounded by -memo-capacity).
 //
 // Usage:
 //
-//	secsimd [-addr :8080] [-scale 1.0] [-jobs N]
-//	        [-memo-capacity 0] [-trace-capacity 0] [-drain 30s]
-//	        [-store DIR] [-maxadmit 0] [-stream]
-//	        [-peers host:port,... -self host:port] [-hoplimit 3]
+//	secsimd [-addr :8080] [-scale 1.0] [-jobs N] [-memo-capacity 0]
+//	        [-drain 30s] [-store DIR] [-maxadmit 0]
+//	        [-peers host:port,... -self host:port]
 //
 // With -maxadmit N > 0, at most N simulation requests (/v1/run, /v1/sweep,
 // /v1/figures) are admitted concurrently; request N+1 is rejected
@@ -18,10 +17,10 @@
 // (X-Client-ID header, else remote host), so one bulk sweep cannot starve
 // interactive /v1/run calls.
 //
-// With -stream, /v1/sweep answers as an NDJSON stream by default — one
-// line per result the moment its simulation lands, then a trailer.
-// Individual requests opt in or out with the "stream" field or an
-// "Accept: application/x-ndjson" header regardless of the flag.
+// A /v1/sweep request with "stream":true, or with an "Accept:
+// application/x-ndjson" header, answers as an NDJSON stream — one line per
+// result the moment its simulation lands, then a trailer. The body field
+// wins over the header.
 //
 // With -store, completed simulation results are persisted under DIR (keyed
 // by run configuration and the timing-model version) and survive restarts:
@@ -34,9 +33,10 @@
 // fleet's result memos partition exactly-once across instances instead of
 // duplicating. -self is this node's advertised host:port on the ring (it
 // must appear in the other members' -peers lists). A request that has
-// already been forwarded -hoplimit times is served locally (the loop guard
-// for misconfigured rings), and an unreachable owner degrades the request
-// to local execution after one retry — never to a failure. Cluster
+// already been forwarded cluster.HopLimit (3) times is served locally (the
+// loop guard for misconfigured rings), and an unreachable owner degrades
+// the request to local execution after one retry — never to a failure. A
+// malformed spec is rejected with 400 at the entry node. Cluster
 // counters, per-peer health and a fleet-wide rollup appear under
 // "cluster" in /metrics.
 //
@@ -74,6 +74,7 @@ import (
 	"syscall"
 	"time"
 
+	"secureproc/internal/cluster"
 	"secureproc/internal/server"
 )
 
@@ -96,25 +97,24 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "workload scale for every simulation")
 	jobs := flag.Int("jobs", 0, "concurrent simulations in sweep fan-out (0 = GOMAXPROCS)")
 	capacity := flag.Int("memo-capacity", 0, "result-memo LRU capacity in entries (0 = unbounded)")
-	traceCap := flag.Int("trace-capacity", 0, "materialized-trace memo LRU capacity (0 = unbounded)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout")
 	storeDir := flag.String("store", "", "persist results in this directory across restarts (empty = off)")
 	maxAdmit := flag.Int("maxadmit", 0, "concurrently admitted simulation requests before 429 + Retry-After (0 = unbounded)")
-	stream := flag.Bool("stream", false, "stream /v1/sweep results as NDJSON by default")
 	peers := flag.String("peers", "", "comma-separated fleet members (host:port,...); enables cluster sharding")
 	self := flag.String("self", "", "this node's advertised host:port on the ring (required with -peers)")
-	hopLimit := flag.Int("hoplimit", 0, "max forwards per request before serving locally (0 = default)")
 	flag.Parse()
 
-	cfg := server.Config{
-		Scale:         *scale,
-		Jobs:          *jobs,
-		Capacity:      *capacity,
-		TraceCapacity: *traceCap,
-		StoreDir:      *storeDir,
-		MaxAdmit:      *maxAdmit,
-		Stream:        *stream,
+	srv, err := server.New(server.Config{
+		Scale:    *scale,
+		Jobs:     *jobs,
+		Capacity: *capacity,
+		StoreDir: *storeDir,
+		MaxAdmit: *maxAdmit,
+	})
+	if err != nil {
+		log.Fatalf("secsimd: %v", err)
 	}
+	clusterNote := "off"
 	if *peers != "" {
 		var members []string
 		for _, p := range strings.Split(*peers, ",") {
@@ -122,15 +122,10 @@ func main() {
 				members = append(members, p)
 			}
 		}
-		cfg.Cluster = &server.ClusterConfig{
-			Self:     *self,
-			Peers:    members,
-			HopLimit: *hopLimit,
+		if err := srv.EnableCluster(cluster.Config{Self: *self, Peers: members}); err != nil {
+			log.Fatalf("secsimd: %v", err)
 		}
-	}
-	srv, err := server.New(cfg)
-	if err != nil {
-		log.Fatalf("secsimd: %v", err)
+		clusterNote = *self + " in {" + *peers + "}"
 	}
 	hs := newHTTPServer(*addr, srv, readHeaderTimeout, idleTimeout)
 
@@ -143,12 +138,8 @@ func main() {
 	if *storeDir != "" {
 		storeNote = *storeDir
 	}
-	clusterNote := "off"
-	if cfg.Cluster != nil {
-		clusterNote = *self + " in {" + *peers + "}"
-	}
-	log.Printf("secsimd listening on %s (scale %.2f, jobs %d, memo capacity %d, trace capacity %d, store %s, maxadmit %d, stream %v, cluster %s)",
-		*addr, *scale, *jobs, *capacity, *traceCap, storeNote, *maxAdmit, *stream, clusterNote)
+	log.Printf("secsimd listening on %s (scale %.2f, jobs %d, memo capacity %d, store %s, maxadmit %d, cluster %s)",
+		*addr, *scale, *jobs, *capacity, storeNote, *maxAdmit, clusterNote)
 
 	select {
 	case err := <-errc:

@@ -168,7 +168,8 @@ type RunResponse struct {
 
 // SweepRequest is the /v1/sweep payload: a list of specs, each expandable
 // over benchmarks ("bench": "all" or "gzip,mcf"). Stream, when set,
-// overrides the server's streaming default for this request.
+// chooses a streamed (true) or buffered (false) answer and takes
+// precedence over an "Accept: application/x-ndjson" header.
 type SweepRequest struct {
 	Specs  []RunRequest `json:"specs"`
 	Stream *bool        `json:"stream,omitempty"`

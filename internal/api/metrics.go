@@ -113,7 +113,8 @@ type FleetRollup struct {
 
 // ClusterMetrics is the /metrics "cluster" block.
 type ClusterMetrics struct {
-	// Self and Peers describe the ring membership from this node's view.
+	// Self and Peers describe the ring membership from this node's view;
+	// HopLimit is the fixed forward budget (cluster.HopLimit).
 	Self     string `json:"self"`
 	HopLimit int    `json:"hop_limit"`
 	// Local is this node's own counter block.

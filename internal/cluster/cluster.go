@@ -30,18 +30,18 @@ import (
 	"secureproc/internal/api"
 )
 
-// Defaults for Config's zero values.
+// HopLimit bounds forwarding chains. On a consistent ring a request
+// forwards at most once; the budget of 3 leaves room for one resize
+// transient before the loop guard serves locally.
+const HopLimit = 3
+
 const (
-	// DefaultHopLimit bounds forwarding chains. On a consistent ring a
-	// request forwards at most once; the budget of 3 leaves room for one
-	// resize transient before the loop guard serves locally.
-	DefaultHopLimit = 3
-	// DefaultForwardTimeout bounds one forwarded request end to end —
-	// generous, because the owner may be simulating from cold.
-	DefaultForwardTimeout = 2 * time.Minute
-	// DefaultCooldown is how long a peer stays marked down after a failed
+	// forwardTimeout bounds one forwarded request end to end — generous,
+	// because the owner may be simulating from cold.
+	forwardTimeout = 2 * time.Minute
+	// cooldown is how long a peer stays marked down after a failed
 	// forward before traffic probes it again.
-	DefaultCooldown = 2 * time.Second
+	cooldown = 2 * time.Second
 	// rollupTimeout bounds each peer poll of a /metrics fleet rollup; a
 	// metrics scrape must stay fast even when half the fleet is gone.
 	rollupTimeout = 1 * time.Second
@@ -55,15 +55,6 @@ type Config struct {
 	Self string
 	// Peers is the static fleet membership, self included or not.
 	Peers []string
-	// HopLimit caps forwards per request (0 = DefaultHopLimit).
-	HopLimit int
-	// ForwardTimeout bounds one forwarded request (0 = default).
-	ForwardTimeout time.Duration
-	// Cooldown is the down-peer probation window (0 = default).
-	Cooldown time.Duration
-	// Client overrides the forwarding HTTP client (tests); nil uses a
-	// dedicated client with ForwardTimeout.
-	Client *http.Client
 }
 
 // peerState tracks one remote member: health cooldown and per-peer traffic.
@@ -78,11 +69,9 @@ type peerState struct {
 // owners. Safe for concurrent use; all methods are cheap except the
 // forwarding calls themselves.
 type Fabric struct {
-	self     string
-	ring     *ring
-	hopLimit int
-	cooldown time.Duration
-	client   *http.Client
+	self   string
+	ring   *ring
+	client *http.Client
 
 	peers map[string]*peerState // remote members only, fixed at New
 
@@ -106,26 +95,11 @@ func New(cfg Config) (*Fabric, error) {
 	if len(r.members()) < 2 {
 		return nil, fmt.Errorf("cluster: membership needs at least one peer besides self (got only %q)", cfg.Self)
 	}
-	if cfg.HopLimit <= 0 {
-		cfg.HopLimit = DefaultHopLimit
-	}
-	if cfg.ForwardTimeout <= 0 {
-		cfg.ForwardTimeout = DefaultForwardTimeout
-	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = DefaultCooldown
-	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: cfg.ForwardTimeout}
-	}
 	f := &Fabric{
-		self:     cfg.Self,
-		ring:     r,
-		hopLimit: cfg.HopLimit,
-		cooldown: cfg.Cooldown,
-		client:   client,
-		peers:    make(map[string]*peerState),
+		self:   cfg.Self,
+		ring:   r,
+		client: &http.Client{Timeout: forwardTimeout},
+		peers:  make(map[string]*peerState),
 	}
 	for _, m := range r.members() {
 		if m != cfg.Self {
@@ -137,9 +111,6 @@ func New(cfg Config) (*Fabric, error) {
 
 // Self returns this node's advertised address.
 func (f *Fabric) Self() string { return f.self }
-
-// HopLimit returns the per-request forward budget.
-func (f *Fabric) HopLimit() int { return f.hopLimit }
 
 // Owner resolves the ring member owning key; local reports whether that
 // member is this node.
@@ -155,7 +126,7 @@ func (f *Fabric) healthy(ps *peerState) bool {
 
 // markDown starts (or extends) the peer's cooldown after a failed forward.
 func (f *Fabric) markDown(ps *peerState) {
-	ps.downUntil.Store(time.Now().Add(f.cooldown).UnixNano())
+	ps.downUntil.Store(time.Now().Add(cooldown).UnixNano())
 }
 
 // NoteServedForwarded counts a request this node executed on behalf of a

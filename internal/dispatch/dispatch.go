@@ -396,33 +396,19 @@ func (a *Admission) TryAdmit() (release func(), ok bool) {
 	}, true
 }
 
-// RetryAfter estimates how long a rejected caller should wait before
-// retrying: the observed average request duration scaled by how many
-// admission "generations" are ahead of it, clamped to [1s, 60s]. With no
-// history yet, one second.
-func (a *Admission) RetryAfter() time.Duration {
-	gens := int64(1)
-	if a.cap > 0 {
-		gens = (a.inflight.Load() + a.cap - 1) / a.cap
-	}
-	return a.scaleEstimate(gens)
-}
-
-// RetryAfterFor is the per-owner estimate: the observed average request
-// duration scaled by the rejected owner's own queue depth (how many of
-// *its* jobs wait for a worker), clamped to [1s, 60s]. Under weighted-fair
-// scheduling an owner drains its own queue at its fair rate regardless of
-// the global backlog, so depth-of-own-queue is the honest multiplier where
-// the global generation count would over- or under-shoot.
+// RetryAfterFor estimates how long a rejected caller should wait before
+// retrying: the observed average request duration scaled by the rejected
+// owner's own queue depth (how many of *its* jobs wait for a worker),
+// clamped to [1s, 60s]. With no history yet, one second per queued job.
+// Under weighted-fair scheduling an owner drains its own queue at its fair
+// rate regardless of the global backlog, so depth-of-own-queue is the
+// honest multiplier.
 func (a *Admission) RetryAfterFor(ownerDepth int) time.Duration {
-	return a.scaleEstimate(int64(ownerDepth))
-}
-
-func (a *Admission) scaleEstimate(n int64) time.Duration {
 	avg := time.Duration(a.avgNs.Load())
 	if avg <= 0 {
 		avg = time.Second
 	}
+	n := int64(ownerDepth)
 	if n < 1 {
 		n = 1
 	}

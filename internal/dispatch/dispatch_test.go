@@ -152,8 +152,10 @@ func TestAdmissionCapAndRelease(t *testing.T) {
 	if _, ok := a.TryAdmit(); ok {
 		t.Fatal("third admit accepted beyond cap 2")
 	}
-	if ra := a.RetryAfter(); ra < time.Second || ra > time.Minute {
-		t.Errorf("RetryAfter = %v, want within [1s, 60s]", ra)
+	for _, depth := range []int{0, 1, 1000} {
+		if ra := a.RetryAfterFor(depth); ra < time.Second || ra > time.Minute {
+			t.Errorf("RetryAfterFor(%d) = %v, want within [1s, 60s]", depth, ra)
+		}
 	}
 	rel1()
 	rel1() // double release must be a no-op, not a freed slot

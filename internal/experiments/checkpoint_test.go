@@ -26,7 +26,7 @@ func straightThrough(t *testing.T, r *Runner, sp Spec) sim.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := r.config(sp.key())
+	cfg, err := sp.key().config()
 	if err != nil {
 		t.Fatal(err)
 	}

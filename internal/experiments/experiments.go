@@ -128,11 +128,6 @@ type Runner struct {
 	// services (secsimd) set a bound. Set before the first request.
 	Capacity int
 
-	// TraceCapacity bounds the materialized-trace memo the same way
-	// (traces are the big allocations: ~24B per record, hundreds of
-	// thousands of records per benchmark at scale 1.0). 0 = unbounded.
-	TraceCapacity int
-
 	// Store, when non-nil, persists completed results to disk: a result-memo
 	// miss consults the store before simulating, and fresh results are
 	// spilled back, so a restarted process (or a fresh CI job pointed at the
@@ -182,7 +177,11 @@ func (r *Runner) storeKey(k runKey) string {
 		strconv.FormatFloat(r.Scale, 'g', -1, 64))
 }
 
-func (r *Runner) config(k runKey) (sim.Config, error) {
+// config translates k into the machine it simulates: the paper's default
+// system with the key's scheme, SNC, L2 and crypto settings. Both the
+// simulation path and Spec.Validate go through it, so a spec validates
+// exactly when its machine can be built.
+func (k runKey) config() (sim.Config, error) {
 	cfg := sim.DefaultConfig()
 	ref, err := sim.SchemeByName(k.scheme)
 	if err != nil {

@@ -18,7 +18,6 @@ import (
 	"strings"
 	"sync"
 
-	"secureproc/internal/core"
 	"secureproc/internal/dispatch"
 	"secureproc/internal/sim"
 	"secureproc/internal/workload"
@@ -99,7 +98,7 @@ func (r *Runner) simulate(ctx context.Context, k runKey, held bool) (sim.Result,
 	if !ok {
 		return sim.Result{}, fmt.Errorf("experiments: unknown benchmark %q", k.bench)
 	}
-	cfg, err := r.config(k)
+	cfg, err := k.config()
 	if err != nil {
 		return sim.Result{}, fmt.Errorf("experiments: %w", err)
 	}
@@ -136,10 +135,11 @@ func (r *Runner) simulate(ctx context.Context, k runKey, held bool) (sim.Result,
 	return sys.RunMeasured(workload.Replay(recs[warm:])), nil
 }
 
-// traceMemo returns the trace memo, initializing it on first use (see
-// results).
+// traceMemo returns the trace memo, initializing it on first use. It is
+// unbounded: keyed by benchmark name, it never holds more than one trace
+// per benchmark.
 func (r *Runner) traceMemo() *memo[string, []workload.Record] {
-	return r.traces.init(r.TraceCapacity, func(name string) string {
+	return r.traces.init(0, func(name string) string {
 		return fmt.Sprintf("trace %s", name)
 	})
 }
@@ -314,14 +314,20 @@ func DefaultSpec(bench string, scheme sim.SchemeRef) Spec {
 	return Spec{Bench: bench, Scheme: scheme, SNCKB: 64, L2KB: 256, L2Ways: 4, CryptoLat: 50}
 }
 
-// Validate checks the spec's names against the workload and scheme
-// registries, so callers assembling specs from external input (the secsimd
-// request path, the secsim flags) can reject bad ones before simulating.
+// Validate checks the spec's benchmark against the workload registry and
+// its scheme and machine geometry by building and validating the
+// sim.Config it would simulate, so callers assembling specs from external
+// input (the secsimd request path, the secsim flags) can reject bad ones
+// before they reach the memo or a peer.
 func (s Spec) Validate() error {
 	if _, ok := workload.ByName(s.Bench); !ok {
 		return fmt.Errorf("experiments: unknown benchmark %q", s.Bench)
 	}
-	if _, err := core.LookupRef(s.Scheme); err != nil {
+	cfg, err := s.key().config()
+	if err == nil {
+		err = cfg.Validate()
+	}
+	if err != nil {
 		return fmt.Errorf("experiments: %w", err)
 	}
 	return nil

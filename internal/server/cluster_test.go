@@ -11,7 +11,9 @@ import (
 	"testing"
 
 	"secureproc/internal/api"
+	"secureproc/internal/cluster"
 	"secureproc/internal/experiments"
+	"secureproc/internal/sim"
 	"secureproc/internal/workload"
 )
 
@@ -37,10 +39,10 @@ func newClusterPair(t *testing.T, cfg Config) (sa, sb *Server, tsa, tsb *httptes
 	t.Cleanup(tsb.Close)
 	addrA := strings.TrimPrefix(tsa.URL, "http://")
 	addrB := strings.TrimPrefix(tsb.URL, "http://")
-	if err := sa.EnableCluster(ClusterConfig{Self: addrA, Peers: []string{addrB}}); err != nil {
+	if err := sa.EnableCluster(cluster.Config{Self: addrA, Peers: []string{addrB}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sb.EnableCluster(ClusterConfig{Self: addrB, Peers: []string{addrA}}); err != nil {
+	if err := sb.EnableCluster(cluster.Config{Self: addrB, Peers: []string{addrA}}); err != nil {
 		t.Fatal(err)
 	}
 	return sa, sb, tsa, tsb
@@ -215,18 +217,7 @@ func mustSpec(t *testing.T, bench string) experiments.Spec {
 func TestClusterPeerDownFallsBackLocally(t *testing.T) {
 	sa, _, tsa, tsb := newClusterPair(t, Config{})
 
-	// Find a spec node B owns, as seen from node A.
-	var body string
-	for _, b := range workload.BenchmarkNames {
-		cand := fmt.Sprintf(`{"bench":%q,"scheme":"snc-lru"}`, b)
-		if _, local := specOwner(t, sa, cand); !local {
-			body = cand
-			break
-		}
-	}
-	if body == "" {
-		t.Skip("ring handed every benchmark to node A; nothing to forward")
-	}
+	body := peerOwnedBody(t, sa, "snc-lru")
 
 	tsb.Close() // peer down
 
@@ -260,6 +251,156 @@ func TestClusterPeerDownFallsBackLocally(t *testing.T) {
 	}
 }
 
+// peerOwnedBody finds a default run request (under scheme) that node s
+// routes to its peer, or skips the test when the ring hands every
+// benchmark to s.
+func peerOwnedBody(t *testing.T, s *Server, scheme string) string {
+	t.Helper()
+	for _, b := range workload.BenchmarkNames {
+		cand := fmt.Sprintf(`{"bench":%q,"scheme":%q}`, b, scheme)
+		if _, local := specOwner(t, s, cand); !local {
+			return cand
+		}
+	}
+	t.Skip("ring handed every benchmark to one node; nothing to forward")
+	return ""
+}
+
+// TestClusterBadSpecRejectedAtEntry: a spec with unbuildable machine
+// geometry is the client's error. The entry node answers 400 before
+// routing, so the owning peer never sees it and is never marked down.
+func TestClusterBadSpecRejectedAtEntry(t *testing.T) {
+	sa, sb, tsa, _ := newClusterPair(t, Config{})
+	ref, err := sim.SchemeByName("snc-lru")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body string
+	for _, b := range workload.BenchmarkNames {
+		sp := experiments.DefaultSpec(b, ref)
+		sp.SNCWays = 7
+		if _, local := sa.fabric.Load().Owner(sp.CanonicalKey()); !local {
+			body = fmt.Sprintf(`{"bench":%q,"scheme":"snc-lru","snc_ways":7}`, b)
+			break
+		}
+	}
+	if body == "" {
+		t.Skip("ring handed every bad spec to node A; nothing to forward")
+	}
+
+	resp, b := postJSON(t, tsa.URL+"/v1/run", body)
+	var env api.Envelope
+	if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(b, &env) != nil || env.Err.Code != api.CodeBadRequest {
+		t.Fatalf("bad spec via the non-owner: status %d, want 400 %s: %s", resp.StatusCode, api.CodeBadRequest, b)
+	}
+	var ns api.NodeStats
+	getJSON(t, tsa.URL+"/v1/cluster/stats", &ns)
+	if ns.Forwarded != 0 || ns.Retries != 0 || ns.Fallback != 0 {
+		t.Errorf("entry node stats = %+v, want no forward, retry or fallback", ns)
+	}
+	if peers := sa.fabric.Load().PeerMetrics(); len(peers) != 1 || !peers[0].Healthy {
+		t.Errorf("peer metrics = %+v, want the owner still healthy", peers)
+	}
+	if m := sb.Runner().MemoStats(); m.Misses != 0 {
+		t.Errorf("owner memo misses = %d, want 0 (the bad spec never reached it)", m.Misses)
+	}
+}
+
+// TestClusterForwardedRunPassesOwnerError: when the owner answers a
+// forwarded /v1/run with a clean API error — here its admission 429 — the
+// entry node hands that envelope and its Retry-After to the client instead
+// of running the spec itself, and the owner stays healthy.
+func TestClusterForwardedRunPassesOwnerError(t *testing.T) {
+	sa, sb, tsa, _ := newClusterPair(t, Config{MaxAdmit: 1})
+	body := peerOwnedBody(t, sa, "snc-lru")
+	release, ok := sb.admission.TryAdmit()
+	if !ok {
+		t.Fatal("could not take the owner's admission slot")
+	}
+	defer release()
+
+	resp, b := postJSON(t, tsa.URL+"/v1/run", body)
+	var env api.Envelope
+	if resp.StatusCode != http.StatusTooManyRequests || json.Unmarshal(b, &env) != nil || env.Err.Code != api.CodeOverloaded {
+		t.Fatalf("forwarded run with a full owner: status %d, want 429 %s: %s", resp.StatusCode, api.CodeOverloaded, b)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra == "" || ra != fmt.Sprint(env.Err.RetryAfterS) {
+		t.Errorf("Retry-After header %q, body retry_after_s %d; want the owner's estimate in both", ra, env.Err.RetryAfterS)
+	}
+	if sims := sa.Runner().Simulations(); sims != 0 {
+		t.Errorf("entry node ran %d simulations, want 0 (the owner's 429 must not be bypassed locally)", sims)
+	}
+	ns := sa.fabric.Load().LocalStats(0)
+	if ns.Forwarded != 1 || ns.Fallback != 0 {
+		t.Errorf("entry node stats = %+v, want forwarded_total 1 and fallback_total 0", ns)
+	}
+	if peers := sa.fabric.Load().PeerMetrics(); len(peers) != 1 || !peers[0].Healthy {
+		t.Errorf("peer metrics = %+v, want the owner still healthy", peers)
+	}
+}
+
+// TestClusterSweepPropagatesPeerError: a sweep whose peer-owned group is
+// refused by the owner fails as a whole. Buffered, it answers with the
+// owner's envelope (a 429 keeps its Retry-After) rather than a 200 with
+// empty entries; streamed, the trailer carries the error.
+func TestClusterSweepPropagatesPeerError(t *testing.T) {
+	sa, sb, tsa, _ := newClusterPair(t, Config{MaxAdmit: 1})
+	ownA := 0
+	for _, b := range workload.BenchmarkNames {
+		if _, local := specOwner(t, sa, fmt.Sprintf(`{"bench":%q,"scheme":"baseline"}`, b)); local {
+			ownA++
+		}
+	}
+	ownB := len(workload.BenchmarkNames) - ownA
+	if ownB == 0 {
+		t.Skip("ring handed every benchmark to node A; nothing to forward")
+	}
+	release, ok := sb.admission.TryAdmit()
+	if !ok {
+		t.Fatal("could not take the owner's admission slot")
+	}
+	defer release()
+
+	const sweep = `{"specs":[{"bench":"all","scheme":"baseline"}]`
+	resp, b := postJSON(t, tsa.URL+"/v1/sweep", sweep+`}`)
+	var env api.Envelope
+	if resp.StatusCode != http.StatusTooManyRequests || json.Unmarshal(b, &env) != nil || env.Err.Code != api.CodeOverloaded {
+		t.Fatalf("buffered sweep with a full peer: status %d, want 429 %s: %s", resp.StatusCode, api.CodeOverloaded, b)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra == "" || ra != fmt.Sprint(env.Err.RetryAfterS) {
+		t.Errorf("Retry-After header %q, body retry_after_s %d; want the owner's estimate in both", ra, env.Err.RetryAfterS)
+	}
+
+	resp, b = postJSON(t, tsa.URL+"/v1/sweep", sweep+`,"stream":true}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("streamed sweep: status %d: %s", resp.StatusCode, b)
+	}
+	lines := strings.Split(strings.TrimSpace(string(b)), "\n")
+	var tr api.StreamTrailer
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &tr); err != nil || !tr.Done {
+		t.Fatalf("last line %q is not a trailer: %v", lines[len(lines)-1], err)
+	}
+	if tr.Count != ownA || !strings.Contains(tr.Error, api.CodeOverloaded) {
+		t.Errorf("trailer = %+v, want count %d and the peer's %s error", tr, ownA, api.CodeOverloaded)
+	}
+	failed := 0
+	for _, l := range lines[:len(lines)-1] {
+		var sl api.StreamLine
+		if err := json.Unmarshal([]byte(l), &sl); err != nil {
+			t.Fatalf("line %q: %v", l, err)
+		}
+		if sl.Error != "" {
+			failed++
+		}
+	}
+	if failed != ownB {
+		t.Errorf("%d error lines, want one per peer-owned spec (%d)", failed, ownB)
+	}
+	if sims := sa.Runner().Simulations(); sims != int64(ownA) {
+		t.Errorf("entry node ran %d simulations, want only its own %d", sims, ownA)
+	}
+}
+
 // TestClusterHopLimitStopsForwardLoop: two nodes with deliberately
 // inconsistent rings (each believes the other owns the key) would bounce a
 // request forever; the hop-limit header must stop the loop and serve the
@@ -280,11 +421,10 @@ func TestClusterHopLimitStopsForwardLoop(t *testing.T) {
 	// Inconsistent membership: each node's "self" is a phantom address that
 	// owns part of the ring but serves nothing, so keys the phantom does
 	// not own are always believed to belong to the other, real node.
-	const hopLimit = 2
-	if err = sa.EnableCluster(ClusterConfig{Self: "phantom-a:1", Peers: []string{addrB}, HopLimit: hopLimit}); err != nil {
+	if err = sa.EnableCluster(cluster.Config{Self: "phantom-a:1", Peers: []string{addrB}}); err != nil {
 		t.Fatal(err)
 	}
-	if err = sb.EnableCluster(ClusterConfig{Self: "phantom-b:1", Peers: []string{addrA}, HopLimit: hopLimit}); err != nil {
+	if err = sb.EnableCluster(cluster.Config{Self: "phantom-b:1", Peers: []string{addrA}}); err != nil {
 		t.Fatal(err)
 	}
 

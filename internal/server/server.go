@@ -25,8 +25,9 @@ import (
 )
 
 // Config sizes the service's runner. The zero value is a production-ish
-// default: native workload scale, GOMAXPROCS concurrent simulations,
-// unbounded memos, unbounded admission, single-node (no cluster).
+// default: native workload scale, GOMAXPROCS concurrent simulations, an
+// unbounded result memo, unbounded admission, single-node (EnableCluster
+// joins a fleet).
 type Config struct {
 	// Scale is the workload scale for every simulation (0 = 1.0 native).
 	Scale float64
@@ -35,8 +36,6 @@ type Config struct {
 	// Capacity bounds the result memo (LRU; 0 = unbounded). In-flight
 	// simulations are pinned and never evicted.
 	Capacity int
-	// TraceCapacity bounds the materialized-trace memo (0 = unbounded).
-	TraceCapacity int
 	// StoreDir, when non-empty, persists completed results under this
 	// directory (keyed by run configuration and sim.TimingModelVersion) so
 	// a restarted service answers repeated requests without re-simulating.
@@ -46,31 +45,6 @@ type Config struct {
 	// simulations. Beyond the cap, requests are rejected immediately with
 	// 429 + Retry-After instead of queueing unboundedly. 0 = unbounded.
 	MaxAdmit int
-	// Stream makes /v1/sweep stream each result as an NDJSON line the
-	// moment it lands, by default; individual requests override with the
-	// "stream" field or an "Accept: application/x-ndjson" header.
-	Stream bool
-	// Cluster, when non-nil, joins this node to a sharded fleet at startup
-	// (equivalent to calling EnableCluster after New).
-	Cluster *ClusterConfig
-}
-
-// ClusterConfig joins the node to a static fleet: requests whose canonical
-// run key hashes to another member are forwarded there, so the fleet's
-// memos partition instead of duplicating.
-type ClusterConfig struct {
-	// Self is this node's advertised host:port on the ring.
-	Self string
-	// Peers lists the other members (self included or not).
-	Peers []string
-	// HopLimit caps forwards per request (0 = cluster.DefaultHopLimit).
-	HopLimit int
-	// ForwardTimeout bounds one forwarded request (0 = default).
-	ForwardTimeout time.Duration
-	// Cooldown is the down-peer probation window (0 = default).
-	Cooldown time.Duration
-	// Client overrides the forwarding HTTP client (tests).
-	Client *http.Client
 }
 
 // Server is the secsimd HTTP handler: /v1/run, /v1/sweep,
@@ -79,7 +53,6 @@ type ClusterConfig struct {
 type Server struct {
 	runner    *experiments.Runner
 	admission *dispatch.Admission
-	stream    bool
 	mux       *http.ServeMux
 	start     time.Time
 	// fabric is the cluster fabric, held behind an atomic pointer so
@@ -101,8 +74,8 @@ type Server struct {
 	encFails map[string]int64
 }
 
-// New builds the service over a fresh Runner. Failure modes are an
-// unusable StoreDir or an unusable cluster membership.
+// New builds the service over a fresh Runner. The only failure mode is an
+// unusable StoreDir.
 func New(cfg Config) (*Server, error) {
 	if cfg.Scale == 0 {
 		cfg.Scale = 1.0
@@ -110,7 +83,6 @@ func New(cfg Config) (*Server, error) {
 	r := experiments.NewRunner(cfg.Scale)
 	r.Jobs = cfg.Jobs
 	r.Capacity = cfg.Capacity
-	r.TraceCapacity = cfg.TraceCapacity
 	if cfg.StoreDir != "" {
 		st, err := store.Open(cfg.StoreDir, sim.TimingModelVersion)
 		if err != nil {
@@ -121,7 +93,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		runner:    r,
 		admission: dispatch.NewAdmission(cfg.MaxAdmit),
-		stream:    cfg.Stream,
 		mux:       http.NewServeMux(),
 		start:     time.Now(),
 		encFails:  make(map[string]int64),
@@ -148,27 +119,17 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		s.writeAPIError(w, "router", api.Errorf(api.CodeNotFound, "no such endpoint: %s", r.URL.Path))
 	})
-	if cfg.Cluster != nil {
-		if err := s.EnableCluster(*cfg.Cluster); err != nil {
-			return nil, err
-		}
-	}
 	return s, nil
 }
 
-// EnableCluster joins the node to the fleet described by cfg. It may be
-// called after the listener is up (tests construct servers first, learn
-// their addresses, then wire the ring); requests arriving before it is
-// called execute purely locally.
-func (s *Server) EnableCluster(cfg ClusterConfig) error {
-	f, err := cluster.New(cluster.Config{
-		Self:           cfg.Self,
-		Peers:          cfg.Peers,
-		HopLimit:       cfg.HopLimit,
-		ForwardTimeout: cfg.ForwardTimeout,
-		Cooldown:       cfg.Cooldown,
-		Client:         cfg.Client,
-	})
+// EnableCluster joins the node to the fleet described by cfg: requests
+// whose canonical run key hashes to another member are forwarded there, so
+// the fleet's memos partition instead of duplicating. It may be called
+// after the listener is up (tests construct servers first, learn their
+// addresses, then wire the ring); requests arriving before it is called
+// execute purely locally.
+func (s *Server) EnableCluster(cfg cluster.Config) error {
+	f, err := cluster.New(cfg)
 	if err != nil {
 		return err
 	}
@@ -364,7 +325,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// an inconsistent ring — stops the loop by serving locally.
 	if f != nil {
 		if owner, local := f.Owner(spec.CanonicalKey()); !local {
-			if hops >= f.HopLimit() {
+			if hops >= cluster.HopLimit {
 				f.NoteHopLimit()
 			} else {
 				var out api.RunResponse
@@ -402,16 +363,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 // streaming resolves whether this sweep answers as an NDJSON stream: the
-// request's own "stream" field wins, then an Accept asking for NDJSON,
-// then the server's -stream default.
-func (s *Server) streaming(req api.SweepRequest, r *http.Request) bool {
+// request's own "stream" field wins, then an Accept asking for NDJSON.
+func streaming(req api.SweepRequest, r *http.Request) bool {
 	if req.Stream != nil {
 		return *req.Stream
 	}
-	if strings.Contains(r.Header.Get("Accept"), "application/x-ndjson") {
-		return true
-	}
-	return s.stream
+	return strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -454,7 +411,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return s.sweepCluster(f, r, specs, hops, emit)
 	}
 
-	if s.streaming(req, r) {
+	if streaming(req, r) {
 		s.streamSweep(w, r, specs, runAll)
 		return
 	}
@@ -483,7 +440,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // usual down-peer degradation to local execution), while locally-owned
 // specs run through this node's dispatcher. emit is serialized internally.
 func (s *Server) sweepCluster(f *cluster.Fabric, r *http.Request, specs []experiments.Spec, hops int, emit func(i int, res sim.Result, err error)) error {
-	atLimit := hops >= f.HopLimit()
+	atLimit := hops >= cluster.HopLimit
 	groups := make(map[string][]int)
 	var localIdx []int
 	for i, sp := range specs {
@@ -550,12 +507,17 @@ func (s *Server) sweepCluster(f *cluster.Fabric, r *http.Request, specs []experi
 					if j < len(out.Results) && out.Results[j].Spec.Bench != "" {
 						safeEmit(i, out.Results[j].Result, nil)
 					} else {
-						safeEmit(i, sim.Result{}, fmt.Errorf("peer %s failed spec %d", addr, i))
+						err := fmt.Errorf("peer %s failed spec %d", addr, i)
+						recordErr(err)
+						safeEmit(i, sim.Result{}, err)
 					}
 				}
 			case ok:
 				// Clean API error from a healthy peer (e.g. its admission
-				// gate): propagate per spec rather than bypassing it.
+				// gate): propagate per spec rather than bypassing it, and
+				// as the sweep's error so a buffered sweep answers with the
+				// peer's envelope (a 429 keeps its Retry-After).
+				recordErr(apiErr)
 				for _, i := range idx {
 					safeEmit(i, sim.Result{}, apiErr)
 				}
@@ -725,7 +687,7 @@ func (s *Server) MetricsSnapshot() api.Metrics {
 	if f := s.fabric.Load(); f != nil {
 		m.Cluster = &api.ClusterMetrics{
 			Self:     f.Self(),
-			HopLimit: f.HopLimit(),
+			HopLimit: cluster.HopLimit,
 			Local:    f.LocalStats(m.Simulations),
 			Peers:    f.PeerMetrics(),
 		}

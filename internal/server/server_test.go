@@ -87,22 +87,36 @@ func TestRunEndpoint(t *testing.T) {
 }
 
 func TestRunBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	srv, ts := newTestServer(t, Config{})
 	for _, tc := range []struct {
-		name, body string
+		name, path, body string
 	}{
-		{"garbage", `{"bench":`},
-		{"unknown field", `{"bench":"gzip","scheme":"snc-lru","benhc":"x"}`},
-		{"unknown bench", `{"bench":"nosuch","scheme":"snc-lru"}`},
-		{"unknown scheme", `{"bench":"gzip","scheme":"nosuch"}`},
-		{"missing scheme", `{"bench":"gzip"}`},
-		{"multi bench on run", `{"bench":"gzip,mcf","scheme":"snc-lru"}`},
-		{"bad scheme param", `{"bench":"gzip","scheme":"otp-mac:verify=maybe"}`},
+		{"garbage", "/v1/run", `{"bench":`},
+		{"unknown field", "/v1/run", `{"bench":"gzip","scheme":"snc-lru","benhc":"x"}`},
+		{"unknown bench", "/v1/run", `{"bench":"nosuch","scheme":"snc-lru"}`},
+		{"unknown scheme", "/v1/run", `{"bench":"gzip","scheme":"nosuch"}`},
+		{"missing scheme", "/v1/run", `{"bench":"gzip"}`},
+		{"multi bench on run", "/v1/run", `{"bench":"gzip,mcf","scheme":"snc-lru"}`},
+		{"bad scheme param", "/v1/run", `{"bench":"gzip","scheme":"otp-mac:verify=maybe"}`},
+		// Machine geometry that names a valid bench and scheme but cannot
+		// be built is the client's error, not a simulation failure.
+		{"snc ways 7", "/v1/run", `{"bench":"gzip","scheme":"snc-lru","snc_ways":7}`},
+		{"snc kb 0", "/v1/run", `{"bench":"gzip","scheme":"snc-lru","snc_kb":0}`},
+		{"snc kb negative", "/v1/run", `{"bench":"gzip","scheme":"snc-lru","snc_kb":-4}`},
+		{"l2 kb negative", "/v1/run", `{"bench":"gzip","scheme":"snc-lru","l2_kb":-1}`},
+		{"l2 ways 3", "/v1/run", `{"bench":"gzip","scheme":"snc-lru","l2_ways":3}`},
+		{"crypto lat 0", "/v1/run", `{"bench":"gzip","scheme":"snc-lru","crypto_lat":0}`},
+		{"sweep bad geometry", "/v1/sweep", `{"specs":[{"bench":"gzip","scheme":"baseline"},{"bench":"all","scheme":"snc-lru","snc_ways":7}]}`},
 	} {
-		resp, body := postJSON(t, ts.URL+"/v1/run", tc.body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d (want 400): %s", tc.name, resp.StatusCode, body)
+		resp, body := postJSON(t, ts.URL+tc.path, tc.body)
+		var env api.Envelope
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &env) != nil || env.Err.Code != api.CodeBadRequest {
+			t.Errorf("%s: status %d (want 400 %s): %s", tc.name, resp.StatusCode, api.CodeBadRequest, body)
 		}
+	}
+	// Rejected specs never reach the result memo.
+	if m := srv.Runner().MemoStats(); m.Misses != 0 || m.Size != 0 {
+		t.Errorf("result memo after bad requests = %+v, want no misses and no entries", m)
 	}
 	resp, err := http.Get(ts.URL + "/v1/run")
 	if err != nil {

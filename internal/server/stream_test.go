@@ -108,41 +108,33 @@ func TestStreamedSweepFirstResultBeforeSweepCompletes(t *testing.T) {
 	}
 }
 
-// TestStreamNegotiation pins the precedence of the three stream switches:
-// the request's "stream" field beats the Accept header, which beats the
-// server-level default.
+// TestStreamNegotiation pins the precedence of the two stream switches:
+// the request's "stream" field beats the Accept header.
 func TestStreamNegotiation(t *testing.T) {
-	read := func(resp *http.Response) string {
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d: %s", resp.StatusCode, b)
+	_, ts := newTestServer(t, Config{})
+	post := func(body string) (*http.Response, []byte) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/sweep", strings.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Accept", "application/x-ndjson")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return resp.Header.Get("Content-Type")
-	}
-	body := `{"specs":[{"bench":"gzip","scheme":"baseline"}]}`
-
-	_, plain := newTestServer(t, Config{})
-	req, _ := http.NewRequest(http.MethodPost, plain.URL+"/v1/sweep", strings.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Accept", "application/x-ndjson")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct := read(resp); ct != "application/x-ndjson" {
-		t.Errorf("Accept header on a buffered-default server: Content-Type %q, want NDJSON", ct)
+		b, err := readAll(resp)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d (%v): %s", resp.StatusCode, err, b)
+		}
+		return resp, b
 	}
 
-	_, streaming := newTestServer(t, Config{Stream: true})
-	resp, _ = postJSON(t, streaming.URL+"/v1/sweep", body)
+	resp, _ := post(`{"specs":[{"bench":"gzip","scheme":"baseline"}]}`)
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Errorf("-stream server default: Content-Type %q, want NDJSON", ct)
+		t.Errorf("Accept header: Content-Type %q, want NDJSON", ct)
 	}
-	resp, b := postJSON(t, streaming.URL+"/v1/sweep",
-		`{"specs":[{"bench":"gzip","scheme":"baseline"}],"stream":false}`)
+	resp, b := post(`{"specs":[{"bench":"gzip","scheme":"baseline"}],"stream":false}`)
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "application/json") {
-		t.Errorf(`"stream":false on a -stream server: Content-Type %q, want buffered JSON`, ct)
+		t.Errorf(`"stream":false with an NDJSON Accept header: Content-Type %q, want buffered JSON`, ct)
 	}
 	var sr api.SweepResponse
 	if err := json.Unmarshal(b, &sr); err != nil || sr.Count != 1 {
@@ -154,12 +146,12 @@ func TestStreamNegotiation(t *testing.T) {
 // sweep mid-flight must stop the stream, shed the still-queued specs, and
 // leave the in-flight simulation to complete detached and memoized.
 func TestStreamCancellationShedsAndDetaches(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Jobs: 1, Scale: slowScale, Stream: true})
+	srv, ts := newTestServer(t, Config{Jobs: 1, Scale: slowScale})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
 	resp := postStream(t, ctx, ts.URL+"/v1/sweep",
-		`{"specs":[{"bench":"gzip,mcf,parser","scheme":"snc-lru"}]}`, "")
+		`{"specs":[{"bench":"gzip,mcf,parser","scheme":"snc-lru"}],"stream":true}`, "")
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		b, _ := io.ReadAll(resp.Body)
