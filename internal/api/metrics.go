@@ -30,6 +30,10 @@ type Metrics struct {
 	ResultStore *store.Stats `json:"result_store,omitempty"`
 	// Checkpoints exposes the process-wide post-warmup checkpoint cache.
 	Checkpoints experiments.CheckpointStats `json:"checkpoints"`
+	// Outcomes exposes the process-wide measured-phase outcome cache: a
+	// hit is a simulation that replayed the cache outcomes recorded under
+	// another scheme instead of looking every record up again.
+	Outcomes experiments.SharedCacheStats `json:"outcomes"`
 	// Dispatch exposes the execution dispatch layer: the admission gate
 	// (rejections become 429s) and the weighted-fair queue over the shared
 	// worker budget.

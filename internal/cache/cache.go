@@ -13,6 +13,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Config describes one cache.
@@ -269,4 +270,11 @@ func (c *Cache) Restore(s Snapshot) {
 	c.Hits = s.hits
 	c.Misses = s.misses
 	c.Writebacks = s.writebacks
+}
+
+// Holds reports whether the cache's contents and LRU clock equal the
+// snapshot's: the same lines in the same ways with the same VA, recency and
+// dirty state. Statistics are not compared. It allocates nothing.
+func (c *Cache) Holds(s Snapshot) bool {
+	return c.tick == s.tick && slices.Equal(c.tags, s.tags) && slices.Equal(c.meta, s.meta)
 }

@@ -228,3 +228,28 @@ func TestPaperL2Geometry(t *testing.T) {
 		t.Errorf("L2 sets = %d, want 512", got)
 	}
 }
+
+// TestHoldsComparesContentsAndClock: Holds matches a snapshot of the same
+// state even after the statistics move, and rejects any change to a line,
+// its recency or dirty bit, or the LRU clock.
+func TestHoldsComparesContentsAndClock(t *testing.T) {
+	c := New(cfg4way())
+	c.Access(0x1000, 0x1000, true)
+	c.Access(0x2000, 0x2000, false)
+	snap := c.Snapshot()
+	c.ResetStats()
+	if !c.Holds(snap) {
+		t.Fatal("Holds rejects its own state after a stats reset")
+	}
+	c.Access(0x1000, 0x1000, false) // hit: recency and clock move
+	if c.Holds(snap) {
+		t.Error("Holds accepts a state whose recency moved")
+	}
+	c.Restore(snap)
+	if !c.Holds(snap) {
+		t.Error("Holds rejects the restored state")
+	}
+	if New(cfg4way()).Holds(snap) {
+		t.Error("Holds accepts an empty cache")
+	}
+}

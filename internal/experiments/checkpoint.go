@@ -11,12 +11,26 @@ package experiments
 // secsimd requests after memo eviction) from the checkpoint instead of
 // re-simulating the warmup.
 //
-// The cache is package-level and bounded: within one Runner the result memo
-// already guarantees at most one simulation per key, so checkpoints pay off
-// exactly when Runners come and go. Entries are deep snapshots (a restore
-// copies out of them, never into them), so concurrent restores of one entry
-// are safe and a racing duplicate put is benign (last write wins, both
-// values are equivalent by construction).
+// The measured phase has a second, narrower reuse (outcome replay, see
+// sim/outcomes.go). No scheme and no timing can change what the caches
+// hold, so the L1/L2 outcomes of a measured phase are a pure function of
+// the trace (benchmark and Scale) and the cache geometry — the runKey fields
+// that reach a cache.Config, here only the L2 size and ways — given the
+// warmed cache state, which the same argument makes scheme-independent too.
+// simulate() records each such key's outcomes once and replays them under
+// every other scheme, SNC and crypto setting: a replay skips the cache
+// lookups, the bulk of a measured record's cost, and returns the identical
+// Result. A replay checks that the system's caches are where the recording
+// started and refuses otherwise; simulate() then records afresh.
+//
+// Both caches are package-level and bounded. Within one Runner the result
+// memo already guarantees at most one simulation per key, so checkpoints
+// pay off exactly when Runners come and go; outcomes pay off within a
+// Runner as well, across the schemes of one benchmark. Entries are
+// immutable once published (a restore or replay copies out of them, never
+// into them), so concurrent readers of one entry are safe and a racing
+// duplicate put is benign (last write wins, both values are equivalent by
+// construction).
 
 import (
 	"sync"
@@ -31,67 +45,96 @@ import (
 // every configuration the batch sweeps touch.
 const checkpointCapacity = 256
 
-// CheckpointStats is a point-in-time snapshot of the checkpoint cache's
-// counters, exported for diagnostics and the secsimd /metrics endpoint.
-type CheckpointStats struct {
-	// Size is the number of cached checkpoints.
+// outcomeCapacity bounds the outcome cache. The figures touch at most 22
+// (benchmark, L2 geometry) pairs per scale: 11 benchmarks at the default
+// L2 plus Figure 8's larger one. An entry holds about 1.2 bytes per
+// measured record plus the three caches' start and end state (~200 KB at
+// the default geometry), under 0.5 MB at scale 1.0.
+const outcomeCapacity = 32
+
+// SharedCacheStats is a point-in-time snapshot of a process-wide cache's
+// counters (post-warmup checkpoints or measured-phase outcomes), exported
+// for diagnostics and the secsimd /metrics endpoint.
+type SharedCacheStats struct {
+	// Size is the number of cached entries.
 	Size int `json:"size"`
 	// Capacity is the cache bound.
 	Capacity int `json:"capacity"`
-	// Hits counts simulations forked from a checkpoint (warmup skipped).
+	// Hits counts simulations that found an entry: a checkpoint to fork
+	// from (warmup skipped) or outcomes to replay (cache lookups skipped).
 	Hits int64 `json:"hits"`
-	// Misses counts simulations that ran their warmup (and, when the scheme
-	// supports snapshotting, left a checkpoint behind).
+	// Misses counts simulations that found none: they ran the warmup, or
+	// recorded the measured phase, and left an entry behind.
 	Misses int64 `json:"misses"`
-	// Evictions counts checkpoints dropped by the LRU bound.
+	// Evictions counts entries dropped by the LRU bound.
 	Evictions int64 `json:"evictions"`
 }
 
-// checkpointCache is a mutex-guarded LRU map of post-warmup checkpoints.
-// No singleflight: the result memo already deduplicates within a Runner, and
-// a cross-Runner duplicate warmup is rare and harmless.
-type checkpointCache struct {
+// CheckpointStats is the checkpoint cache's name for its counters.
+type CheckpointStats = SharedCacheStats
+
+// sharedCache is a mutex-guarded LRU map of immutable simulation state.
+// No singleflight: the result memo already deduplicates within a Runner,
+// and a duplicate computation across Runners or schemes is rare and
+// harmless.
+type sharedCache[K comparable, V any] struct {
 	mu      sync.Mutex
-	entries lru[runKey, *sim.Checkpoint]
+	entries lru[K, V]
 	hits    int64
 	misses  int64
 }
 
-// checkpoints is the process-wide cache keyed by runKey. The key carries the
-// full configuration (benchmark, scheme, SNC and L2 geometry, crypto
-// latency) and deliberately not the scale — see the file comment.
-var checkpoints = &checkpointCache{entries: newLRU[runKey, *sim.Checkpoint](checkpointCapacity)}
+// checkpointCache holds post-warmup checkpoints by runKey.
+type checkpointCache = sharedCache[runKey, *sim.Checkpoint]
 
-// get returns the checkpoint for k, refreshing its recency. The miss
-// counter is charged here: every simulate() call asks exactly once.
-func (c *checkpointCache) get(k runKey) (*sim.Checkpoint, bool) {
+// outcomeKey identifies one recorded measured phase: the trace and the
+// cache geometry, and nothing else a runKey carries.
+type outcomeKey struct {
+	bench        string
+	scale        float64
+	l2KB, l2Ways int
+}
+
+var (
+	// checkpoints is keyed by runKey. The key carries the full
+	// configuration (benchmark, scheme, SNC and L2 geometry, crypto
+	// latency) and deliberately not the scale — see the file comment.
+	checkpoints = &checkpointCache{entries: newLRU[runKey, *sim.Checkpoint](checkpointCapacity)}
+	// outcomes is keyed by outcomeKey.
+	outcomes = &sharedCache[outcomeKey, *sim.Outcomes]{entries: newLRU[outcomeKey, *sim.Outcomes](outcomeCapacity)}
+)
+
+// get returns the entry for k, refreshing its recency. The miss counter is
+// charged here: every simulate() call asks each cache exactly once.
+func (c *sharedCache[K, V]) get(k K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n, ok := c.entries.get(k)
 	if !ok {
 		c.misses++
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	c.hits++
 	return n.val, true
 }
 
-// put caches the checkpoint for k, evicting the least-recently-used entry
-// beyond capacity.
-func (c *checkpointCache) put(k runKey, cp *sim.Checkpoint) {
+// put caches v for k, evicting the least-recently-used entry beyond
+// capacity.
+func (c *sharedCache[K, V]) put(k K, v V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if n, ok := c.entries.get(k); ok {
-		n.val = cp
+		n.val = v
 		return
 	}
-	c.entries.link(c.entries.add(k, cp))
+	c.entries.link(c.entries.add(k, v))
 }
 
-func (c *checkpointCache) stats() CheckpointStats {
+func (c *sharedCache[K, V]) stats() SharedCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CheckpointStats{
+	return SharedCacheStats{
 		Size:      c.entries.len(),
 		Capacity:  c.entries.cap,
 		Hits:      c.hits,
@@ -102,3 +145,6 @@ func (c *checkpointCache) stats() CheckpointStats {
 
 // CheckpointCacheStats snapshots the process-wide checkpoint cache counters.
 func CheckpointCacheStats() CheckpointStats { return checkpoints.stats() }
+
+// OutcomeCacheStats snapshots the process-wide outcome cache counters.
+func OutcomeCacheStats() SharedCacheStats { return outcomes.stats() }

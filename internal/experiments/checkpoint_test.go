@@ -85,6 +85,42 @@ func TestRunnerMatchesStraightThrough(t *testing.T) {
 	}
 }
 
+// TestRunnerReplaysOutcomesAcrossSchemes: within one Runner, the first
+// scheme on a benchmark records the measured phase's cache outcomes and
+// every later scheme, SNC size or crypto latency on the same trace and L2
+// geometry replays them; another L2 geometry records its own. Every Result
+// equals a bare straight-through simulation. The scale is one no other test
+// uses, because the outcome cache is process-wide.
+func TestRunnerReplaysOutcomesAcrossSchemes(t *testing.T) {
+	r := NewRunner(0.0203)
+	base := DefaultSpec("vpr", sim.SchemeBaseline)
+	mac, snc32, lat := DefaultSpec("vpr", sim.SchemeOTPMAC), DefaultSpec("vpr", sim.SchemeOTPLRU), DefaultSpec("vpr", sim.SchemeXOM)
+	snc32.SNCKB = 32
+	lat.CryptoLat = 102
+	bigL2 := DefaultSpec("vpr", sim.SchemeOTPLRU)
+	bigL2.L2KB, bigL2.L2Ways = 384, 6
+	for _, c := range []struct {
+		sp     Spec
+		replay bool
+	}{{base, false}, {mac, true}, {snc32, true}, {lat, true}, {bigL2, false}} {
+		before := OutcomeCacheStats()
+		got, err := r.Run(c.sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := OutcomeCacheStats()
+		name := c.sp.key().scheme + "/" + c.sp.key().bench
+		if replayed := after.Hits > before.Hits; replayed != c.replay || after.Hits+after.Misses != before.Hits+before.Misses+1 {
+			t.Errorf("%s (L2 %dKB): outcome hits %d->%d, misses %d->%d; want replay=%v",
+				name, c.sp.L2KB, before.Hits, after.Hits, before.Misses, after.Misses, c.replay)
+		}
+		if want := straightThrough(t, r, c.sp); got != want {
+			t.Errorf("%s (L2 %dKB): replayed run diverged from straight-through:\n got %+v\nwant %+v",
+				name, c.sp.L2KB, got, want)
+		}
+	}
+}
+
 // TestCheckpointCacheLRU pins the checkpoint cache's eviction order: a get
 // refreshes recency, re-putting a present key replaces its checkpoint in
 // place, and the least-recently-used entry goes first beyond capacity.

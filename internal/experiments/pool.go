@@ -93,6 +93,9 @@ func (r *Runner) resultErr(ctx context.Context, k runKey) error {
 // checkpoint.go): the first simulation of a configuration warms up and
 // checkpoints the boundary state, later ones restore it and run only the
 // measured phase — event-for-event identical to the straight-through run.
+// The measured phase in turn replays the cache outcomes recorded by the
+// first simulation of the same trace and cache geometry, under whatever
+// scheme, and records them when there are none (see checkpoint.go).
 func (r *Runner) simulate(ctx context.Context, k runKey, held bool) (sim.Result, error) {
 	prof, ok := workload.ByName(k.bench)
 	if !ok {
@@ -123,16 +126,21 @@ func (r *Runner) simulate(ctx context.Context, k runKey, held bool) (sim.Result,
 		return sim.Result{}, err
 	}
 	r.sims.Add(1)
-	if cp, ok := checkpoints.get(k); ok {
-		if sys.Restore(cp) == nil {
-			return sys.RunMeasured(workload.Replay(recs[warm:])), nil
+	if cp, ok := checkpoints.get(k); !ok || sys.Restore(cp) != nil {
+		sys.RunWarmup(workload.Replay(recs[:warm]))
+		if cp, ok := sys.Checkpoint(); ok {
+			checkpoints.put(k, cp)
 		}
 	}
-	sys.RunWarmup(workload.Replay(recs[:warm]))
-	if cp, ok := sys.Checkpoint(); ok {
-		checkpoints.put(k, cp)
+	outKey := outcomeKey{bench: k.bench, scale: r.Scale, l2KB: k.l2KB, l2Ways: k.l2Ways}
+	if o, hit := outcomes.get(outKey); hit {
+		if res, err := sys.RunMeasuredReplay(recs[warm:], o); err == nil {
+			return res, nil
+		}
 	}
-	return sys.RunMeasured(workload.Replay(recs[warm:])), nil
+	res, o := sys.RunMeasuredRecord(recs[warm:])
+	outcomes.put(outKey, o)
+	return res, nil
 }
 
 // traceMemo returns the trace memo, initializing it on first use. It is

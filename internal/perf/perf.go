@@ -85,7 +85,8 @@ func Collect() Snapshot {
 	} {
 		s[p.name] = measureSim(p.scheme, p.bench)
 	}
-	s["latency-snc-lru-mcf-serial"] = measureLatency()
+	s["latency-snc-lru-mcf-serial"] = measureLatency(false)
+	s["latency-snc-lru-mcf-replay"] = measureLatency(true)
 	s["dispatch-overhead"] = measureDispatch()
 	return s
 }
@@ -188,14 +189,15 @@ func measureSim(scheme sim.SchemeRef, bench string) Metric {
 
 // measureLatency times one full-scale measured phase forked from a shared
 // post-warmup checkpoint (restore + RunMeasured on one settled system) —
-// the wall-clock a long-lived service pays for one uncached request.
-func measureLatency() Metric {
+// the wall-clock a long-lived service pays for one uncached request. With
+// replay set, the measured phase instead replays cache outcomes recorded
+// once under baseline (restore + RunMeasuredReplay): what the service pays
+// for a scheme whose benchmark another scheme has already run.
+func measureLatency(replay bool) Metric {
 	prof, ok := workload.ByName("mcf")
 	if !ok {
 		panic("perf: unknown benchmark mcf")
 	}
-	cfg := sim.DefaultConfig()
-	cfg.Scheme = sim.SchemeOTPLRU
 	recs, err := workload.Materialize(prof, latencyScale)
 	if err != nil {
 		panic(err)
@@ -204,11 +206,21 @@ func measureLatency() Metric {
 	if warm > len(recs) {
 		warm = len(recs)
 	}
-	sys, err := sim.New(cfg)
-	if err != nil {
-		panic(err)
+	warmed := func(scheme sim.SchemeRef) *sim.System {
+		cfg := sim.DefaultConfig()
+		cfg.Scheme = scheme
+		sys, err := sim.New(cfg)
+		if err != nil {
+			panic(err)
+		}
+		sys.RunWarmup(workload.Replay(recs[:warm]))
+		return sys
 	}
-	sys.RunWarmup(workload.Replay(recs[:warm]))
+	var outs *sim.Outcomes
+	if replay {
+		_, outs = warmed(sim.SchemeBaseline).RunMeasuredRecord(recs[warm:])
+	}
+	sys := warmed(sim.SchemeOTPLRU)
 	cp, ok := sys.Checkpoint()
 	if !ok {
 		panic("perf: snc-lru checkpoint unavailable")
@@ -217,7 +229,14 @@ func measureLatency() Metric {
 		if err := sys.Restore(cp); err != nil {
 			panic(err)
 		}
-		res := sys.RunMeasured(workload.Replay(recs[warm:]))
+		if !replay {
+			res := sys.RunMeasured(workload.Replay(recs[warm:]))
+			return 1, res.Instructions
+		}
+		res, err := sys.RunMeasuredReplay(recs[warm:], outs)
+		if err != nil {
+			panic(err)
+		}
 		return 1, res.Instructions
 	})
 }

@@ -673,6 +673,7 @@ func (s *Server) MetricsSnapshot() api.Metrics {
 		TraceMemo:      s.runner.TraceStats(),
 		ResultStore:    storeStats,
 		Checkpoints:    experiments.CheckpointCacheStats(),
+		Outcomes:       experiments.OutcomeCacheStats(),
 		Dispatch: api.DispatchMetrics{
 			Admission: s.admission.Stats(),
 			Queue:     s.runner.DispatchStats(),

@@ -467,3 +467,31 @@ func TestMetricsWithoutStore(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsOutcomeReplay: /metrics reports the outcome cache, and a
+// second scheme on the same benchmark replays the first one's recorded
+// cache outcomes — an outcome hit — instead of recording its own. The scale
+// is one no other test uses, because the cache is process-wide.
+func TestMetricsOutcomeReplay(t *testing.T) {
+	_, ts := newTestServer(t, Config{Scale: 0.0201})
+	var m0, m1, m2 api.Metrics
+	getJSON(t, ts.URL+"/metrics", &m0)
+	if m0.Outcomes.Capacity <= 0 {
+		t.Errorf("outcomes capacity = %d, want > 0", m0.Outcomes.Capacity)
+	}
+	for i, scheme := range []string{"baseline", "snc-lru"} {
+		resp, b := postJSON(t, ts.URL+"/v1/run", `{"bench":"gzip","scheme":"`+scheme+`"}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", scheme, resp.StatusCode, b)
+		}
+		getJSON(t, ts.URL+"/metrics", []*api.Metrics{&m1, &m2}[i])
+	}
+	if d := m1.Outcomes.Misses - m0.Outcomes.Misses; d != 1 || m1.Outcomes.Hits != m0.Outcomes.Hits {
+		t.Errorf("first scheme: outcome misses +%d, hits +%d; want a recording (+1 miss, +0 hits)",
+			d, m1.Outcomes.Hits-m0.Outcomes.Hits)
+	}
+	if d := m2.Outcomes.Hits - m1.Outcomes.Hits; d != 1 || m2.Outcomes.Misses != m1.Outcomes.Misses {
+		t.Errorf("second scheme: outcome hits +%d, misses +%d; want a replay (+1 hit, +0 misses)",
+			d, m2.Outcomes.Misses-m1.Outcomes.Misses)
+	}
+}

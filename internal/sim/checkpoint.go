@@ -118,7 +118,7 @@ func (s *System) RunWarmup(stream workload.Stream) {
 		if !ok {
 			break
 		}
-		s.step(rec)
+		s.Step(rec)
 	}
 	s.cpu.Drain()
 }
@@ -133,7 +133,7 @@ func (s *System) RunMeasured(stream workload.Stream) Result {
 		if !ok {
 			break
 		}
-		s.step(rec)
+		s.Step(rec)
 	}
 	s.cpu.Drain()
 	return s.result()

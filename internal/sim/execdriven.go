@@ -80,9 +80,9 @@ func (s *System) RunProgram(bus isa.Bus, entry uint32, maxInstr uint64) (Program
 		}
 		// Timing: the fetch walks L1I/L2/scheme; the data access (if any)
 		// walks L1D/L2/scheme.
-		s.accessInstr(workload.Record{Kind: workload.IFetch, Addr: tb.fetch})
+		s.Step(workload.Record{Kind: workload.IFetch, Addr: tb.fetch})
 		if tb.hasData {
-			s.accessData(tb.data)
+			s.Step(tb.data)
 		}
 	}
 	s.cpu.Drain()

@@ -1,0 +1,103 @@
+package sim
+
+import (
+	"fmt"
+	"slices"
+
+	"secureproc/internal/cache"
+	"secureproc/internal/workload"
+)
+
+// This file records a measured phase's cache outcomes once and replays them
+// under any scheme. Step is apply(lookup(rec)): lookup touches only L1I,
+// L1D and L2, and apply only the core and the scheme. No scheme and no
+// timing can change what the caches hold (core.Resources never hands a
+// scheme a cache), so for one record stream, one cache geometry and one
+// cache start state, the lookup half yields the same outcomes under every
+// scheme and crypto setting — the one-pass idea of Mattson et al.,
+// "Evaluation Techniques for Storage Hierarchies" (IBM Systems Journal,
+// 1970). A replay runs only the apply half over recorded outcomes and then
+// installs the recorded end state of the caches, so it returns the Result
+// a direct RunMeasured would and leaves the System exactly where that run
+// would have.
+
+// Outcomes is one recorded measured phase: the caches' configurations and
+// start state, one outcome byte per record, the victim and fill line
+// addresses the apply half needs, and the caches' end state. It is
+// immutable once returned, so any number of systems may replay it
+// concurrently.
+type Outcomes struct {
+	configs [3]cache.Config // L1I, L1D, L2
+	start   [3]cache.Snapshot
+	end     [3]cache.Snapshot
+	ops     []uint8
+	// addrs holds the (PA, VA) pairs of every record in order; a record
+	// owns as many pairs as its outcome bits name.
+	addrs []uint64
+}
+
+// caches returns the system's three caches in Outcomes order.
+func (s *System) caches() [3]*cache.Cache { return [3]*cache.Cache{s.l1i, s.l1d, s.l2} }
+
+// RunMeasuredRecord is RunMeasured over recs that also records the
+// measured phase's cache outcomes for RunMeasuredReplay. The Result and the
+// system's final state are those of RunMeasured(workload.Replay(recs)).
+// Recording allocates; it runs once per record stream and cache geometry.
+func (s *System) RunMeasuredRecord(recs []workload.Record) (Result, *Outcomes) {
+	o := &Outcomes{
+		configs: [3]cache.Config{s.cfg.L1I, s.cfg.L1D, s.cfg.L2},
+		ops:     make([]uint8, len(recs)),
+	}
+	for i, c := range s.caches() {
+		o.start[i] = c.Snapshot()
+	}
+	s.BeginMeasurement()
+	var addrs []uint64
+	for i, rec := range recs {
+		op := s.lookup(rec)
+		n := s.apply(rec, op, s.la[:])
+		o.ops[i] = op
+		addrs = append(addrs, s.la[:n]...)
+	}
+	s.cpu.Drain()
+	o.addrs = slices.Clone(addrs)
+	for i, c := range s.caches() {
+		o.end[i] = c.Snapshot()
+	}
+	return s.result(), o
+}
+
+// RunMeasuredReplay runs the measured phase over recs from recorded
+// outcomes: the core and scheme calls of every record, without the cache
+// lookups, then the recorded end state of the caches. It returns the Result
+// that RunMeasured(workload.Replay(recs)) would and leaves the system in
+// the same state. recs must be the records the outcomes were recorded over;
+// the caller's key guarantees that (the check below covers only their
+// count). It refuses with an error, and changes nothing, unless the
+// recording was made with this system's cache configurations, over as many
+// records, from the cache contents and LRU clocks the system holds now.
+//
+//secsim:hotpath
+func (s *System) RunMeasuredReplay(recs []workload.Record, o *Outcomes) (Result, error) {
+	if o.configs != [3]cache.Config{s.cfg.L1I, s.cfg.L1D, s.cfg.L2} {
+		return Result{}, fmt.Errorf("sim: replay refused: recorded cache configs %+v differ from the system's", o.configs) //secsim:allowalloc cold refusal branch
+	}
+	if len(recs) != len(o.ops) {
+		return Result{}, fmt.Errorf("sim: replay refused: %d records, recording has %d", len(recs), len(o.ops)) //secsim:allowalloc cold refusal branch
+	}
+	for i, c := range s.caches() {
+		if !c.Holds(o.start[i]) {
+			return Result{}, fmt.Errorf("sim: replay refused: %s state differs from the recording's start", c.Config().Name) //secsim:allowalloc cold refusal branch
+		}
+	}
+	s.BeginMeasurement()
+	la := o.addrs
+	for i, rec := range recs {
+		la = la[s.apply(rec, o.ops[i], la):]
+	}
+	s.cpu.Drain()
+	for i, c := range s.caches() {
+		c.Restore(o.end[i])
+	}
+	return s.result(), nil
+}

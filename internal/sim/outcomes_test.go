@@ -1,0 +1,242 @@
+package sim
+
+import (
+	"math/rand"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+	"testing/quick"
+
+	"secureproc/internal/cache"
+	"secureproc/internal/workload"
+)
+
+// tinyConfig is a machine with caches small enough that a short random
+// stream produces every outcome kind: 2-set 2-way L1s with 64B lines and a
+// 4-set 2-way L2 with 128B lines.
+func tinyConfig(ref SchemeRef) Config {
+	cfg := DefaultConfig()
+	cfg.Scheme = ref
+	cfg.L1I = cache.Config{Name: "L1I", SizeBytes: 256, LineBytes: 64, Ways: 2, HitLatency: 1}
+	cfg.L1D = cache.Config{Name: "L1D", SizeBytes: 256, LineBytes: 64, Ways: 2, HitLatency: 1}
+	cfg.L2 = cache.Config{Name: "L2", SizeBytes: 1 << 10, LineBytes: 128, Ways: 2, HitLatency: 12}
+	return cfg
+}
+
+func mustNew(t *testing.T, cfg Config) *System {
+	t.Helper()
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// randomRecords turns raw words into a stream over a 4KB footprint that
+// instruction fetches share with data, so instruction fills can evict dirty
+// data lines from L2.
+func randomRecords(raw []uint32) []workload.Record {
+	recs := make([]workload.Record, len(raw))
+	for i, v := range raw {
+		recs[i] = workload.Record{
+			Addr:    uint64(v>>8&0xfff) &^ 7,
+			Gap:     v >> 4 & 3,
+			Kind:    workload.Kind(v % 3),
+			Depends: v>>6&1 == 1,
+		}
+	}
+	return recs
+}
+
+// outcomeKinds lists every (instruction fetch?, outcome bits) pair lookup
+// can produce.
+var outcomeKinds = func() map[[2]uint8]bool {
+	kinds := map[[2]uint8]bool{}
+	for _, o := range []uint8{oL1Hit, oL2Hit, 0, oVictim} {
+		kinds[[2]uint8{1, o}] = false
+		kinds[[2]uint8{0, o}] = false
+		if o != oL1Hit {
+			kinds[[2]uint8{0, oWBFill | o}] = false
+			kinds[[2]uint8{0, oWBFill | oWBVictim | o}] = false
+		}
+	}
+	return kinds
+}()
+
+// TestReplayPropertyAcrossSchemes: over random record streams on a tiny
+// machine, outcomes recorded under one scheme and replayed under another
+// give the Result and the final state of a direct run under the second
+// scheme. Every outcome kind must occur over the run, so the rare ones (an
+// instruction fill evicting a dirty line, a write-allocated L1 victim
+// evicting another) are exercised, not just reachable.
+func TestReplayPropertyAcrossSchemes(t *testing.T) {
+	schemes := snapshotSchemes
+	seen := map[[2]uint8]bool{}
+	prop := func(raw []uint32, pick uint8) bool {
+		if len(raw) < 2 {
+			return true
+		}
+		recs := randomRecords(raw)
+		warm := recs[:len(recs)/2]
+		from := schemes[int(pick)%len(schemes)]
+		to := schemes[int(pick/8)%len(schemes)]
+
+		recorder := mustNew(t, tinyConfig(from))
+		recorder.RunWarmup(workload.Replay(warm))
+		_, outs := recorder.RunMeasuredRecord(recs[len(warm):])
+		for i, r := range recs[len(warm):] {
+			seen[[2]uint8{boolByte(r.Kind == workload.IFetch), outs.ops[i]}] = true
+		}
+
+		direct := mustNew(t, tinyConfig(to))
+		direct.RunWarmup(workload.Replay(warm))
+		want := direct.RunMeasured(workload.Replay(recs[len(warm):]))
+
+		replay := mustNew(t, tinyConfig(to))
+		replay.RunWarmup(workload.Replay(warm))
+		got, err := replay.RunMeasuredReplay(recs[len(warm):], outs)
+		if err != nil {
+			t.Logf("%s -> %s: %v", from.Name, to.Name, err)
+			return false
+		}
+		if got != want {
+			t.Logf("%s -> %s: replay %+v, direct %+v", from.Name, to.Name, got, want)
+			return false
+		}
+		return reflect.DeepEqual(checkpointOf(t, replay), checkpointOf(t, direct))
+	}
+	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}
+	if err := quick.Check(prop, cfg); err != nil {
+		t.Fatal(err)
+	}
+	for k := range outcomeKinds {
+		if !seen[k] {
+			t.Errorf("outcome kind (ifetch=%d, bits=%05b) never occurred", k[0], k[1])
+		}
+	}
+	for k := range seen {
+		if _, ok := outcomeKinds[k]; !ok {
+			t.Errorf("unexpected outcome kind (ifetch=%d, bits=%05b)", k[0], k[1])
+		}
+	}
+}
+
+func boolByte(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestReplayRefusals: a replay refuses, with an error and without changing
+// the system, when the recording does not fit it — another L2 geometry,
+// another record count, or caches that are not at the recording's start
+// (a fresh system, or one warmed on another benchmark).
+func TestReplayRefusals(t *testing.T) {
+	trace := func(bench string) ([]workload.Record, int) {
+		prof, _ := workload.ByName(bench)
+		recs, err := workload.Materialize(prof, invariantScale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return recs, min(prof.WarmupRefs(), len(recs))
+	}
+	recs, warm := trace("mcf")
+	other, otherWarm := trace("gcc")
+
+	rec := newInvariantSystem(t, SchemeBaseline, 256, 4)
+	rec.RunWarmup(workload.Replay(recs[:warm]))
+	_, outs := rec.RunMeasuredRecord(recs[warm:])
+
+	warmed := func(l2KB, l2Ways int, prefix []workload.Record) *System {
+		sys := newInvariantSystem(t, SchemeOTPLRU, l2KB, l2Ways)
+		sys.RunWarmup(workload.Replay(prefix))
+		return sys
+	}
+	for _, c := range []struct {
+		name string
+		sys  *System
+		recs []workload.Record
+		want string
+	}{
+		{"l2 geometry", warmed(384, 6, recs[:warm]), recs[warm:], "cache configs"},
+		{"record count", warmed(256, 4, recs[:warm]), recs[warm+1:], "records"},
+		{"fresh system", newInvariantSystem(t, SchemeOTPLRU, 256, 4), recs[warm:], "state differs"},
+		{"other benchmark", warmed(256, 4, other[:otherWarm]), recs[warm:], "state differs"},
+	} {
+		before := checkpointOf(t, c.sys)
+		_, err := c.sys.RunMeasuredReplay(c.recs, outs)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want a refusal mentioning %q", c.name, err, c.want)
+		}
+		if !reflect.DeepEqual(checkpointOf(t, c.sys), before) {
+			t.Errorf("%s: refused replay changed the system", c.name)
+		}
+	}
+}
+
+// TestRestoreReplayAllocsZero extends the zero-alloc guarantee to the
+// replayed measured phase: restoring a checkpoint and replaying shared
+// outcomes on a settled system allocates nothing.
+func TestRestoreReplayAllocsZero(t *testing.T) {
+	recs := allocRecords()
+	warm := len(recs) / 3
+	for _, ref := range []SchemeRef{SchemeBaseline, SchemeOTPLRU, SchemeOTPMAC} {
+		t.Run(ref.Name, func(t *testing.T) {
+			sys := newCheckpointSystem(t, ref)
+			sys.RunWarmup(workload.Replay(recs[:warm]))
+			cp := checkpointOf(t, sys)
+			_, outs := sys.RunMeasuredRecord(recs[warm:])
+			// Settle every structure's high-water mark.
+			for range 2 {
+				if err := sys.Restore(cp); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sys.RunMeasuredReplay(recs[warm:], outs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			avg := testing.AllocsPerRun(5, func() {
+				if err := sys.Restore(cp); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sys.RunMeasuredReplay(recs[warm:], outs); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if avg != 0 {
+				t.Errorf("scheme %s: %.2f allocs per restore + replay, want 0", ref.Name, avg)
+			}
+		})
+	}
+}
+
+// TestConcurrentReplaysShareOutcomes: published outcomes are only read by a
+// replay, so systems under different schemes may replay one recording at
+// once (run it under -race) and each gets its direct run's Result.
+func TestConcurrentReplaysShareOutcomes(t *testing.T) {
+	recs := allocRecords()
+	warm := len(recs) / 3
+	rec := newCheckpointSystem(t, SchemeBaseline)
+	rec.RunWarmup(workload.Replay(recs[:warm]))
+	_, outs := rec.RunMeasuredRecord(recs[warm:])
+
+	var wg sync.WaitGroup
+	for _, ref := range snapshotSchemes {
+		direct := newCheckpointSystem(t, ref)
+		direct.RunWarmup(workload.Replay(recs[:warm]))
+		want := direct.RunMeasured(workload.Replay(recs[warm:]))
+		replay := newCheckpointSystem(t, ref)
+		replay.RunWarmup(workload.Replay(recs[:warm]))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := replay.RunMeasuredReplay(recs[warm:], outs)
+			if err != nil || got != want {
+				t.Errorf("%s: concurrent replay = %+v (err %v), want %+v", ref.Name, got, err, want)
+			}
+		}()
+	}
+	wg.Wait()
+}

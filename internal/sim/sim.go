@@ -205,6 +205,10 @@ type System struct {
 	fillAccess core.Access
 	fillFn     func(uint64) uint64
 
+	// la holds the (PA, VA) line-address pairs the last lookup produced,
+	// at most three: see lookup.
+	la [6]uint64
+
 	// Context-switch scratch, reused so steady-state switches don't
 	// allocate: the deduplicated dirty-victim list and the L2-line
 	// membership set behind it.
@@ -254,13 +258,149 @@ func New(cfg Config) (*System, error) {
 // Scheme returns the active protection scheme.
 func (s *System) Scheme() core.Scheme { return s.scheme }
 
-// handleL2Victim routes a dirty L2 eviction through the scheme's writeback
-// path and charges any CPU stall (write buffer full).
-func (s *System) handleL2Victim(res cache.Result) {
-	if !res.WritebackNeeded {
-		return
+// Outcome bits: what one record did in L1I/L1D/L2. The walk is split into a
+// lookup, which touches only the caches and yields these bits, and an apply,
+// which makes the core and scheme calls they imply. No scheme and no timing
+// can change what the caches hold, so the bits for a record stream depend on
+// the cache geometry and start state alone (see outcomes.go).
+const (
+	// oL1Hit: the L1 hit; nothing reached L2.
+	oL1Hit uint8 = 1 << iota
+	// oL2Hit: the demand access hit in L2.
+	oL2Hit
+	// oVictim: the demand L2 fill displaced a dirty line (one address pair).
+	oVictim
+	// oWBFill: the L1's dirty victim missed L2 and was write-allocated there
+	// (one address pair: the filled line).
+	oWBFill
+	// oWBVictim: that write-allocate displaced a dirty L2 line (one address
+	// pair, consumed before oWBFill's).
+	oWBVictim
+)
+
+// lookup walks rec through the caches and returns its outcome bits. The
+// line addresses apply needs beyond rec itself — dirty L2 victims and the
+// L1 victim's write-allocated line, as (PA, VA) pairs — go to s.la in the
+// order apply consumes them.
+func (s *System) lookup(rec workload.Record) uint8 {
+	if rec.Kind == workload.IFetch {
+		if s.l1i.Access(rec.Addr, rec.Addr, false).Hit {
+			return oL1Hit
+		}
+		return s.lookupL2(rec.Addr, false, 0)
 	}
-	cpuFree := s.scheme.WritebackLine(s.cpu.Cycles(), core.Access{PA: res.WritebackAddr, VA: res.WritebackVA})
+	write := rec.Kind == workload.Store
+	l1res := s.l1d.Access(rec.Addr, rec.Addr, write)
+	if l1res.Hit {
+		return oL1Hit
+	}
+	var o uint8
+	n := 0
+	// The L1's dirty victim descends into L2 (write-back).
+	if l1res.WritebackNeeded {
+		l2res := s.l2.Access(l1res.WritebackAddr, l1res.WritebackVA, true)
+		if !l2res.Hit {
+			o = oWBFill
+			if l2res.WritebackNeeded {
+				o |= oWBVictim
+				s.la[0], s.la[1] = l2res.WritebackAddr, l2res.WritebackVA
+				n = 2
+			}
+			s.la[n], s.la[n+1] = s.l2.LineAddr(l1res.WritebackAddr), s.l2.LineAddr(l1res.WritebackVA)
+			n += 2
+		}
+	}
+	// Demand access in L2. The L1 allocates regardless (already done above).
+	return o | s.lookupL2(rec.Addr, write, n)
+}
+
+// lookupL2 is the demand access in L2; a dirty victim's pair goes to
+// s.la[n:].
+func (s *System) lookupL2(addr uint64, write bool, n int) uint8 {
+	res := s.l2.Access(addr, addr, write)
+	if res.Hit {
+		return oL2Hit
+	}
+	if res.WritebackNeeded {
+		s.la[n], s.la[n+1] = res.WritebackAddr, res.WritebackVA
+		return oVictim
+	}
+	return 0
+}
+
+// apply makes the core and scheme calls for rec given its outcome bits o,
+// taking victim and fill line addresses from la in lookup's order. It
+// returns how many words of la it consumed, and touches no cache.
+func (s *System) apply(rec workload.Record, o uint8, la []uint64) int {
+	if rec.Gap > 0 {
+		s.cpu.Compute(uint64(rec.Gap))
+	}
+	if rec.Kind == workload.IFetch {
+		switch {
+		case o&oL1Hit != 0:
+			s.cpu.Compute(1)
+			return 0
+		case o&oL2Hit != 0:
+			s.cpu.LoadHitL2(false) // exposed only to the frontend restart
+			return 0
+		}
+		n := s.writeback(o, la)
+		line := s.l2.LineAddr(rec.Addr)
+		s.cpu.IFetchMiss(s.l2FillFor(core.Access{PA: line, VA: line, Instr: true}))
+		return n
+	}
+	write := rec.Kind == workload.Store
+	if o&oL1Hit != 0 {
+		if write {
+			s.cpu.StoreHit()
+		} else {
+			s.cpu.LoadHitL1(rec.Depends)
+		}
+		return 0
+	}
+	n := 0
+	if o&oWBFill != 0 {
+		// Write-allocate the L1 victim's line in L2: a background fill.
+		if o&oWBVictim != 0 {
+			s.writebackLine(la[0], la[1])
+			n = 2
+		}
+		s.cpu.StoreMiss(s.l2FillFor(core.Access{PA: la[n], VA: la[n+1]}))
+		n += 2
+	}
+	if o&oL2Hit != 0 {
+		if write {
+			s.cpu.StoreHit()
+		} else {
+			s.cpu.LoadHitL2(rec.Depends)
+		}
+		return n
+	}
+	n += s.writeback(o, la[n:])
+	line := s.l2.LineAddr(rec.Addr)
+	a := core.Access{PA: line, VA: line}
+	if write {
+		s.cpu.StoreMiss(s.l2FillFor(a))
+	} else {
+		s.cpu.LoadMiss(rec.Depends, s.l2FillFor(a))
+	}
+	return n
+}
+
+// writeback writes back the demand fill's dirty L2 victim, if o has one,
+// and returns the words of la it consumed.
+func (s *System) writeback(o uint8, la []uint64) int {
+	if o&oVictim == 0 {
+		return 0
+	}
+	s.writebackLine(la[0], la[1])
+	return 2
+}
+
+// writebackLine routes a dirty L2 eviction through the scheme's writeback
+// path and charges any CPU stall (write buffer full).
+func (s *System) writebackLine(pa, va uint64) {
+	cpuFree := s.scheme.WritebackLine(s.cpu.Cycles(), core.Access{PA: pa, VA: va})
 	s.cpu.WaitUntil(cpuFree)
 }
 
@@ -271,80 +411,13 @@ func (s *System) l2FillFor(a core.Access) func(uint64) uint64 {
 	return s.fillFn
 }
 
-// accessData walks a data reference through L1D and L2.
-func (s *System) accessData(rec workload.Record) {
-	write := rec.Kind == workload.Store
-	l1res := s.l1d.Access(rec.Addr, rec.Addr, write)
-	if l1res.Hit {
-		if write {
-			s.cpu.StoreHit()
-		} else {
-			s.cpu.LoadHitL1(rec.Depends)
-		}
-		return
-	}
-	// L1 dirty victim descends into L2 (write-back).
-	if l1res.WritebackNeeded {
-		l2res := s.l2.Access(l1res.WritebackAddr, l1res.WritebackVA, true)
-		if !l2res.Hit {
-			// Write-allocate the victim's line in L2: a background fill.
-			s.handleL2Victim(l2res)
-			a := core.Access{PA: s.l2.LineAddr(l1res.WritebackAddr), VA: s.l2.LineAddr(l1res.WritebackVA)}
-			s.cpu.StoreMiss(s.l2FillFor(a))
-		}
-	}
-	// Demand access in L2. The L1 allocates regardless (already done above).
-	l2res := s.l2.Access(rec.Addr, rec.Addr, write)
-	if l2res.Hit {
-		if write {
-			s.cpu.StoreHit()
-		} else {
-			s.cpu.LoadHitL2(rec.Depends)
-		}
-		return
-	}
-	s.handleL2Victim(l2res)
-	a := core.Access{PA: s.l2.LineAddr(rec.Addr), VA: s.l2.LineAddr(rec.Addr)}
-	if write {
-		s.cpu.StoreMiss(s.l2FillFor(a))
-	} else {
-		s.cpu.LoadMiss(rec.Depends, s.l2FillFor(a))
-	}
-}
-
-// accessInstr walks an instruction fetch through L1I and L2.
-func (s *System) accessInstr(rec workload.Record) {
-	if s.l1i.Access(rec.Addr, rec.Addr, false).Hit {
-		s.cpu.Compute(1)
-		return
-	}
-	l2res := s.l2.Access(rec.Addr, rec.Addr, false)
-	if l2res.Hit {
-		s.cpu.LoadHitL2(false) // exposed only to the frontend restart
-		return
-	}
-	s.handleL2Victim(l2res)
-	a := core.Access{PA: s.l2.LineAddr(rec.Addr), VA: s.l2.LineAddr(rec.Addr), Instr: true}
-	s.cpu.IFetchMiss(s.l2FillFor(a))
-}
-
-// step processes one trace record.
-func (s *System) step(rec workload.Record) {
-	if rec.Gap > 0 {
-		s.cpu.Compute(uint64(rec.Gap))
-	}
-	switch rec.Kind {
-	case workload.IFetch:
-		s.accessInstr(rec)
-	default:
-		s.accessData(rec)
-	}
-}
-
-// Step feeds one trace record through the machine. External drivers (the
+// Step feeds one trace record through the machine: apply(lookup(rec)), the
+// one timing path every run goes through. External drivers (the
 // multiprogrammed scheduler in internal/sched) use it to interleave several
 // streams on one system; Run remains the single-stream entry point.
-func (s *System) Step(rec workload.Record) { s.step(rec) }
+func (s *System) Step(rec workload.Record) {
+	s.apply(rec, s.lookup(rec), s.la[:])
+}
 
 // Cycles returns the core's current clock.
 func (s *System) Cycles() uint64 { return s.cpu.Cycles() }
@@ -447,7 +520,7 @@ func (s *System) Run(stream workload.Stream, warmupRecords int) Result {
 			s.cpu.Drain() // settle outstanding warmup misses
 			s.BeginMeasurement()
 		}
-		s.step(rec)
+		s.Step(rec)
 		n++
 	}
 	s.cpu.Drain()

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -170,11 +172,45 @@ func TestGccNoReplStory(t *testing.T) {
 // invariantScale is the workload scale of the full-grid invariant sweep.
 const invariantScale = 0.02
 
+// invariantL2s are the L2 geometries the figures use: the paper's default
+// 256KB/4-way and Figure 8's 384KB/6-way.
+var invariantL2s = []struct{ kb, ways int }{{256, 4}, {384, 6}}
+
+// newInvariantSystem builds the default machine with scheme ref and the
+// given L2 geometry.
+func newInvariantSystem(t *testing.T, ref SchemeRef, l2KB, l2Ways int) *System {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Scheme = ref
+	cfg.L2.SizeBytes = l2KB << 10
+	cfg.L2.Ways = l2Ways
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// checkpointOf is Checkpoint for tests, failing when the scheme cannot
+// snapshot.
+func checkpointOf(t *testing.T, sys *System) *Checkpoint {
+	t.Helper()
+	cp, ok := sys.Checkpoint()
+	if !ok {
+		t.Fatalf("scheme %s cannot checkpoint", sys.Scheme().Name())
+	}
+	return cp
+}
+
 // TestResultInvariants checks conservation invariants over every registered
-// scheme × every benchmark, for both a straight-through run and a run forked
-// from a post-warmup checkpoint into a fresh system:
+// scheme × every benchmark × both figure L2 geometries, for a
+// straight-through run, a run forked from a post-warmup checkpoint into a
+// fresh system, and a forked run replayed from outcomes recorded under
+// baseline:
 //
-//   - the forked Result equals the straight-through one;
+//   - the forked and the replayed Result equal the straight-through one;
+//   - the checkpoint after the replay deep-equals the one after the forked
+//     direct run, so a replay leaves the system where a direct run would;
 //   - no run retires more than IssueWidth instructions per cycle;
 //   - SNC and sequence-number counters are zero for schemes without an SNC;
 //   - a no-replacement SNC never moves sequence numbers over the bus;
@@ -183,54 +219,73 @@ const invariantScale = 0.02
 // TestSNCCountersOnlyForOTP and TestTrafficAccounting keep the zero checks
 // from passing vacuously: they assert the nonzero side on vpr and mcf.
 func TestResultInvariants(t *testing.T) {
-	for _, bench := range workload.BenchmarkNames {
-		prof, ok := workload.ByName(bench)
-		if !ok {
-			t.Fatalf("no profile %s", bench)
-		}
-		recs, err := workload.Materialize(prof, invariantScale)
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm := min(prof.WarmupRefs(), len(recs))
-		for _, d := range core.Descriptors() {
-			ref := SchemeRef{Name: d.Name}
-			name := bench + "/" + d.Name
-
-			straight := newCheckpointSystem(t, ref)
-			want := straight.Run(workload.Replay(recs), warm)
-
-			src := newCheckpointSystem(t, ref)
-			src.RunWarmup(workload.Replay(recs[:warm]))
-			cp, ok := src.Checkpoint()
+	for _, l2 := range invariantL2s {
+		for _, bench := range workload.BenchmarkNames {
+			prof, ok := workload.ByName(bench)
 			if !ok {
-				t.Fatalf("%s: scheme cannot checkpoint", name)
+				t.Fatalf("no profile %s", bench)
 			}
-			fork := newCheckpointSystem(t, ref)
-			if err := fork.Restore(cp); err != nil {
-				t.Fatalf("%s: %v", name, err)
+			recs, err := workload.Materialize(prof, invariantScale)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got := fork.RunMeasured(workload.Replay(recs[warm:])); got != want {
-				t.Errorf("%s: forked run diverged from straight-through:\n got %+v\nwant %+v", name, got, want)
-			}
+			warm := min(prof.WarmupRefs(), len(recs))
 
-			r := want
-			if width := straight.cfg.CPU.IssueWidth; r.Cycles*uint64(width) < r.Instructions {
-				t.Errorf("%s: %d instructions in %d cycles exceeds issue width %d",
-					name, r.Instructions, r.Cycles, width)
-			}
-			seq := []uint64{r.SNCQueryHits, r.SNCQueryMisses, r.SNCUpdateHits, r.SNCUpdateMiss,
-				r.SeqNumFetches, r.SeqNumSpills, r.SeqOverflows}
-			if !d.NeedsSNC && slices.ContainsFunc(seq, func(v uint64) bool { return v != 0 }) {
-				t.Errorf("%s: scheme without an SNC has SNC/sequence-number counters %v", name, seq)
-			}
-			if d.Name == SchemeOTPNoRepl.Name && r.SNCTraffic() != 0 {
-				t.Errorf("%s: no-replacement SNC moved %d sequence numbers", name, r.SNCTraffic())
-			}
-			_, hasMAC := straight.Scheme().(interface{ IntegrityCounters() (uint64, uint64) })
-			mac := []uint64{r.MACFetches, r.MACUpdates, r.IntegrityVerified, r.IntegrityStallCycles}
-			if !hasMAC && slices.ContainsFunc(mac, func(v uint64) bool { return v != 0 }) {
-				t.Errorf("%s: scheme without MACs has MAC/integrity counters %v", name, mac)
+			rec := newInvariantSystem(t, SchemeBaseline, l2.kb, l2.ways)
+			rec.RunWarmup(workload.Replay(recs[:warm]))
+			_, outs := rec.RunMeasuredRecord(recs[warm:])
+
+			for _, d := range core.Descriptors() {
+				ref := SchemeRef{Name: d.Name}
+				name := fmt.Sprintf("%s/%s/L2=%dKB", bench, d.Name, l2.kb)
+
+				straight := newInvariantSystem(t, ref, l2.kb, l2.ways)
+				want := straight.Run(workload.Replay(recs), warm)
+
+				src := newInvariantSystem(t, ref, l2.kb, l2.ways)
+				src.RunWarmup(workload.Replay(recs[:warm]))
+				cp := checkpointOf(t, src)
+				fork := newInvariantSystem(t, ref, l2.kb, l2.ways)
+				if err := fork.Restore(cp); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got := fork.RunMeasured(workload.Replay(recs[warm:])); got != want {
+					t.Errorf("%s: forked run diverged from straight-through:\n got %+v\nwant %+v", name, got, want)
+				}
+
+				replay := newInvariantSystem(t, ref, l2.kb, l2.ways)
+				if err := replay.Restore(cp); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				got, err := replay.RunMeasuredReplay(recs[warm:], outs)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got != want {
+					t.Errorf("%s: replayed run diverged from straight-through:\n got %+v\nwant %+v", name, got, want)
+				}
+				if !reflect.DeepEqual(checkpointOf(t, replay), checkpointOf(t, fork)) {
+					t.Errorf("%s: state after replay differs from state after the direct run", name)
+				}
+
+				r := want
+				if width := straight.cfg.CPU.IssueWidth; r.Cycles*uint64(width) < r.Instructions {
+					t.Errorf("%s: %d instructions in %d cycles exceeds issue width %d",
+						name, r.Instructions, r.Cycles, width)
+				}
+				seq := []uint64{r.SNCQueryHits, r.SNCQueryMisses, r.SNCUpdateHits, r.SNCUpdateMiss,
+					r.SeqNumFetches, r.SeqNumSpills, r.SeqOverflows}
+				if !d.NeedsSNC && slices.ContainsFunc(seq, func(v uint64) bool { return v != 0 }) {
+					t.Errorf("%s: scheme without an SNC has SNC/sequence-number counters %v", name, seq)
+				}
+				if d.Name == SchemeOTPNoRepl.Name && r.SNCTraffic() != 0 {
+					t.Errorf("%s: no-replacement SNC moved %d sequence numbers", name, r.SNCTraffic())
+				}
+				_, hasMAC := straight.Scheme().(interface{ IntegrityCounters() (uint64, uint64) })
+				mac := []uint64{r.MACFetches, r.MACUpdates, r.IntegrityVerified, r.IntegrityStallCycles}
+				if !hasMAC && slices.ContainsFunc(mac, func(v uint64) bool { return v != 0 }) {
+					t.Errorf("%s: scheme without MACs has MAC/integrity counters %v", name, mac)
+				}
 			}
 		}
 	}

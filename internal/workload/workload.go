@@ -34,14 +34,17 @@ const (
 )
 
 // Record is one memory reference plus the compute work preceding it.
+//
+// Fields are ordered widest first so a Record packs into 16 bytes; the
+// materialized traces hold millions of them.
 type Record struct {
+	// Addr is the virtual byte address.
+	Addr uint64
 	// Gap is the number of non-memory instructions issued before this
 	// reference.
 	Gap uint32
 	// Kind classifies the reference.
 	Kind Kind
-	// Addr is the virtual byte address.
-	Addr uint64
 	// Depends marks a load that consumes the previous load's value
 	// (pointer chasing).
 	Depends bool

@@ -3,6 +3,7 @@ package workload
 import (
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestAllProfilesValidate(t *testing.T) {
@@ -308,4 +309,13 @@ func TestConcurrentStreamsDeterministic(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestRecordSize pins Record's packed layout: traces hold millions of
+// records, so a field reorder that reintroduces padding is a memory
+// regression across every materialized trace.
+func TestRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(Record{}); got != 16 {
+		t.Errorf("unsafe.Sizeof(Record{}) = %d, want 16", got)
+	}
 }
