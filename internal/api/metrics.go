@@ -34,6 +34,10 @@ type Metrics struct {
 	// hit is a simulation that replayed the cache outcomes recorded under
 	// another scheme instead of looking every record up again.
 	Outcomes experiments.SharedCacheStats `json:"outcomes"`
+	// Warmups exposes the process-wide warmup outcome cache: a hit is a
+	// simulation with no checkpoint that replayed the warmup's cache
+	// outcomes recorded under another configuration of its benchmark.
+	Warmups experiments.SharedCacheStats `json:"warmups"`
 	// Dispatch exposes the execution dispatch layer: the admission gate
 	// (rejections become 429s) and the weighted-fair queue over the shared
 	// worker budget.

@@ -11,26 +11,36 @@ package experiments
 // secsimd requests after memo eviction) from the checkpoint instead of
 // re-simulating the warmup.
 //
-// The measured phase has a second, narrower reuse (outcome replay, see
-// sim/outcomes.go). No scheme and no timing can change what the caches
-// hold, so the L1/L2 outcomes of a measured phase are a pure function of
-// the trace (benchmark and Scale) and the cache geometry — the runKey fields
-// that reach a cache.Config, here only the L2 size and ways — given the
-// warmed cache state, which the same argument makes scheme-independent too.
-// simulate() records each such key's outcomes once and replays them under
-// every other scheme, SNC and crypto setting: a replay skips the cache
-// lookups, the bulk of a measured record's cost, and returns the identical
-// Result. A replay checks that the system's caches are where the recording
-// started and refuses otherwise; simulate() then records afresh.
+// Cache outcome replay (see sim/outcomes.go) is a second, narrower reuse.
+// No scheme and no timing can change what the caches hold, so the L1/L2
+// outcomes of a phase are a pure function of its records, the cache
+// geometry — the runKey fields that reach a cache.Config, here only the L2
+// size and ways — and the caches' start state. The warmup prefix starts
+// from empty caches and is never scaled, so its outcomes are a pure
+// function of (benchmark, L2 geometry), the warmupKey; that leaves the
+// warmed cache state scheme-independent too, so the measured phase's
+// outcomes are a pure function of (benchmark, Scale, L2 geometry), the
+// outcomeKey. simulate() records each key's outcomes once and replays them
+// under every other scheme, SNC and crypto setting: a replay skips the
+// cache lookups, the bulk of a record's cost, and leaves the system exactly
+// where a direct run would. On a checkpoint miss the warmup replays or
+// records, and the checkpoint is captured after it as before; every
+// simulation then replays or records its measured phase. A replay checks
+// that the system's caches are where the recording started and refuses
+// otherwise; simulate() then records afresh. A warmup recording costs one
+// byte per record, one line address per victim or fill (2.3 MB over the 11
+// benchmarks at the default geometry), and the caches' start and end state
+// (192 KB at the default geometry).
 //
-// Both caches are package-level and bounded. Within one Runner the result
-// memo already guarantees at most one simulation per key, so checkpoints
-// pay off exactly when Runners come and go; outcomes pay off within a
-// Runner as well, across the schemes of one benchmark. Entries are
-// immutable once published (a restore or replay copies out of them, never
-// into them), so concurrent readers of one entry are safe and a racing
-// duplicate put is benign (last write wins, both values are equivalent by
-// construction).
+// All three caches are package-level and bounded. Within one Runner the
+// result memo already guarantees at most one simulation per key, so
+// checkpoints pay off exactly when Runners come and go; outcomes pay off
+// within a Runner as well, across the schemes of one benchmark, and
+// warmups across the schemes, SNCs and crypto latencies of one benchmark
+// that have no checkpoint yet. Entries are immutable once published (a
+// restore or replay copies out of them, never into them), so concurrent
+// readers of one entry are safe and a racing duplicate put is benign (last
+// write wins, both values are equivalent by construction).
 
 import (
 	"sync"
@@ -47,13 +57,19 @@ const checkpointCapacity = 256
 
 // outcomeCapacity bounds the outcome cache. The figures touch at most 22
 // (benchmark, L2 geometry) pairs per scale: 11 benchmarks at the default
-// L2 plus Figure 8's larger one. An entry holds about 1.2 bytes per
+// L2 plus Figure 8's larger one. An entry holds about 1.1 bytes per
 // measured record plus the three caches' start and end state (~200 KB at
 // the default geometry), under 0.5 MB at scale 1.0.
 const outcomeCapacity = 32
 
+// warmupCapacity bounds the warmup outcome cache: like outcomeCapacity, it
+// holds the 22 (benchmark, L2 geometry) pairs the figures use, at any
+// scale. An entry holds 1.3–4.5 bytes per warmup record (44K–158K records,
+// so at most 0.6 MB) plus the three caches' start and end state.
+const warmupCapacity = 32
+
 // SharedCacheStats is a point-in-time snapshot of a process-wide cache's
-// counters (post-warmup checkpoints or measured-phase outcomes), exported
+// counters (post-warmup checkpoints, warmup or measured-phase outcomes), exported
 // for diagnostics and the secsimd /metrics endpoint.
 type SharedCacheStats struct {
 	// Size is the number of cached entries.
@@ -64,7 +80,7 @@ type SharedCacheStats struct {
 	// from (warmup skipped) or outcomes to replay (cache lookups skipped).
 	Hits int64 `json:"hits"`
 	// Misses counts simulations that found none: they ran the warmup, or
-	// recorded the measured phase, and left an entry behind.
+	// recorded the warmup or the measured phase, and left an entry behind.
 	Misses int64 `json:"misses"`
 	// Evictions counts entries dropped by the LRU bound.
 	Evictions int64 `json:"evictions"`
@@ -95,6 +111,14 @@ type outcomeKey struct {
 	l2KB, l2Ways int
 }
 
+// warmupKey identifies one recorded warmup prefix: the benchmark and the
+// cache geometry. Like the checkpoint key it leaves out the scale, which
+// never reaches the warmup prefix.
+type warmupKey struct {
+	bench        string
+	l2KB, l2Ways int
+}
+
 var (
 	// checkpoints is keyed by runKey. The key carries the full
 	// configuration (benchmark, scheme, SNC and L2 geometry, crypto
@@ -102,10 +126,13 @@ var (
 	checkpoints = &checkpointCache{entries: newLRU[runKey, *sim.Checkpoint](checkpointCapacity)}
 	// outcomes is keyed by outcomeKey.
 	outcomes = &sharedCache[outcomeKey, *sim.Outcomes]{entries: newLRU[outcomeKey, *sim.Outcomes](outcomeCapacity)}
+	// warmups is keyed by warmupKey.
+	warmups = &sharedCache[warmupKey, *sim.Outcomes]{entries: newLRU[warmupKey, *sim.Outcomes](warmupCapacity)}
 )
 
 // get returns the entry for k, refreshing its recency. The miss counter is
-// charged here: every simulate() call asks each cache exactly once.
+// charged here: every simulate() call asks the checkpoint and outcome
+// caches exactly once, and the warmup cache once on a checkpoint miss.
 func (c *sharedCache[K, V]) get(k K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -148,3 +175,6 @@ func CheckpointCacheStats() CheckpointStats { return checkpoints.stats() }
 
 // OutcomeCacheStats snapshots the process-wide outcome cache counters.
 func OutcomeCacheStats() SharedCacheStats { return outcomes.stats() }
+
+// WarmupCacheStats snapshots the process-wide warmup outcome cache counters.
+func WarmupCacheStats() SharedCacheStats { return warmups.stats() }

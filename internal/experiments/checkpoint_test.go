@@ -121,6 +121,34 @@ func TestRunnerReplaysOutcomesAcrossSchemes(t *testing.T) {
 	}
 }
 
+// TestRunnerReplaysWarmupAcrossCryptoLatencies: a configuration with no
+// checkpoint replays the warmup outcomes another configuration of its
+// benchmark and L2 geometry recorded, and its Result equals a bare
+// straight-through simulation. The crypto latencies are ones no other test
+// uses, so neither spec has a checkpoint; the warmup cache is keyed without
+// the scale and is process-wide, so the first spec may itself hit.
+func TestRunnerReplaysWarmupAcrossCryptoLatencies(t *testing.T) {
+	r := NewRunner(0.0204)
+	first, second := DefaultSpec("art", sim.SchemeOTPLRU), DefaultSpec("art", sim.SchemeOTPLRU)
+	first.CryptoLat, second.CryptoLat = 61, 67
+	if _, err := r.Run(first); err != nil {
+		t.Fatal(err)
+	}
+	before := WarmupCacheStats()
+	got, err := r.Run(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := WarmupCacheStats()
+	if after.Hits != before.Hits+1 || after.Misses != before.Misses {
+		t.Errorf("second crypto latency: warmup hits %d->%d, misses %d->%d; want one hit and no miss",
+			before.Hits, after.Hits, before.Misses, after.Misses)
+	}
+	if want := straightThrough(t, r, second); got != want {
+		t.Errorf("warmup-replayed run diverged from straight-through:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // TestCheckpointCacheLRU pins the checkpoint cache's eviction order: a get
 // refreshes recency, re-putting a present key replaces its checkpoint in
 // place, and the least-recently-used entry goes first beyond capacity.

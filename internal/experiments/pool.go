@@ -93,9 +93,11 @@ func (r *Runner) resultErr(ctx context.Context, k runKey) error {
 // checkpoint.go): the first simulation of a configuration warms up and
 // checkpoints the boundary state, later ones restore it and run only the
 // measured phase — event-for-event identical to the straight-through run.
-// The measured phase in turn replays the cache outcomes recorded by the
-// first simulation of the same trace and cache geometry, under whatever
-// scheme, and records them when there are none (see checkpoint.go).
+// A configuration's first warmup in turn replays the cache outcomes
+// recorded by the first warmup of the same benchmark and cache geometry,
+// and the measured phase those of the same trace and cache geometry, under
+// whatever scheme; each records them when there are none (see
+// checkpoint.go).
 func (r *Runner) simulate(ctx context.Context, k runKey, held bool) (sim.Result, error) {
 	prof, ok := workload.ByName(k.bench)
 	if !ok {
@@ -127,7 +129,12 @@ func (r *Runner) simulate(ctx context.Context, k runKey, held bool) (sim.Result,
 	}
 	r.sims.Add(1)
 	if cp, ok := checkpoints.get(k); !ok || sys.Restore(cp) != nil {
-		sys.RunWarmup(workload.Replay(recs[:warm]))
+		wk := warmupKey{bench: k.bench, l2KB: k.l2KB, l2Ways: k.l2Ways}
+		if w, hit := warmups.get(wk); !hit || sys.RunWarmupReplay(recs[:warm], w) != nil {
+			if w := sys.RunWarmupRecord(recs[:warm]); w != nil {
+				warmups.put(wk, w)
+			}
+		}
 		if cp, ok := sys.Checkpoint(); ok {
 			checkpoints.put(k, cp)
 		}
@@ -139,7 +146,9 @@ func (r *Runner) simulate(ctx context.Context, k runKey, held bool) (sim.Result,
 		}
 	}
 	res, o := sys.RunMeasuredRecord(recs[warm:])
-	outcomes.put(outKey, o)
+	if o != nil {
+		outcomes.put(outKey, o)
+	}
 	return res, nil
 }
 

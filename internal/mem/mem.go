@@ -216,12 +216,14 @@ type WriteBuffer struct {
 	FullStalls uint64
 }
 
-// NewWriteBuffer creates a buffer with the given capacity.
+// NewWriteBuffer creates a buffer with the given capacity. The pending
+// queue never holds more than depth entries, so it is allocated at full
+// size up front and Insert never grows it, on a fresh buffer included.
 func NewWriteBuffer(depth int) *WriteBuffer {
 	if depth <= 0 {
 		panic("mem: write buffer depth must be positive")
 	}
-	return &WriteBuffer{depth: depth}
+	return &WriteBuffer{depth: depth, pending: make([]uint64, 0, depth)}
 }
 
 // Insert queues a writeback at time `now` whose data becomes eligible to
@@ -231,8 +233,8 @@ func NewWriteBuffer(depth int) *WriteBuffer {
 func (w *WriteBuffer) Insert(now, ready uint64, drain func(uint64) uint64) (cpuFree uint64) {
 	w.Inserted++
 	// Retire entries that have drained by now. Compact in place rather than
-	// re-slicing so the backing array's capacity is stable and the sorted
-	// insert below stops allocating once the buffer has warmed up.
+	// re-slicing so the backing array keeps its depth-sized capacity and
+	// the sorted insert below never allocates.
 	i := 0
 	for i < len(w.pending) && w.pending[i] <= now {
 		i++
@@ -252,7 +254,7 @@ func (w *WriteBuffer) Insert(now, ready uint64, drain func(uint64) uint64) (cpuF
 	// Insert keeping sorted order (drains can complete out of order when
 	// ready times differ).
 	pos := sort.Search(len(w.pending), func(j int) bool { return w.pending[j] > done }) //secsim:allowalloc non-escaping search closure; inlined by the compiler
-	w.pending = append(w.pending, 0)                                                    //secsim:allowalloc in-place compaction keeps capacity stable; append stops allocating once warm
+	w.pending = append(w.pending, 0)                                                    //secsim:allowalloc preallocated to depth and compacted in place: append never grows it
 	copy(w.pending[pos+1:], w.pending[pos:])
 	w.pending[pos] = done
 	return cpuFree

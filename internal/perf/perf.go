@@ -87,6 +87,7 @@ func Collect() Snapshot {
 	}
 	s["latency-snc-lru-mcf-serial"] = measureLatency(false)
 	s["latency-snc-lru-mcf-replay"] = measureLatency(true)
+	s["latency-snc-lru-mcf-cold"] = measureCold()
 	s["dispatch-overhead"] = measureDispatch()
 	return s
 }
@@ -194,25 +195,9 @@ func measureSim(scheme sim.SchemeRef, bench string) Metric {
 // once under baseline (restore + RunMeasuredReplay): what the service pays
 // for a scheme whose benchmark another scheme has already run.
 func measureLatency(replay bool) Metric {
-	prof, ok := workload.ByName("mcf")
-	if !ok {
-		panic("perf: unknown benchmark mcf")
-	}
-	recs, err := workload.Materialize(prof, latencyScale)
-	if err != nil {
-		panic(err)
-	}
-	warm := prof.WarmupRefs()
-	if warm > len(recs) {
-		warm = len(recs)
-	}
+	recs, warm := latencyTrace()
 	warmed := func(scheme sim.SchemeRef) *sim.System {
-		cfg := sim.DefaultConfig()
-		cfg.Scheme = scheme
-		sys, err := sim.New(cfg)
-		if err != nil {
-			panic(err)
-		}
+		sys := newSystem(scheme)
 		sys.RunWarmup(workload.Replay(recs[:warm]))
 		return sys
 	}
@@ -239,6 +224,54 @@ func measureLatency(replay bool) Metric {
 		}
 		return 1, res.Instructions
 	})
+}
+
+// measureCold times one full-scale request with no checkpoint to fork from
+// (sim.New + RunWarmupReplay + RunMeasuredReplay under snc-lru), replaying
+// warmup and measured-phase cache outcomes recorded once under baseline:
+// what the service pays for a configuration it has never seen, such as a
+// new crypto latency, on a benchmark another configuration has already run.
+func measureCold() Metric {
+	recs, warm := latencyTrace()
+	rec := newSystem(sim.SchemeBaseline)
+	warmOuts := rec.RunWarmupRecord(recs[:warm])
+	_, outs := rec.RunMeasuredRecord(recs[warm:])
+	return measureOp(func() (int, uint64) {
+		sys := newSystem(sim.SchemeOTPLRU)
+		if err := sys.RunWarmupReplay(recs[:warm], warmOuts); err != nil {
+			panic(err)
+		}
+		res, err := sys.RunMeasuredReplay(recs[warm:], outs)
+		if err != nil {
+			panic(err)
+		}
+		return 1, res.Instructions
+	})
+}
+
+// latencyTrace materializes the latency probes' trace, mcf at latencyScale,
+// and returns it with its warmup length.
+func latencyTrace() ([]workload.Record, int) {
+	prof, ok := workload.ByName("mcf")
+	if !ok {
+		panic("perf: unknown benchmark mcf")
+	}
+	recs, err := workload.Materialize(prof, latencyScale)
+	if err != nil {
+		panic(err)
+	}
+	return recs, min(prof.WarmupRefs(), len(recs))
+}
+
+// newSystem builds the default machine under scheme.
+func newSystem(scheme sim.SchemeRef) *sim.System {
+	cfg := sim.DefaultConfig()
+	cfg.Scheme = scheme
+	sys, err := sim.New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return sys
 }
 
 // WriteFile stores the snapshot as deterministic, indented JSON.

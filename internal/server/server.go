@@ -674,6 +674,7 @@ func (s *Server) MetricsSnapshot() api.Metrics {
 		ResultStore:    storeStats,
 		Checkpoints:    experiments.CheckpointCacheStats(),
 		Outcomes:       experiments.OutcomeCacheStats(),
+		Warmups:        experiments.WarmupCacheStats(),
 		Dispatch: api.DispatchMetrics{
 			Admission: s.admission.Stats(),
 			Queue:     s.runner.DispatchStats(),

@@ -495,3 +495,30 @@ func TestMetricsOutcomeReplay(t *testing.T) {
 			d, m2.Outcomes.Misses-m1.Outcomes.Misses)
 	}
 }
+
+// TestMetricsWarmupReplay: /metrics reports the warmup outcome cache, and a
+// configuration with no checkpoint replays the warmup another crypto
+// latency of its benchmark recorded — a warmup hit. The crypto latencies
+// are ones no other test uses, so neither request finds a checkpoint.
+func TestMetricsWarmupReplay(t *testing.T) {
+	_, ts := newTestServer(t, Config{Scale: 0.0202})
+	var m0, m1, m2 api.Metrics
+	getJSON(t, ts.URL+"/metrics", &m0)
+	if m0.Warmups.Capacity <= 0 {
+		t.Errorf("warmups capacity = %d, want > 0", m0.Warmups.Capacity)
+	}
+	for i, lat := range []string{"63", "71"} {
+		resp, b := postJSON(t, ts.URL+"/v1/run", `{"bench":"equake","scheme":"snc-lru","crypto_lat":`+lat+`}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("crypto_lat %s: status %d: %s", lat, resp.StatusCode, b)
+		}
+		getJSON(t, ts.URL+"/metrics", []*api.Metrics{&m1, &m2}[i])
+	}
+	if d := m1.Warmups.Hits + m1.Warmups.Misses - m0.Warmups.Hits - m0.Warmups.Misses; d != 1 {
+		t.Errorf("first crypto latency: warmup lookups +%d, want 1", d)
+	}
+	if d := m2.Warmups.Hits - m1.Warmups.Hits; d != 1 || m2.Warmups.Misses != m1.Warmups.Misses {
+		t.Errorf("second crypto latency: warmup hits +%d, misses +%d; want a replay (+1 hit, +0 misses)",
+			d, m2.Warmups.Misses-m1.Warmups.Misses)
+	}
+}

@@ -1,69 +1,87 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"secureproc/internal/cache"
 	"secureproc/internal/workload"
 )
 
-// This file records a measured phase's cache outcomes once and replays them
-// under any scheme. Step is apply(lookup(rec)): lookup touches only L1I,
-// L1D and L2, and apply only the core and the scheme. No scheme and no
-// timing can change what the caches hold (core.Resources never hands a
-// scheme a cache), so for one record stream, one cache geometry and one
-// cache start state, the lookup half yields the same outcomes under every
-// scheme and crypto setting — the one-pass idea of Mattson et al.,
-// "Evaluation Techniques for Storage Hierarchies" (IBM Systems Journal,
-// 1970). A replay runs only the apply half over recorded outcomes and then
-// installs the recorded end state of the caches, so it returns the Result
-// a direct RunMeasured would and leaves the System exactly where that run
-// would have.
+// This file records a phase's cache outcomes once and replays them under
+// any scheme. Step is apply(lookup(rec)): lookup touches only L1I, L1D and
+// L2, and apply only the core and the scheme. No scheme and no timing can
+// change what the caches hold (core.Resources never hands a scheme a
+// cache), so for one record stream, one cache geometry and one cache start
+// state, the lookup half yields the same outcomes under every scheme and
+// crypto setting — the one-pass idea of Mattson et al., "Evaluation
+// Techniques for Storage Hierarchies" (IBM Systems Journal, 1970). A replay
+// runs only the apply half over recorded outcomes and then installs the
+// recorded end state of the caches, so it leaves the System exactly where a
+// direct run would have. Two phases use it: the warmup prefix, which always
+// starts from empty caches, and the measured phase that follows it.
 
-// Outcomes is one recorded measured phase: the caches' configurations and
-// start state, one outcome byte per record, the victim and fill line
-// addresses the apply half needs, and the caches' end state. It is
-// immutable once returned, so any number of systems may replay it
-// concurrently.
+// Outcomes is one recorded phase: the caches' configurations and start
+// state, one outcome byte per record, the victim and fill line addresses
+// the apply half needs, and the caches' end state. It is immutable once
+// returned, so any number of systems may replay it concurrently.
 type Outcomes struct {
 	configs [3]cache.Config // L1I, L1D, L2
 	start   [3]cache.Snapshot
 	end     [3]cache.Snapshot
 	ops     []uint8
-	// addrs holds the (PA, VA) pairs of every record in order; a record
-	// owns as many pairs as its outcome bits name.
+	// addrs holds one line address per (PA, VA) pair apply consumes, in
+	// order: every cache access passes VA == PA, so the pair's two words
+	// are equal and replay expands each address back into a pair. A record
+	// owns as many addresses as its outcome bits name.
 	addrs []uint64
 }
 
+// errNoRecording refuses a replay of nil outcomes.
+var errNoRecording = errors.New("sim: replay refused: no recording")
+
+// pairBits are the outcome bits that each own one address pair.
+const pairBits = oVictim | oWBFill | oWBVictim
+
 // caches returns the system's three caches in Outcomes order.
 func (s *System) caches() [3]*cache.Cache { return [3]*cache.Cache{s.l1i, s.l1d, s.l2} }
+
+// RunWarmupRecord is RunWarmup over recs that also records the warmup's
+// cache outcomes for RunWarmupReplay. The system's final state is that of
+// RunWarmup(workload.Replay(recs)). Recording allocates; it runs once per
+// record stream and cache geometry. It returns nil outcomes, which no
+// replay accepts, when a line's VA differs from its PA.
+func (s *System) RunWarmupRecord(recs []workload.Record) *Outcomes {
+	return s.record(recs)
+}
+
+// RunWarmupReplay runs the warmup over recs from recorded outcomes: the
+// core and scheme calls of every record, without the cache lookups, then
+// the recorded end state of the caches. It leaves the system where
+// RunWarmup(workload.Replay(recs)) would. It takes the same recs and
+// applies the same guard as RunMeasuredReplay, and refuses with an error,
+// changing nothing, on a mismatch.
+//
+//secsim:hotpath
+func (s *System) RunWarmupReplay(recs []workload.Record, o *Outcomes) error {
+	if err := s.guard(recs, o); err != nil {
+		return err
+	}
+	s.replay(recs, o)
+	return nil
+}
 
 // RunMeasuredRecord is RunMeasured over recs that also records the
 // measured phase's cache outcomes for RunMeasuredReplay. The Result and the
 // system's final state are those of RunMeasured(workload.Replay(recs)).
 // Recording allocates; it runs once per record stream and cache geometry.
+// Like RunWarmupRecord, it returns nil outcomes when a line's VA differs
+// from its PA.
 func (s *System) RunMeasuredRecord(recs []workload.Record) (Result, *Outcomes) {
-	o := &Outcomes{
-		configs: [3]cache.Config{s.cfg.L1I, s.cfg.L1D, s.cfg.L2},
-		ops:     make([]uint8, len(recs)),
-	}
-	for i, c := range s.caches() {
-		o.start[i] = c.Snapshot()
-	}
 	s.BeginMeasurement()
-	var addrs []uint64
-	for i, rec := range recs {
-		op := s.lookup(rec)
-		n := s.apply(rec, op, s.la[:])
-		o.ops[i] = op
-		addrs = append(addrs, s.la[:n]...)
-	}
-	s.cpu.Drain()
-	o.addrs = slices.Clone(addrs)
-	for i, c := range s.caches() {
-		o.end[i] = c.Snapshot()
-	}
+	o := s.record(recs)
 	return s.result(), o
 }
 
@@ -79,25 +97,87 @@ func (s *System) RunMeasuredRecord(recs []workload.Record) (Result, *Outcomes) {
 //
 //secsim:hotpath
 func (s *System) RunMeasuredReplay(recs []workload.Record, o *Outcomes) (Result, error) {
+	if err := s.guard(recs, o); err != nil {
+		return Result{}, err
+	}
+	s.BeginMeasurement()
+	s.replay(recs, o)
+	return s.result(), nil
+}
+
+// record runs recs through lookup and apply, recording each outcome, and
+// drains the core. It returns nil when a pair's VA differs from its PA,
+// which one address per pair cannot hold.
+func (s *System) record(recs []workload.Record) *Outcomes {
+	o := &Outcomes{
+		configs: [3]cache.Config{s.cfg.L1I, s.cfg.L1D, s.cfg.L2},
+		ops:     make([]uint8, len(recs)),
+	}
+	for i, c := range s.caches() {
+		o.start[i] = c.Snapshot()
+	}
+	var addrs []uint64
+	aliased := false
+	for i, rec := range recs {
+		op := s.lookup(rec)
+		n := s.apply(rec, op, s.la[:])
+		o.ops[i] = op
+		for j := 0; j < n; j += 2 {
+			aliased = aliased || s.la[j] != s.la[j+1]
+			addrs = append(addrs, s.la[j])
+		}
+	}
+	s.cpu.Drain()
+	if aliased {
+		return nil
+	}
+	o.addrs = slices.Clone(addrs)
+	for i, c := range s.caches() {
+		o.end[i] = c.Snapshot()
+	}
+	return o
+}
+
+// guard refuses a replay of o over recs unless the recording was made with
+// this system's cache configurations, over as many records, from the cache
+// contents and LRU clocks the system holds now.
+//
+//secsim:hotpath
+func (s *System) guard(recs []workload.Record, o *Outcomes) error {
+	if o == nil {
+		return errNoRecording
+	}
 	if o.configs != [3]cache.Config{s.cfg.L1I, s.cfg.L1D, s.cfg.L2} {
-		return Result{}, fmt.Errorf("sim: replay refused: recorded cache configs %+v differ from the system's", o.configs) //secsim:allowalloc cold refusal branch
+		return fmt.Errorf("sim: replay refused: recorded cache configs %+v differ from the system's", o.configs) //secsim:allowalloc cold refusal branch
 	}
 	if len(recs) != len(o.ops) {
-		return Result{}, fmt.Errorf("sim: replay refused: %d records, recording has %d", len(recs), len(o.ops)) //secsim:allowalloc cold refusal branch
+		return fmt.Errorf("sim: replay refused: %d records, recording has %d", len(recs), len(o.ops)) //secsim:allowalloc cold refusal branch
 	}
 	for i, c := range s.caches() {
 		if !c.Holds(o.start[i]) {
-			return Result{}, fmt.Errorf("sim: replay refused: %s state differs from the recording's start", c.Config().Name) //secsim:allowalloc cold refusal branch
+			return fmt.Errorf("sim: replay refused: %s state differs from the recording's start", c.Config().Name) //secsim:allowalloc cold refusal branch
 		}
 	}
-	s.BeginMeasurement()
-	la := o.addrs
+	return nil
+}
+
+// replay makes the apply half's calls for every record of recs from o,
+// drains the core and installs o's end state of the caches.
+//
+//secsim:hotpath
+func (s *System) replay(recs []workload.Record, o *Outcomes) {
+	a := o.addrs
 	for i, rec := range recs {
-		la = la[s.apply(rec, o.ops[i], la):]
+		op := o.ops[i]
+		n := bits.OnesCount8(op & pairBits)
+		for j, addr := range a[:n] {
+			s.la[2*j], s.la[2*j+1] = addr, addr
+		}
+		a = a[n:]
+		s.apply(rec, op, s.la[:])
 	}
 	s.cpu.Drain()
 	for i, c := range s.caches() {
 		c.Restore(o.end[i])
 	}
-	return s.result(), nil
 }

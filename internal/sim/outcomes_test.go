@@ -240,3 +240,98 @@ func TestConcurrentReplaysShareOutcomes(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestWarmupReplayRefusals: a warmup replay refuses, with an error and
+// without changing the system, when the recording does not fit it — caches
+// that are not empty (a warmed or a restored system), another L2 geometry,
+// or another record count.
+func TestWarmupReplayRefusals(t *testing.T) {
+	prof, _ := workload.ByName("mcf")
+	recs, err := workload.Materialize(prof, invariantScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := min(prof.WarmupRefs(), len(recs))
+	outs := newInvariantSystem(t, SchemeBaseline, 256, 4).RunWarmupRecord(recs[:warm])
+
+	warmed := newInvariantSystem(t, SchemeOTPLRU, 256, 4)
+	warmed.RunWarmup(workload.Replay(recs[:warm]))
+	restored := newInvariantSystem(t, SchemeOTPLRU, 256, 4)
+	if err := restored.Restore(checkpointOf(t, warmed)); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		sys  *System
+		recs []workload.Record
+		want string
+	}{
+		{"warmed system", warmed, recs[:warm], "state differs"},
+		{"restored system", restored, recs[:warm], "state differs"},
+		{"l2 geometry", newInvariantSystem(t, SchemeOTPLRU, 384, 6), recs[:warm], "cache configs"},
+		{"record count", newInvariantSystem(t, SchemeOTPLRU, 256, 4), recs[:warm-1], "records"},
+	} {
+		before := checkpointOf(t, c.sys)
+		err := c.sys.RunWarmupReplay(c.recs, outs)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want a refusal mentioning %q", c.name, err, c.want)
+		}
+		if !reflect.DeepEqual(checkpointOf(t, c.sys), before) {
+			t.Errorf("%s: refused replay changed the system", c.name)
+		}
+	}
+}
+
+// TestWarmupReplayAllocsZero: replaying a shared warmup recording on a
+// freshly built system allocates nothing. Building the system stays
+// outside the measured closure. otp-precompute is left out: its pad
+// retention table grows on first use, under a direct Step as well.
+func TestWarmupReplayAllocsZero(t *testing.T) {
+	recs := allocRecords()
+	const runs = 3
+	for _, ref := range []SchemeRef{SchemeBaseline, SchemeXOM, SchemeOTPLRU, SchemeOTPNoRepl, SchemeOTPMAC} {
+		t.Run(ref.Name, func(t *testing.T) {
+			outs := newCheckpointSystem(t, SchemeBaseline).RunWarmupRecord(recs)
+			fresh := make([]*System, runs+1) // AllocsPerRun adds one untimed call
+			for i := range fresh {
+				fresh[i] = newCheckpointSystem(t, ref)
+			}
+			i := 0
+			avg := testing.AllocsPerRun(runs, func() {
+				if err := fresh[i].RunWarmupReplay(recs, outs); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			})
+			if avg != 0 {
+				t.Errorf("scheme %s: %.2f allocs per warmup replay on a fresh system, want 0", ref.Name, avg)
+			}
+		})
+	}
+}
+
+// TestRecordRefusesAliasedLines: a recording stores one address per
+// (PA, VA) pair, so a phase that evicts a dirty line whose VA differs from
+// its PA yields no outcomes, and a replay of none refuses.
+func TestRecordRefusesAliasedLines(t *testing.T) {
+	// Two loads to L2 set 0 (4 sets of 2 ways of 128B lines): the second
+	// evicts the planted dirty line, filled under VA 0x10000 at PA 0.
+	recs := []workload.Record{{Addr: 0x200, Kind: workload.Load}, {Addr: 0x400, Kind: workload.Load}}
+	aliased := func() *System {
+		sys := mustNew(t, tinyConfig(SchemeBaseline))
+		sys.l2.Access(0, 0x10000, true)
+		return sys
+	}
+	if outs := aliased().RunWarmupRecord(recs); outs != nil {
+		t.Error("RunWarmupRecord recorded a dirty victim whose VA differs from its PA")
+	}
+	if _, outs := aliased().RunMeasuredRecord(recs); outs != nil {
+		t.Error("RunMeasuredRecord recorded a dirty victim whose VA differs from its PA")
+	}
+	if outs := mustNew(t, tinyConfig(SchemeBaseline)).RunWarmupRecord(recs); outs == nil {
+		t.Error("RunWarmupRecord refused a stream without aliased lines")
+	}
+	if err := mustNew(t, tinyConfig(SchemeBaseline)).RunWarmupReplay(recs, nil); err == nil {
+		t.Error("RunWarmupReplay accepted nil outcomes")
+	}
+}

@@ -205,13 +205,18 @@ func checkpointOf(t *testing.T, sys *System) *Checkpoint {
 // TestResultInvariants checks conservation invariants over every registered
 // scheme × every benchmark × both figure L2 geometries, for a
 // straight-through run, a run forked from a post-warmup checkpoint into a
-// fresh system, and a forked run replayed from outcomes recorded under
-// baseline:
+// fresh system, a forked run replayed from outcomes recorded under
+// baseline, and a fresh system whose warmup and measured phase both replay
+// outcomes recorded under baseline:
 //
-//   - the forked and the replayed Result equal the straight-through one;
-//   - the checkpoint after the replay deep-equals the one after the forked
-//     direct run, so a replay leaves the system where a direct run would;
+//   - the forked and both replayed Results equal the straight-through one;
+//   - the checkpoint after the measured replay deep-equals the one after
+//     the forked direct run, and the checkpoint after the warmup replay the
+//     one after the direct warmup, so a replay leaves the system where a
+//     direct run would;
 //   - no run retires more than IssueWidth instructions per cycle;
+//   - every L2 miss is one line fill, and L2 sees at least every L1 miss;
+//   - SNC queries are bounded by line fills and SNC updates by writebacks;
 //   - SNC and sequence-number counters are zero for schemes without an SNC;
 //   - a no-replacement SNC never moves sequence numbers over the bus;
 //   - MAC and integrity counters are zero for schemes without MACs.
@@ -232,7 +237,7 @@ func TestResultInvariants(t *testing.T) {
 			warm := min(prof.WarmupRefs(), len(recs))
 
 			rec := newInvariantSystem(t, SchemeBaseline, l2.kb, l2.ways)
-			rec.RunWarmup(workload.Replay(recs[:warm]))
+			warmOuts := rec.RunWarmupRecord(recs[:warm])
 			_, outs := rec.RunMeasuredRecord(recs[warm:])
 
 			for _, d := range core.Descriptors() {
@@ -268,10 +273,37 @@ func TestResultInvariants(t *testing.T) {
 					t.Errorf("%s: state after replay differs from state after the direct run", name)
 				}
 
+				cold := newInvariantSystem(t, ref, l2.kb, l2.ways)
+				if err := cold.RunWarmupReplay(recs[:warm], warmOuts); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !reflect.DeepEqual(checkpointOf(t, cold), cp) {
+					t.Errorf("%s: state after warmup replay differs from state after the direct warmup", name)
+				}
+				got, err = cold.RunMeasuredReplay(recs[warm:], outs)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got != want {
+					t.Errorf("%s: warmup and measured replay diverged from straight-through:\n got %+v\nwant %+v", name, got, want)
+				}
+
 				r := want
 				if width := straight.cfg.CPU.IssueWidth; r.Cycles*uint64(width) < r.Instructions {
 					t.Errorf("%s: %d instructions in %d cycles exceeds issue width %d",
 						name, r.Instructions, r.Cycles, width)
+				}
+				if r.LineFills != r.L2Misses {
+					t.Errorf("%s: %d line fills for %d L2 misses", name, r.LineFills, r.L2Misses)
+				}
+				if r.L2Hits+r.L2Misses < r.L1DMisses+r.L1IMisses {
+					t.Errorf("%s: %d L2 accesses for %d L1 misses", name, r.L2Hits+r.L2Misses, r.L1DMisses+r.L1IMisses)
+				}
+				if q := r.SNCQueryHits + r.SNCQueryMisses; q > r.LineFills {
+					t.Errorf("%s: %d SNC queries for %d line fills", name, q, r.LineFills)
+				}
+				if u := r.SNCUpdateHits + r.SNCUpdateMiss; u > r.Writebacks {
+					t.Errorf("%s: %d SNC updates for %d writebacks", name, u, r.Writebacks)
 				}
 				seq := []uint64{r.SNCQueryHits, r.SNCQueryMisses, r.SNCUpdateHits, r.SNCUpdateMiss,
 					r.SeqNumFetches, r.SeqNumSpills, r.SeqOverflows}

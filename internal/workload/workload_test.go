@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
@@ -317,5 +318,35 @@ func TestConcurrentStreamsDeterministic(t *testing.T) {
 func TestRecordSize(t *testing.T) {
 	if got := unsafe.Sizeof(Record{}); got != 16 {
 		t.Errorf("unsafe.Sizeof(Record{}) = %d, want 16", got)
+	}
+}
+
+// TestWarmupPrefixScaleIndependent pins what the experiments package's
+// checkpoint and warmup-outcome keys rely on by leaving out the scale: the
+// warmup prefix of a materialized trace is the same records at every
+// scale, because warmup phases never scale and precede every measured
+// phase. A replay's guard checks only the record count, not the records.
+func TestWarmupPrefixScaleIndependent(t *testing.T) {
+	for _, name := range BenchmarkNames {
+		p, ok := ByName(name)
+		if !ok {
+			t.Fatalf("no profile %s", name)
+		}
+		var want []Record
+		for _, scale := range []float64{0.02, 0.05, 1.0} {
+			recs, err := Materialize(p, scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(recs) < p.WarmupRefs() {
+				t.Fatalf("%s at scale %g: %d records, shorter than the %d-record warmup", name, scale, len(recs), p.WarmupRefs())
+			}
+			got := recs[:p.WarmupRefs()]
+			if want == nil {
+				want = got
+			} else if !slices.Equal(got, want) {
+				t.Errorf("%s: warmup prefix at scale %g differs from scale 0.02's", name, scale)
+			}
+		}
 	}
 }
