@@ -2,10 +2,11 @@ package core
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/des"
 	"testing"
 
-	"secureproc/internal/crypto/aes"
-	"secureproc/internal/crypto/des"
 	"secureproc/internal/crypto/engine"
 	"secureproc/internal/mem"
 	"secureproc/internal/snc"
@@ -41,7 +42,7 @@ func TestXOMReadSerializesCrypto(t *testing.T) {
 	if got := x.ReadLine(0, dataAccess(0x1000)); got != lineArrival+50 {
 		t.Errorf("XOM read = %d, want %d", got, lineArrival+50)
 	}
-	if x.Stats().Get("xom.reads") != 1 {
+	if x.reads != 1 {
 		t.Error("read not counted")
 	}
 }
@@ -69,7 +70,7 @@ func TestOTPInstructionReadParallel(t *testing.T) {
 	if got := o.ReadLine(0, instrAccess(0x400000)); got != lineArrival+1 {
 		t.Errorf("OTP instr read = %d, want %d", got, lineArrival+1)
 	}
-	if o.Stats().Get("otp.instr_reads") != 1 {
+	if o.instrReads != 1 {
 		t.Error("instr read not counted")
 	}
 }
@@ -80,7 +81,7 @@ func TestOTPQueryHitParallel(t *testing.T) {
 	if got := o.ReadLine(0, dataAccess(0x2000)); got != lineArrival+1 {
 		t.Errorf("OTP hit read = %d, want %d", got, lineArrival+1)
 	}
-	if o.Stats().Get("otp.query_hits") != 1 {
+	if o.queryHits != 1 {
 		t.Error("query hit not counted")
 	}
 }
@@ -107,7 +108,7 @@ func TestOTPQueryMissNoReplFallsBackToXOM(t *testing.T) {
 	if got := o.ReadLine(0, dataAccess(0x2000)); got != lineArrival+50 {
 		t.Errorf("NoRepl uncovered read = %d, want %d (XOM path)", got, lineArrival+50)
 	}
-	if o.Stats().Get("otp.direct_reads") != 1 {
+	if o.directReads != 1 {
 		t.Error("direct read not counted")
 	}
 	if bus.Transactions[mem.SrcSeqNumFetch] != 0 {
@@ -121,7 +122,7 @@ func TestOTPWritebackHit(t *testing.T) {
 	if got := o.WritebackLine(7, dataAccess(0x2000)); got != 7 {
 		t.Errorf("writeback cpuFree = %d, want 7", got)
 	}
-	if o.Stats().Get("otp.update_hits") != 1 {
+	if o.updateHits != 1 {
 		t.Error("update hit not counted")
 	}
 	if bus.Transactions[mem.SrcWriteback] != 1 {
@@ -143,10 +144,10 @@ func TestOTPWritebackMissLRUFetchesAndSpills(t *testing.T) {
 	if got := o.WritebackLine(0, dataAccess(0x800000)); got != 0 {
 		t.Errorf("writeback stalled CPU: %d", got)
 	}
-	if o.Stats().Get("otp.update_misses") != 1 {
+	if o.updateMisses != 1 {
 		t.Error("update miss not counted")
 	}
-	if o.Stats().Get("otp.spills") != 1 {
+	if o.spills != 1 {
 		t.Error("victim spill not counted")
 	}
 	if bus.Transactions[mem.SrcSeqNumFetch] != 1 || bus.Transactions[mem.SrcSeqNumSpill] != 1 {
@@ -161,7 +162,7 @@ func TestOTPWritebackMissNoReplInstallsWhileVacant(t *testing.T) {
 	if !o.SNC().Contains(0x2000) {
 		t.Error("vacant NoRepl SNC should accept the line")
 	}
-	if o.Stats().Get("otp.direct_writes") != 0 {
+	if o.directWrites != 0 {
 		t.Error("should not fall back while vacant")
 	}
 	// Fill it up, then write an uncovered line: direct encryption.
@@ -170,7 +171,7 @@ func TestOTPWritebackMissNoReplInstallsWhileVacant(t *testing.T) {
 	}
 	before := bus.Transactions[mem.SrcWriteback]
 	o.WritebackLine(0, dataAccess(0x900000))
-	if o.Stats().Get("otp.direct_writes") == 0 {
+	if o.directWrites == 0 {
 		t.Error("full NoRepl SNC must use direct encryption")
 	}
 	if bus.Transactions[mem.SrcWriteback] != before+1 {
@@ -215,10 +216,16 @@ func TestOTPResetStats(t *testing.T) {
 	o, _ := newOTP(snc.LRU)
 	o.ReadLine(0, dataAccess(0))
 	o.ResetStats()
-	s := o.Stats()
-	for _, n := range s.Names() {
-		if s.Get(n) != 0 {
-			t.Errorf("%s = %d after reset", n, s.Get(n))
+	for n, v := range map[string]uint64{
+		"instrReads": o.instrReads, "queryHits": o.queryHits,
+		"queryMisses": o.queryMisses, "updateHits": o.updateHits,
+		"updateMisses": o.updateMisses, "directReads": o.directReads,
+		"directWrites": o.directWrites, "spills": o.spills,
+		"seqFetches": o.seqFetches, "reencrypts": o.reencrypts,
+		"switches": o.switches, "snc.SeqOverflows": o.snc.SeqOverflows,
+	} {
+		if v != 0 {
+			t.Errorf("%s = %d after reset", n, v)
 		}
 	}
 }
@@ -339,10 +346,10 @@ func TestOTPSeqOverflowRekeys(t *testing.T) {
 	fills := bus.Transactions[mem.SrcWriteback]
 	// The wrapping writeback pays direct re-encryption, not the pad XOR.
 	o.WritebackLine(0, dataAccess(0))
-	if got := o.Stats().Get("otp.reencrypts"); got != 1 {
+	if got := o.reencrypts; got != 1 {
 		t.Errorf("reencrypts = %d, want 1", got)
 	}
-	if got := o.Stats().Get("otp.seq_overflows"); got != 1 {
+	if got := o.snc.SeqOverflows; got != 1 {
 		t.Errorf("seq_overflows = %d, want 1", got)
 	}
 	if bus.Transactions[mem.SrcWriteback] != fills+1 {
@@ -350,23 +357,23 @@ func TestOTPSeqOverflowRekeys(t *testing.T) {
 	}
 	// The next writeback of the re-keyed line is a normal pad write.
 	o.WritebackLine(0, dataAccess(0))
-	if got := o.Stats().Get("otp.reencrypts"); got != 1 {
+	if got := o.reencrypts; got != 1 {
 		t.Errorf("reencrypts after re-key = %d, want 1", got)
 	}
 }
 
 // --- Functional SecureMemory tests ---
 
-func newSecureMem(t *testing.T, cipher BlockCipher) *SecureMemory {
+func newSecureMem(t *testing.T, block cipher.Block) *SecureMemory {
 	t.Helper()
-	sm, err := NewSecureMemory(mem.NewMemory(), cipher, 128)
+	sm, err := NewSecureMemory(mem.NewMemory(), block, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return sm
 }
 
-func desCipher(t *testing.T) BlockCipher {
+func desCipher(t *testing.T) cipher.Block {
 	t.Helper()
 	c, err := des.NewCipher([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	if err != nil {
@@ -375,7 +382,7 @@ func desCipher(t *testing.T) BlockCipher {
 	return c
 }
 
-func aesCipher(t *testing.T) BlockCipher {
+func aesCipher(t *testing.T) cipher.Block {
 	t.Helper()
 	c, err := aes.NewCipher(make([]byte, 16))
 	if err != nil {
@@ -395,7 +402,7 @@ func line(fill byte) []byte {
 func TestSecureMemoryOTPRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		cipher func(*testing.T) BlockCipher
+		cipher func(*testing.T) cipher.Block
 	}{{"des", desCipher}, {"aes", aesCipher}} {
 		t.Run(tc.name, func(t *testing.T) {
 			sm := newSecureMem(t, tc.cipher(t))

@@ -4,7 +4,6 @@ import (
 	"secureproc/internal/crypto/engine"
 	"secureproc/internal/integrity"
 	"secureproc/internal/mem"
-	"secureproc/internal/stats"
 )
 
 // OTPMAC layers integrity verification (a keyed per-line MAC binding
@@ -126,16 +125,6 @@ func (m *OTPMAC) WritebackLine(now uint64, a Access) uint64 {
 // IntegrityCounters reports verification work for the Result plumbing.
 func (m *OTPMAC) IntegrityCounters() (verified, stallCycles uint64) {
 	return m.verified, m.stallCycles
-}
-
-// Stats implements Scheme.
-func (m *OTPMAC) Stats() *stats.Set {
-	s := m.OTP.Stats()
-	s.Add("mac.fetches", m.macFetches)
-	s.Add("mac.updates", m.macUpdates)
-	s.Add("mac.verified", m.verified)
-	s.Add("mac.stall_cycles", m.stallCycles)
-	return s
 }
 
 // ResetStats implements Scheme.

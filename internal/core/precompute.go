@@ -2,7 +2,6 @@ package core
 
 import (
 	"secureproc/internal/mem"
-	"secureproc/internal/stats"
 )
 
 // OTPPre is the sequence-number-prediction variant of the one-time-pad
@@ -142,15 +141,6 @@ func (p *OTPPre) WritebackLine(now uint64, a Access) uint64 {
 
 // PadPredictions reports hit/miss counts of the pad buffer (diagnostics).
 func (p *OTPPre) PadPredictions() (hits, misses uint64) { return p.padHits, p.padMisses }
-
-// Stats implements Scheme.
-func (p *OTPPre) Stats() *stats.Set {
-	s := p.OTP.Stats()
-	s.Add("pre.pad_hits", p.padHits)
-	s.Add("pre.pad_misses", p.padMisses)
-	s.Add("pre.hidden_cycles", p.hiddenCycles)
-	return s
-}
 
 // ResetStats implements Scheme.
 func (p *OTPPre) ResetStats() {

@@ -26,7 +26,6 @@ import (
 	"secureproc/internal/crypto/engine"
 	"secureproc/internal/mem"
 	"secureproc/internal/snc"
-	"secureproc/internal/stats"
 )
 
 // Access identifies one line-granular off-chip transaction.
@@ -53,8 +52,6 @@ type Scheme interface {
 	// returns the cycle at which the CPU may proceed (usually now; later
 	// only when the write buffer is full).
 	WritebackLine(now uint64, a Access) (cpuFree uint64)
-	// Stats returns scheme-internal counters for reporting.
-	Stats() *stats.Set
 	// ResetStats clears counters after warmup.
 	ResetStats()
 }
@@ -146,9 +143,6 @@ func (b *Baseline) WritebackLine(now uint64, a Access) uint64 {
 	return b.wbuf.Insert(now, now, b.drainWriteback)
 }
 
-// Stats implements Scheme.
-func (b *Baseline) Stats() *stats.Set { return stats.NewSet() }
-
 // ResetStats implements Scheme.
 func (b *Baseline) ResetStats() {}
 
@@ -196,14 +190,6 @@ func (x *XOM) WritebackLine(now uint64, a Access) uint64 {
 	x.writebacks++
 	ready := x.crypto.Issue(now)
 	return x.wbuf.Insert(now, ready, x.drainWriteback)
-}
-
-// Stats implements Scheme.
-func (x *XOM) Stats() *stats.Set {
-	s := stats.NewSet()
-	s.Add("xom.reads", x.reads)
-	s.Add("xom.writebacks", x.writebacks)
-	return s
 }
 
 // ResetStats implements Scheme.
@@ -512,24 +498,6 @@ func (o *OTP) ContextSwitch(now uint64, next int) (done uint64) {
 	}
 	o.pid = next
 	return done
-}
-
-// Stats implements Scheme.
-func (o *OTP) Stats() *stats.Set {
-	s := stats.NewSet()
-	s.Add("otp.instr_reads", o.instrReads)
-	s.Add("otp.query_hits", o.queryHits)
-	s.Add("otp.query_misses", o.queryMisses)
-	s.Add("otp.update_hits", o.updateHits)
-	s.Add("otp.update_misses", o.updateMisses)
-	s.Add("otp.direct_reads", o.directReads)
-	s.Add("otp.direct_writes", o.directWrites)
-	s.Add("otp.spills", o.spills)
-	s.Add("otp.seq_fetches", o.seqFetches)
-	s.Add("otp.reencrypts", o.reencrypts)
-	s.Add("otp.seq_overflows", o.snc.SeqOverflows)
-	s.Add("otp.switches", o.switches)
-	return s
 }
 
 // ResetStats implements Scheme.

@@ -1,16 +1,9 @@
 package core
 
 import (
+	"crypto/cipher"
 	"fmt"
 )
-
-// BlockCipher is the pad/direct-encryption primitive (internal/crypto/des
-// and internal/crypto/aes both satisfy it; so does crypto/cipher.Block).
-type BlockCipher interface {
-	BlockSize() int
-	Encrypt(dst, src []byte)
-	Decrypt(dst, src []byte)
-}
 
 // Seed builds the per-block pad seed. Following Sections 3.4.1/3.4.2, the
 // seed is derived from the virtual address of the cipher block (so
@@ -63,7 +56,7 @@ type memoryImage interface {
 // attack demos operate on genuine ciphertext.
 type SecureMemory struct {
 	mem       memoryImage
-	cipher    BlockCipher
+	cipher    cipher.Block
 	lineBytes int
 
 	// seq holds the current sequence number per line VA — architecturally
@@ -75,13 +68,13 @@ type SecureMemory struct {
 }
 
 // NewSecureMemory wraps a memory image with line-granular encryption.
-func NewSecureMemory(m memoryImage, cipher BlockCipher, lineBytes int) (*SecureMemory, error) {
-	if lineBytes <= 0 || lineBytes%cipher.BlockSize() != 0 {
-		return nil, fmt.Errorf("core: line size %d not a multiple of cipher block %d", lineBytes, cipher.BlockSize())
+func NewSecureMemory(m memoryImage, block cipher.Block, lineBytes int) (*SecureMemory, error) {
+	if lineBytes <= 0 || lineBytes%block.BlockSize() != 0 {
+		return nil, fmt.Errorf("core: line size %d not a multiple of cipher block %d", lineBytes, block.BlockSize())
 	}
 	return &SecureMemory{
 		mem:       m,
-		cipher:    cipher,
+		cipher:    block,
 		lineBytes: lineBytes,
 		seq:       make(map[uint64]uint16),
 		mode:      make(map[uint64]EncMode),

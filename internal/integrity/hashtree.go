@@ -1,10 +1,10 @@
 package integrity
 
 import (
+	"crypto/hmac"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-
-	"secureproc/internal/crypto/sha256"
 )
 
 // HashTree is a Merkle tree over protected memory lines — the integrity
@@ -70,13 +70,17 @@ func (t *HashTree) Root() []byte { return append([]byte(nil), t.nodes[1]...) }
 func (t *HashTree) leafHash(index int, line []byte) []byte {
 	var idx [8]byte
 	binary.LittleEndian.PutUint64(idx[:], uint64(index))
-	h := sha256.HMAC(t.key, append(append([]byte{0x00}, idx[:]...), line...))
-	return h[:]
+	return t.mac(append(append([]byte{0x00}, idx[:]...), line...))
 }
 
 func (t *HashTree) interiorHash(l, r []byte) []byte {
-	h := sha256.HMAC(t.key, append(append([]byte{0x01}, l...), r...))
-	return h[:]
+	return t.mac(append(append([]byte{0x01}, l...), r...))
+}
+
+func (t *HashTree) mac(msg []byte) []byte {
+	h := hmac.New(sha256.New, t.key)
+	h.Write(msg)
+	return h.Sum(nil)
 }
 
 func (t *HashTree) checkIndex(index int) error {
@@ -135,7 +139,7 @@ func (t *HashTree) Verify(index int, line []byte, proof [][]byte) error {
 		}
 		i /= 2
 	}
-	if !constEq(h, t.nodes[1]) {
+	if !hmac.Equal(h, t.nodes[1]) {
 		return fmt.Errorf("%w (leaf %d, hash-tree root mismatch)", ErrTampered, index)
 	}
 	return nil
@@ -175,7 +179,7 @@ func (c *CachedVerifier) Verify(index int, line []byte, proof [][]byte) error {
 		if c.cache[i] {
 			// Cached ancestor: compare against its stored value directly.
 			c.HashesSaved += uint64(len(proof) - level)
-			if !constEq(h, c.tree.nodes[i]) {
+			if !hmac.Equal(h, c.tree.nodes[i]) {
 				return fmt.Errorf("%w (leaf %d, cached node %d)", ErrTampered, index, i)
 			}
 			c.markPath(index, level)
@@ -194,7 +198,7 @@ func (c *CachedVerifier) Verify(index int, line []byte, proof [][]byte) error {
 		i /= 2
 		level++
 	}
-	if !constEq(h, c.tree.nodes[1]) {
+	if !hmac.Equal(h, c.tree.nodes[1]) {
 		return fmt.Errorf("%w (leaf %d, root mismatch)", ErrTampered, index)
 	}
 	c.markPath(index, len(proof))

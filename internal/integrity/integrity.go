@@ -18,11 +18,11 @@
 package integrity
 
 import (
+	"crypto/hmac"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
-
-	"secureproc/internal/crypto/sha256"
 )
 
 // MACSize is the stored MAC width in bytes (truncated SHA-256 HMAC; the
@@ -70,8 +70,9 @@ func (v *Verifier) MAC(lineVA uint64, seq uint16, ct []byte) ([MACSize]byte, err
 	if len(ct) != v.lineBytes {
 		return out, fmt.Errorf("integrity: line length %d != %d", len(ct), v.lineBytes)
 	}
-	full := sha256.HMAC(v.key, v.macInput(lineVA, seq, ct))
-	copy(out[:], full[:MACSize])
+	h := hmac.New(sha256.New, v.key)
+	h.Write(v.macInput(lineVA, seq, ct))
+	copy(out[:], h.Sum(nil))
 	return out, nil
 }
 
@@ -81,23 +82,12 @@ func (v *Verifier) Check(lineVA uint64, seq uint16, ct []byte, mac [MACSize]byte
 	if err != nil {
 		return err
 	}
-	if !constEq(want[:], mac[:]) {
+	if !hmac.Equal(want[:], mac[:]) {
 		v.Failed++
 		return fmt.Errorf("%w (line %#x)", ErrTampered, lineVA)
 	}
 	v.Verified++
 	return nil
-}
-
-func constEq(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	var d byte
-	for i := range a {
-		d |= a[i] ^ b[i]
-	}
-	return d == 0
 }
 
 // ProtectedStore couples ciphertext lines with their MACs — the functional

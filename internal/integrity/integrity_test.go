@@ -2,6 +2,7 @@ package integrity
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -133,10 +134,13 @@ func TestLegitimateRewritesKeepVerifying(t *testing.T) {
 }
 
 // TestMACBindsEverything: flipping any single input bit (data, address or
-// seq) changes the MAC.
+// seq) changes the MAC, and the base MAC keeps its pinned bytes.
 func TestMACBindsEverything(t *testing.T) {
 	v, _ := NewVerifier([]byte("k2"), 128)
 	base, _ := v.MAC(0x1000, 7, line(0x33))
+	if got, want := hex.EncodeToString(base[:]), "2e19dd34da1ee43156b193c809518109"; got != want {
+		t.Errorf("MAC %s, want %s", got, want)
+	}
 	d := line(0x33)
 	d[64] ^= 1
 	m1, _ := v.MAC(0x1000, 7, d)

@@ -1,5 +1,5 @@
-// Package stats provides counters, derived rates, and table formatting used
-// by the simulator and the experiment harness.
+// Package stats provides derived rates, data series and table formatting
+// used by the simulator and the experiment harness.
 package stats
 
 import (
@@ -7,67 +7,6 @@ import (
 	"sort"
 	"strings"
 )
-
-// Counter is a named monotonically increasing event count.
-type Counter struct {
-	Name  string
-	Value uint64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { c.Value += n }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Value++ }
-
-// Set contains a group of named counters. The zero value is ready to use.
-type Set struct {
-	counters map[string]*Counter
-	order    []string
-}
-
-// NewSet returns an empty counter set.
-func NewSet() *Set {
-	return &Set{counters: make(map[string]*Counter)}
-}
-
-// Counter returns the counter with the given name, creating it on first use.
-func (s *Set) Counter(name string) *Counter {
-	if s.counters == nil {
-		s.counters = make(map[string]*Counter)
-	}
-	if c, ok := s.counters[name]; ok {
-		return c
-	}
-	c := &Counter{Name: name}
-	s.counters[name] = c
-	s.order = append(s.order, name)
-	return c
-}
-
-// Get returns the current value of a counter (0 if it was never touched).
-func (s *Set) Get(name string) uint64 {
-	if s.counters == nil {
-		return 0
-	}
-	if c, ok := s.counters[name]; ok {
-		return c.Value
-	}
-	return 0
-}
-
-// Add increments the named counter by n, creating it on first use.
-func (s *Set) Add(name string, n uint64) { s.Counter(name).Add(n) }
-
-// Inc increments the named counter by one, creating it on first use.
-func (s *Set) Inc(name string) { s.Counter(name).Inc() }
-
-// Names returns counter names in creation order.
-func (s *Set) Names() []string {
-	out := make([]string, len(s.order))
-	copy(out, s.order)
-	return out
-}
 
 // Ratio returns a/b as a float, or 0 when b is 0.
 func Ratio(a, b uint64) float64 {
@@ -79,25 +18,6 @@ func Ratio(a, b uint64) float64 {
 
 // Pct returns 100*a/b, or 0 when b is 0.
 func Pct(a, b uint64) float64 { return 100 * Ratio(a, b) }
-
-// String renders the set as "name=value" lines sorted by creation order.
-func (s *Set) String() string {
-	var b strings.Builder
-	for _, name := range s.order {
-		fmt.Fprintf(&b, "%s=%d\n", name, s.counters[name].Value)
-	}
-	return b.String()
-}
-
-// Merge adds every counter of other into s.
-func (s *Set) Merge(other *Set) {
-	if other == nil {
-		return
-	}
-	for _, name := range other.order {
-		s.Add(name, other.counters[name].Value)
-	}
-}
 
 // Table is a simple fixed-column text table used to print experiment results
 // in the same layout as the paper's figures.

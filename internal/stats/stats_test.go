@@ -6,41 +6,6 @@ import (
 	"testing"
 )
 
-func TestCounterSet(t *testing.T) {
-	s := NewSet()
-	s.Inc("a")
-	s.Add("a", 4)
-	s.Add("b", 2)
-	if s.Get("a") != 5 || s.Get("b") != 2 || s.Get("missing") != 0 {
-		t.Errorf("values: %d %d %d", s.Get("a"), s.Get("b"), s.Get("missing"))
-	}
-	names := s.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Errorf("names: %v", names)
-	}
-	if !strings.Contains(s.String(), "a=5") {
-		t.Error("String output")
-	}
-	var zero Set
-	zero.Inc("x") // zero value must be usable
-	if zero.Get("x") != 1 {
-		t.Error("zero-value Set broken")
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a := NewSet()
-	a.Add("x", 1)
-	b := NewSet()
-	b.Add("x", 2)
-	b.Add("y", 3)
-	a.Merge(b)
-	a.Merge(nil)
-	if a.Get("x") != 3 || a.Get("y") != 3 {
-		t.Errorf("merge: x=%d y=%d", a.Get("x"), a.Get("y"))
-	}
-}
-
 func TestRatioPct(t *testing.T) {
 	if Ratio(1, 4) != 0.25 || Ratio(1, 0) != 0 {
 		t.Error("Ratio")

@@ -1,10 +1,10 @@
 package xom
 
 import (
+	"crypto/hmac"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-
-	"secureproc/internal/crypto/sha256"
 )
 
 // This file models XOM's internal protection for multi-tasking (paper
@@ -80,7 +80,7 @@ type SealedRegs struct {
 	Compartment CompartmentID
 	Counter     uint64
 	Cipher      [32]uint32
-	MAC         [32]byte
+	MAC         [sha256.Size]byte
 }
 
 // Manager tracks active compartments and their session keys.
@@ -132,8 +132,17 @@ func padWord(key []byte, id CompartmentID, ctr uint64, r int) uint32 {
 	binary.LittleEndian.PutUint16(seed[0:], uint16(id))
 	binary.LittleEndian.PutUint64(seed[2:], ctr)
 	binary.LittleEndian.PutUint32(seed[10:], uint32(r))
-	h := sha256.HMAC(key, seed[:])
+	h := hmacSHA256(key, seed[:])
 	return binary.LittleEndian.Uint32(h[:4])
+}
+
+// hmacSHA256 returns HMAC-SHA-256 of msg under key.
+func hmacSHA256(key, msg []byte) [sha256.Size]byte {
+	var out [sha256.Size]byte
+	h := hmac.New(sha256.New, key)
+	h.Write(msg)
+	copy(out[:], h.Sum(nil))
+	return out
 }
 
 // SealRegisters encrypts the register file slice owned by id for delivery
@@ -155,7 +164,7 @@ func (m *Manager) SealRegisters(id CompartmentID, rf *RegisterFile) (SealedRegs,
 	}
 	binary.LittleEndian.PutUint16(macInput[128:], uint16(id))
 	binary.LittleEndian.PutUint64(macInput[130:], ctr)
-	out.MAC = sha256.HMAC(key, macInput[:])
+	out.MAC = hmacSHA256(key, macInput[:])
 	// The OS now owns the physical registers.
 	for r := 0; r < 32; r++ {
 		rf.regs[r] = taggedReg{owner: OSCompartment}
@@ -177,8 +186,8 @@ func (m *Manager) UnsealRegisters(sealed SealedRegs, rf *RegisterFile) error {
 	}
 	binary.LittleEndian.PutUint16(macInput[128:], uint16(sealed.Compartment))
 	binary.LittleEndian.PutUint64(macInput[130:], sealed.Counter)
-	want := sha256.HMAC(key, macInput[:])
-	if want != sealed.MAC {
+	want := hmacSHA256(key, macInput[:])
+	if !hmac.Equal(want[:], sealed.MAC[:]) {
 		return fmt.Errorf("xom: register save MAC mismatch (tampered or spliced)")
 	}
 	if sealed.Counter != m.ctr[sealed.Compartment] {

@@ -6,13 +6,14 @@
 package xom
 
 import (
+	"crypto/des"
+	"crypto/rsa"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
 
 	"secureproc/internal/core"
-	"secureproc/internal/crypto/des"
-	"secureproc/internal/crypto/rsa"
 	"secureproc/internal/isa"
 	"secureproc/internal/mem"
 )
@@ -67,7 +68,7 @@ func VendorEncrypt(binary []byte, base, entry uint32, programKey []byte, cpuPub 
 	ct := make([]byte, len(img))
 	scratch.Read(uint64(base), ct)
 
-	wrapped, err := cpuPub.Encrypt(rand, programKey)
+	wrapped, err := rsa.EncryptOAEP(sha256.New(), rand, cpuPub, programKey, nil)
 	if err != nil {
 		return nil, fmt.Errorf("xom: wrapping program key: %w", err)
 	}
@@ -84,9 +85,10 @@ type Processor struct {
 	Memory *mem.Memory
 }
 
-// NewProcessor mints a processor with a fresh key pair burned in.
+// NewProcessor mints a processor with a fresh 1024-bit key pair burned in
+// (the smallest RSA key crypto/rsa accepts).
 func NewProcessor(rand io.Reader) (*Processor, error) {
-	priv, err := rsa.GenerateKey(rand, 512)
+	priv, err := rsa.GenerateKey(rand, 1024)
 	if err != nil {
 		return nil, err
 	}
@@ -101,7 +103,7 @@ func (p *Processor) PublicKey() *rsa.PublicKey { return &p.priv.PublicKey }
 // memory, and returns a running context. The image bytes are stored
 // verbatim — decryption happens at fetch time inside the chip.
 func (p *Processor) Load(pkg *Package) (*Context, error) {
-	ks, err := p.priv.Decrypt(pkg.WrappedKey)
+	ks, err := rsa.DecryptOAEP(sha256.New(), nil, p.priv, pkg.WrappedKey, nil)
 	if err != nil {
 		return nil, fmt.Errorf("xom: cannot unwrap program key (wrong processor?): %w", err)
 	}

@@ -22,7 +22,8 @@
 //     integrity-overhead Figure I1 — with paper-vs-measured tables
 //     (Figure, AllFigures).
 //   - Functional encryption: byte-accurate protected memory with real
-//     DES/AES pads for end-to-end demos (NewProtectedMemory).
+//     DES/AES pads from Go's standard library for end-to-end demos
+//     (NewProtectedMemory).
 //
 // # Quickstart
 //
@@ -32,11 +33,12 @@
 package secureproc
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/des"
 	"fmt"
 
 	"secureproc/internal/core"
-	"secureproc/internal/crypto/aes"
-	"secureproc/internal/crypto/des"
 	"secureproc/internal/experiments"
 	"secureproc/internal/mem"
 	"secureproc/internal/sim"
@@ -185,10 +187,10 @@ func AllFigures(scale float64) []FigureResult {
 type CipherKind int
 
 const (
-	// CipherDES uses the from-scratch DES (8-byte blocks), the paper's
-	// Section 3.4.1 choice.
+	// CipherDES uses the standard library's DES (8-byte blocks), the
+	// paper's Section 3.4.1 choice.
 	CipherDES CipherKind = iota
-	// CipherAES uses the from-scratch AES-128 (16-byte blocks).
+	// CipherAES uses the standard library's AES-128 (16-byte blocks).
 	CipherAES
 )
 
@@ -200,22 +202,18 @@ type ProtectedMemory = core.SecureMemory
 // NewProtectedMemory builds a functional protected memory with the given
 // pad cipher, key and line size (the paper uses 128-byte lines).
 func NewProtectedMemory(kind CipherKind, key []byte, lineBytes int) (*ProtectedMemory, error) {
-	var cipher core.BlockCipher
+	var block cipher.Block
+	var err error
 	switch kind {
 	case CipherDES:
-		c, err := des.NewCipher(key)
-		if err != nil {
-			return nil, err
-		}
-		cipher = c
+		block, err = des.NewCipher(key)
 	case CipherAES:
-		c, err := aes.NewCipher(key)
-		if err != nil {
-			return nil, err
-		}
-		cipher = c
+		block, err = aes.NewCipher(key)
 	default:
 		return nil, fmt.Errorf("secureproc: unknown cipher kind %d", kind)
 	}
-	return core.NewSecureMemory(mem.NewMemory(), cipher, lineBytes)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewSecureMemory(mem.NewMemory(), block, lineBytes)
 }

@@ -2,6 +2,7 @@ package secureproc_test
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 
 	"secureproc"
@@ -146,9 +147,18 @@ func TestProtectedMemoryAPI(t *testing.T) {
 	for _, tc := range []struct {
 		kind secureproc.CipherKind
 		key  int
+		// raw pins the ciphertext of line 0x1000 after the write: the pad
+		// bytes each cipher must keep producing.
+		raw string
 	}{
-		{secureproc.CipherDES, 8},
-		{secureproc.CipherAES, 16},
+		{secureproc.CipherDES, 8, "440c0e92b01aad0cea845cf7db5f94bb451a12328de2db1cd45c77a7f13cc7f4" +
+			"a5077cef815750c03b0f24639bda36e3ed1d60f1dd23ffe3565fc3c9a60fc2c4" +
+			"62b50c46af2044e9b8368c961f7a413e40f313c2b6b1e3b7fddc433118b17a63" +
+			"5f5ecccdae1a2ce20aec4300c31c882d2a3f6ec14ea48812c49f6068558a0046"},
+		{secureproc.CipherAES, 16, "4a3f07aeb755db909decbaa7cead65e9534de65e5d5c5d6f918a74b337c4bda7" +
+			"1f81cfe9e45469fe110c7fd71e1bfbefac61ed52aae1b243b3dbc7170bb87c11" +
+			"3ccc2177b3ab9016adceba545e9ea99f3cd89b420a4f3f75fb46371286317ae3" +
+			"bbc939dd0e60923a0f1fea103b29ad2c745c9286006087f90327e9cd8137ab1c"},
 	} {
 		pm, err := secureproc.NewProtectedMemory(tc.kind, make([]byte, tc.key), 128)
 		if err != nil {
@@ -168,6 +178,9 @@ func TestProtectedMemoryAPI(t *testing.T) {
 		raw, _ := pm.RawLine(0x1000)
 		if bytes.Equal(raw, data) {
 			t.Error("not encrypted")
+		}
+		if got := hex.EncodeToString(raw); got != tc.raw {
+			t.Errorf("cipher %d: raw line %s, want %s", tc.kind, got, tc.raw)
 		}
 	}
 	if _, err := secureproc.NewProtectedMemory(secureproc.CipherDES, make([]byte, 3), 128); err == nil {
