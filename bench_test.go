@@ -15,7 +15,6 @@ import (
 	"secureproc/internal/core"
 	"secureproc/internal/crypto/engine"
 	"secureproc/internal/experiments"
-	"secureproc/internal/integrity"
 	"secureproc/internal/mem"
 	"secureproc/internal/sim"
 	"secureproc/internal/snc"
@@ -273,32 +272,6 @@ func BenchmarkContextSwitchFlush(b *testing.B) {
 			b.ReportMetric(float64(flushCycles), "flush-cycles")
 		})
 	}
-}
-
-// BenchmarkHashTreeVerify measures the integrity substrate: per-line
-// verification cost with and without the Gassend-style node cache.
-func BenchmarkHashTreeVerify(b *testing.B) {
-	tree, err := integrity.NewHashTree([]byte("k"), 128, 4096)
-	if err != nil {
-		b.Fatal(err)
-	}
-	line := make([]byte, 128)
-	proof, _ := tree.Proof(17)
-	b.Run("uncached", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := tree.Verify(17, line, proof); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cached", func(b *testing.B) {
-		cv := integrity.NewCachedVerifier(tree, 1024)
-		for i := 0; i < b.N; i++ {
-			if err := cv.Verify(17, line, proof); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkSimulatorThroughput measures raw simulator speed (references per

@@ -60,8 +60,9 @@ done:
 `
 
 func main() {
-	// Every scheme in the registry, in registration order (baseline first):
-	// new registrations show up here without touching this example.
+	// Every scheme in the table, in table order (baseline first):
+	// a scheme added to the table shows up here without touching this
+	// example.
 	var base sim.ProgramResult
 	t := stats.NewTable("execution-driven: 1MB histogram kernel (real SSA-32 program)",
 		"scheme", "exit-code", "instrs", "cycles", "IPC", "slowdown%")

@@ -8,11 +8,6 @@ import (
 	"secureproc/internal/snc"
 )
 
-// The built-in schemes: the four the paper evaluates plus the two
-// extensions this reproduction adds on top of the registry seam. External
-// packages can Register more; these are the ones every CLI and figure spec
-// can count on.
-
 // DefaultPIDBits is the per-entry process-ID tag width used by switch=pid
 // when no pidbits parameter is given: 8 bits distinguishes 256 concurrent
 // address spaces, the right order for a time-sliced machine.
@@ -116,26 +111,26 @@ func otpMACParams(p Params) (integrity.VerifyPolicy, uint64, error) {
 	return policy, uint64(lat), nil
 }
 
-func init() {
-	MustRegister(Descriptor{
-		Name: "baseline",
-		Doc:  "insecure processor: no memory encryption (the paper's reference)",
-		Aliases: []string{
-			"base",
-		},
+// schemes is the fixed scheme table, in listing order: the four schemes
+// the paper evaluates plus the two extensions this reproduction adds.
+// Adding a scheme means adding a Descriptor here.
+var schemes = []Descriptor{
+	{
+		Name:    "baseline",
+		Doc:     "insecure processor: no memory encryption (the paper's reference)",
+		Aliases: []string{"base"},
 		New: func(res Resources, _ Params) (Scheme, error) {
 			return NewBaseline(res.Bus, res.WBuf), nil
 		},
-	})
-	MustRegister(Descriptor{
-		Name:    "xom",
-		Doc:     "direct encryption on the memory critical path (Lie et al., ASPLOS 2000)",
-		Aliases: []string{},
+	},
+	{
+		Name: "xom",
+		Doc:  "direct encryption on the memory critical path (Lie et al., ASPLOS 2000)",
 		New: func(res Resources, _ Params) (Scheme, error) {
 			return NewXOM(res.Bus, res.WBuf, res.Crypto), nil
 		},
-	})
-	MustRegister(Descriptor{
+	},
+	{
 		Name: "snc-norepl",
 		Doc: "one-time-pad encryption, no-replacement SNC; uncovered lines fall back to XOM " +
 			"(switch=flush|pid, pidbits=N for multiprogramming)",
@@ -145,8 +140,8 @@ func init() {
 		New: func(res Resources, p Params) (Scheme, error) {
 			return newOTPWith(res, snc.NoReplacement, p)
 		},
-	})
-	MustRegister(Descriptor{
+	},
+	{
 		Name: "snc-lru",
 		Doc: "one-time-pad encryption, LRU SNC (the paper's best scheme; " +
 			"switch=flush|pid, pidbits=N for multiprogramming)",
@@ -156,8 +151,8 @@ func init() {
 		New: func(res Resources, p Params) (Scheme, error) {
 			return newOTPWith(res, snc.LRU, p)
 		},
-	})
-	MustRegister(Descriptor{
+	},
+	{
 		Name: "otp-mac",
 		Doc: "snc-lru plus per-line MAC integrity verification " +
 			"(verify=overlap|blocking, verify_lat=N; what the paper scopes out)",
@@ -178,8 +173,8 @@ func init() {
 			}
 			return NewOTPMAC(otp, policy, lat), nil
 		},
-	})
-	MustRegister(Descriptor{
+	},
+	{
 		Name: "otp-precompute",
 		Doc: "snc-lru plus pad retention and sequence-number prediction: " +
 			"SNC hits hide crypto latency entirely (sensitivity upper bound)",
@@ -193,5 +188,5 @@ func init() {
 			}
 			return NewOTPPre(otp), nil
 		},
-	})
+	},
 }

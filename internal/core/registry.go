@@ -1,7 +1,6 @@
 // Scheme registry: protection schemes are described by Descriptors and
-// constructed by name, so adding a scheme is a registration, not a switch
-// arm. The four paper schemes and the two integrity/precompute extensions
-// register themselves in builtin.go; external packages may Register more.
+// constructed by name from one fixed table, builtin.go's schemes: the four
+// paper schemes and the two integrity/precompute extensions.
 
 package core
 
@@ -10,7 +9,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"secureproc/internal/crypto/engine"
 	"secureproc/internal/mem"
@@ -128,7 +126,7 @@ type Resources struct {
 	LineBytes int
 }
 
-// Descriptor describes one registrable protection scheme.
+// Descriptor describes one protection scheme in the table.
 type Descriptor struct {
 	// Name is the canonical registry name (lower-case, hyphenated).
 	Name string
@@ -157,63 +155,30 @@ func (d Descriptor) checkParams(p Params) error {
 	return nil
 }
 
-var (
-	regMu      sync.RWMutex
-	regOrder   []string              // canonical names in registration order
-	regByName  = map[string]string{} // lower-cased name/alias -> canonical name
-	regSchemes = map[string]Descriptor{}
-)
-
-// Register adds a scheme descriptor to the registry. Names and aliases are
-// case-insensitive and must be unique across the registry.
-func Register(d Descriptor) error {
-	if d.Name == "" || d.New == nil {
-		return fmt.Errorf("core: descriptor needs a name and a constructor")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	keys := append([]string{d.Name}, d.Aliases...)
-	for _, k := range keys {
-		if prev, ok := regByName[strings.ToLower(k)]; ok {
-			return fmt.Errorf("core: scheme name %q already registered (by %q)", k, prev)
-		}
-	}
-	for _, k := range keys {
-		regByName[strings.ToLower(k)] = d.Name
-	}
-	regSchemes[d.Name] = d
-	regOrder = append(regOrder, d.Name)
-	return nil
-}
-
-// MustRegister is Register that panics on error, for package init time.
-func MustRegister(d Descriptor) {
-	if err := Register(d); err != nil {
-		panic(err)
-	}
-}
-
 // Lookup resolves a scheme name or alias (case-insensitive) to its
 // descriptor. The error for an unknown name lists the registry contents.
 func Lookup(name string) (Descriptor, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	canon, ok := regByName[strings.ToLower(strings.TrimSpace(name))]
-	if !ok {
-		return Descriptor{}, fmt.Errorf("core: unknown scheme %q (registered: %s)",
-			name, strings.Join(regOrder, ", "))
+	key := strings.ToLower(strings.TrimSpace(name))
+	for _, d := range schemes {
+		if strings.ToLower(d.Name) == key {
+			return d, nil
+		}
+		for _, a := range d.Aliases {
+			if strings.ToLower(a) == key {
+				return d, nil
+			}
+		}
 	}
-	return regSchemes[canon], nil
+	return Descriptor{}, fmt.Errorf("core: unknown scheme %q (registered: %s)",
+		name, strings.Join(Names(), ", "))
 }
 
 // LookupRef resolves and validates a full scheme reference: the name must
 // be registered and the parameters must pass the descriptor's checks.
 func LookupRef(r Ref) (Descriptor, error) {
 	if r.Name == "" {
-		regMu.RLock()
-		names := strings.Join(regOrder, ", ")
-		regMu.RUnlock()
-		return Descriptor{}, fmt.Errorf("core: no scheme selected (registered: %s)", names)
+		return Descriptor{}, fmt.Errorf("core: no scheme selected (registered: %s)",
+			strings.Join(Names(), ", "))
 	}
 	d, err := Lookup(r.Name)
 	if err != nil {
@@ -234,22 +199,16 @@ func Build(r Ref, res Resources) (Scheme, error) {
 	return d.New(res, r.Params)
 }
 
-// Names lists the registered canonical scheme names in registration order.
+// Names lists the canonical scheme names in table order.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, len(regOrder))
-	copy(out, regOrder)
+	out := make([]string, len(schemes))
+	for i, d := range schemes {
+		out[i] = d.Name
+	}
 	return out
 }
 
-// Descriptors lists the registered descriptors in registration order.
+// Descriptors lists the scheme descriptors in table order.
 func Descriptors() []Descriptor {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]Descriptor, 0, len(regOrder))
-	for _, n := range regOrder {
-		out = append(out, regSchemes[n])
-	}
-	return out
+	return append([]Descriptor(nil), schemes...)
 }

@@ -28,15 +28,25 @@ func TestBuiltinRegistrations(t *testing.T) {
 	}
 	for i, n := range want {
 		if got[i] != n {
-			t.Fatalf("registration order: got %v, want prefix %v", got, want)
+			t.Fatalf("table order: got %v, want prefix %v", got, want)
 		}
 	}
 	if len(Descriptors()) != len(got) {
 		t.Error("Descriptors/Names length mismatch")
 	}
+	seen := make(map[string]string)
 	for _, d := range Descriptors() {
+		if d.Name == "" || d.New == nil {
+			t.Errorf("%q: table entry needs a name and a constructor", d.Name)
+		}
 		if d.Doc == "" {
 			t.Errorf("%s: no doc line", d.Name)
+		}
+		for _, k := range append([]string{d.Name}, d.Aliases...) {
+			if prev, dup := seen[strings.ToLower(k)]; dup {
+				t.Errorf("name %q of %s already used by %s", k, d.Name, prev)
+			}
+			seen[strings.ToLower(k)] = d.Name
 		}
 	}
 }
@@ -66,27 +76,6 @@ func TestLookupAliasesAndErrors(t *testing.T) {
 	}
 }
 
-func TestRegisterRejectsDuplicatesAndZeroValues(t *testing.T) {
-	if err := Register(Descriptor{}); err == nil {
-		t.Error("empty descriptor accepted")
-	}
-	dup := Descriptor{Name: "XOM", New: func(Resources, Params) (Scheme, error) { return nil, nil }}
-	if err := Register(dup); err == nil {
-		t.Error("duplicate name (case-insensitive) accepted")
-	}
-	aliasDup := Descriptor{
-		Name:    "brand-new",
-		Aliases: []string{"lru"},
-		New:     func(Resources, Params) (Scheme, error) { return nil, nil },
-	}
-	if err := Register(aliasDup); err == nil {
-		t.Error("duplicate alias accepted")
-	}
-	if _, err := Lookup("brand-new"); err == nil {
-		t.Error("failed registration leaked into the registry")
-	}
-}
-
 func TestRefParseAndCanonical(t *testing.T) {
 	for in, want := range map[string]string{
 		"snc-lru":                                "snc-lru",
@@ -112,6 +101,43 @@ func TestRefParseAndCanonical(t *testing.T) {
 			t.Errorf("ParseRef(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseRef checks that every reference ParseRef and LookupRef accept
+// has a canonical form that re-parses to the same descriptor and the same
+// canonical string, and that no input panics.
+func FuzzParseRef(f *testing.F) {
+	for _, s := range []string{
+		"snc-lru", "otp-mac:verify=blocking,verify_lat=90", "LRU:switch=pid,pidbits=4",
+		"mac:", " xom ", "otp-pre:switch=flush", "base:k=v", ":x=1", "name:broken",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		r, err := ParseRef(s)
+		if err != nil {
+			return
+		}
+		d, err := LookupRef(r)
+		if err != nil {
+			return
+		}
+		canon := Ref{Name: d.Name, Params: r.Params}.Canonical()
+		back, err := ParseRef(canon)
+		if err != nil {
+			t.Fatalf("ParseRef(%q) accepted, but its canonical form %q does not parse: %v", s, canon, err)
+		}
+		d2, err := LookupRef(back)
+		if err != nil {
+			t.Fatalf("canonical form %q of %q does not resolve: %v", canon, s, err)
+		}
+		if d2.Name != d.Name {
+			t.Fatalf("canonical form %q resolves to %s, want %s", canon, d2.Name, d.Name)
+		}
+		if got := back.Canonical(); got != canon {
+			t.Fatalf("canonical form %q re-parses as %q", canon, got)
+		}
+	})
 }
 
 func TestLookupRefValidatesParams(t *testing.T) {

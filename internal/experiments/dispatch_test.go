@@ -112,3 +112,16 @@ func TestRunDispatchedSheds(t *testing.T) {
 		t.Errorf("shed request left %d memoized results, want 0", st.Size)
 	}
 }
+
+// TestFigureC1UsesDispatcher: Figure C1's scheduler runs and solo
+// baselines must each take a slot of the shared worker budget through the
+// dispatcher, so a figure request cannot run Jobs simulations on top of
+// the Jobs already dispatched.
+func TestFigureC1UsesDispatcher(t *testing.T) {
+	r := NewRunner(0.02)
+	r.Jobs = 2
+	r.FigureC1()
+	if got := r.DispatchStats().Submitted; got != 16 {
+		t.Errorf("submitted %d dispatcher jobs, want 16 (8 solo + 8 multiprogrammed)", got)
+	}
+}

@@ -10,8 +10,8 @@ package experiments
 // paper describes.
 
 import (
+	"context"
 	"fmt"
-	"sync"
 
 	"secureproc/internal/sched"
 	"secureproc/internal/sim"
@@ -42,7 +42,7 @@ func figC1Config(policy string) sim.Config {
 // FigureC1 generates the multiprogrammed context-switch figure (measured
 // only — the paper states the design, Section 4.3, but reports no
 // numbers). The scheduler runs and their solo baselines are all
-// independent, so they fan out over up to Runner.Jobs goroutines like any
+// independent, so they fan out over the shared worker budget like any
 // other sweep; assembly order is fixed, so the output is deterministic.
 func (r *Runner) FigureC1() FigureResult {
 	type cell struct{ slowdown, trafficPct float64 }
@@ -54,8 +54,7 @@ func (r *Runner) FigureC1() FigureResult {
 	}
 
 	// Solo baselines are policy-dependent (PID tags shrink the SNC) but
-	// quantum- and pair-independent: one run per (bench, policy). Workers
-	// write disjoint slice slots; the lookup map is built after the join.
+	// quantum- and pair-independent: one run per (bench, policy).
 	type soloKey struct{ bench, policy string }
 	var soloKeys []soloKey
 	seen := make(map[soloKey]bool)
@@ -69,70 +68,50 @@ func (r *Runner) FigureC1() FigureResult {
 			}
 		}
 	}
-	soloVals := make([]uint64, len(soloKeys))
-	multis := make([]sched.Result, nrows*len(figC1Policies))
-
-	// Workers record the first error instead of panicking: a panic in a
-	// spawned goroutine would kill the process, while the other figure
-	// paths fail in the calling goroutine (recoverably).
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	fail := func(err error) { errOnce.Do(func() { firstErr = err }) }
-	sem := make(chan struct{}, r.jobs())
-	spawn := func(f func()) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			f()
-		}()
+	type multiRun struct {
+		pair    [2]string
+		quantum uint64
+		policy  string
 	}
-	for i, k := range soloKeys {
-		i, k := i, k
-		spawn(func() {
-			v, err := sched.Solo(figC1Config(k.policy), k.bench, r.Scale)
-			if err != nil {
-				fail(fmt.Errorf("experiments: figC1 solo %s: %w", k.bench, err))
-				return
-			}
-			soloVals[i] = v
-		})
-	}
-	row := 0
+	var multiRuns []multiRun
 	for _, pair := range figC1Pairs {
-		pair := pair
 		for _, quantum := range figC1Quanta {
-			quantum := quantum
 			rows = append(rows, fmt.Sprintf("%s+%s q=%d", pair[0], pair[1], quantum))
-			for pi, policy := range figC1Policies {
-				slot := row*len(figC1Policies) + pi
-				policy := policy
-				spawn(func() {
-					res, err := sched.RunBenchmarks(sched.Config{
-						Sim:      figC1Config(policy),
-						Quantum:  quantum,
-						Scale:    r.Scale,
-						SkipSolo: true,
-					}, pair[:])
-					if err != nil {
-						fail(fmt.Errorf("experiments: figC1 %s+%s: %w", pair[0], pair[1], err))
-						return
-					}
-					multis[slot] = res
-				})
+			for _, policy := range figC1Policies {
+				multiRuns = append(multiRuns, multiRun{pair, quantum, policy})
 			}
-			row++
 		}
 	}
-	wg.Wait()
-	if firstErr != nil {
+	soloVals := make([]uint64, len(soloKeys))
+	multis := make([]sched.Result, len(multiRuns))
+	// Each job writes its own slot; the lookup map is built after the join.
+	err := r.fanOut(context.Background(), len(soloKeys)+len(multiRuns), func(_ context.Context, i int) error { //secsim:detach process-lifetime figure build (FigureC1)
+		if i < len(soloKeys) {
+			k := soloKeys[i]
+			v, err := sched.Solo(figC1Config(k.policy), k.bench, r.Scale)
+			if err != nil {
+				return fmt.Errorf("experiments: figC1 solo %s: %w", k.bench, err)
+			}
+			soloVals[i] = v
+			return nil
+		}
+		m := multiRuns[i-len(soloKeys)]
+		res, err := sched.RunBenchmarks(sched.Config{
+			Sim:      figC1Config(m.policy),
+			Quantum:  m.quantum,
+			Scale:    r.Scale,
+			SkipSolo: true,
+		}, m.pair[:])
+		if err != nil {
+			return fmt.Errorf("experiments: figC1 %s+%s: %w", m.pair[0], m.pair[1], err)
+		}
+		multis[i-len(soloKeys)] = res
+		return nil
+	})
+	if err != nil {
 		// Same contract as every other figure: a bad configuration is a
 		// programming error and fails in the calling goroutine.
-		panic(firstErr)
+		panic(err)
 	}
 	solos := make(map[soloKey]uint64, len(soloKeys))
 	for i, k := range soloKeys {

@@ -78,13 +78,6 @@ func (r *Runner) resultSafe(ctx context.Context, k runKey, held bool) (res sim.R
 	return r.result(ctx, k, held)
 }
 
-// resultErr is resultSafe for callers that run on their own goroutine
-// (the sequential sweep loop) and only need the outcome.
-func (r *Runner) resultErr(ctx context.Context, k runKey) error {
-	_, err := r.resultSafe(ctx, k, false)
-	return err
-}
-
 // simulate runs one simulation: fresh system, shared materialized trace.
 // Every configuration of one benchmark replays the same record sequence
 // (identical to what a fresh generator would emit), so trace generation
@@ -226,18 +219,14 @@ func (r *Runner) OwnerQueued(owner string) int {
 	return 0
 }
 
-// dispatchKeys memoizes every key through the weighted-fair dispatcher:
-// one job per key, tagged with the owner/weight carried by ctx
-// (dispatch.WithOwner), each holding one budget slot while it runs. each
-// — when non-nil — is invoked once per key that actually resolved, in
-// completion order (calls are serialized), with the key's index and
-// outcome; keys shed by cancellation before simulating are not reported.
-// The first simulation error cancels the remaining queued jobs, and a
-// cancelled dispatch always reports the cancellation, even when every job
-// drained cleanly first. Jobs must never dispatch recursively: a job that
-// waited on a nested dispatch would hold its slot while the nested jobs
-// starve for one.
-func (r *Runner) dispatchKeys(ctx context.Context, keys []runKey, each func(i int, res sim.Result, err error)) error {
+// dispatchEach runs job(ctx, i) for every i in [0, n) as n dispatcher
+// jobs, tagged with the owner/weight carried by ctx (dispatch.WithOwner),
+// each holding one budget slot while it runs. The first job error cancels
+// the remaining queued jobs, and a cancelled dispatch always reports the
+// cancellation, even when every job drained cleanly first. Jobs must never
+// dispatch recursively: a job that waited on a nested dispatch would hold
+// its slot while the nested jobs starve for one.
+func (r *Runner) dispatchEach(ctx context.Context, n int, job func(ctx context.Context, i int) error) error {
 	d := r.dispatcher()
 	owner, weight := dispatch.OwnerFromContext(ctx)
 	parent := ctx
@@ -247,24 +236,17 @@ func (r *Runner) dispatchKeys(ctx context.Context, keys []runKey, each func(i in
 		wg       sync.WaitGroup
 		errOnce  sync.Once
 		firstErr error
-		cbMu     sync.Mutex
 	)
-	wg.Add(len(keys))
-	for i, k := range keys {
+	wg.Add(n)
+	for i := 0; i < n; i++ {
 		d.Submit(ctx, owner, weight, func(jctx context.Context) {
 			defer wg.Done()
 			if jctx.Err() != nil {
 				return
 			}
-			res, err := r.resultSafe(jctx, k, true)
-			if err != nil {
+			if err := job(jctx, i); err != nil {
 				errOnce.Do(func() { firstErr = err })
 				cancel()
-			}
-			if each != nil {
-				cbMu.Lock()
-				each(i, res, err)
-				cbMu.Unlock()
 			}
 		})
 	}
@@ -279,32 +261,44 @@ func (r *Runner) dispatchKeys(ctx context.Context, keys []runKey, each func(i in
 	return parent.Err()
 }
 
-// sweep memoizes every key. With one worker (or one key) it is a plain
-// sequential loop — the batch path the perf harness gates allocation-for-
-// allocation; otherwise the keys fan out through the weighted-fair
-// dispatcher over the shared budget. It returns when all simulations are
-// done, the context is cancelled, or a simulation fails (first error
-// wins; queued work is shed). A cancelled sweep always reports the
-// cancellation, even when it raced the last completion or the key list
-// was empty, and a panicking simulation surfaces as the sweep's error
-// rather than propagating out of a job goroutine.
-func (r *Runner) sweep(ctx context.Context, keys []runKey) error {
-	n := r.jobs()
-	if n > len(keys) {
-		n = len(keys)
-	}
-	if n <= 1 {
-		for _, k := range keys {
+// fanOut runs job(ctx, i) for every i in [0, n), each holding one slot of
+// the shared worker budget while it runs. With one worker (or one job) it
+// is a plain sequential loop — the batch path the perf harness gates
+// allocation-for-allocation; otherwise the jobs go through dispatchEach.
+// It returns when every job is done, the context is cancelled, or a job
+// fails (first error wins; queued work is shed). A cancelled fan-out
+// always reports the cancellation, even when it raced the last completion
+// or n was 0.
+func (r *Runner) fanOut(ctx context.Context, n int, job func(ctx context.Context, i int) error) error {
+	if r.jobs() <= 1 || n <= 1 {
+		b := r.bud()
+		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := r.resultErr(ctx, k); err != nil {
+			var err error
+			func() {
+				b.Hold()
+				defer b.Release()
+				err = job(ctx, i)
+			}()
+			if err != nil {
 				return err
 			}
 		}
 		return ctx.Err()
 	}
-	return r.dispatchKeys(ctx, keys, nil)
+	return r.dispatchEach(ctx, n, job)
+}
+
+// sweep memoizes every key through fanOut. A panicking simulation
+// surfaces as the sweep's error rather than propagating out of a job
+// goroutine.
+func (r *Runner) sweep(ctx context.Context, keys []runKey) error {
+	return r.fanOut(ctx, len(keys), func(ctx context.Context, i int) error {
+		_, err := r.resultSafe(ctx, keys[i], true)
+		return err
+	})
 }
 
 // Spec is the exported face of a runKey: one simulation in the sweep
@@ -461,9 +455,12 @@ func (r *Runner) Sweep(ctx context.Context, specs []Spec) error {
 // another. Specs shed by cancellation before simulating are not reported
 // to fn; the returned error is the first failure or the cancellation.
 func (r *Runner) SweepEach(ctx context.Context, specs []Spec, fn func(i int, res sim.Result, err error)) error {
-	keys := make([]runKey, len(specs))
-	for i, s := range specs {
-		keys[i] = s.key()
-	}
-	return r.dispatchKeys(ctx, keys, fn)
+	var fnMu sync.Mutex
+	return r.dispatchEach(ctx, len(specs), func(jctx context.Context, i int) error {
+		res, err := r.resultSafe(jctx, specs[i].key(), true)
+		fnMu.Lock()
+		fn(i, res, err)
+		fnMu.Unlock()
+		return err
+	})
 }

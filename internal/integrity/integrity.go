@@ -116,12 +116,15 @@ func NewProtectedStore(key []byte, lineBytes int) (*ProtectedStore, error) {
 
 // Write stores a ciphertext line, advancing its trusted sequence number and
 // recomputing the MAC (what the chip does on every writeback).
+// A rejected write leaves the line, its MAC and its sequence number as
+// they were.
 func (p *ProtectedStore) Write(lineVA uint64, ct []byte) error {
-	p.seqs[lineVA]++
-	mac, err := p.verifier.MAC(lineVA, p.seqs[lineVA], ct)
+	seq := p.seqs[lineVA] + 1
+	mac, err := p.verifier.MAC(lineVA, seq, ct)
 	if err != nil {
 		return err
 	}
+	p.seqs[lineVA] = seq
 	p.lines[lineVA] = append([]byte(nil), ct...)
 	p.macs[lineVA] = mac
 	return nil

@@ -58,6 +58,18 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if verified != 1 || failed != 0 {
 		t.Errorf("stats %d/%d", verified, failed)
 	}
+
+	// A rejected wrong-length write must leave the stored line readable.
+	if err := p.Write(0x1000, []byte{1, 2, 3}); err == nil {
+		t.Fatal("wrong-length write accepted")
+	}
+	got, err = p.Read(0x1000)
+	if err != nil {
+		t.Fatalf("read after rejected write: %v", err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Error("rejected write changed the stored line")
+	}
 }
 
 func TestReadMissingLine(t *testing.T) {

@@ -4,9 +4,9 @@ import "fmt"
 
 // This file is the timing-model face of the package: where MAC
 // verification lands on the memory read path, and what the verification
-// unit costs. The functional side (Verifier, ProtectedStore, HashTree)
-// proves the mechanism detects tampering; these types let the cycle-level
-// schemes in internal/core charge for it.
+// unit costs. The functional side (Verifier, ProtectedStore) proves the
+// mechanism detects tampering; these types let the cycle-level schemes in
+// internal/core charge for it.
 
 // VerifyPolicy selects where MAC verification sits on the read critical
 // path.

@@ -235,14 +235,7 @@ func Solo(cfg sim.Config, bench string, scale float64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	for {
-		rec, ok := stream.Next()
-		if !ok {
-			break
-		}
-		sys.Step(rec)
-	}
-	sys.Drain()
+	sys.RunWarmup(stream)
 	return sys.Cycles(), nil
 }
 

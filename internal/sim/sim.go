@@ -16,17 +16,15 @@ import (
 	"secureproc/internal/workload"
 )
 
-// SchemeRef selects the memory-protection scheme: a registry name plus
-// optional construction parameters (core.Ref). Schemes are resolved through
-// the core registry, so new schemes registered there are immediately
-// selectable here without touching this package.
+// SchemeRef selects the memory-protection scheme: a name from core's
+// scheme table plus optional construction parameters (core.Ref).
 type SchemeRef = core.Ref
 
 // SchemeParams carries free-form scheme parameters inside a SchemeRef.
 type SchemeParams = core.Params
 
-// References to the built-in schemes (the four the paper evaluates plus
-// the two registry-era extensions); any registered name works equally via
+// References to the six schemes in core's table (the four the paper
+// evaluates plus two extensions); any name or alias works equally via
 // SchemeByName.
 var (
 	// SchemeBaseline is the insecure processor.
@@ -60,7 +58,7 @@ func SchemeByName(s string) (SchemeRef, error) {
 	return ref, nil
 }
 
-// SchemeNames lists the registered scheme names in registration order.
+// SchemeNames lists the scheme names in table order.
 func SchemeNames() []string { return core.Names() }
 
 // Config is a full system configuration.

@@ -4,14 +4,13 @@
 // Sequence Number Cache, evaluated against the XOM direct-encryption
 // baseline on a trace-driven out-of-order processor simulator.
 //
-// Protection schemes live in an open registry: the four the paper
-// evaluates (baseline, xom, snc-norepl, snc-lru) plus two extensions the
-// registry seam enables — otp-mac, which puts MAC integrity verification
-// on the timing path (the cost the paper scopes out, citing Gassend et
-// al.), and otp-precompute, which bounds what sequence-number prediction
-// and pad retention can recover. Any registered scheme is addressable by
-// name (Schemes, SchemeByName) with optional parameters, e.g.
-// "otp-mac:verify=blocking".
+// Protection schemes come from one fixed table: the four the paper
+// evaluates (baseline, xom, snc-norepl, snc-lru) plus two extensions —
+// otp-mac, which puts MAC integrity verification on the timing path (the
+// cost the paper scopes out, citing Gassend et al.), and otp-precompute,
+// which bounds what sequence-number prediction and pad retention can
+// recover. Every scheme is addressable by name (Schemes, SchemeByName)
+// with optional parameters, e.g. "otp-mac:verify=blocking".
 //
 // The package is a facade over the internal packages:
 //
@@ -45,13 +44,13 @@ import (
 	"secureproc/internal/workload"
 )
 
-// Scheme selects a memory-protection scheme: a registry reference (name +
+// Scheme selects a memory-protection scheme: a scheme reference (name +
 // optional parameters). Use the package variables below, or resolve any
-// registered name with SchemeByName.
+// scheme name or alias with SchemeByName.
 type Scheme = sim.SchemeRef
 
-// References to the registered schemes: the four the paper evaluates plus
-// the two registry-era extensions.
+// References to the six schemes: the four the paper evaluates plus the two
+// extensions.
 var (
 	// Baseline is the insecure processor (no memory encryption).
 	Baseline = sim.SchemeBaseline
@@ -70,7 +69,7 @@ var (
 	OTPPrecompute = sim.SchemeOTPPrecompute
 )
 
-// Schemes lists the registered scheme names in registration order.
+// Schemes lists the scheme names in table order.
 func Schemes() []string { return sim.SchemeNames() }
 
 // SchemeByName resolves a scheme reference string like "snc-lru" or
