@@ -5,6 +5,7 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/des"
+	"math"
 	"testing"
 
 	"secureproc/internal/crypto/engine"
@@ -340,25 +341,41 @@ func TestOTPPIDSwitchOverflowFlushes(t *testing.T) {
 	}
 }
 
+// TestOTPSeqOverflowRekeys covers each path that can wrap a line's 16-bit
+// sequence number: an SNC update hit, an LRU update miss that fetches the
+// spilled number, and a NoRepl re-cover after a flush. Each must charge one
+// re-encryption instead of reusing a pad.
 func TestOTPSeqOverflowRekeys(t *testing.T) {
-	o, bus := newOTP(snc.LRU)
-	o.SNC().Install(0, 0xFFFF)
-	fills := bus.Transactions[mem.SrcWriteback]
-	// The wrapping writeback pays direct re-encryption, not the pad XOR.
-	o.WritebackLine(0, dataAccess(0))
-	if got := o.reencrypts; got != 1 {
-		t.Errorf("reencrypts = %d, want 1", got)
-	}
-	if got := o.snc.SeqOverflows; got != 1 {
-		t.Errorf("seq_overflows = %d, want 1", got)
-	}
-	if bus.Transactions[mem.SrcWriteback] != fills+1 {
-		t.Error("re-encrypted line must still be written back")
-	}
-	// The next writeback of the re-keyed line is a normal pad write.
-	o.WritebackLine(0, dataAccess(0))
-	if got := o.reencrypts; got != 1 {
-		t.Errorf("reencrypts after re-key = %d, want 1", got)
+	for _, tc := range []struct {
+		name   string
+		policy snc.Policy
+		seed   func(o *OTP)
+	}{
+		{"update-hit", snc.LRU, func(o *OTP) { o.SNC().Install(0, math.MaxUint16) }},
+		{"lru-update-miss", snc.LRU, func(o *OTP) { o.seqMem.set(o.tagged(0), math.MaxUint16) }},
+		{"norepl-recover", snc.NoReplacement, func(o *OTP) { o.seqMem.set(o.tagged(0), math.MaxUint16) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o, bus := newOTP(tc.policy)
+			tc.seed(o)
+			fills := bus.Transactions[mem.SrcWriteback]
+			// The wrapping writeback pays direct re-encryption, not the pad XOR.
+			o.WritebackLine(0, dataAccess(0))
+			if got := o.reencrypts; got != 1 {
+				t.Errorf("reencrypts = %d, want 1", got)
+			}
+			if got := o.snc.SeqOverflows; got != 1 {
+				t.Errorf("seq_overflows = %d, want 1", got)
+			}
+			if bus.Transactions[mem.SrcWriteback] != fills+1 {
+				t.Error("re-encrypted line must still be written back")
+			}
+			// The next writeback of the re-keyed line is a normal pad write.
+			o.WritebackLine(0, dataAccess(0))
+			if got := o.reencrypts; got != 1 {
+				t.Errorf("reencrypts after re-key = %d, want 1", got)
+			}
+		})
 	}
 }
 

@@ -81,9 +81,6 @@ func NewSecureMemory(m memoryImage, block cipher.Block, lineBytes int) (*SecureM
 	}, nil
 }
 
-// LineBytes returns the configured line size.
-func (s *SecureMemory) LineBytes() int { return s.lineBytes }
-
 // Mode returns the current encryption mode of the line containing va.
 func (s *SecureMemory) Mode(va uint64) EncMode { return s.mode[s.lineAddr(va)] }
 
@@ -192,18 +189,6 @@ func (s *SecureMemory) InstallOTPImage(baseVA uint64, data []byte) error {
 		s.mode[lineVA] = ModeOTP
 		s.seq[lineVA] = 0
 	}
-	return nil
-}
-
-// AdoptOTPLine marks an externally installed ciphertext line (e.g. a
-// vendor-encrypted image copied into memory by an untrusted loader) as
-// OTP-encrypted with sequence number 0, without touching the stored bytes.
-func (s *SecureMemory) AdoptOTPLine(lineVA uint64) error {
-	if err := s.checkLine(lineVA, nil); err != nil {
-		return err
-	}
-	s.mode[lineVA] = ModeOTP
-	s.seq[lineVA] = 0
 	return nil
 }
 

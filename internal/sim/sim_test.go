@@ -129,18 +129,76 @@ func runBench(t *testing.T, name string, scheme SchemeRef) Result {
 	return r
 }
 
-// TestSchemeOrdering verifies the paper's central inequality on a
-// memory-bound benchmark: baseline < OTP-LRU < XOM.
-func TestSchemeOrdering(t *testing.T) {
-	base := runBench(t, "vpr", SchemeBaseline)
-	lru := runBench(t, "vpr", SchemeOTPLRU)
-	xom := runBench(t, "vpr", SchemeXOM)
-	if !(base.Cycles < lru.Cycles && lru.Cycles < xom.Cycles) {
-		t.Errorf("ordering violated: base=%d lru=%d xom=%d", base.Cycles, lru.Cycles, xom.Cycles)
+// stridedStream is a cold strided walk: each of 80K iterations fetches
+// nine instructions from one code line, then loads and stores a word at
+// 0x100000+off, where off steps by one 128B L2 line through 1MB (about
+// ten passes over a region four times the L2).
+func stridedStream() workload.Stream {
+	const (
+		iters  = 80_000
+		region = 1 << 20
+		stride = 128
+	)
+	recs := make([]workload.Record, 0, iters*11)
+	off := uint64(0)
+	for range iters {
+		for pc := uint64(0x1000); pc < 0x1000+9*4; pc += 4 {
+			recs = append(recs, workload.Record{Kind: workload.IFetch, Addr: pc})
+		}
+		recs = append(recs,
+			workload.Record{Kind: workload.Load, Addr: 0x100000 + off},
+			workload.Record{Kind: workload.Store, Addr: 0x100000 + off})
+		off = (off + stride) % region
 	}
-	// Same instruction count everywhere (timing-only schemes).
-	if base.Instructions != lru.Instructions || base.Instructions != xom.Instructions {
-		t.Error("instruction counts differ between schemes")
+	return workload.Replay(recs)
+}
+
+// TestSchemeOrdering verifies the paper's central inequality,
+// baseline < OTP-LRU < XOM, on a memory-bound benchmark and on a cold
+// strided stream with no warmup.
+func TestSchemeOrdering(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(*testing.T, SchemeRef) Result
+		cold bool // no warmup: also bound OTP's cold misses and check traffic
+	}{
+		{"vpr", func(t *testing.T, s SchemeRef) Result { return runBench(t, "vpr", s) }, false},
+		{"cold-strided", func(t *testing.T, s SchemeRef) Result {
+			cfg := DefaultConfig()
+			cfg.Scheme = s
+			sys, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sys.Run(stridedStream(), 0)
+		}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := tc.run(t, SchemeBaseline)
+			lru := tc.run(t, SchemeOTPLRU)
+			xom := tc.run(t, SchemeXOM)
+			if !(base.Cycles < lru.Cycles && lru.Cycles < xom.Cycles) {
+				t.Errorf("ordering violated: base=%d lru=%d xom=%d", base.Cycles, lru.Cycles, xom.Cycles)
+			}
+			// Same instruction count everywhere (timing-only schemes).
+			if base.Instructions != lru.Instructions || base.Instructions != xom.Instructions {
+				t.Error("instruction counts differ between schemes")
+			}
+			if !tc.cold {
+				return
+			}
+			// With no warmup the first pass pays OTP's cold query misses
+			// (Section 4.2's most expensive operation), so OTP lands between
+			// baseline and XOM, yet clearly below XOM.
+			if (lru.Cycles-base.Cycles)*4 > (xom.Cycles-base.Cycles)*3 {
+				t.Errorf("OTP extra (%d) should be clearly below XOM's (%d)",
+					lru.Cycles-base.Cycles, xom.Cycles-base.Cycles)
+			}
+			if lru.L2Misses == 0 || lru.Writebacks == 0 || lru.SNCQueryHits+lru.SNCQueryMisses == 0 {
+				t.Errorf("stream drove no traffic: L2 misses %d, writebacks %d, SNC queries %d",
+					lru.L2Misses, lru.Writebacks, lru.SNCQueryHits+lru.SNCQueryMisses)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -137,4 +139,57 @@ func TestDistinctKeysDistinctEntries(t *testing.T) {
 	if n := len(entryFiles(t, dir)); n != 2 {
 		t.Errorf("entry files = %d, want 2", n)
 	}
+}
+
+// FuzzLoad writes arbitrary bytes where an entry lives and loads it. Load
+// must never panic, must answer a hit exactly for a current-format envelope
+// with a correct CRC, this store's model and key, and a payload that
+// decodes, and must count each call as exactly one hit, miss or corrupt.
+func FuzzLoad(f *testing.F) {
+	const model, key = "model-1", "k"
+	seed := func(model string) []byte {
+		dir := f.TempDir()
+		s, _ := Open(dir, model)
+		s.Save(key, payload{Name: "gzip", Cycles: 12345})
+		data, err := os.ReadFile(s.path(key))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
+	}
+	valid := seed(model)
+	for n := 0; n <= len(valid); n++ {
+		f.Add(valid[:n])
+	}
+	f.Add(seed("model-2")) // a sound envelope for another model: a miss
+	s, err := Open(f.TempDir(), model)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(s.path(key), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := s.Stats()
+		var got payload
+		hit := s.Load(key, &got)
+		st := s.Stats()
+
+		var env envelope
+		var want payload
+		wantHit := json.Unmarshal(data, &env) == nil && env.Format == format &&
+			env.CRC == crc32.ChecksumIEEE(env.Payload) &&
+			env.Model == model && env.Key == key &&
+			json.Unmarshal(env.Payload, &want) == nil
+		if hit != wantHit {
+			t.Fatalf("Load = %v, want %v for %q", hit, wantHit, data)
+		}
+		if hit && got != want {
+			t.Fatalf("Load decoded %+v, want %+v", got, want)
+		}
+		hits := st.Hits - before.Hits
+		if hits+st.Misses-before.Misses+st.Corrupt-before.Corrupt != 1 || (hits == 1) != hit {
+			t.Fatalf("stats went from %+v to %+v over one Load (hit %v)", before, st, hit)
+		}
+	})
 }
