@@ -1,0 +1,52 @@
+package api
+
+import (
+	"encoding/json"
+	"testing"
+)
+
+// FuzzRunRequest feeds arbitrary bytes through the request decoding path
+// every /v1/run and /v1/sweep entry takes: JSON into a RunRequest, Specs
+// with benchmark expansion, Validate and CanonicalKey. None of it may
+// panic, and every spec that resolves must survive the fabric's forwarding
+// form: RequestOf, encoded and decoded again, resolves to the same key.
+func FuzzRunRequest(f *testing.F) {
+	for _, body := range []string{
+		`{"bench":"gzip","scheme":"snc-lru"}`,
+		`{"bench":"gzip","scheme":"baseline"}`,
+		`{"bench":"all","scheme":"snc-lru"}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var rr RunRequest
+		if json.Unmarshal(data, &rr) != nil {
+			return
+		}
+		specs, err := rr.Specs(true)
+		if err != nil {
+			return
+		}
+		for _, s := range specs {
+			if err := s.Validate(); err != nil {
+				t.Fatalf("Specs resolved %+v, which Validate rejects: %v", s, err)
+			}
+			key := s.CanonicalKey()
+			wire, err := json.Marshal(RequestOf(s))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var back RunRequest
+			if err := json.Unmarshal(wire, &back); err != nil {
+				t.Fatalf("decoding %s: %v", wire, err)
+			}
+			again, err := back.Specs(false)
+			if err != nil {
+				t.Fatalf("forwarded form %s of valid key %s: %v", wire, key, err)
+			}
+			if got := again[0].CanonicalKey(); got != key {
+				t.Fatalf("forwarded form %s resolves to key %s, want %s", wire, got, key)
+			}
+		}
+	})
+}

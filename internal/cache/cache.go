@@ -1,13 +1,14 @@
 // Package cache implements a set-associative cache model with LRU
-// replacement, write-back/write-allocate semantics, and virtual-address tag
-// storage for L2 lines.
+// replacement and write-back/write-allocate semantics.
 //
 // The paper's hierarchy (Section 5): 32KB 4-way split L1 I/D caches and a
 // 256KB 4-way unified L2 with 128-byte lines. Section 4 additionally
 // requires the L2 to remember each line's virtual address so that the
 // sequence-number cache can be indexed by VA on writebacks (physical
-// addresses may change across context switches); this model stores that VA
-// alongside the tag.
+// addresses may change across context switches). This model is
+// trace-driven: a workload record carries one address and nothing
+// translates it, so a line's VA is its tag address and the line address a
+// writeback reports is exactly the VA the paper's L2 would hand the SNC.
 package cache
 
 import (
@@ -23,9 +24,6 @@ type Config struct {
 	LineBytes int
 	// Ways is the associativity. Ways == 0 means fully associative.
 	Ways int
-	// HitLatency in cycles (informational; the CPU model decides how much
-	// of it is exposed).
-	HitLatency uint64
 }
 
 // Validate reports configuration errors.
@@ -56,7 +54,6 @@ func (c Config) Validate() error {
 
 // lineMeta holds the per-line state that is not needed by the hit scan.
 type lineMeta struct {
-	va    uint64 // virtual line address kept for SNC indexing (paper §4)
 	used  uint64 // LRU timestamp
 	dirty bool
 }
@@ -66,7 +63,7 @@ type lineMeta struct {
 //
 // Storage is struct-of-arrays: the hit scan walks a dense tag array (one
 // 8-byte word per way, set i owning words [i*ways, (i+1)*ways)) while the
-// VA/LRU/dirty metadata lives in a parallel array touched only on hits and
+// LRU/dirty metadata lives in a parallel array touched only on hits and
 // fills. A tag word encodes validity in its low bit — (tag<<1)|1 when valid,
 // 0 when not — so the scan is a single compare per way with no way for an
 // invalid line's stale tag to alias a real one.
@@ -81,7 +78,7 @@ type Cache struct {
 
 	// dirtyScratch backs InvalidateAll's result so steady-state context
 	// switches stop allocating.
-	dirtyScratch [][2]uint64
+	dirtyScratch []uint64
 
 	// Statistics.
 	Accesses   uint64
@@ -126,19 +123,15 @@ func (c *Cache) setIndex(addr uint64) uint64 {
 // Result describes the outcome of one access.
 type Result struct {
 	Hit bool
-	// Evicted is true when the fill displaced a valid line.
-	Evicted bool
-	// WritebackVA/WritebackAddr describe the displaced dirty line (valid
-	// only when WritebackNeeded).
+	// WritebackNeeded reports that the fill displaced a dirty line;
+	// WritebackAddr is that line's address.
 	WritebackNeeded bool
 	WritebackAddr   uint64
-	WritebackVA     uint64
 }
 
 // Access performs a read (write=false) or write (write=true) of addr with
-// write-allocate + write-back semantics, filling on miss. va is the virtual
-// line address recorded with the line (pass addr when VA==PA).
-func (c *Cache) Access(addr, va uint64, write bool) Result {
+// write-allocate + write-back semantics, filling on miss.
+func (c *Cache) Access(addr uint64, write bool) Result {
 	c.Accesses++
 	c.tick++
 	base := int(c.setIndex(addr)) * c.ways
@@ -168,18 +161,13 @@ func (c *Cache) Access(addr, va uint64, write bool) Result {
 		}
 	}
 	res := Result{}
-	if tags[victim] != 0 {
-		res.Evicted = true
-		vm := &c.meta[base+victim]
-		if vm.dirty {
-			c.Writebacks++
-			res.WritebackNeeded = true
-			res.WritebackAddr = tags[victim] >> 1 << c.setShift
-			res.WritebackVA = vm.va
-		}
+	if tags[victim] != 0 && c.meta[base+victim].dirty {
+		c.Writebacks++
+		res.WritebackNeeded = true
+		res.WritebackAddr = tags[victim] >> 1 << c.setShift
 	}
 	tags[victim] = want
-	c.meta[base+victim] = lineMeta{va: va &^ uint64(c.cfg.LineBytes-1), used: c.tick, dirty: write}
+	c.meta[base+victim] = lineMeta{used: c.tick, dirty: write}
 	return res
 }
 
@@ -196,18 +184,17 @@ func (c *Cache) Probe(addr uint64) bool {
 	return false
 }
 
-// InvalidateAll clears the cache (used at program/compartment switches),
-// returning the dirty lines as (physical line address, VA) pairs so callers
-// can write them back. The flushed dirty lines count as writebacks. The
-// returned slice is a scratch buffer owned by the cache, valid only until
-// the next InvalidateAll call.
-func (c *Cache) InvalidateAll() (dirty [][2]uint64) {
+// InvalidateAll clears the cache (used at context switches), returning the
+// dirty lines' addresses so callers can write them back. The flushed dirty
+// lines count as writebacks. The returned slice is a scratch buffer owned by
+// the cache, valid only until the next InvalidateAll call.
+func (c *Cache) InvalidateAll() (dirty []uint64) {
 	dirty = c.dirtyScratch[:0]
 	for i := range c.tags {
 		m := &c.meta[i]
 		if c.tags[i] != 0 && m.dirty {
 			c.Writebacks++
-			dirty = append(dirty, [2]uint64{c.tags[i] >> 1 << c.setShift, m.va}) //secsim:allowalloc scratch buffer reuse; amortized zero, gated by sim AllocsPerRun tests
+			dirty = append(dirty, c.tags[i]>>1<<c.setShift) //secsim:allowalloc scratch buffer reuse; amortized zero, gated by sim AllocsPerRun tests
 		}
 		c.tags[i] = 0
 		m.dirty = false
@@ -230,7 +217,7 @@ func (c *Cache) ResetStats() {
 }
 
 // Snapshot is an opaque deep copy of the cache's mutable state — tag array,
-// per-line metadata (VA, LRU timestamp, dirty bit), LRU tick, and the stat
+// per-line metadata (LRU timestamp, dirty bit), LRU tick, and the stat
 // counters. It shares nothing with the cache it came from, so one snapshot
 // can seed any number of forked runs.
 type Snapshot struct {
@@ -273,7 +260,7 @@ func (c *Cache) Restore(s Snapshot) {
 }
 
 // Holds reports whether the cache's contents and LRU clock equal the
-// snapshot's: the same lines in the same ways with the same VA, recency and
+// snapshot's: the same lines in the same ways with the same recency and
 // dirty state. Statistics are not compared. It allocates nothing.
 func (c *Cache) Holds(s Snapshot) bool {
 	return c.tick == s.tick && slices.Equal(c.tags, s.tags) && slices.Equal(c.meta, s.meta)

@@ -37,13 +37,13 @@ func TestValidate(t *testing.T) {
 
 func TestHitAfterFill(t *testing.T) {
 	c := New(cfg4way())
-	if r := c.Access(0x1000, 0x1000, false); r.Hit {
+	if r := c.Access(0x1000, false); r.Hit {
 		t.Error("first access should miss")
 	}
-	if r := c.Access(0x1000, 0x1000, false); !r.Hit {
+	if r := c.Access(0x1000, false); !r.Hit {
 		t.Error("second access should hit")
 	}
-	if r := c.Access(0x1030, 0x1030, false); !r.Hit {
+	if r := c.Access(0x1030, false); !r.Hit {
 		t.Error("same-line access should hit")
 	}
 	if c.Accesses != 3 || c.Hits != 2 || c.Misses != 1 {
@@ -58,7 +58,7 @@ func TestLRUEviction(t *testing.T) {
 	sets := 1024 / 64 / 4 // 4 sets
 	stride := uint64(64 * sets)
 	for i := uint64(0); i < 5; i++ {
-		c.Access(i*stride, i*stride, false)
+		c.Access(i*stride, false)
 	}
 	if c.Probe(0) {
 		t.Error("line 0 should have been evicted (LRU)")
@@ -75,10 +75,10 @@ func TestLRUTouchedLineSurvives(t *testing.T) {
 	sets := 4
 	stride := uint64(64 * sets)
 	for i := uint64(0); i < 4; i++ {
-		c.Access(i*stride, i*stride, false)
+		c.Access(i*stride, false)
 	}
-	c.Access(0, 0, false) // touch line 0, now line 1 is LRU
-	c.Access(4*stride, 4*stride, false)
+	c.Access(0, false) // touch line 0, now line 1 is LRU
+	c.Access(4*stride, false)
 	if !c.Probe(0) {
 		t.Error("recently used line 0 evicted")
 	}
@@ -90,19 +90,16 @@ func TestLRUTouchedLineSurvives(t *testing.T) {
 func TestWritebackOnDirtyEviction(t *testing.T) {
 	c := New(cfg4way())
 	stride := uint64(64 * 4)
-	c.Access(0, 0xAAAA0000, true) // dirty line with distinct VA
+	c.Access(0, true) // dirty line
 	for i := uint64(1); i < 4; i++ {
-		c.Access(i*stride, i*stride, false)
+		c.Access(i*stride, false)
 	}
-	r := c.Access(4*stride, 4*stride, false)
+	r := c.Access(4*stride, false)
 	if !r.WritebackNeeded {
 		t.Fatal("expected writeback of dirty line")
 	}
 	if r.WritebackAddr != 0 {
 		t.Errorf("writeback addr = %#x, want 0", r.WritebackAddr)
-	}
-	if r.WritebackVA != 0xAAAA0000 {
-		t.Errorf("writeback VA = %#x, want 0xAAAA0000", r.WritebackVA)
 	}
 	if c.Writebacks != 1 {
 		t.Errorf("Writebacks = %d", c.Writebacks)
@@ -113,7 +110,7 @@ func TestCleanEvictionNoWriteback(t *testing.T) {
 	c := New(cfg4way())
 	stride := uint64(64 * 4)
 	for i := uint64(0); i < 5; i++ {
-		r := c.Access(i*stride, i*stride, false)
+		r := c.Access(i*stride, false)
 		if r.WritebackNeeded {
 			t.Error("clean eviction should not write back")
 		}
@@ -122,7 +119,7 @@ func TestCleanEvictionNoWriteback(t *testing.T) {
 
 func TestWriteAllocates(t *testing.T) {
 	c := New(cfg4way())
-	if r := c.Access(0x40, 0x40, true); r.Hit {
+	if r := c.Access(0x40, true); r.Hit {
 		t.Error("write miss expected")
 	}
 	if !c.Probe(0x40) {
@@ -135,14 +132,14 @@ func TestFullyAssociative(t *testing.T) {
 	// 8 lines, any addresses coexist.
 	addrs := []uint64{0, 1 << 20, 3 << 13, 7 << 9, 5 << 30, 64, 128, 1 << 40}
 	for _, a := range addrs {
-		c.Access(a, a, false)
+		c.Access(a, false)
 	}
 	for _, a := range addrs {
 		if !c.Probe(a) {
 			t.Errorf("addr %#x missing from fully associative cache", a)
 		}
 	}
-	c.Access(1<<50, 1<<50, false)
+	c.Access(1<<50, false)
 	if c.Probe(0) {
 		t.Error("oldest line should be evicted")
 	}
@@ -150,9 +147,9 @@ func TestFullyAssociative(t *testing.T) {
 
 func TestInvalidateAll(t *testing.T) {
 	c := New(cfg4way())
-	c.Access(0, 0, true)
-	c.Access(64, 64, false)
-	c.Access(128, 128, true)
+	c.Access(0, true)
+	c.Access(64, false)
+	c.Access(128, true)
 	dirty := c.InvalidateAll()
 	if len(dirty) != 2 {
 		t.Fatalf("got %d dirty lines, want 2", len(dirty))
@@ -171,8 +168,8 @@ func TestLineAddr(t *testing.T) {
 
 func TestMissRateAndReset(t *testing.T) {
 	c := New(cfg4way())
-	c.Access(0, 0, false)
-	c.Access(0, 0, false)
+	c.Access(0, false)
+	c.Access(0, false)
 	if got := c.MissRate(); got != 0.5 {
 		t.Errorf("MissRate = %v, want 0.5", got)
 	}
@@ -194,7 +191,7 @@ func TestInvariantProbeAfterAccess(t *testing.T) {
 		c := New(Config{Name: "p", SizeBytes: 2048, LineBytes: 64, Ways: 2})
 		for i := 0; i < int(n); i++ {
 			addr := uint64(rng.Intn(1 << 16))
-			c.Access(addr, addr, rng.Intn(2) == 0)
+			c.Access(addr, rng.Intn(2) == 0)
 			if !c.Probe(addr) {
 				return false
 			}
@@ -203,21 +200,6 @@ func TestInvariantProbeAfterAccess(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestVAPropagation: the VA recorded at fill time is the one reported at
-// writeback time, line-aligned.
-func TestVAPropagation(t *testing.T) {
-	c := New(Config{Name: "va", SizeBytes: 256, LineBytes: 64, Ways: 0})
-	// Fill 4 lines with distinct VAs (including a non-aligned VA).
-	c.Access(0x000, 0x7F000033, true)
-	c.Access(0x100, 0x100, false)
-	c.Access(0x200, 0x200, false)
-	c.Access(0x300, 0x300, false)
-	r := c.Access(0x400, 0x400, false) // evicts first line
-	if !r.WritebackNeeded || r.WritebackVA != 0x7F000000 {
-		t.Errorf("writeback VA = %#x, want 0x7F000000 (line aligned)", r.WritebackVA)
 	}
 }
 
@@ -234,14 +216,14 @@ func TestPaperL2Geometry(t *testing.T) {
 // its recency or dirty bit, or the LRU clock.
 func TestHoldsComparesContentsAndClock(t *testing.T) {
 	c := New(cfg4way())
-	c.Access(0x1000, 0x1000, true)
-	c.Access(0x2000, 0x2000, false)
+	c.Access(0x1000, true)
+	c.Access(0x2000, false)
 	snap := c.Snapshot()
 	c.ResetStats()
 	if !c.Holds(snap) {
 		t.Fatal("Holds rejects its own state after a stats reset")
 	}
-	c.Access(0x1000, 0x1000, false) // hit: recency and clock move
+	c.Access(0x1000, false) // hit: recency and clock move
 	if c.Holds(snap) {
 		t.Error("Holds accepts a state whose recency moved")
 	}

@@ -26,10 +26,15 @@ type ring struct {
 	points []ringPoint
 }
 
-// fnv1a is the 64-bit FNV-1a hash — deterministic across processes (ring
-// agreement requires every member to hash identically) and cheap enough to
-// run per request.
-func fnv1a(s string) uint64 {
+// ringHash places a vnode or a key on the circle: 64-bit FNV-1a followed
+// by the splitmix64 finalizer. Both are deterministic across processes
+// (ring agreement requires every member to hash identically) and cheap
+// enough to run per request. FNV-1a alone barely carries its last input
+// bytes into the high bits, which order the ring, so one member's
+// "addr#i" points bunch together and two members that differ only in port
+// digits can split the keys all-or-nothing; the finalizer's xor-shift
+// multiply rounds spread every input bit over the whole word.
+func ringHash(s string) uint64 {
 	const (
 		offset = 14695981039346656037
 		prime  = 1099511628211
@@ -39,7 +44,9 @@ func fnv1a(s string) uint64 {
 		h ^= uint64(s[i])
 		h *= prime
 	}
-	return h
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	return h ^ h>>31
 }
 
 // newRing builds a ring over the given member addresses. Duplicate
@@ -55,7 +62,7 @@ func newRing(addrs []string) *ring {
 		for i := 0; i < vnodesPerPeer; i++ {
 			// The vnode index is mixed into the hashed string so every
 			// member's points spread independently around the circle.
-			r.points = append(r.points, ringPoint{hash: fnv1a(a + "#" + strconv.Itoa(i)), addr: a})
+			r.points = append(r.points, ringPoint{hash: ringHash(a + "#" + strconv.Itoa(i)), addr: a})
 		}
 	}
 	sort.Slice(r.points, func(i, j int) bool {
@@ -74,7 +81,7 @@ func (r *ring) owner(key string) string {
 	if len(r.points) == 0 {
 		return ""
 	}
-	h := fnv1a(key)
+	h := ringHash(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0 // wrap: the first point owns the arc past the highest hash

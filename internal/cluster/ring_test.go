@@ -2,7 +2,10 @@ package cluster
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
+
+	"secureproc/internal/workload"
 )
 
 func TestRingDeterministicAcrossMemberOrder(t *testing.T) {
@@ -33,6 +36,43 @@ func TestRingBalance(t *testing.T) {
 	for _, m := range members {
 		if c := counts[m]; c < fair/2 || c > fair*2 {
 			t.Errorf("member %s owns %d of %d keys (fair share %d)", m, c, keys, fair)
+		}
+	}
+}
+
+// TestRingBalanceLoopbackPorts: two members on one host whose addresses
+// differ only in their port digits, the shape of every single-machine
+// fleet and of the httptest pairs the server tests boot, must each own a
+// fair part of the run keys. Over seeded random port pairs, each member
+// owns 25-75% of a grid of canonical-key-shaped strings. Plain FNV-1a
+// without a finalizer hands one member every key, or none, for some of
+// these pairs.
+func TestRingBalanceLoopbackPorts(t *testing.T) {
+	var keys []string
+	for _, b := range workload.BenchmarkNames {
+		for _, scheme := range []string{"baseline", "xom", "snc-lru", "snc-norepl", "otp-mac", "otp-mac:verify=blocking", "otp-precompute"} {
+			for lat := 10; lat <= 200; lat += 10 {
+				keys = append(keys, fmt.Sprintf("%s/%s/snc64KB-0w/l2-256KB-4w/c%d", b, scheme, lat))
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for pair := 0; pair < 300; pair++ {
+		pa := 1024 + rng.Intn(64512)
+		pb := 1024 + rng.Intn(64512)
+		if pa == pb {
+			continue
+		}
+		a, b := fmt.Sprintf("127.0.0.1:%d", pa), fmt.Sprintf("127.0.0.1:%d", pb)
+		r := newRing([]string{a, b})
+		own := 0
+		for _, k := range keys {
+			if r.owner(k) == a {
+				own++
+			}
+		}
+		if share := float64(own) / float64(len(keys)); share < 0.25 || share > 0.75 {
+			t.Errorf("ring {%s, %s}: %s owns %.3f of %d keys, want 0.25-0.75", a, b, a, share, len(keys))
 		}
 	}
 }

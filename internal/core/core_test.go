@@ -19,8 +19,8 @@ func newMemSys() (*mem.Bus, *mem.WriteBuffer) {
 
 func newEngine() *engine.Engine { return engine.New(engine.DefaultConfig()) }
 
-func dataAccess(va uint64) Access  { return Access{PA: va, VA: va} }
-func instrAccess(va uint64) Access { return Access{PA: va, VA: va, Instr: true} }
+func dataAccess(va uint64) Access  { return Access{Line: va} }
+func instrAccess(va uint64) Access { return Access{Line: va, Instr: true} }
 
 // The memory system returns a line at 108 (100 latency + 8 transfer).
 const lineArrival = 108

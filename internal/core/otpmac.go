@@ -83,7 +83,7 @@ func (m *OTPMAC) ReadLine(now uint64, a Access) uint64 {
 	// Whether the metadata (seq number + MAC) is on chip must be decided
 	// before the OTP read installs the entry. Instruction lines use
 	// VA-derived constant seeds and a static MAC, always resident.
-	covered := a.Instr || m.snc.Contains(m.tagged(a.VA))
+	covered := a.Instr || m.snc.Contains(m.tagged(a.Line))
 	ready, arrival := m.readLine(now, a)
 	macAvail := arrival
 	if !covered {
@@ -111,7 +111,7 @@ func (m *OTPMAC) WritebackLine(now uint64, a Access) uint64 {
 	if a.Instr {
 		return m.OTP.WritebackLine(now, a)
 	}
-	covered := m.snc.Contains(m.tagged(a.VA))
+	covered := m.snc.Contains(m.tagged(a.Line))
 	cpuFree := m.OTP.WritebackLine(now, a)
 	macDone := m.macUnit.Issue(now)
 	if !covered {

@@ -59,7 +59,7 @@ func (p *OTPPre) Name() string { return "OTP-Pre" }
 func (p *OTPPre) ReadLine(now uint64, a Access) uint64 {
 	if a.Instr {
 		p.instrReads++
-		key := p.tagged(a.PA)
+		key := p.tagged(a.Line)
 		if _, ok := p.instrPad.lookup(key); ok {
 			// Constant-seed pad already buffered: only the XOR remains.
 			p.padHits++
@@ -76,7 +76,7 @@ func (p *OTPPre) ReadLine(now uint64, a Access) uint64 {
 		}
 		return max64(arrival, pad) + 1
 	}
-	va := p.tagged(a.VA)
+	va := p.tagged(a.Line)
 	seq, hit := p.snc.Query(va)
 	if hit {
 		p.queryHits++
@@ -127,7 +127,7 @@ func (p *OTPPre) ReadLine(now uint64, a Access) uint64 {
 func (p *OTPPre) WritebackLine(now uint64, a Access) uint64 {
 	cpuFree := p.OTP.WritebackLine(now, a)
 	if !a.Instr {
-		va := p.tagged(a.VA)
+		va := p.tagged(a.Line)
 		if seq, ok := p.snc.Peek(va); ok {
 			p.padFor.set(va, seq)
 		} else {

@@ -233,11 +233,11 @@ func TestOTPMACTiming(t *testing.T) {
 		}
 		return NewOTPMAC(otp, policy, 80), res.Bus
 	}
-	a := Access{PA: 0x1000, VA: 0x1000}
+	a := Access{Line: 0x1000}
 
 	blk, _ := build(integrity.VerifyBlocking)
 	// Warm the SNC entry so the read is a query hit (covered metadata).
-	blk.snc.TryInstall(a.VA, 1)
+	blk.snc.TryInstall(a.Line, 1)
 	ready := blk.ReadLine(0, a)
 	// Covered hit: line at 108 (100 + 8 transfer), pad at 50, OTP ready at
 	// 109; the 80-cycle MAC check starts at arrival → 188.
@@ -249,7 +249,7 @@ func TestOTPMACTiming(t *testing.T) {
 	}
 
 	ovl, bus := build(integrity.VerifyOverlap)
-	ovl.snc.TryInstall(a.VA, 1)
+	ovl.snc.TryInstall(a.Line, 1)
 	ready = ovl.ReadLine(0, a)
 	if ready != 109 {
 		t.Errorf("overlap covered read ready at %d, want 109 (OTP timing)", ready)
@@ -263,7 +263,7 @@ func TestOTPMACTiming(t *testing.T) {
 
 	// Uncovered read: the MAC rides the bus with the sequence number.
 	ovl2, bus2 := build(integrity.VerifyOverlap)
-	ovl2.ReadLine(0, Access{PA: 0x2000, VA: 0x2000})
+	ovl2.ReadLine(0, Access{Line: 0x2000})
 	if bus2.Transactions[mem.SrcMACFetch] != 1 {
 		t.Errorf("uncovered read made %d MAC fetches, want 1", bus2.Transactions[mem.SrcMACFetch])
 	}
@@ -282,8 +282,8 @@ func TestOTPPrePadRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := NewOTPPre(otp)
-	a := Access{PA: 0x1000, VA: 0x1000}
-	p.snc.TryInstall(a.VA, 5)
+	a := Access{Line: 0x1000}
+	p.snc.TryInstall(a.Line, 5)
 
 	first := p.ReadLine(0, a)
 	if first <= 109 {

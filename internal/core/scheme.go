@@ -30,11 +30,11 @@ import (
 
 // Access identifies one line-granular off-chip transaction.
 type Access struct {
-	// PA is the physical line address (what the bus sees).
-	PA uint64
-	// VA is the virtual line address (what seeds and the SNC see,
-	// paper Section 4).
-	VA uint64
+	// Line is the line address. The paper seeds pads and indexes the SNC
+	// by virtual address (Section 4) while the bus sees the physical one;
+	// the simulator is trace-driven and nothing translates a record's
+	// address, so one word is both and the schemes read it as the VA.
+	Line uint64
 	// Instr marks instruction fetches, which use constant VA-derived
 	// seeds and never need the SNC (Section 3.4.1).
 	Instr bool
@@ -295,7 +295,7 @@ func (o *OTP) readLine(now uint64, a Access) (ready, arrival uint64) {
 		arrival = o.bus.Read(now, mem.SrcLineFill)
 		return max64(arrival, pad) + 1, arrival
 	}
-	va := o.tagged(a.VA)
+	va := o.tagged(a.Line)
 	seq, hit := o.snc.Query(va)
 	_ = seq
 	if hit {
@@ -371,7 +371,7 @@ func (o *OTP) WritebackLine(now uint64, a Access) uint64 {
 		// Instruction lines are never dirty; nothing to do.
 		return now
 	}
-	va := o.tagged(a.VA)
+	va := o.tagged(a.Line)
 	if _, hit, wrapped := o.snc.Update(va); hit {
 		o.updateHits++
 		if wrapped {

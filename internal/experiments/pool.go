@@ -124,9 +124,7 @@ func (r *Runner) simulate(ctx context.Context, k runKey, held bool) (sim.Result,
 	if cp, ok := checkpoints.get(k); !ok || sys.Restore(cp) != nil {
 		wk := warmupKey{bench: k.bench, l2KB: k.l2KB, l2Ways: k.l2Ways}
 		if w, hit := warmups.get(wk); !hit || sys.RunWarmupReplay(recs[:warm], w) != nil {
-			if w := sys.RunWarmupRecord(recs[:warm]); w != nil {
-				warmups.put(wk, w)
-			}
+			warmups.put(wk, sys.RunWarmupRecord(recs[:warm]))
 		}
 		if cp, ok := sys.Checkpoint(); ok {
 			checkpoints.put(k, cp)
@@ -139,9 +137,7 @@ func (r *Runner) simulate(ctx context.Context, k runKey, held bool) (sim.Result,
 		}
 	}
 	res, o := sys.RunMeasuredRecord(recs[warm:])
-	if o != nil {
-		outcomes.put(outKey, o)
-	}
+	outcomes.put(outKey, o)
 	return res, nil
 }
 

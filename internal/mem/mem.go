@@ -310,92 +310,32 @@ func maxU64(a, b uint64) uint64 {
 	return b
 }
 
-// Memory page geometry: 4KB pages gathered into directory chunks of 1024
-// pages, so one chunk spans 4MB of address space.
-const (
-	pageBits  = 12
-	chunkBits = 10
-	chunkMask = (1 << chunkBits) - 1
-)
+// pageBits sets the functional memory's page size: 4KB.
+const pageBits = 12
 
-// memChunk is the second level of the page directory: a dense array of
-// page frames covering one aligned 4MB span.
-type memChunk struct {
-	pages [1 << chunkBits][]byte
-}
-
-// Memory is the functional byte-accurate physical memory image, backed by a
-// two-level page directory: a sparse chunk map on top (touched only when an
-// access crosses into a new 4MB span) and dense page arrays below, fronted
-// by a last-page cache so the common same-page access is two compares and
-// an array load. The secure schemes store real ciphertext here so that
-// tampering experiments operate on actual bytes.
+// Memory is the functional byte-accurate physical memory image: a sparse
+// map of 4KB pages, allocated on first write. The secure schemes store
+// real ciphertext here so that tampering experiments operate on actual
+// bytes.
 type Memory struct {
-	chunks map[uint64]*memChunk
-
-	// Last-chunk and last-page caches. lastPage == nil / lastChunk == nil
-	// mean "no cached entry" (never a valid cached value, since pages and
-	// chunks are non-nil once allocated).
-	lastCN    uint64
-	lastChunk *memChunk
-	lastPN    uint64
-	lastPage  []byte
-
-	allocated int
+	pages map[uint64][]byte
 }
 
 // NewMemory creates an empty sparse memory with 4KB pages.
 func NewMemory() *Memory {
-	return &Memory{chunks: make(map[uint64]*memChunk)}
-}
-
-func (m *Memory) page(addr uint64, create bool) ([]byte, uint64) {
-	off := addr & ((1 << pageBits) - 1)
-	pn := addr >> pageBits
-	if pn == m.lastPN && m.lastPage != nil {
-		return m.lastPage, off
-	}
-	cn := pn >> chunkBits
-	ch := m.lastChunk
-	if ch == nil || cn != m.lastCN {
-		ch = m.chunks[cn]
-		if ch == nil {
-			if !create {
-				return nil, off
-			}
-			ch = new(memChunk)
-			m.chunks[cn] = ch
-		}
-		m.lastCN, m.lastChunk = cn, ch
-	}
-	p := ch.pages[pn&chunkMask]
-	if p == nil {
-		if !create {
-			return nil, off
-		}
-		p = make([]byte, 1<<pageBits)
-		ch.pages[pn&chunkMask] = p
-		m.allocated++
-	}
-	m.lastPN, m.lastPage = pn, p
-	return p, off
+	return &Memory{pages: make(map[uint64][]byte)}
 }
 
 // Read copies len(dst) bytes starting at addr into dst. Unwritten memory
 // reads as zero.
 func (m *Memory) Read(addr uint64, dst []byte) {
 	for len(dst) > 0 {
-		p, off := m.page(addr, false)
-		n := int(uint64(1)<<pageBits - off)
-		if n > len(dst) {
-			n = len(dst)
-		}
-		if p == nil {
-			for i := 0; i < n; i++ {
-				dst[i] = 0
-			}
-		} else {
+		off := addr & (1<<pageBits - 1)
+		n := min(int(1<<pageBits-off), len(dst))
+		if p := m.pages[addr>>pageBits]; p != nil {
 			copy(dst[:n], p[off:])
+		} else {
+			clear(dst[:n])
 		}
 		dst = dst[n:]
 		addr += uint64(n)
@@ -405,40 +345,16 @@ func (m *Memory) Read(addr uint64, dst []byte) {
 // Write stores src at addr.
 func (m *Memory) Write(addr uint64, src []byte) {
 	for len(src) > 0 {
-		p, off := m.page(addr, true)
-		n := copy(p[off:], src)
+		p := m.pages[addr>>pageBits]
+		if p == nil {
+			p = make([]byte, 1<<pageBits)
+			m.pages[addr>>pageBits] = p
+		}
+		n := copy(p[addr&(1<<pageBits-1):], src)
 		src = src[n:]
 		addr += uint64(n)
 	}
 }
 
-// ReadU64 reads a little-endian 64-bit word.
-func (m *Memory) ReadU64(addr uint64) uint64 {
-	var b [8]byte
-	m.Read(addr, b[:])
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-// WriteU64 writes a little-endian 64-bit word.
-func (m *Memory) WriteU64(addr uint64, v uint64) {
-	b := [8]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24),
-		byte(v >> 32), byte(v >> 40), byte(v >> 48), byte(v >> 56)}
-	m.Write(addr, b[:])
-}
-
-// ReadU32 reads a little-endian 32-bit word.
-func (m *Memory) ReadU32(addr uint64) uint32 {
-	var b [4]byte
-	m.Read(addr, b[:])
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-// WriteU32 writes a little-endian 32-bit word.
-func (m *Memory) WriteU32(addr uint64, v uint32) {
-	b := [4]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}
-	m.Write(addr, b[:])
-}
-
 // PagesAllocated returns the number of backing pages (test/diagnostic aid).
-func (m *Memory) PagesAllocated() int { return m.allocated }
+func (m *Memory) PagesAllocated() int { return len(m.pages) }

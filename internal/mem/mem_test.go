@@ -217,24 +217,6 @@ func TestMemoryUnwrittenReadsZero(t *testing.T) {
 	}
 }
 
-func TestMemoryWordAccessors(t *testing.T) {
-	m := NewMemory()
-	m.WriteU64(0x10, 0x1122334455667788)
-	if got := m.ReadU64(0x10); got != 0x1122334455667788 {
-		t.Errorf("ReadU64 = %#x", got)
-	}
-	m.WriteU32(0x20, 0xDEADBEEF)
-	if got := m.ReadU32(0x20); got != 0xDEADBEEF {
-		t.Errorf("ReadU32 = %#x", got)
-	}
-	// Little-endian layout check.
-	var b [4]byte
-	m.Read(0x20, b[:])
-	if b[0] != 0xEF || b[3] != 0xDE {
-		t.Errorf("not little-endian: % x", b)
-	}
-}
-
 // TestMemoryQuickRoundTrip is a property test over random offsets/lengths,
 // including page-boundary spans.
 func TestMemoryQuickRoundTrip(t *testing.T) {
@@ -267,5 +249,56 @@ func TestMemoryQuickRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPageDirectoryMatchesMapModel drives Memory and a plain
+// map[addr]byte model through the same random write/read sequence and
+// demands byte-identical contents — including reads of never-written
+// (zero) memory, writes spanning page boundaries, and far-flung addresses.
+func TestPageDirectoryMatchesMapModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	m := NewMemory()
+	model := make(map[uint64]byte)
+
+	// Address bases mix dense locality, a straddle of a 4MB boundary, and
+	// sparse high addresses.
+	bases := []uint64{
+		0x0,
+		0x1000,
+		1<<22 - 17, // straddles a 4MB boundary
+		3 << 22,
+		0x7FFF_F000,
+		0xDEAD_0000_0000,
+		1<<52 + 12345,
+	}
+	for op := 0; op < 20000; op++ {
+		addr := bases[rng.Intn(len(bases))] + uint64(rng.Intn(1<<14))
+		n := 1 + rng.Intn(300) // spans page boundaries regularly
+		if rng.Intn(2) == 0 {
+			buf := make([]byte, n)
+			rng.Read(buf)
+			m.Write(addr, buf)
+			for i, b := range buf {
+				model[addr+uint64(i)] = b
+			}
+		} else {
+			got := make([]byte, n)
+			m.Read(addr, got)
+			for i := range got {
+				if want := model[addr+uint64(i)]; got[i] != want {
+					t.Fatalf("op %d: Read(%#x)[%d] = %#x, want %#x", op, addr, i, got[i], want)
+				}
+			}
+		}
+	}
+
+	// Memory must have materialized exactly the written pages.
+	pages := make(map[uint64]bool)
+	for a := range model {
+		pages[a>>pageBits] = true
+	}
+	if got := m.PagesAllocated(); got != len(pages) {
+		t.Errorf("PagesAllocated = %d, want %d", got, len(pages))
 	}
 }

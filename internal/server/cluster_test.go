@@ -217,7 +217,7 @@ func mustSpec(t *testing.T, bench string) experiments.Spec {
 func TestClusterPeerDownFallsBackLocally(t *testing.T) {
 	sa, _, tsa, tsb := newClusterPair(t, Config{})
 
-	body := peerOwnedBody(t, sa, "snc-lru")
+	body := peerOwnedBody(t, sa)
 
 	tsb.Close() // peer down
 
@@ -251,18 +251,19 @@ func TestClusterPeerDownFallsBackLocally(t *testing.T) {
 	}
 }
 
-// peerOwnedBody finds a default run request (under scheme) that node s
-// routes to its peer, or skips the test when the ring hands every
-// benchmark to s.
-func peerOwnedBody(t *testing.T, s *Server, scheme string) string {
+// peerOwnedBody finds a default run request that node s routes to its
+// peer, searching every scheme × benchmark.
+func peerOwnedBody(t *testing.T, s *Server) string {
 	t.Helper()
-	for _, b := range workload.BenchmarkNames {
-		cand := fmt.Sprintf(`{"bench":%q,"scheme":%q}`, b, scheme)
-		if _, local := specOwner(t, s, cand); !local {
-			return cand
+	for _, scheme := range sim.SchemeNames() {
+		for _, b := range workload.BenchmarkNames {
+			cand := fmt.Sprintf(`{"bench":%q,"scheme":%q}`, b, scheme)
+			if _, local := specOwner(t, s, cand); !local {
+				return cand
+			}
 		}
 	}
-	t.Skip("ring handed every benchmark to one node; nothing to forward")
+	t.Fatal("ring handed every scheme × benchmark to one node; nothing to forward")
 	return ""
 }
 
@@ -276,16 +277,19 @@ func TestClusterBadSpecRejectedAtEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	var body string
+search:
 	for _, b := range workload.BenchmarkNames {
-		sp := experiments.DefaultSpec(b, ref)
-		sp.SNCWays = 7
-		if _, local := sa.fabric.Load().Owner(sp.CanonicalKey()); !local {
-			body = fmt.Sprintf(`{"bench":%q,"scheme":"snc-lru","snc_ways":7}`, b)
-			break
+		for lat := uint64(10); lat <= 200; lat += 10 {
+			sp := experiments.DefaultSpec(b, ref)
+			sp.SNCWays, sp.CryptoLat = 7, lat
+			if _, local := sa.fabric.Load().Owner(sp.CanonicalKey()); !local {
+				body = fmt.Sprintf(`{"bench":%q,"scheme":"snc-lru","snc_ways":7,"crypto_lat":%d}`, b, lat)
+				break search
+			}
 		}
 	}
 	if body == "" {
-		t.Skip("ring handed every bad spec to node A; nothing to forward")
+		t.Fatal("ring handed every benchmark × crypto latency bad spec to node A; nothing to forward")
 	}
 
 	resp, b := postJSON(t, tsa.URL+"/v1/run", body)
@@ -312,7 +316,7 @@ func TestClusterBadSpecRejectedAtEntry(t *testing.T) {
 // of running the spec itself, and the owner stays healthy.
 func TestClusterForwardedRunPassesOwnerError(t *testing.T) {
 	sa, sb, tsa, _ := newClusterPair(t, Config{MaxAdmit: 1})
-	body := peerOwnedBody(t, sa, "snc-lru")
+	body := peerOwnedBody(t, sa)
 	release, ok := sb.admission.TryAdmit()
 	if !ok {
 		t.Fatal("could not take the owner's admission slot")
@@ -345,15 +349,24 @@ func TestClusterForwardedRunPassesOwnerError(t *testing.T) {
 // empty entries; streamed, the trailer carries the error.
 func TestClusterSweepPropagatesPeerError(t *testing.T) {
 	sa, sb, tsa, _ := newClusterPair(t, Config{MaxAdmit: 1})
-	ownA := 0
-	for _, b := range workload.BenchmarkNames {
-		if _, local := specOwner(t, sa, fmt.Sprintf(`{"bench":%q,"scheme":"baseline"}`, b)); local {
-			ownA++
+	// Sweep every benchmark under the first scheme that gives node B at
+	// least one of them.
+	var scheme string
+	var ownA, ownB int
+	for _, sc := range sim.SchemeNames() {
+		ownA = 0
+		for _, b := range workload.BenchmarkNames {
+			if _, local := specOwner(t, sa, fmt.Sprintf(`{"bench":%q,"scheme":%q}`, b, sc)); local {
+				ownA++
+			}
+		}
+		if ownB = len(workload.BenchmarkNames) - ownA; ownB > 0 {
+			scheme = sc
+			break
 		}
 	}
-	ownB := len(workload.BenchmarkNames) - ownA
-	if ownB == 0 {
-		t.Skip("ring handed every benchmark to node A; nothing to forward")
+	if scheme == "" {
+		t.Fatal("ring handed every scheme × benchmark to node A; nothing to forward")
 	}
 	release, ok := sb.admission.TryAdmit()
 	if !ok {
@@ -361,7 +374,7 @@ func TestClusterSweepPropagatesPeerError(t *testing.T) {
 	}
 	defer release()
 
-	const sweep = `{"specs":[{"bench":"all","scheme":"baseline"}]`
+	sweep := fmt.Sprintf(`{"specs":[{"bench":"all","scheme":%q}]`, scheme)
 	resp, b := postJSON(t, tsa.URL+"/v1/sweep", sweep+`}`)
 	var env api.Envelope
 	if resp.StatusCode != http.StatusTooManyRequests || json.Unmarshal(b, &env) != nil || env.Err.Code != api.CodeOverloaded {
@@ -432,7 +445,7 @@ func TestClusterHopLimitStopsForwardLoop(t *testing.T) {
 	fa, fb := sa.fabric.Load(), sb.fabric.Load()
 	var body string
 	for _, b := range workload.BenchmarkNames {
-		for _, scheme := range []string{"snc-lru", "baseline", "xom", "otp-mac"} {
+		for _, scheme := range sim.SchemeNames() {
 			rr := api.RunRequest{Bench: b, Scheme: scheme}
 			specs, err := rr.Specs(false)
 			if err != nil {
@@ -453,7 +466,7 @@ func TestClusterHopLimitStopsForwardLoop(t *testing.T) {
 		}
 	}
 	if body == "" {
-		t.Skip("no benchmark/scheme pair hashes into a forward loop with these ports")
+		t.Fatal("no benchmark × scheme pair hashes into a forward loop with these ports")
 	}
 
 	resp, b := postJSON(t, tsa.URL+"/v1/run", body)

@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"secureproc/internal/cache"
@@ -32,18 +31,13 @@ type Outcomes struct {
 	start   [3]cache.Snapshot
 	end     [3]cache.Snapshot
 	ops     []uint8
-	// addrs holds one line address per (PA, VA) pair apply consumes, in
-	// order: every cache access passes VA == PA, so the pair's two words
-	// are equal and replay expands each address back into a pair. A record
-	// owns as many addresses as its outcome bits name.
+	// addrs holds the line addresses apply consumes, in order; a record
+	// owns as many as its outcome bits name.
 	addrs []uint64
 }
 
 // errNoRecording refuses a replay of nil outcomes.
 var errNoRecording = errors.New("sim: replay refused: no recording")
-
-// pairBits are the outcome bits that each own one address pair.
-const pairBits = oVictim | oWBFill | oWBVictim
 
 // caches returns the system's three caches in Outcomes order.
 func (s *System) caches() [3]*cache.Cache { return [3]*cache.Cache{s.l1i, s.l1d, s.l2} }
@@ -51,8 +45,7 @@ func (s *System) caches() [3]*cache.Cache { return [3]*cache.Cache{s.l1i, s.l1d,
 // RunWarmupRecord is RunWarmup over recs that also records the warmup's
 // cache outcomes for RunWarmupReplay. The system's final state is that of
 // RunWarmup(workload.Replay(recs)). Recording allocates; it runs once per
-// record stream and cache geometry. It returns nil outcomes, which no
-// replay accepts, when a line's VA differs from its PA.
+// record stream and cache geometry.
 func (s *System) RunWarmupRecord(recs []workload.Record) *Outcomes {
 	return s.record(recs)
 }
@@ -77,8 +70,6 @@ func (s *System) RunWarmupReplay(recs []workload.Record, o *Outcomes) error {
 // measured phase's cache outcomes for RunMeasuredReplay. The Result and the
 // system's final state are those of RunMeasured(workload.Replay(recs)).
 // Recording allocates; it runs once per record stream and cache geometry.
-// Like RunWarmupRecord, it returns nil outcomes when a line's VA differs
-// from its PA.
 func (s *System) RunMeasuredRecord(recs []workload.Record) (Result, *Outcomes) {
 	s.BeginMeasurement()
 	o := s.record(recs)
@@ -106,8 +97,7 @@ func (s *System) RunMeasuredReplay(recs []workload.Record, o *Outcomes) (Result,
 }
 
 // record runs recs through lookup and apply, recording each outcome, and
-// drains the core. It returns nil when a pair's VA differs from its PA,
-// which one address per pair cannot hold.
+// drains the core.
 func (s *System) record(recs []workload.Record) *Outcomes {
 	o := &Outcomes{
 		configs: [3]cache.Config{s.cfg.L1I, s.cfg.L1D, s.cfg.L2},
@@ -117,20 +107,13 @@ func (s *System) record(recs []workload.Record) *Outcomes {
 		o.start[i] = c.Snapshot()
 	}
 	var addrs []uint64
-	aliased := false
 	for i, rec := range recs {
 		op := s.lookup(rec)
 		n := s.apply(rec, op, s.la[:])
 		o.ops[i] = op
-		for j := 0; j < n; j += 2 {
-			aliased = aliased || s.la[j] != s.la[j+1]
-			addrs = append(addrs, s.la[j])
-		}
+		addrs = append(addrs, s.la[:n]...)
 	}
 	s.cpu.Drain()
-	if aliased {
-		return nil
-	}
 	o.addrs = slices.Clone(addrs)
 	for i, c := range s.caches() {
 		o.end[i] = c.Snapshot()
@@ -168,13 +151,7 @@ func (s *System) guard(recs []workload.Record, o *Outcomes) error {
 func (s *System) replay(recs []workload.Record, o *Outcomes) {
 	a := o.addrs
 	for i, rec := range recs {
-		op := o.ops[i]
-		n := bits.OnesCount8(op & pairBits)
-		for j, addr := range a[:n] {
-			s.la[2*j], s.la[2*j+1] = addr, addr
-		}
-		a = a[n:]
-		s.apply(rec, op, s.la[:])
+		a = a[s.apply(rec, o.ops[i], a):]
 	}
 	s.cpu.Drain()
 	for i, c := range s.caches() {

@@ -18,9 +18,9 @@ import (
 func tinyConfig(ref SchemeRef) Config {
 	cfg := DefaultConfig()
 	cfg.Scheme = ref
-	cfg.L1I = cache.Config{Name: "L1I", SizeBytes: 256, LineBytes: 64, Ways: 2, HitLatency: 1}
-	cfg.L1D = cache.Config{Name: "L1D", SizeBytes: 256, LineBytes: 64, Ways: 2, HitLatency: 1}
-	cfg.L2 = cache.Config{Name: "L2", SizeBytes: 1 << 10, LineBytes: 128, Ways: 2, HitLatency: 12}
+	cfg.L1I = cache.Config{Name: "L1I", SizeBytes: 256, LineBytes: 64, Ways: 2}
+	cfg.L1D = cache.Config{Name: "L1D", SizeBytes: 256, LineBytes: 64, Ways: 2}
+	cfg.L2 = cache.Config{Name: "L2", SizeBytes: 1 << 10, LineBytes: 128, Ways: 2}
 	return cfg
 }
 
@@ -310,27 +310,10 @@ func TestWarmupReplayAllocsZero(t *testing.T) {
 	}
 }
 
-// TestRecordRefusesAliasedLines: a recording stores one address per
-// (PA, VA) pair, so a phase that evicts a dirty line whose VA differs from
-// its PA yields no outcomes, and a replay of none refuses.
-func TestRecordRefusesAliasedLines(t *testing.T) {
-	// Two loads to L2 set 0 (4 sets of 2 ways of 128B lines): the second
-	// evicts the planted dirty line, filled under VA 0x10000 at PA 0.
+// TestReplayRefusesNoRecording: RunWarmupReplay is exported, so a nil
+// recording must be refused, not dereferenced.
+func TestReplayRefusesNoRecording(t *testing.T) {
 	recs := []workload.Record{{Addr: 0x200, Kind: workload.Load}, {Addr: 0x400, Kind: workload.Load}}
-	aliased := func() *System {
-		sys := mustNew(t, tinyConfig(SchemeBaseline))
-		sys.l2.Access(0, 0x10000, true)
-		return sys
-	}
-	if outs := aliased().RunWarmupRecord(recs); outs != nil {
-		t.Error("RunWarmupRecord recorded a dirty victim whose VA differs from its PA")
-	}
-	if _, outs := aliased().RunMeasuredRecord(recs); outs != nil {
-		t.Error("RunMeasuredRecord recorded a dirty victim whose VA differs from its PA")
-	}
-	if outs := mustNew(t, tinyConfig(SchemeBaseline)).RunWarmupRecord(recs); outs == nil {
-		t.Error("RunWarmupRecord refused a stream without aliased lines")
-	}
 	if err := mustNew(t, tinyConfig(SchemeBaseline)).RunWarmupReplay(recs, nil); err == nil {
 		t.Error("RunWarmupReplay accepted nil outcomes")
 	}

@@ -81,9 +81,9 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		CPU:              cpu.DefaultConfig(),
-		L1I:              cache.Config{Name: "L1I", SizeBytes: 32 << 10, LineBytes: 64, Ways: 4, HitLatency: 1},
-		L1D:              cache.Config{Name: "L1D", SizeBytes: 32 << 10, LineBytes: 64, Ways: 4, HitLatency: 1},
-		L2:               cache.Config{Name: "L2", SizeBytes: 256 << 10, LineBytes: 128, Ways: 4, HitLatency: 12},
+		L1I:              cache.Config{Name: "L1I", SizeBytes: 32 << 10, LineBytes: 64, Ways: 4},
+		L1D:              cache.Config{Name: "L1D", SizeBytes: 32 << 10, LineBytes: 64, Ways: 4},
+		L2:               cache.Config{Name: "L2", SizeBytes: 256 << 10, LineBytes: 128, Ways: 4},
 		DRAM:             mem.DefaultDRAMConfig(),
 		Crypto:           engine.DefaultConfig(),
 		SNC:              snc.DefaultConfig(),
@@ -203,14 +203,14 @@ type System struct {
 	fillAccess core.Access
 	fillFn     func(uint64) uint64
 
-	// la holds the (PA, VA) line-address pairs the last lookup produced,
-	// at most three: see lookup.
-	la [6]uint64
+	// la holds the line addresses the last lookup produced, at most
+	// three: see lookup.
+	la [3]uint64
 
 	// Context-switch scratch, reused so steady-state switches don't
 	// allocate: the deduplicated dirty-victim list and the L2-line
 	// membership set behind it.
-	switchVictims [][2]uint64
+	switchVictims []uint64
 	switchSeen    map[uint64]struct{}
 
 	// Measurement snapshot taken at the warmup/measurement boundary.
@@ -266,29 +266,29 @@ const (
 	oL1Hit uint8 = 1 << iota
 	// oL2Hit: the demand access hit in L2.
 	oL2Hit
-	// oVictim: the demand L2 fill displaced a dirty line (one address pair).
+	// oVictim: the demand L2 fill displaced a dirty line (one address).
 	oVictim
 	// oWBFill: the L1's dirty victim missed L2 and was write-allocated there
-	// (one address pair: the filled line).
+	// (one address: the filled line).
 	oWBFill
-	// oWBVictim: that write-allocate displaced a dirty L2 line (one address
-	// pair, consumed before oWBFill's).
+	// oWBVictim: that write-allocate displaced a dirty L2 line (one address,
+	// consumed before oWBFill's).
 	oWBVictim
 )
 
 // lookup walks rec through the caches and returns its outcome bits. The
 // line addresses apply needs beyond rec itself — dirty L2 victims and the
-// L1 victim's write-allocated line, as (PA, VA) pairs — go to s.la in the
-// order apply consumes them.
+// L1 victim's write-allocated line — go to s.la in the order apply
+// consumes them.
 func (s *System) lookup(rec workload.Record) uint8 {
 	if rec.Kind == workload.IFetch {
-		if s.l1i.Access(rec.Addr, rec.Addr, false).Hit {
+		if s.l1i.Access(rec.Addr, false).Hit {
 			return oL1Hit
 		}
 		return s.lookupL2(rec.Addr, false, 0)
 	}
 	write := rec.Kind == workload.Store
-	l1res := s.l1d.Access(rec.Addr, rec.Addr, write)
+	l1res := s.l1d.Access(rec.Addr, write)
 	if l1res.Hit {
 		return oL1Hit
 	}
@@ -296,31 +296,31 @@ func (s *System) lookup(rec workload.Record) uint8 {
 	n := 0
 	// The L1's dirty victim descends into L2 (write-back).
 	if l1res.WritebackNeeded {
-		l2res := s.l2.Access(l1res.WritebackAddr, l1res.WritebackVA, true)
+		l2res := s.l2.Access(l1res.WritebackAddr, true)
 		if !l2res.Hit {
 			o = oWBFill
 			if l2res.WritebackNeeded {
 				o |= oWBVictim
-				s.la[0], s.la[1] = l2res.WritebackAddr, l2res.WritebackVA
-				n = 2
+				s.la[0] = l2res.WritebackAddr
+				n = 1
 			}
-			s.la[n], s.la[n+1] = s.l2.LineAddr(l1res.WritebackAddr), s.l2.LineAddr(l1res.WritebackVA)
-			n += 2
+			s.la[n] = s.l2.LineAddr(l1res.WritebackAddr)
+			n++
 		}
 	}
 	// Demand access in L2. The L1 allocates regardless (already done above).
 	return o | s.lookupL2(rec.Addr, write, n)
 }
 
-// lookupL2 is the demand access in L2; a dirty victim's pair goes to
-// s.la[n:].
+// lookupL2 is the demand access in L2; a dirty victim's address goes to
+// s.la[n].
 func (s *System) lookupL2(addr uint64, write bool, n int) uint8 {
-	res := s.l2.Access(addr, addr, write)
+	res := s.l2.Access(addr, write)
 	if res.Hit {
 		return oL2Hit
 	}
 	if res.WritebackNeeded {
-		s.la[n], s.la[n+1] = res.WritebackAddr, res.WritebackVA
+		s.la[n] = res.WritebackAddr
 		return oVictim
 	}
 	return 0
@@ -343,8 +343,7 @@ func (s *System) apply(rec workload.Record, o uint8, la []uint64) int {
 			return 0
 		}
 		n := s.writeback(o, la)
-		line := s.l2.LineAddr(rec.Addr)
-		s.cpu.IFetchMiss(s.l2FillFor(core.Access{PA: line, VA: line, Instr: true}))
+		s.cpu.IFetchMiss(s.l2FillFor(core.Access{Line: s.l2.LineAddr(rec.Addr), Instr: true}))
 		return n
 	}
 	write := rec.Kind == workload.Store
@@ -360,11 +359,11 @@ func (s *System) apply(rec workload.Record, o uint8, la []uint64) int {
 	if o&oWBFill != 0 {
 		// Write-allocate the L1 victim's line in L2: a background fill.
 		if o&oWBVictim != 0 {
-			s.writebackLine(la[0], la[1])
-			n = 2
+			s.writebackLine(la[0])
+			n = 1
 		}
-		s.cpu.StoreMiss(s.l2FillFor(core.Access{PA: la[n], VA: la[n+1]}))
-		n += 2
+		s.cpu.StoreMiss(s.l2FillFor(core.Access{Line: la[n]}))
+		n++
 	}
 	if o&oL2Hit != 0 {
 		if write {
@@ -375,8 +374,7 @@ func (s *System) apply(rec workload.Record, o uint8, la []uint64) int {
 		return n
 	}
 	n += s.writeback(o, la[n:])
-	line := s.l2.LineAddr(rec.Addr)
-	a := core.Access{PA: line, VA: line}
+	a := core.Access{Line: s.l2.LineAddr(rec.Addr)}
 	if write {
 		s.cpu.StoreMiss(s.l2FillFor(a))
 	} else {
@@ -391,14 +389,14 @@ func (s *System) writeback(o uint8, la []uint64) int {
 	if o&oVictim == 0 {
 		return 0
 	}
-	s.writebackLine(la[0], la[1])
-	return 2
+	s.writebackLine(la[0])
+	return 1
 }
 
 // writebackLine routes a dirty L2 eviction through the scheme's writeback
 // path and charges any CPU stall (write buffer full).
-func (s *System) writebackLine(pa, va uint64) {
-	cpuFree := s.scheme.WritebackLine(s.cpu.Cycles(), core.Access{PA: pa, VA: va})
+func (s *System) writebackLine(line uint64) {
+	cpuFree := s.scheme.WritebackLine(s.cpu.Cycles(), core.Access{Line: line})
 	s.cpu.WaitUntil(cpuFree)
 }
 
@@ -461,22 +459,21 @@ func (s *System) ContextSwitch(next int) SwitchCost {
 	s.l1i.InvalidateAll()
 	victims := s.switchVictims[:0]
 	clear(s.switchSeen)
-	add := func(pa, va uint64) { //secsim:allowalloc non-escaping closure over reused scratch; AllocsPerRun==0 gate in allocs_test.go
-		lpa := s.l2.LineAddr(pa)
-		if _, ok := s.switchSeen[lpa]; !ok {
-			s.switchSeen[lpa] = struct{}{}                               //secsim:allowalloc switchSeen is cleared, not reallocated; stable after first switch
-			victims = append(victims, [2]uint64{lpa, s.l2.LineAddr(va)}) //secsim:allowalloc switchVictims scratch reuse; stable after first switch
+	add := func(addr uint64) { //secsim:allowalloc non-escaping closure over reused scratch; AllocsPerRun==0 gate in allocs_test.go
+		line := s.l2.LineAddr(addr)
+		if _, ok := s.switchSeen[line]; !ok {
+			s.switchSeen[line] = struct{}{} //secsim:allowalloc switchSeen is cleared, not reallocated; stable after first switch
+			victims = append(victims, line) //secsim:allowalloc switchVictims scratch reuse; stable after first switch
 		}
 	}
 	for _, d := range s.l1d.InvalidateAll() {
-		add(d[0], d[1])
+		add(d)
 	}
 	for _, d := range s.l2.InvalidateAll() {
-		add(d[0], d[1])
+		add(d)
 	}
 	for _, v := range victims {
-		cpuFree := s.scheme.WritebackLine(s.cpu.Cycles(), core.Access{PA: v[0], VA: v[1]})
-		s.cpu.WaitUntil(cpuFree)
+		s.writebackLine(v)
 	}
 	s.switchVictims = victims
 	cost.DirtyWritebacks = uint64(len(victims))

@@ -681,35 +681,49 @@ func mkStore(addr uint64) workload.Record {
 // task switch on the timing path: dirty lines reach the bus through the
 // scheme's writeback path exactly once, and cache stats stay coherent.
 func TestContextSwitchWritesBackDirtyLines(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Scheme = SchemeOTPLRU
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Dirty 16 distinct L2 lines (128B apart).
-	for i := uint64(0); i < 16; i++ {
-		sys.Step(mkStore(0x4000_0000 + i*128))
-	}
-	wb0 := sys.bus.Transactions[mem.SrcWriteback]
-	cost := sys.ContextSwitch(1)
-	if cost.DirtyWritebacks != 16 {
-		t.Errorf("switch wrote back %d lines, want 16", cost.DirtyWritebacks)
-	}
-	if got := sys.bus.Transactions[mem.SrcWriteback] - wb0; got != 16 {
-		t.Errorf("bus saw %d switch writebacks, want 16", got)
-	}
-	if sys.l2.Probe(0x4000_0000) {
-		t.Error("L2 still holds a line after invalidation")
-	}
-	// A second switch straight after finds nothing dirty.
-	if cost := sys.ContextSwitch(0); cost.DirtyWritebacks != 0 {
-		t.Errorf("second switch wrote back %d lines, want 0", cost.DirtyWritebacks)
-	}
-	// Stats remain internally consistent: the invalidation writebacks are
-	// counted by the caches too.
-	if sys.l2.Writebacks == 0 {
-		t.Error("L2 writeback counter missed the invalidation")
+	// Dirty 16 distinct L2 lines (128B apart), through one or both of the
+	// 64B L1D lines in each. Dirty state is written back at L2
+	// granularity, so either way each L2 line goes out exactly once.
+	for _, tc := range []struct {
+		name    string
+		offsets []uint64
+	}{
+		{"one-l1-half", []uint64{0}},
+		{"both-l1-halves", []uint64{0, 64}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Scheme = SchemeOTPLRU
+			sys, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := uint64(0); i < 16; i++ {
+				for _, off := range tc.offsets {
+					sys.Step(mkStore(0x4000_0000 + i*128 + off))
+				}
+			}
+			wb0 := sys.bus.Transactions[mem.SrcWriteback]
+			cost := sys.ContextSwitch(1)
+			if cost.DirtyWritebacks != 16 {
+				t.Errorf("switch wrote back %d lines, want 16", cost.DirtyWritebacks)
+			}
+			if got := sys.bus.Transactions[mem.SrcWriteback] - wb0; got != 16 {
+				t.Errorf("bus saw %d switch writebacks, want 16", got)
+			}
+			if sys.l2.Probe(0x4000_0000) {
+				t.Error("L2 still holds a line after invalidation")
+			}
+			// A second switch straight after finds nothing dirty.
+			if cost := sys.ContextSwitch(0); cost.DirtyWritebacks != 0 {
+				t.Errorf("second switch wrote back %d lines, want 0", cost.DirtyWritebacks)
+			}
+			// Stats remain internally consistent: the invalidation
+			// writebacks are counted by the caches too.
+			if sys.l2.Writebacks == 0 {
+				t.Error("L2 writeback counter missed the invalidation")
+			}
+		})
 	}
 }
 
