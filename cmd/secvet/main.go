@@ -6,25 +6,17 @@
 //	detachedctx   context.Background/TODO only at audited detachment seams
 //	determinism   no wall clocks / unseeded rand / map iteration in golden-feeding code
 //
-// Standalone (the canonical mode — whole-program, so hotpathalloc sees
-// cross-package reachability):
+// It loads the whole module at once, so hotpathalloc sees cross-package
+// reachability:
 //
 //	go run ./cmd/secvet ./...        # or: go tool secvet ./...
-//
-// It also speaks the `go vet -vettool` unit protocol (per-package, so
-// hotpathalloc reachability stops at package boundaries there):
-//
-//	go build -o /tmp/secvet ./cmd/secvet
-//	go vet -vettool=/tmp/secvet ./...
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load failure.
 package main
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -44,17 +36,9 @@ var analyzers = []*analysis.Analyzer{
 }
 
 func main() {
-	// `go vet -vettool` probes the tool's flag set first ("-flags", a
-	// JSON list) to learn which vet flags it may forward. secvet takes
-	// none.
-	if len(os.Args) > 1 && os.Args[1] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
-	versionFlag := flag.String("V", "", "print version (go vet tool protocol; only -V=full is meaningful)")
 	listFlag := flag.Bool("list", false, "list the analyzers and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: secvet [packages]   (default ./...)\n       secvet unit.cfg     (go vet -vettool protocol)\n\nanalyzers:\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: secvet [packages]   (default ./...)\n\nanalyzers:\n")
 		for _, a := range analyzers {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-14s %s\n", a.Name, a.Doc)
 		}
@@ -62,22 +46,13 @@ func main() {
 	}
 	flag.Parse()
 
-	if *versionFlag != "" {
-		printVersion()
-		return
-	}
 	if *listFlag {
 		for _, a := range analyzers {
 			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
 		}
 		return
 	}
-
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(unitMode(args[0]))
-	}
-	os.Exit(standalone(args))
+	os.Exit(standalone(flag.Args()))
 }
 
 // standalone loads the whole module (whole-program reachability) and
@@ -108,62 +83,4 @@ func standalone(patterns []string) int {
 		return 1
 	}
 	return 0
-}
-
-// unitMode implements the `go vet -vettool` per-package protocol: read
-// the unit config, analyze the one package, report findings on stderr
-// (exit 2, vet's diagnostic convention) and write the facts file the go
-// command expects (empty — the suite exchanges no facts).
-func unitMode(cfgFile string) int {
-	prog, vetxOutput, vetxOnly, err := analysis.LoadUnit(cfgFile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "secvet:", err)
-		return 1
-	}
-	if vetxOutput != "" {
-		if err := os.WriteFile(vetxOutput, []byte{}, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "secvet:", err)
-			return 1
-		}
-	}
-	if vetxOnly {
-		return 0
-	}
-	diags, err := analysis.Run(prog, analyzers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "secvet:", err)
-		return 1
-	}
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: %s [%s]\n", d.Pos, d.Message, d.Analyzer)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
-}
-
-// printVersion implements the -V=full handshake the go command performs
-// before trusting a vettool: "name version <content-id>". The content
-// id is a hash of the executable so rebuilding secvet invalidates vet's
-// action cache.
-func printVersion() {
-	name := strings.TrimSuffix(filepath.Base(os.Args[0]), ".exe")
-	exe, err := os.Executable()
-	if err != nil {
-		fmt.Printf("%s version unknown\n", name)
-		return
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		fmt.Printf("%s version unknown\n", name)
-		return
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		fmt.Printf("%s version unknown\n", name)
-		return
-	}
-	fmt.Printf("%s version secsim-%x\n", name, h.Sum(nil)[:12])
 }

@@ -94,67 +94,6 @@ func Load(dir string, patterns ...string) (*Program, error) {
 	return prog, nil
 }
 
-// vetConfig is the JSON file `go vet -vettool` hands each analysis unit
-// (the contract cmd/go shares with x/tools' unitchecker).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	NonGoFiles                []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// LoadUnit builds a single-package Program from a `go vet -vettool`
-// config file. The returned vetx output path must be written (even
-// empty) for the go command to consider the unit checked; analyzeOnly
-// reports whether vet asked for facts only (no diagnostics wanted).
-func LoadUnit(cfgFile string) (prog *Program, vetxOutput string, analyzeOnly bool, err error) {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		return nil, "", false, err
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		return nil, "", false, fmt.Errorf("%s: bad vet config: %w", cfgFile, err)
-	}
-	fset := token.NewFileSet()
-	imp := newExportImporter(fset, func(path string) (string, bool) {
-		if canonical, ok := cfg.ImportMap[path]; ok {
-			path = canonical
-		}
-		f, ok := cfg.PackageFile[path]
-		return f, ok
-	})
-	// Vet hands GoFiles as absolute paths and includes _test.go files in
-	// test-variant units; the suite analyzes shipped sources only (the
-	// standalone loader never sees test files either).
-	var files []string
-	for _, f := range cfg.GoFiles {
-		if strings.HasSuffix(f, ".go") && !strings.HasSuffix(f, "_test.go") {
-			files = append(files, f)
-		}
-	}
-	if len(files) == 0 {
-		return &Program{Fset: fset}, cfg.VetxOutput, cfg.VetxOnly, nil
-	}
-	pkg, err := loadSource(fset, imp, cfg.ImportPath, cfg.Dir, files)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return &Program{Fset: fset}, cfg.VetxOutput, cfg.VetxOnly, nil
-		}
-		return nil, "", false, err
-	}
-	return &Program{Fset: fset, Packages: []*Package{pkg}}, cfg.VetxOutput, cfg.VetxOnly, nil
-}
-
 // loadSource parses and type-checks one package from source. File names
 // may be bare (relative to dir) or absolute.
 func loadSource(fset *token.FileSet, imp types.Importer, path, dir string, fileNames []string) (*Package, error) {

@@ -203,14 +203,6 @@ func (c *Cache) InvalidateAll() (dirty []uint64) {
 	return dirty
 }
 
-// MissRate returns misses/accesses.
-func (c *Cache) MissRate() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(c.Accesses)
-}
-
 // ResetStats clears counters but keeps cache contents (used after warmup).
 func (c *Cache) ResetStats() {
 	c.Accesses, c.Hits, c.Misses, c.Writebacks = 0, 0, 0, 0

@@ -166,15 +166,15 @@ func TestLineAddr(t *testing.T) {
 	}
 }
 
-func TestMissRateAndReset(t *testing.T) {
+func TestResetStatsKeepsContents(t *testing.T) {
 	c := New(cfg4way())
 	c.Access(0, false)
 	c.Access(0, false)
-	if got := c.MissRate(); got != 0.5 {
-		t.Errorf("MissRate = %v, want 0.5", got)
+	if c.Accesses != 2 || c.Hits != 1 || c.Misses != 1 {
+		t.Errorf("accesses/hits/misses = %d/%d/%d, want 2/1/1", c.Accesses, c.Hits, c.Misses)
 	}
 	c.ResetStats()
-	if c.MissRate() != 0 || c.Accesses != 0 {
+	if c.Accesses != 0 || c.Hits != 0 || c.Misses != 0 {
 		t.Error("ResetStats did not clear")
 	}
 	if !c.Probe(0) {

@@ -43,8 +43,8 @@ func TestXOMReadSerializesCrypto(t *testing.T) {
 	if got := x.ReadLine(0, dataAccess(0x1000)); got != lineArrival+50 {
 		t.Errorf("XOM read = %d, want %d", got, lineArrival+50)
 	}
-	if x.reads != 1 {
-		t.Error("read not counted")
+	if bus.Transactions[mem.SrcLineFill] != 1 {
+		t.Error("line fill transaction missing")
 	}
 }
 
@@ -66,13 +66,16 @@ func newOTP(policy snc.Policy) (*OTP, *mem.Bus) {
 }
 
 func TestOTPInstructionReadParallel(t *testing.T) {
-	o, _ := newOTP(snc.LRU)
+	o, bus := newOTP(snc.LRU)
 	// MAX(108, 50) + 1 = 109: Section 3.2's headline result.
 	if got := o.ReadLine(0, instrAccess(0x400000)); got != lineArrival+1 {
 		t.Errorf("OTP instr read = %d, want %d", got, lineArrival+1)
 	}
-	if o.instrReads != 1 {
-		t.Error("instr read not counted")
+	if o.snc.QueryHits+o.snc.QueryMisses != 0 {
+		t.Error("instruction read must not query the SNC")
+	}
+	if bus.Transactions[mem.SrcLineFill] != 1 {
+		t.Error("line fill transaction missing")
 	}
 }
 
@@ -82,7 +85,7 @@ func TestOTPQueryHitParallel(t *testing.T) {
 	if got := o.ReadLine(0, dataAccess(0x2000)); got != lineArrival+1 {
 		t.Errorf("OTP hit read = %d, want %d", got, lineArrival+1)
 	}
-	if o.queryHits != 1 {
+	if o.snc.QueryHits != 1 {
 		t.Error("query hit not counted")
 	}
 }
@@ -109,8 +112,8 @@ func TestOTPQueryMissNoReplFallsBackToXOM(t *testing.T) {
 	if got := o.ReadLine(0, dataAccess(0x2000)); got != lineArrival+50 {
 		t.Errorf("NoRepl uncovered read = %d, want %d (XOM path)", got, lineArrival+50)
 	}
-	if o.directReads != 1 {
-		t.Error("direct read not counted")
+	if o.snc.QueryMisses != 1 {
+		t.Error("query miss not counted")
 	}
 	if bus.Transactions[mem.SrcSeqNumFetch] != 0 {
 		t.Error("NoRepl must not fetch sequence numbers")
@@ -123,7 +126,7 @@ func TestOTPWritebackHit(t *testing.T) {
 	if got := o.WritebackLine(7, dataAccess(0x2000)); got != 7 {
 		t.Errorf("writeback cpuFree = %d, want 7", got)
 	}
-	if o.updateHits != 1 {
+	if o.snc.UpdateHits != 1 {
 		t.Error("update hit not counted")
 	}
 	if bus.Transactions[mem.SrcWriteback] != 1 {
@@ -145,11 +148,8 @@ func TestOTPWritebackMissLRUFetchesAndSpills(t *testing.T) {
 	if got := o.WritebackLine(0, dataAccess(0x800000)); got != 0 {
 		t.Errorf("writeback stalled CPU: %d", got)
 	}
-	if o.updateMisses != 1 {
+	if o.snc.UpdateMisses != 1 {
 		t.Error("update miss not counted")
-	}
-	if o.spills != 1 {
-		t.Error("victim spill not counted")
 	}
 	if bus.Transactions[mem.SrcSeqNumFetch] != 1 || bus.Transactions[mem.SrcSeqNumSpill] != 1 {
 		t.Errorf("traffic: fetch=%d spill=%d, want 1,1",
@@ -163,17 +163,14 @@ func TestOTPWritebackMissNoReplInstallsWhileVacant(t *testing.T) {
 	if !o.SNC().Contains(0x2000) {
 		t.Error("vacant NoRepl SNC should accept the line")
 	}
-	if o.directWrites != 0 {
-		t.Error("should not fall back while vacant")
-	}
 	// Fill it up, then write an uncovered line: direct encryption.
 	for i := uint64(1); i < 64; i++ {
 		o.WritebackLine(0, dataAccess(i*128))
 	}
 	before := bus.Transactions[mem.SrcWriteback]
 	o.WritebackLine(0, dataAccess(0x900000))
-	if o.directWrites == 0 {
-		t.Error("full NoRepl SNC must use direct encryption")
+	if o.SNC().Contains(0x900000) {
+		t.Error("full NoRepl SNC must use direct encryption, not cover the line")
 	}
 	if bus.Transactions[mem.SrcWriteback] != before+1 {
 		t.Error("direct write must still go to memory")
@@ -216,14 +213,12 @@ func TestOTPNames(t *testing.T) {
 func TestOTPResetStats(t *testing.T) {
 	o, _ := newOTP(snc.LRU)
 	o.ReadLine(0, dataAccess(0))
+	o.WritebackLine(0, dataAccess(0))
 	o.ResetStats()
 	for n, v := range map[string]uint64{
-		"instrReads": o.instrReads, "queryHits": o.queryHits,
-		"queryMisses": o.queryMisses, "updateHits": o.updateHits,
-		"updateMisses": o.updateMisses, "directReads": o.directReads,
-		"directWrites": o.directWrites, "spills": o.spills,
-		"seqFetches": o.seqFetches, "reencrypts": o.reencrypts,
-		"switches": o.switches, "snc.SeqOverflows": o.snc.SeqOverflows,
+		"QueryHits": o.snc.QueryHits, "QueryMisses": o.snc.QueryMisses,
+		"UpdateHits": o.snc.UpdateHits, "UpdateMisses": o.snc.UpdateMisses,
+		"SeqOverflows": o.snc.SeqOverflows,
 	} {
 		if v != 0 {
 			t.Errorf("%s = %d after reset", n, v)
@@ -343,8 +338,8 @@ func TestOTPPIDSwitchOverflowFlushes(t *testing.T) {
 
 // TestOTPSeqOverflowRekeys covers each path that can wrap a line's 16-bit
 // sequence number: an SNC update hit, an LRU update miss that fetches the
-// spilled number, and a NoRepl re-cover after a flush. Each must charge one
-// re-encryption instead of reusing a pad.
+// spilled number, and a NoRepl re-cover after a flush. Each must count one
+// overflow (the re-encryption that replaces the reused pad) exactly once.
 func TestOTPSeqOverflowRekeys(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -361,9 +356,6 @@ func TestOTPSeqOverflowRekeys(t *testing.T) {
 			fills := bus.Transactions[mem.SrcWriteback]
 			// The wrapping writeback pays direct re-encryption, not the pad XOR.
 			o.WritebackLine(0, dataAccess(0))
-			if got := o.reencrypts; got != 1 {
-				t.Errorf("reencrypts = %d, want 1", got)
-			}
 			if got := o.snc.SeqOverflows; got != 1 {
 				t.Errorf("seq_overflows = %d, want 1", got)
 			}
@@ -372,8 +364,8 @@ func TestOTPSeqOverflowRekeys(t *testing.T) {
 			}
 			// The next writeback of the re-keyed line is a normal pad write.
 			o.WritebackLine(0, dataAccess(0))
-			if got := o.reencrypts; got != 1 {
-				t.Errorf("reencrypts after re-key = %d, want 1", got)
+			if got := o.snc.SeqOverflows; got != 1 {
+				t.Errorf("seq_overflows after re-key = %d, want 1", got)
 			}
 		})
 	}

@@ -41,8 +41,6 @@ type OTPMAC struct {
 	// refreshes pass a preallocated closure to the write buffer.
 	drainMACUpdate func(uint64) uint64
 
-	macFetches  uint64
-	macUpdates  uint64
 	verified    uint64
 	stallCycles uint64 // cycles verification extends past the OTP-ready cycle
 }
@@ -87,7 +85,6 @@ func (m *OTPMAC) ReadLine(now uint64, a Access) uint64 {
 	ready, arrival := m.readLine(now, a)
 	macAvail := arrival
 	if !covered {
-		m.macFetches++
 		macArrival := m.bus.Read(now, mem.SrcMACFetch)
 		macAvail = max64(arrival, macArrival)
 	}
@@ -115,7 +112,6 @@ func (m *OTPMAC) WritebackLine(now uint64, a Access) uint64 {
 	cpuFree := m.OTP.WritebackLine(now, a)
 	macDone := m.macUnit.Issue(now)
 	if !covered {
-		m.macUpdates++
 		free := m.wbuf.Insert(now, macDone, m.drainMACUpdate)
 		cpuFree = max64(cpuFree, free)
 	}
@@ -130,5 +126,5 @@ func (m *OTPMAC) IntegrityCounters() (verified, stallCycles uint64) {
 // ResetStats implements Scheme.
 func (m *OTPMAC) ResetStats() {
 	m.OTP.ResetStats()
-	m.macFetches, m.macUpdates, m.verified, m.stallCycles = 0, 0, 0, 0
+	m.verified, m.stallCycles = 0, 0
 }

@@ -34,10 +34,6 @@ type OTPPre struct {
 	// generated once and retained (presence-only use of the same chunked
 	// table that backs padFor).
 	instrPad *seqTable
-
-	padHits      uint64
-	padMisses    uint64
-	hiddenCycles uint64 // crypto cycles the buffered pads took off the critical path
 }
 
 // NewOTPPre wraps an OTP scheme with pad retention and sequence-number
@@ -58,64 +54,45 @@ func (p *OTPPre) Name() string { return "OTP-Pre" }
 //secsim:hotpath
 func (p *OTPPre) ReadLine(now uint64, a Access) uint64 {
 	if a.Instr {
-		p.instrReads++
 		key := p.tagged(a.Line)
 		if _, ok := p.instrPad.lookup(key); ok {
 			// Constant-seed pad already buffered: only the XOR remains.
-			p.padHits++
 			arrival := p.bus.Read(now, mem.SrcLineFill)
 			return arrival + 1
 		}
 		// Cold instruction line: generate and retain the pad.
-		p.padMisses++
 		p.instrPad.set(key, 1)
 		pad := p.crypto.Issue(now)
 		arrival := p.bus.Read(now, mem.SrcLineFill)
-		if pad > arrival {
-			p.hiddenCycles += pad - arrival // future reads of this line save this
-		}
 		return max64(arrival, pad) + 1
 	}
 	va := p.tagged(a.Line)
 	seq, hit := p.snc.Query(va)
 	if hit {
-		p.queryHits++
 		arrival := p.bus.Read(now, mem.SrcLineFill)
 		if want, ok := p.padFor.lookup(va); ok && want == seq {
 			// Predicted pad is buffered: the read is ready at arrival+XOR
 			// no matter the crypto latency.
-			p.padHits++
 			return arrival + 1
 		}
 		// No (or stale) prediction: generate the pad now, retain it.
-		p.padMisses++
 		p.padFor.set(va, seq)
 		pad := p.crypto.Issue(now)
-		if pad > arrival {
-			p.hiddenCycles += pad - arrival
-		}
 		return max64(arrival, pad) + 1
 	}
 	// SNC miss (LRU policy underneath): Algorithm 1's query-miss arm, with
 	// the final pad generation skipped when the fetched sequence number
 	// confirms the prediction.
-	p.queryMisses++
 	arrival := p.bus.Read(now, mem.SrcLineFill)
 	seqArrival := p.bus.Read(now, mem.SrcSeqNumFetch)
-	p.seqFetches++
 	seqPlain := p.crypto.Issue(seqArrival) // decrypt the stored seq number
 	trueSeq := p.seqMem.get(va)
 	p.installFetched(now, va)
 	if want, ok := p.padFor.lookup(va); ok && want == trueSeq {
-		p.padHits++
 		return max64(arrival, seqPlain) + 1
 	}
-	p.padMisses++
 	p.padFor.set(va, trueSeq)
 	pad := p.crypto.Issue(seqPlain) // generate (and retain) the pad
-	if pad > max64(arrival, seqPlain) {
-		p.hiddenCycles += pad - max64(arrival, seqPlain)
-	}
 	return max64(arrival, pad) + 1
 }
 
@@ -137,13 +114,4 @@ func (p *OTPPre) WritebackLine(now uint64, a Access) uint64 {
 		}
 	}
 	return cpuFree
-}
-
-// PadPredictions reports hit/miss counts of the pad buffer (diagnostics).
-func (p *OTPPre) PadPredictions() (hits, misses uint64) { return p.padHits, p.padMisses }
-
-// ResetStats implements Scheme.
-func (p *OTPPre) ResetStats() {
-	p.OTP.ResetStats()
-	p.padHits, p.padMisses, p.hiddenCycles = 0, 0, 0
 }

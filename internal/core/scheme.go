@@ -154,9 +154,6 @@ type XOM struct {
 	crypto *engine.Engine
 
 	drainWriteback func(uint64) uint64
-
-	reads      uint64
-	writebacks uint64
 }
 
 // NewXOM builds the XOM baseline over the given memory system and crypto
@@ -177,7 +174,6 @@ func (x *XOM) Name() string { return "XOM" }
 //
 //secsim:hotpath
 func (x *XOM) ReadLine(now uint64, a Access) uint64 {
-	x.reads++
 	arrival := x.bus.Read(now, mem.SrcLineFill)
 	return x.crypto.Issue(arrival)
 }
@@ -187,13 +183,12 @@ func (x *XOM) ReadLine(now uint64, a Access) uint64 {
 //
 //secsim:hotpath
 func (x *XOM) WritebackLine(now uint64, a Access) uint64 {
-	x.writebacks++
 	ready := x.crypto.Issue(now)
 	return x.wbuf.Insert(now, ready, x.drainWriteback)
 }
 
 // ResetStats implements Scheme.
-func (x *XOM) ResetStats() { x.reads, x.writebacks = 0, 0 }
+func (x *XOM) ResetStats() {}
 
 // OTP is the paper's scheme: pads are computed from address-derived seeds in
 // parallel with the memory access; data lines carry per-line sequence
@@ -222,19 +217,6 @@ type OTP struct {
 	// functional mirror of what the timing model charges traffic for,
 	// keyed by process-tagged virtual line address.
 	seqMem *seqTable
-
-	// Counters.
-	instrReads   uint64
-	queryHits    uint64
-	queryMisses  uint64
-	updateHits   uint64
-	updateMisses uint64
-	directReads  uint64 // NoRepl fallback reads
-	directWrites uint64 // NoRepl fallback writes
-	spills       uint64
-	seqFetches   uint64
-	reencrypts   uint64 // seq-overflow re-keys (direct re-encryption)
-	switches     uint64
 }
 
 // pidTagShift places the process ID above every virtual line address the
@@ -290,21 +272,16 @@ func (o *OTP) readLine(now uint64, a Access) (ready, arrival uint64) {
 	if a.Instr {
 		// Instructions: seed is derived from the VA alone (they are never
 		// written back), so the pad always starts with the read.
-		o.instrReads++
 		pad := o.crypto.Issue(now)
 		arrival = o.bus.Read(now, mem.SrcLineFill)
 		return max64(arrival, pad) + 1, arrival
 	}
 	va := o.tagged(a.Line)
-	seq, hit := o.snc.Query(va)
-	_ = seq
-	if hit {
-		o.queryHits++
+	if _, hit := o.snc.Query(va); hit {
 		pad := o.crypto.Issue(now)
 		arrival = o.bus.Read(now, mem.SrcLineFill)
 		return max64(arrival, pad) + 1, arrival
 	}
-	o.queryMisses++
 	switch o.policy {
 	case snc.LRU:
 		// Algorithm 1, query-miss arm: fetch the encrypted sequence number
@@ -312,7 +289,6 @@ func (o *OTP) readLine(now uint64, a Access) (ready, arrival uint64) {
 		// demand line fetch proceeds in parallel.
 		arrival = o.bus.Read(now, mem.SrcLineFill)
 		seqArrival := o.bus.Read(now, mem.SrcSeqNumFetch)
-		o.seqFetches++
 		seqPlain := o.crypto.Issue(seqArrival) // decrypt the seq number
 		pad := o.crypto.Issue(seqPlain)        // encrypt the seeds
 		o.installFetched(now, va)
@@ -326,7 +302,6 @@ func (o *OTP) readLine(now uint64, a Access) (ready, arrival uint64) {
 			// exists.
 			arrival = o.bus.Read(now, mem.SrcLineFill)
 			seqArrival := o.bus.Read(now, mem.SrcSeqNumFetch)
-			o.seqFetches++
 			seqPlain := o.crypto.Issue(seqArrival)
 			pad := o.crypto.Issue(seqPlain)
 			if o.snc.TryInstall(va, seq) {
@@ -336,7 +311,6 @@ func (o *OTP) readLine(now uint64, a Access) (ready, arrival uint64) {
 		}
 		// Uncovered line: it was encrypted directly (XOM-style), so the
 		// read pays the serial decrypt.
-		o.directReads++
 		arrival = o.bus.Read(now, mem.SrcLineFill)
 		return o.crypto.Issue(arrival), arrival
 	}
@@ -354,7 +328,6 @@ func (o *OTP) installFetched(now uint64, lineVA uint64) {
 }
 
 func (o *OTP) spill(now uint64, victimVA uint64, victimSeq uint16) {
-	o.spills++
 	o.seqMem.set(victimVA, victimSeq)
 	// The spilled number is encrypted directly (Section 4.1: "we choose to
 	// use encryption on the sequence numbers directly, just as the XOM
@@ -373,14 +346,12 @@ func (o *OTP) WritebackLine(now uint64, a Access) uint64 {
 	}
 	va := o.tagged(a.Line)
 	if _, hit, wrapped := o.snc.Update(va); hit {
-		o.updateHits++
 		if wrapped {
 			// The 16-bit sequence space for this line is exhausted: using
 			// the wrapped number would reuse a one-time pad. The paper's
 			// remedy is to re-encrypt the covered line under fresh keying
 			// material, so this writeback pays a direct (serial) encryption
 			// instead of the pad XOR.
-			o.reencrypts++
 			ready := o.crypto.Issue(now)
 			return o.wbuf.Insert(now, ready, o.drainWriteback)
 		}
@@ -389,14 +360,12 @@ func (o *OTP) WritebackLine(now uint64, a Access) uint64 {
 		pad := o.crypto.Issue(now)
 		return o.wbuf.Insert(now, pad+1, o.drainWriteback)
 	}
-	o.updateMisses++
 	switch o.policy {
 	case snc.LRU:
 		// Algorithm 1, update-miss arm: fetch + decrypt the stored number,
 		// increment, pad, encrypt, install, spill the victim. All in the
 		// write buffer's shadow.
 		seqArrival := o.bus.Read(now, mem.SrcSeqNumFetch)
-		o.seqFetches++
 		seqPlain := o.crypto.Issue(seqArrival)
 		wrapped := o.seqMem.get(va) == math.MaxUint16
 		o.seqMem.inc(va) // increment the architectural copy
@@ -406,7 +375,6 @@ func (o *OTP) WritebackLine(now uint64, a Access) uint64 {
 			// in-memory copy: count it with the SNC-observed wraps so the
 			// stat covers every exhaustion, and charge the re-encryption.
 			o.snc.SeqOverflows++
-			o.reencrypts++
 			ready := o.crypto.Issue(seqPlain)
 			return o.wbuf.Insert(now, ready, o.drainWriteback)
 		}
@@ -419,7 +387,6 @@ func (o *OTP) WritebackLine(now uint64, a Access) uint64 {
 			// 1 would reuse pads. Fetch + decrypt the stored number (write
 			// buffer's shadow), increment, re-cover if possible.
 			seqArrival := o.bus.Read(now, mem.SrcSeqNumFetch)
-			o.seqFetches++
 			seqPlain := o.crypto.Issue(seqArrival)
 			wrapped := prev == math.MaxUint16
 			next := prev + 1
@@ -430,7 +397,6 @@ func (o *OTP) WritebackLine(now uint64, a Access) uint64 {
 			}
 			if wrapped {
 				o.snc.SeqOverflows++
-				o.reencrypts++
 				ready := o.crypto.Issue(seqPlain)
 				return o.wbuf.Insert(now, ready, o.drainWriteback)
 			}
@@ -444,7 +410,6 @@ func (o *OTP) WritebackLine(now uint64, a Access) uint64 {
 			return o.wbuf.Insert(now, pad+1, o.drainWriteback)
 		}
 		// Full: direct encryption, exactly like XOM.
-		o.directWrites++
 		ready := o.crypto.Issue(now)
 		return o.wbuf.Insert(now, ready, o.drainWriteback)
 	}
@@ -472,7 +437,6 @@ func (o *OTP) SwitchPolicy() SwitchPolicy { return o.switchPolicy }
 //
 //secsim:hotpath
 func (o *OTP) ContextSwitch(now uint64, next int) (done uint64) {
-	o.switches++
 	done = now
 	flush := o.switchPolicy != SwitchPID
 	if !flush {
@@ -488,7 +452,6 @@ func (o *OTP) ContextSwitch(now uint64, next int) (done uint64) {
 		for _, pair := range o.snc.FlushAll() {
 			lineVA, seq := pair[0], uint16(pair[1])
 			o.seqMem.set(lineVA, seq)
-			o.spills++
 			ready := o.crypto.Issue(now)
 			d := o.wbuf.Insert(now, ready, o.drainSpill)
 			if d > done {
@@ -501,13 +464,7 @@ func (o *OTP) ContextSwitch(now uint64, next int) (done uint64) {
 }
 
 // ResetStats implements Scheme.
-func (o *OTP) ResetStats() {
-	o.instrReads, o.queryHits, o.queryMisses = 0, 0, 0
-	o.updateHits, o.updateMisses = 0, 0
-	o.directReads, o.directWrites, o.spills, o.seqFetches = 0, 0, 0, 0
-	o.reencrypts, o.switches = 0, 0
-	o.snc.ResetStats()
-}
+func (o *OTP) ResetStats() { o.snc.ResetStats() }
 
 func max64(a, b uint64) uint64 {
 	if a > b {

@@ -61,65 +61,38 @@ func (t *seqTable) cloneInto(dst *seqTable) *seqTable {
 	return dst
 }
 
-// baselineState is the (empty) snapshot of the insecure baseline: the scheme
-// itself holds no mutable state — the bus and write buffer it drives are
-// checkpointed by their own packages.
-type baselineState struct{}
+// statelessState is the (empty) snapshot of the schemes that hold no
+// mutable state of their own, the insecure baseline and XOM: the bus, write
+// buffer and crypto unit they drive are checkpointed by their own packages.
+type statelessState struct{}
 
-func (baselineState) schemeState() {}
-
-// SnapshotState implements Snapshottable.
-func (b *Baseline) SnapshotState() SchemeState { return baselineState{} }
-
-// RestoreState implements Snapshottable.
-func (b *Baseline) RestoreState(s SchemeState) error {
-	if _, ok := s.(baselineState); !ok {
-		return fmt.Errorf("core: baseline cannot restore %T", s)
-	}
-	return nil
-}
-
-// xomState snapshots the XOM scheme's counters.
-type xomState struct {
-	reads      uint64
-	writebacks uint64
-}
-
-func (xomState) schemeState() {}
+func (statelessState) schemeState() {}
 
 // SnapshotState implements Snapshottable.
-func (x *XOM) SnapshotState() SchemeState {
-	return xomState{reads: x.reads, writebacks: x.writebacks}
-}
+func (b *Baseline) SnapshotState() SchemeState { return statelessState{} }
 
 // RestoreState implements Snapshottable.
-func (x *XOM) RestoreState(s SchemeState) error {
-	st, ok := s.(xomState)
-	if !ok {
-		return fmt.Errorf("core: XOM cannot restore %T", s)
+func (b *Baseline) RestoreState(s SchemeState) error { return restoreStateless("baseline", s) }
+
+// SnapshotState implements Snapshottable.
+func (x *XOM) SnapshotState() SchemeState { return statelessState{} }
+
+// RestoreState implements Snapshottable.
+func (x *XOM) RestoreState(s SchemeState) error { return restoreStateless("XOM", s) }
+
+func restoreStateless(name string, s SchemeState) error {
+	if _, ok := s.(statelessState); !ok {
+		return fmt.Errorf("core: %s cannot restore %T", name, s)
 	}
-	x.reads, x.writebacks = st.reads, st.writebacks
 	return nil
 }
 
 // otpState snapshots the one-time-pad scheme: SNC contents, the architectural
-// in-memory sequence-number table, the running process ID, and the counters.
+// in-memory sequence-number table and the running process ID.
 type otpState struct {
 	snc    *snc.Snapshot
 	seqMem *seqTable
 	pid    int
-
-	instrReads   uint64
-	queryHits    uint64
-	queryMisses  uint64
-	updateHits   uint64
-	updateMisses uint64
-	directReads  uint64
-	directWrites uint64
-	spills       uint64
-	seqFetches   uint64
-	reencrypts   uint64
-	switches     uint64
 }
 
 func (*otpState) schemeState() {}
@@ -127,22 +100,7 @@ func (*otpState) schemeState() {}
 // captureOTP builds the shared OTP portion of a snapshot (also used by the
 // wrapping schemes).
 func (o *OTP) captureOTP() *otpState {
-	return &otpState{
-		snc:          o.snc.Snapshot(),
-		seqMem:       o.seqMem.clone(),
-		pid:          o.pid,
-		instrReads:   o.instrReads,
-		queryHits:    o.queryHits,
-		queryMisses:  o.queryMisses,
-		updateHits:   o.updateHits,
-		updateMisses: o.updateMisses,
-		directReads:  o.directReads,
-		directWrites: o.directWrites,
-		spills:       o.spills,
-		seqFetches:   o.seqFetches,
-		reencrypts:   o.reencrypts,
-		switches:     o.switches,
-	}
+	return &otpState{snc: o.snc.Snapshot(), seqMem: o.seqMem.clone(), pid: o.pid}
 }
 
 // restoreOTP reinstates the shared OTP portion. The sequence table is cloned
@@ -153,17 +111,6 @@ func (o *OTP) restoreOTP(st *otpState) {
 	o.snc.Restore(st.snc)
 	o.seqMem = st.seqMem.cloneInto(o.seqMem)
 	o.pid = st.pid
-	o.instrReads = st.instrReads
-	o.queryHits = st.queryHits
-	o.queryMisses = st.queryMisses
-	o.updateHits = st.updateHits
-	o.updateMisses = st.updateMisses
-	o.directReads = st.directReads
-	o.directWrites = st.directWrites
-	o.spills = st.spills
-	o.seqFetches = st.seqFetches
-	o.reencrypts = st.reencrypts
-	o.switches = st.switches
 }
 
 // SnapshotState implements Snapshottable.
@@ -185,8 +132,6 @@ type otpMACState struct {
 	otp     *otpState
 	macUnit engine.Snapshot
 
-	macFetches  uint64
-	macUpdates  uint64
 	verified    uint64
 	stallCycles uint64
 }
@@ -198,8 +143,6 @@ func (m *OTPMAC) SnapshotState() SchemeState {
 	return &otpMACState{
 		otp:         m.captureOTP(),
 		macUnit:     m.macUnit.Snapshot(),
-		macFetches:  m.macFetches,
-		macUpdates:  m.macUpdates,
 		verified:    m.verified,
 		stallCycles: m.stallCycles,
 	}
@@ -213,23 +156,16 @@ func (m *OTPMAC) RestoreState(s SchemeState) error {
 	}
 	m.restoreOTP(st.otp)
 	m.macUnit.Restore(st.macUnit)
-	m.macFetches = st.macFetches
-	m.macUpdates = st.macUpdates
 	m.verified = st.verified
 	m.stallCycles = st.stallCycles
 	return nil
 }
 
-// otpPreState adds the pad-buffer tables and prediction counters to the OTP
-// state.
+// otpPreState adds the pad-buffer tables to the OTP state.
 type otpPreState struct {
 	otp      *otpState
 	padFor   *seqTable
 	instrPad *seqTable
-
-	padHits      uint64
-	padMisses    uint64
-	hiddenCycles uint64
 }
 
 func (*otpPreState) schemeState() {}
@@ -237,12 +173,9 @@ func (*otpPreState) schemeState() {}
 // SnapshotState implements Snapshottable.
 func (p *OTPPre) SnapshotState() SchemeState {
 	return &otpPreState{
-		otp:          p.captureOTP(),
-		padFor:       p.padFor.clone(),
-		instrPad:     p.instrPad.clone(),
-		padHits:      p.padHits,
-		padMisses:    p.padMisses,
-		hiddenCycles: p.hiddenCycles,
+		otp:      p.captureOTP(),
+		padFor:   p.padFor.clone(),
+		instrPad: p.instrPad.clone(),
 	}
 }
 
@@ -255,8 +188,5 @@ func (p *OTPPre) RestoreState(s SchemeState) error {
 	p.restoreOTP(st.otp)
 	p.padFor = st.padFor.cloneInto(p.padFor)
 	p.instrPad = st.instrPad.cloneInto(p.instrPad)
-	p.padHits = st.padHits
-	p.padMisses = st.padMisses
-	p.hiddenCycles = st.hiddenCycles
 	return nil
 }

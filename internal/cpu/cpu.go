@@ -271,9 +271,6 @@ func (c *CPU) Drain() {
 	c.missHead, c.missN = 0, 0
 }
 
-// OutstandingMisses returns the number of misses in flight (diagnostics).
-func (c *CPU) OutstandingMisses() int { return c.missN }
-
 // Snapshot is an opaque deep copy of the core's mutable timing state, taken
 // with Snapshot and reinstated with Restore. It shares nothing with the CPU
 // it came from, so one snapshot can seed any number of forked runs.

@@ -148,7 +148,7 @@ func TestStoreMissDoesNotStall(t *testing.T) {
 	if c.Cycles() > 1 {
 		t.Errorf("store miss stalled the core: %d cycles", c.Cycles())
 	}
-	if c.OutstandingMisses() != 1 {
+	if c.missN != 1 {
 		t.Error("store fill must occupy an MSHR")
 	}
 	c.StoreHit()
@@ -176,7 +176,7 @@ func TestDrainWaitsForAll(t *testing.T) {
 	if c.Cycles() < 1000 {
 		t.Errorf("Drain did not wait: %d", c.Cycles())
 	}
-	if c.OutstandingMisses() != 0 {
+	if c.missN != 0 {
 		t.Error("misses remain after Drain")
 	}
 }

@@ -52,10 +52,6 @@ type Engine struct {
 	cfg Config
 	// nextFree[i] is the earliest cycle port i can accept a new block.
 	nextFree []uint64
-	// Stats.
-	Issued      uint64 // blocks pushed through the pipeline
-	BusyStalls  uint64 // issues that had to wait for a port
-	StallCycles uint64 // total cycles issues waited
 }
 
 // New creates an engine from cfg. It panics on invalid configuration
@@ -85,71 +81,26 @@ func (e *Engine) Issue(now uint64) (done uint64) {
 	}
 	start := now
 	if e.nextFree[best] > start {
-		e.BusyStalls++
-		e.StallCycles += e.nextFree[best] - start
 		start = e.nextFree[best]
 	}
 	e.nextFree[best] = start + e.cfg.InitiationInterval
-	e.Issued++
 	return start + e.cfg.Latency
 }
 
-// IssueBurst submits n blocks starting at `now` (e.g. the pads for every
-// cipher block of a cache line) and returns the completion time of the last
-// one. With a fully pipelined unit this is now + Latency + (n-1)*II.
-func (e *Engine) IssueBurst(now uint64, n int) (lastDone uint64) {
-	if n <= 0 {
-		return now
-	}
-	for i := 0; i < n; i++ {
-		lastDone = e.Issue(now)
-		now = max64(now, lastDone-e.cfg.Latency+e.cfg.InitiationInterval)
-	}
-	return lastDone
-}
-
-// Reset clears pipeline occupancy and statistics.
-func (e *Engine) Reset() {
-	for i := range e.nextFree {
-		e.nextFree[i] = 0
-	}
-	e.Issued, e.BusyStalls, e.StallCycles = 0, 0, 0
-}
-
 // Snapshot is a deep copy of the engine's mutable state (per-port pipeline
-// occupancy and stats), taken with Snapshot and reinstated with Restore. It
-// shares nothing with the engine it came from.
+// occupancy), taken with Snapshot and reinstated with Restore. It shares
+// nothing with the engine it came from.
 type Snapshot struct {
-	nextFree    []uint64
-	issued      uint64
-	busyStalls  uint64
-	stallCycles uint64
+	nextFree []uint64
 }
 
 // Snapshot captures the engine's full mutable state.
 func (e *Engine) Snapshot() Snapshot {
-	s := Snapshot{
-		nextFree:    make([]uint64, len(e.nextFree)),
-		issued:      e.Issued,
-		busyStalls:  e.BusyStalls,
-		stallCycles: e.StallCycles,
-	}
-	copy(s.nextFree, e.nextFree)
-	return s
+	return Snapshot{nextFree: append([]uint64(nil), e.nextFree...)}
 }
 
 // Restore reinstates a snapshot taken from an engine with the same port
 // count.
 func (e *Engine) Restore(s Snapshot) {
 	copy(e.nextFree, s.nextFree)
-	e.Issued = s.issued
-	e.BusyStalls = s.busyStalls
-	e.StallCycles = s.stallCycles
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

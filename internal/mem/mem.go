@@ -92,8 +92,6 @@ type Bus struct {
 	writeFree uint64
 	// Transactions counts bus uses by source.
 	Transactions [numSources]uint64
-	// BusyCycles is total bus occupancy.
-	BusyCycles uint64
 }
 
 // NewBus builds the bus model.
@@ -112,7 +110,6 @@ func (b *Bus) Read(now uint64, src TrafficSource) (done uint64) {
 		start = b.nextFree
 	}
 	b.nextFree = start + b.cfg.BusCyclesPerLine
-	b.BusyCycles += b.cfg.BusCyclesPerLine
 	b.Transactions[src]++
 	return start + b.cfg.AccessLatency + b.cfg.BusCyclesPerLine
 }
@@ -134,18 +131,8 @@ func (b *Bus) Write(now uint64, src TrafficSource) (done uint64) {
 		start = b.writeFree
 	}
 	b.writeFree = start + b.cfg.BusCyclesPerLine
-	b.BusyCycles += b.cfg.BusCyclesPerLine
 	b.Transactions[src]++
 	return start + b.cfg.BusCyclesPerLine
-}
-
-// TotalTransactions sums all sources.
-func (b *Bus) TotalTransactions() uint64 {
-	var t uint64
-	for _, v := range b.Transactions {
-		t += v
-	}
-	return t
 }
 
 // DemandTransactions returns fills + writebacks (the paper's "L2 cache
@@ -154,25 +141,12 @@ func (b *Bus) DemandTransactions() uint64 {
 	return b.Transactions[SrcLineFill] + b.Transactions[SrcWriteback]
 }
 
-// SNCTransactions returns the SNC-induced extra traffic (Figure 9
-// numerator).
-func (b *Bus) SNCTransactions() uint64 {
-	return b.Transactions[SrcSeqNumFetch] + b.Transactions[SrcSeqNumSpill]
-}
-
-// MACTransactions returns the integrity-induced extra traffic (MAC fetches
-// plus MAC table updates).
-func (b *Bus) MACTransactions() uint64 {
-	return b.Transactions[SrcMACFetch] + b.Transactions[SrcMACUpdate]
-}
-
 // Config returns the bus/DRAM configuration.
 func (b *Bus) Config() DRAMConfig { return b.cfg }
 
 // ResetStats clears counters (keeps timing state).
 func (b *Bus) ResetStats() {
 	b.Transactions = [numSources]uint64{}
-	b.BusyCycles = 0
 }
 
 // BusSnapshot is a copy of the bus's mutable state (timing reservations and
@@ -182,7 +156,6 @@ type BusSnapshot struct {
 	nextFree     uint64
 	writeFree    uint64
 	transactions [numSources]uint64
-	busyCycles   uint64
 }
 
 // Snapshot captures the bus's full mutable state.
@@ -191,7 +164,6 @@ func (b *Bus) Snapshot() BusSnapshot {
 		nextFree:     b.nextFree,
 		writeFree:    b.writeFree,
 		transactions: b.Transactions,
-		busyCycles:   b.BusyCycles,
 	}
 }
 
@@ -200,7 +172,6 @@ func (b *Bus) Restore(s BusSnapshot) {
 	b.nextFree = s.nextFree
 	b.writeFree = s.writeFree
 	b.Transactions = s.transactions
-	b.BusyCycles = s.busyCycles
 }
 
 // WriteBuffer models the deferred-write queue between L2 and memory
@@ -210,10 +181,6 @@ func (b *Bus) Restore(s BusSnapshot) {
 type WriteBuffer struct {
 	depth   int
 	pending []uint64 // completion times of in-flight drains, sorted
-
-	// Stats.
-	Inserted   uint64
-	FullStalls uint64
 }
 
 // NewWriteBuffer creates a buffer with the given capacity. The pending
@@ -231,7 +198,6 @@ func NewWriteBuffer(depth int) *WriteBuffer {
 // CPU may proceed: `now` unless the buffer was full, in which case the CPU
 // waits for the oldest entry to drain.
 func (w *WriteBuffer) Insert(now, ready uint64, drain func(uint64) uint64) (cpuFree uint64) {
-	w.Inserted++
 	// Retire entries that have drained by now. Compact in place rather than
 	// re-slicing so the backing array keeps its depth-sized capacity and
 	// the sorted insert below never allocates.
@@ -245,7 +211,6 @@ func (w *WriteBuffer) Insert(now, ready uint64, drain func(uint64) uint64) (cpuF
 	}
 	cpuFree = now
 	if len(w.pending) >= w.depth {
-		w.FullStalls++
 		cpuFree = w.pending[0]
 		n := copy(w.pending, w.pending[1:])
 		w.pending = w.pending[:n]
@@ -260,36 +225,16 @@ func (w *WriteBuffer) Insert(now, ready uint64, drain func(uint64) uint64) (cpuF
 	return cpuFree
 }
 
-// Occupancy returns the number of entries still draining at time now.
-func (w *WriteBuffer) Occupancy(now uint64) int {
-	n := 0
-	for _, t := range w.pending {
-		if t > now {
-			n++
-		}
-	}
-	return n
-}
-
-// Depth returns the configured capacity.
-func (w *WriteBuffer) Depth() int { return w.depth }
-
 // WriteBufferSnapshot is a deep copy of the buffer's mutable state (pending
-// drain completion times and stats), taken with Snapshot and reinstated with
-// Restore. It shares nothing with the buffer it came from.
+// drain completion times), taken with Snapshot and reinstated with Restore.
+// It shares nothing with the buffer it came from.
 type WriteBufferSnapshot struct {
-	pending    []uint64
-	inserted   uint64
-	fullStalls uint64
+	pending []uint64
 }
 
 // Snapshot captures the buffer's full mutable state.
 func (w *WriteBuffer) Snapshot() WriteBufferSnapshot {
-	s := WriteBufferSnapshot{
-		pending:    make([]uint64, len(w.pending)),
-		inserted:   w.Inserted,
-		fullStalls: w.FullStalls,
-	}
+	s := WriteBufferSnapshot{pending: make([]uint64, len(w.pending))}
 	copy(s.pending, w.pending)
 	return s
 }
@@ -299,8 +244,6 @@ func (w *WriteBuffer) Snapshot() WriteBufferSnapshot {
 // keeps its steady-state (allocation-free) capacity.
 func (w *WriteBuffer) Restore(s WriteBufferSnapshot) {
 	w.pending = append(w.pending[:0], s.pending...)
-	w.Inserted = s.inserted
-	w.FullStalls = s.fullStalls
 }
 
 func maxU64(a, b uint64) uint64 {

@@ -46,8 +46,8 @@ func TestBusContention(t *testing.T) {
 	if d4 := b.Read(16, SrcLineFill); d4 != 16+108 {
 		t.Errorf("read after write = %d, want 124", d4)
 	}
-	if b.BusyCycles != 32 {
-		t.Errorf("BusyCycles = %d, want 32 (3 transfers + trailing read)", b.BusyCycles)
+	if b.Transactions[SrcLineFill] != 3 || b.Transactions[SrcWriteback] != 1 {
+		t.Errorf("transactions = %v, want 3 fills + 1 writeback", b.Transactions)
 	}
 }
 
@@ -77,17 +77,16 @@ func TestBusTrafficAccounting(t *testing.T) {
 	b.Write(0, SrcWriteback)
 	b.Read(0, SrcSeqNumFetch)
 	b.Write(0, SrcSeqNumSpill)
-	if b.TotalTransactions() != 4 {
-		t.Errorf("total = %d", b.TotalTransactions())
+	for _, src := range []TrafficSource{SrcLineFill, SrcWriteback, SrcSeqNumFetch, SrcSeqNumSpill} {
+		if b.Transactions[src] != 1 {
+			t.Errorf("%v = %d, want 1", src, b.Transactions[src])
+		}
 	}
 	if b.DemandTransactions() != 2 {
 		t.Errorf("demand = %d", b.DemandTransactions())
 	}
-	if b.SNCTransactions() != 2 {
-		t.Errorf("snc = %d", b.SNCTransactions())
-	}
 	b.ResetStats()
-	if b.TotalTransactions() != 0 || b.BusyCycles != 0 {
+	if b.Transactions != [numSources]uint64{} {
 		t.Error("ResetStats failed")
 	}
 }
@@ -114,8 +113,8 @@ func TestWriteBufferNoStallWhenEmpty(t *testing.T) {
 	if free != 10 {
 		t.Errorf("cpuFree = %d, want 10 (no stall)", free)
 	}
-	if w.Inserted != 1 {
-		t.Error("insert not counted")
+	if b.Transactions[SrcWriteback] != 1 {
+		t.Error("insert did not drain to the bus")
 	}
 }
 
@@ -130,9 +129,6 @@ func TestWriteBufferFullStalls(t *testing.T) {
 	if free != 1000 {
 		t.Errorf("cpuFree = %d, want 1000", free)
 	}
-	if w.FullStalls != 1 {
-		t.Errorf("FullStalls = %d, want 1", w.FullStalls)
-	}
 }
 
 func TestWriteBufferRetiresDrained(t *testing.T) {
@@ -142,24 +138,6 @@ func TestWriteBufferRetiresDrained(t *testing.T) {
 	// At t=100 the previous entry has drained; no stall.
 	if free := w.Insert(100, 100, fast); free != 100 {
 		t.Errorf("cpuFree = %d, want 100", free)
-	}
-	if w.FullStalls != 0 {
-		t.Error("unexpected stall")
-	}
-}
-
-func TestWriteBufferOccupancy(t *testing.T) {
-	w := NewWriteBuffer(4)
-	w.Insert(0, 0, func(start uint64) uint64 { return start + 50 })
-	w.Insert(0, 0, func(start uint64) uint64 { return start + 70 })
-	if got := w.Occupancy(60); got != 1 {
-		t.Errorf("Occupancy(60) = %d, want 1", got)
-	}
-	if got := w.Occupancy(80); got != 0 {
-		t.Errorf("Occupancy(80) = %d, want 0", got)
-	}
-	if w.Depth() != 4 {
-		t.Error("Depth mismatch")
 	}
 }
 

@@ -9,8 +9,10 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -468,12 +470,19 @@ func TestMetricsWithoutStore(t *testing.T) {
 	}
 }
 
+// replayKeyCalls numbers the calls of the replay-metrics tests below. The
+// outcome, warmup and checkpoint caches are process-wide and outlive each
+// test, so every call derives its cache keys from a fresh number: under
+// -count=N no iteration finds what an earlier one recorded.
+var replayKeyCalls atomic.Int64
+
 // TestMetricsOutcomeReplay: /metrics reports the outcome cache, and a
 // second scheme on the same benchmark replays the first one's recorded
-// cache outcomes — an outcome hit — instead of recording its own. The scale
-// is one no other test uses, because the cache is process-wide.
+// cache outcomes — an outcome hit — instead of recording its own. Each call
+// runs at its own scale (0.0203, 0.0205, ...), one no other test uses.
 func TestMetricsOutcomeReplay(t *testing.T) {
-	_, ts := newTestServer(t, Config{Scale: 0.0201})
+	scale := 0.0201 + 0.0002*float64(replayKeyCalls.Add(1))
+	_, ts := newTestServer(t, Config{Scale: scale})
 	var m0, m1, m2 api.Metrics
 	getJSON(t, ts.URL+"/metrics", &m0)
 	if m0.Outcomes.Capacity <= 0 {
@@ -498,16 +507,19 @@ func TestMetricsOutcomeReplay(t *testing.T) {
 
 // TestMetricsWarmupReplay: /metrics reports the warmup outcome cache, and a
 // configuration with no checkpoint replays the warmup another crypto
-// latency of its benchmark recorded — a warmup hit. The crypto latencies
-// are ones no other test uses, so neither request finds a checkpoint.
+// latency of its benchmark recorded — a warmup hit. Each call takes its own
+// pair of odd crypto latencies (65 and 67, 69 and 71, ...), ones no other
+// test uses, so neither request finds a checkpoint.
 func TestMetricsWarmupReplay(t *testing.T) {
+	n := replayKeyCalls.Add(1)
+	lats := []string{strconv.FormatInt(61+4*n, 10), strconv.FormatInt(63+4*n, 10)}
 	_, ts := newTestServer(t, Config{Scale: 0.0202})
 	var m0, m1, m2 api.Metrics
 	getJSON(t, ts.URL+"/metrics", &m0)
 	if m0.Warmups.Capacity <= 0 {
 		t.Errorf("warmups capacity = %d, want > 0", m0.Warmups.Capacity)
 	}
-	for i, lat := range []string{"63", "71"} {
+	for i, lat := range lats {
 		resp, b := postJSON(t, ts.URL+"/v1/run", `{"bench":"equake","scheme":"snc-lru","crypto_lat":`+lat+`}`)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("crypto_lat %s: status %d: %s", lat, resp.StatusCode, b)

@@ -312,9 +312,11 @@ func TestResultInvariants(t *testing.T) {
 				if err := fork.Restore(cp); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				if got := fork.RunMeasured(workload.Replay(recs[warm:])); got != want {
-					t.Errorf("%s: forked run diverged from straight-through:\n got %+v\nwant %+v", name, got, want)
+				forked := fork.RunMeasured(workload.Replay(recs[warm:]))
+				if forked != want {
+					t.Errorf("%s: forked run diverged from straight-through:\n got %+v\nwant %+v", name, forked, want)
 				}
+				checkLedgerRows(t, name+"/forked", d.Name, forked)
 
 				replay := newInvariantSystem(t, ref, l2.kb, l2.ways)
 				if err := replay.Restore(cp); err != nil {
@@ -327,6 +329,7 @@ func TestResultInvariants(t *testing.T) {
 				if got != want {
 					t.Errorf("%s: replayed run diverged from straight-through:\n got %+v\nwant %+v", name, got, want)
 				}
+				checkLedgerRows(t, name+"/replayed", d.Name, got)
 				if !reflect.DeepEqual(checkpointOf(t, replay), checkpointOf(t, fork)) {
 					t.Errorf("%s: state after replay differs from state after the direct run", name)
 				}
@@ -378,6 +381,36 @@ func TestResultInvariants(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// checkLedgerRows checks that the bus counts each sequence-number and MAC
+// event exactly once against the SNC's own query and update counters: every
+// SNC miss of an LRU-backed scheme fetches one sequence number (and, under
+// otp-mac, one MAC), every spill follows a fetch's install, and every line
+// fill is verified.
+func checkLedgerRows(t *testing.T, name, scheme string, r Result) {
+	t.Helper()
+	switch scheme {
+	case SchemeOTPLRU.Name, SchemeOTPMAC.Name, SchemeOTPPrecompute.Name:
+		if misses := r.SNCQueryMisses + r.SNCUpdateMiss; r.SeqNumFetches != misses {
+			t.Errorf("%s: %d sequence-number fetches for %d SNC misses", name, r.SeqNumFetches, misses)
+		}
+		if r.SeqNumSpills > r.SeqNumFetches {
+			t.Errorf("%s: %d sequence-number spills for %d fetches", name, r.SeqNumSpills, r.SeqNumFetches)
+		}
+	}
+	if scheme != SchemeOTPMAC.Name {
+		return
+	}
+	if r.MACFetches != r.SNCQueryMisses {
+		t.Errorf("%s: %d MAC fetches for %d SNC query misses", name, r.MACFetches, r.SNCQueryMisses)
+	}
+	if r.MACUpdates != r.SNCUpdateMiss {
+		t.Errorf("%s: %d MAC updates for %d SNC update misses", name, r.MACUpdates, r.SNCUpdateMiss)
+	}
+	if r.IntegrityVerified != r.LineFills {
+		t.Errorf("%s: %d verified lines for %d line fills", name, r.IntegrityVerified, r.LineFills)
 	}
 }
 

@@ -25,8 +25,6 @@ type Snapshot struct {
 	queryMisses  uint64
 	updateHits   uint64
 	updateMisses uint64
-	evictions    uint64
-	rejected     uint64
 	seqOverflows uint64
 }
 
@@ -40,8 +38,6 @@ func (s *SNC) Snapshot() *Snapshot {
 		queryMisses:  s.QueryMisses,
 		updateHits:   s.UpdateHits,
 		updateMisses: s.UpdateMisses,
-		evictions:    s.Evictions,
-		rejected:     s.Rejected,
 		seqOverflows: s.SeqOverflows,
 	}
 	copy(snap.entries, s.entries)
@@ -62,8 +58,6 @@ func (s *SNC) Restore(snap *Snapshot) {
 	s.QueryMisses = snap.queryMisses
 	s.UpdateHits = snap.updateHits
 	s.UpdateMisses = snap.updateMisses
-	s.Evictions = snap.evictions
-	s.Rejected = snap.rejected
 	s.SeqOverflows = snap.seqOverflows
 	for i := range s.sets {
 		st := &s.sets[i]

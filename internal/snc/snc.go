@@ -172,8 +172,6 @@ type SNC struct {
 	QueryMisses  uint64
 	UpdateHits   uint64
 	UpdateMisses uint64
-	Evictions    uint64
-	Rejected     uint64 // NoReplacement installs refused because full
 	SeqOverflows uint64 // Updates that wrapped a 16-bit sequence number
 }
 
@@ -326,7 +324,6 @@ func (s *SNC) Install(lineVA uint64, seq uint16) (victimVA uint64, victimSeq uin
 		// Evict the set's LRU entry.
 		slot = st.tail
 		victim := &s.entries[slot]
-		s.Evictions++
 		victimVA, victimSeq, evicted = victim.tag<<s.lineShift, victim.seq, true
 		st.index.del(victim.tag)
 		s.unlink(st, slot)
@@ -355,7 +352,6 @@ func (s *SNC) TryInstall(lineVA uint64, seq uint16) bool {
 		s.pushFront(st, slot)
 		return true
 	}
-	s.Rejected++
 	return false
 }
 
@@ -400,18 +396,8 @@ func (s *SNC) FlushAll() (spilled [][2]uint64) {
 	return spilled
 }
 
-// HitRate returns total hits over total accesses.
-func (s *SNC) HitRate() float64 {
-	hits := s.QueryHits + s.UpdateHits
-	total := hits + s.QueryMisses + s.UpdateMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(hits) / float64(total)
-}
-
 // ResetStats clears counters but keeps contents.
 func (s *SNC) ResetStats() {
 	s.QueryHits, s.QueryMisses, s.UpdateHits, s.UpdateMisses = 0, 0, 0, 0
-	s.Evictions, s.Rejected, s.SeqOverflows = 0, 0, 0
+	s.SeqOverflows = 0
 }

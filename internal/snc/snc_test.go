@@ -113,9 +113,6 @@ func TestLRUEvictionOrder(t *testing.T) {
 	if victimVA != 1*128 || victimSeq != 1 {
 		t.Errorf("victim = (%#x, %d), want (0x80, 1)", victimVA, victimSeq)
 	}
-	if s.Evictions != 1 {
-		t.Error("eviction not counted")
-	}
 }
 
 func TestInstallExistingRefreshes(t *testing.T) {
@@ -142,9 +139,6 @@ func TestTryInstallNoReplacement(t *testing.T) {
 	}
 	if s.TryInstall(99*128, 1) {
 		t.Error("full SNC must refuse new entries under NoReplacement")
-	}
-	if s.Rejected != 1 {
-		t.Error("rejection not counted")
 	}
 	// Existing entries remain updatable.
 	if !s.TryInstall(0, 5) {
@@ -200,16 +194,16 @@ func TestFlushAll(t *testing.T) {
 	}
 }
 
-func TestHitRateAndReset(t *testing.T) {
+func TestResetStatsKeepsContents(t *testing.T) {
 	s := New(smallCfg(LRU, 0))
 	s.Install(0, 0)
 	s.Query(0)
 	s.Query(128)
-	if got := s.HitRate(); got != 0.5 {
-		t.Errorf("HitRate = %v, want 0.5", got)
+	if s.QueryHits != 1 || s.QueryMisses != 1 {
+		t.Errorf("query hits/misses = %d/%d, want 1/1", s.QueryHits, s.QueryMisses)
 	}
 	s.ResetStats()
-	if s.HitRate() != 0 || s.QueryHits != 0 {
+	if s.QueryHits != 0 || s.QueryMisses != 0 {
 		t.Error("ResetStats failed")
 	}
 	if !s.Contains(0) {
