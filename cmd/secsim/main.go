@@ -7,8 +7,6 @@
 //	       [-crypto 50] [-l2 256] [-l2ways 4] [-compare] [-jobs N]
 //	       [-stream] [-store DIR] [-list]
 //	secsim -multi mcf,gzip [-quantum 100000] [-switch flush|pid] [...]
-//	secsim -perf [-perfout BENCH.json]
-//	secsim -perfcmp base.json,cur.json [-perftol 0.10]
 //
 // -scheme accepts any registered scheme reference — a name or alias from
 // the scheme registry, optionally with parameters, e.g. "snc-lru" or
@@ -35,13 +33,6 @@
 // flush (option 1: flush-encrypt the SNC each switch) or pid (option 2:
 // PID-tagged entries survive switches). Per-task slowdowns are reported
 // against solo runs on the same configuration.
-//
-// With -perf, the internal/perf harness runs its fixed reduced-scale
-// benchmark suite and prints the snapshot (optionally persisting it as
-// JSON with -perfout). With -perfcmp base.json,cur.json, two snapshots are
-// gated against each other — ns/op within -perftol, allocs/op zero
-// tolerance — and the exit status is nonzero on regression; this is the
-// comparison CI's bench-regression job runs.
 package main
 
 import (
@@ -56,7 +47,6 @@ import (
 	"secureproc/internal/api"
 	"secureproc/internal/core"
 	"secureproc/internal/experiments"
-	"secureproc/internal/perf"
 	"secureproc/internal/sched"
 	"secureproc/internal/sim"
 	"secureproc/internal/stats"
@@ -158,10 +148,6 @@ func main() {
 	multi := flag.String("multi", "", "time-slice these benchmarks (comma-separated, ≥2) through one machine")
 	quantum := flag.Uint64("quantum", sched.DefaultQuantum, "multiprogramming time slice in instructions")
 	switchPolicy := flag.String("switch", "flush", "context-switch policy for -multi: flush or pid (§4.3)")
-	perfMode := flag.Bool("perf", false, "run the perf harness and print its snapshot")
-	perfOut := flag.String("perfout", "", "with -perf: also write the snapshot JSON to this file")
-	perfCmp := flag.String("perfcmp", "", "compare two perf snapshots \"base.json,cur.json\"; exit 1 on regression")
-	perfTol := flag.Float64("perftol", 0.10, "ns/op regression tolerance for -perfcmp (fraction)")
 	jobs := flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = sequential)")
 	streamOut := flag.Bool("stream", false, "print each result as an NDJSON line the moment it completes")
 	storeDir := flag.String("store", "", "persist results in this directory across runs (empty = off)")
@@ -175,41 +161,6 @@ func main() {
 		}
 	})
 
-	if *perfMode {
-		s := perf.Collect()
-		fmt.Print(s.String())
-		if *perfOut != "" {
-			if err := s.WriteFile(*perfOut); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "snapshot written to %s\n", *perfOut)
-		}
-		return
-	}
-	if *perfCmp != "" {
-		parts := strings.Split(*perfCmp, ",")
-		if len(parts) != 2 {
-			fatal(fmt.Errorf("-perfcmp wants \"base.json,cur.json\", got %q", *perfCmp))
-		}
-		base, err := perf.Load(strings.TrimSpace(parts[0]))
-		if err != nil {
-			fatal(err)
-		}
-		cur, err := perf.Load(strings.TrimSpace(parts[1]))
-		if err != nil {
-			fatal(err)
-		}
-		regs := perf.Compare(base, cur, *perfTol)
-		if len(regs) == 0 {
-			fmt.Printf("no regressions (%d benchmarks, ns/op tolerance %.0f%%, allocs/op zero-tolerance)\n",
-				len(cur), *perfTol*100)
-			return
-		}
-		for _, r := range regs {
-			fmt.Fprintln(os.Stderr, "REGRESSION:", r)
-		}
-		os.Exit(1)
-	}
 	if *list {
 		printRegistry()
 		return

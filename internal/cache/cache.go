@@ -208,52 +208,32 @@ func (c *Cache) ResetStats() {
 	c.Accesses, c.Hits, c.Misses, c.Writebacks = 0, 0, 0, 0
 }
 
-// Snapshot is an opaque deep copy of the cache's mutable state — tag array,
-// per-line metadata (LRU timestamp, dirty bit), LRU tick, and the stat
-// counters. It shares nothing with the cache it came from, so one snapshot
-// can seed any number of forked runs.
-type Snapshot struct {
-	tags []uint64
-	meta []lineMeta
-	tick uint64
-
-	accesses   uint64
-	hits       uint64
-	misses     uint64
-	writebacks uint64
+// Clone returns a deep copy of the cache: a checkpoint of its tag array,
+// per-line metadata (LRU timestamp, dirty bit), LRU tick and stat counters
+// that shares nothing with c, so one clone can seed any number of forked
+// runs through Restore.
+func (c *Cache) Clone() *Cache {
+	d := *c
+	d.tags = slices.Clone(c.tags)
+	d.meta = slices.Clone(c.meta)
+	d.dirtyScratch = nil
+	return &d
 }
 
-// Snapshot captures the cache's full mutable state.
-func (c *Cache) Snapshot() Snapshot {
-	s := Snapshot{
-		tags:       make([]uint64, len(c.tags)),
-		meta:       make([]lineMeta, len(c.meta)),
-		tick:       c.tick,
-		accesses:   c.Accesses,
-		hits:       c.Hits,
-		misses:     c.Misses,
-		writebacks: c.Writebacks,
-	}
-	copy(s.tags, c.tags)
-	copy(s.meta, c.meta)
-	return s
+// Restore copies the state of src, a clone taken from a cache with the same
+// geometry, into c. c keeps its own arrays and scratch buffer, so a restore
+// allocates nothing.
+func (c *Cache) Restore(src *Cache) {
+	tags, meta, scratch := c.tags, c.meta, c.dirtyScratch
+	*c = *src
+	c.tags, c.meta, c.dirtyScratch = tags, meta, scratch
+	copy(tags, src.tags)
+	copy(meta, src.meta)
 }
 
-// Restore reinstates a snapshot taken from a cache with the same geometry
-// (the tag and metadata arrays are sized by the configuration).
-func (c *Cache) Restore(s Snapshot) {
-	copy(c.tags, s.tags)
-	copy(c.meta, s.meta)
-	c.tick = s.tick
-	c.Accesses = s.accesses
-	c.Hits = s.hits
-	c.Misses = s.misses
-	c.Writebacks = s.writebacks
-}
-
-// Holds reports whether the cache's contents and LRU clock equal the
-// snapshot's: the same lines in the same ways with the same recency and
-// dirty state. Statistics are not compared. It allocates nothing.
-func (c *Cache) Holds(s Snapshot) bool {
-	return c.tick == s.tick && slices.Equal(c.tags, s.tags) && slices.Equal(c.meta, s.meta)
+// Holds reports whether the cache's contents and LRU clock equal src's: the
+// same lines in the same ways with the same recency and dirty state.
+// Statistics are not compared. It allocates nothing.
+func (c *Cache) Holds(src *Cache) bool {
+	return c.tick == src.tick && slices.Equal(c.tags, src.tags) && slices.Equal(c.meta, src.meta)
 }

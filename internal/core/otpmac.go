@@ -128,3 +128,17 @@ func (m *OTPMAC) ResetStats() {
 	m.OTP.ResetStats()
 	m.verified, m.stallCycles = 0, 0
 }
+
+// Clone implements Scheme: the OTP state plus the MAC unit's pipeline
+// occupancy and the verification counters.
+func (m *OTPMAC) Clone() Scheme {
+	return &OTPMAC{OTP: m.OTP.Clone().(*OTP), macUnit: m.macUnit.Clone(), verified: m.verified, stallCycles: m.stallCycles}
+}
+
+// Restore implements Scheme.
+func (m *OTPMAC) Restore(src Scheme) {
+	c := src.(*OTPMAC)
+	m.OTP.Restore(c.OTP)
+	m.macUnit.Restore(c.macUnit)
+	m.verified, m.stallCycles = c.verified, c.stallCycles
+}

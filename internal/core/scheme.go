@@ -54,6 +54,15 @@ type Scheme interface {
 	WritebackLine(now uint64, a Access) (cpuFree uint64)
 	// ResetStats clears counters after warmup.
 	ResetStats()
+	// Clone returns a deep copy of the scheme's own mutable state (the
+	// bus, write buffer and crypto unit it drives are checkpointed by the
+	// machine): a checkpoint of the scheme's concrete type that shares
+	// nothing with it and is wired to no machine, so it is only a source
+	// for Restore.
+	Clone() Scheme
+	// Restore copies the state of src, a Clone of a scheme with the same
+	// configuration, into this scheme.
+	Restore(src Scheme)
 }
 
 // ContextSwitcher is an optional Scheme capability: schemes holding
@@ -146,6 +155,12 @@ func (b *Baseline) WritebackLine(now uint64, a Access) uint64 {
 // ResetStats implements Scheme.
 func (b *Baseline) ResetStats() {}
 
+// Clone implements Scheme: the baseline holds no state of its own.
+func (b *Baseline) Clone() Scheme { return &Baseline{} }
+
+// Restore implements Scheme.
+func (b *Baseline) Restore(Scheme) {}
+
 // XOM models the direct-encryption architecture of [Lie et al.]: every line
 // is decrypted after it arrives and encrypted before it leaves (Figure 2).
 type XOM struct {
@@ -189,6 +204,12 @@ func (x *XOM) WritebackLine(now uint64, a Access) uint64 {
 
 // ResetStats implements Scheme.
 func (x *XOM) ResetStats() {}
+
+// Clone implements Scheme: XOM holds no state of its own.
+func (x *XOM) Clone() Scheme { return &XOM{} }
+
+// Restore implements Scheme.
+func (x *XOM) Restore(Scheme) {}
 
 // OTP is the paper's scheme: pads are computed from address-derived seeds in
 // parallel with the memory access; data lines carry per-line sequence
@@ -465,6 +486,21 @@ func (o *OTP) ContextSwitch(now uint64, next int) (done uint64) {
 
 // ResetStats implements Scheme.
 func (o *OTP) ResetStats() { o.snc.ResetStats() }
+
+// Clone implements Scheme: the SNC's contents, the in-memory
+// sequence-number table and the running process ID.
+func (o *OTP) Clone() Scheme {
+	return &OTP{snc: o.snc.Clone(), seqMem: o.seqMem.cloneInto(nil), pid: o.pid}
+}
+
+// Restore implements Scheme. The sequence table is cloned into the live
+// one, reusing its chunks, so src stays pristine for further restores.
+func (o *OTP) Restore(src Scheme) {
+	c := src.(*OTP)
+	o.snc.Restore(c.snc)
+	o.seqMem = c.seqMem.cloneInto(o.seqMem)
+	o.pid = c.pid
+}
 
 func max64(a, b uint64) uint64 {
 	if a > b {

@@ -17,13 +17,18 @@
 // enough to sweep the paper's full parameter space.
 package cpu
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
+
+// IssueWidth is instructions retired per cycle when nothing stalls (the
+// paper's 4-issue). A power of two, so issue accounting is a shift and a
+// mask.
+const IssueWidth = 4
 
 // Config describes the core.
 type Config struct {
-	// IssueWidth is instructions retired per cycle when nothing stalls
-	// (the paper's 4-issue).
-	IssueWidth int
 	// ROB is the reorder-buffer depth in instructions.
 	ROB int
 	// MSHRs bounds concurrently outstanding L2 misses.
@@ -35,14 +40,11 @@ type Config struct {
 // DefaultConfig matches the paper's 4-issue out-of-order SimpleScalar
 // baseline (RUU/ROB and MSHR values are SimpleScalar-era defaults).
 func DefaultConfig() Config {
-	return Config{IssueWidth: 4, ROB: 128, MSHRs: 8, L2HitLatency: 12}
+	return Config{ROB: 128, MSHRs: 8, L2HitLatency: 12}
 }
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if c.IssueWidth <= 0 {
-		return fmt.Errorf("cpu: issue width must be positive")
-	}
 	if c.ROB <= 0 {
 		return fmt.Errorf("cpu: ROB must be positive")
 	}
@@ -131,9 +133,8 @@ func (c *CPU) Retired() uint64 { return c.retired }
 // leftover issue slots between calls.
 func (c *CPU) advanceIssue(n uint64) {
 	total := c.slot + n
-	w := uint64(c.cfg.IssueWidth)
-	c.clock += total / w
-	c.slot = total % w
+	c.clock += total / IssueWidth
+	c.slot = total % IssueWidth
 }
 
 // stallTo jumps the clock to t (a pipeline stall), discarding partial-cycle
@@ -271,52 +272,21 @@ func (c *CPU) Drain() {
 	c.missHead, c.missN = 0, 0
 }
 
-// Snapshot is an opaque deep copy of the core's mutable timing state, taken
-// with Snapshot and reinstated with Restore. It shares nothing with the CPU
-// it came from, so one snapshot can seed any number of forked runs.
-type Snapshot struct {
-	clock        uint64
-	retired      uint64
-	misses       []inflight
-	missHead     int
-	missN        int
-	lastLoadDone uint64
-	slot         uint64
-
-	robStall  uint64
-	mshrStall uint64
-	depStall  uint64
+// Clone returns a deep copy of the core: a checkpoint of its timing state
+// that shares nothing with c, so one clone can seed any number of forked
+// runs through Restore.
+func (c *CPU) Clone() *CPU {
+	d := *c
+	d.misses = slices.Clone(c.misses)
+	return &d
 }
 
-// Snapshot captures the core's full mutable state.
-func (c *CPU) Snapshot() Snapshot {
-	s := Snapshot{
-		clock:        c.clock,
-		retired:      c.retired,
-		misses:       make([]inflight, len(c.misses)),
-		missHead:     c.missHead,
-		missN:        c.missN,
-		lastLoadDone: c.lastLoadDone,
-		slot:         c.slot,
-		robStall:     c.ROBStallCycles,
-		mshrStall:    c.MSHRStallCycles,
-		depStall:     c.DepStallCycles,
-	}
-	copy(s.misses, c.misses)
-	return s
-}
-
-// Restore reinstates a snapshot taken from a core with the same
-// configuration (the miss ring is sized by cfg.MSHRs).
-func (c *CPU) Restore(s Snapshot) {
-	c.clock = s.clock
-	c.retired = s.retired
-	copy(c.misses, s.misses)
-	c.missHead = s.missHead
-	c.missN = s.missN
-	c.lastLoadDone = s.lastLoadDone
-	c.slot = s.slot
-	c.ROBStallCycles = s.robStall
-	c.MSHRStallCycles = s.mshrStall
-	c.DepStallCycles = s.depStall
+// Restore copies the state of src, a clone taken from a core with the same
+// configuration, into c. c keeps its own miss ring (sized by cfg.MSHRs), so
+// a restore allocates nothing.
+func (c *CPU) Restore(src *CPU) {
+	m := c.misses
+	*c = *src
+	c.misses = m
+	copy(m, src.misses)
 }

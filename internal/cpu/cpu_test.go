@@ -11,7 +11,7 @@ func fixed(latency uint64) func(uint64) uint64 {
 
 func TestDefaultConfig(t *testing.T) {
 	cfg := DefaultConfig()
-	if cfg.IssueWidth != 4 {
+	if IssueWidth != 4 {
 		t.Error("paper baseline is 4-issue")
 	}
 	if err := cfg.Validate(); err != nil {
@@ -21,9 +21,8 @@ func TestDefaultConfig(t *testing.T) {
 
 func TestValidate(t *testing.T) {
 	bad := []Config{
-		{IssueWidth: 0, ROB: 1, MSHRs: 1},
-		{IssueWidth: 4, ROB: 0, MSHRs: 1},
-		{IssueWidth: 4, ROB: 8, MSHRs: 0},
+		{ROB: 0, MSHRs: 1},
+		{ROB: 8, MSHRs: 0},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -56,7 +55,7 @@ func TestComputeIssueWidth(t *testing.T) {
 func TestIsolatedMissStallsAtROBEdge(t *testing.T) {
 	// One miss, then far more instructions than the ROB holds: the core
 	// can run ROB instructions ahead, then must wait for the fill.
-	cfg := Config{IssueWidth: 4, ROB: 128, MSHRs: 8, L2HitLatency: 12}
+	cfg := Config{ROB: 128, MSHRs: 8, L2HitLatency: 12}
 	c := New(cfg)
 	c.LoadMiss(false, fixed(100)) // issues at ~0, done at ~100
 	c.Compute(1000)
@@ -102,7 +101,7 @@ func TestDependentMissesSerialize(t *testing.T) {
 func TestMSHRLimitsOverlap(t *testing.T) {
 	// With 2 MSHRs, issuing 4 independent misses at once serializes them
 	// in pairs.
-	cfg := Config{IssueWidth: 4, ROB: 10000, MSHRs: 2, L2HitLatency: 12}
+	cfg := Config{ROB: 10000, MSHRs: 2, L2HitLatency: 12}
 	c := New(cfg)
 	for i := 0; i < 4; i++ {
 		c.LoadMiss(false, fixed(100))
@@ -214,7 +213,7 @@ func TestXOMSlowdownMechanism(t *testing.T) {
 // sequences.
 func TestClockMonotonic(t *testing.T) {
 	f := func(ops []uint8) bool {
-		c := New(Config{IssueWidth: 2, ROB: 16, MSHRs: 2, L2HitLatency: 5})
+		c := New(Config{ROB: 16, MSHRs: 2, L2HitLatency: 5})
 		last := uint64(0)
 		for _, op := range ops {
 			switch op % 6 {

@@ -14,7 +14,10 @@
 // ciphers.
 package engine
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Config describes one crypto unit.
 type Config struct {
@@ -87,20 +90,19 @@ func (e *Engine) Issue(now uint64) (done uint64) {
 	return start + e.cfg.Latency
 }
 
-// Snapshot is a deep copy of the engine's mutable state (per-port pipeline
-// occupancy), taken with Snapshot and reinstated with Restore. It shares
-// nothing with the engine it came from.
-type Snapshot struct {
-	nextFree []uint64
+// Clone returns a deep copy of the engine: a checkpoint of its per-port
+// pipeline occupancy that shares nothing with e.
+func (e *Engine) Clone() *Engine {
+	d := *e
+	d.nextFree = slices.Clone(e.nextFree)
+	return &d
 }
 
-// Snapshot captures the engine's full mutable state.
-func (e *Engine) Snapshot() Snapshot {
-	return Snapshot{nextFree: append([]uint64(nil), e.nextFree...)}
-}
-
-// Restore reinstates a snapshot taken from an engine with the same port
-// count.
-func (e *Engine) Restore(s Snapshot) {
-	copy(e.nextFree, s.nextFree)
+// Restore copies the state of src, a clone taken from an engine with the
+// same port count, into e, reusing e's port array.
+func (e *Engine) Restore(src *Engine) {
+	nf := e.nextFree
+	*e = *src
+	e.nextFree = nf
+	copy(nf, src.nextFree)
 }

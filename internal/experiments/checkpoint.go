@@ -30,7 +30,7 @@ package experiments
 // otherwise; simulate() then records afresh. A warmup recording costs one
 // byte per record, one line address per victim or fill (2.3 MB over the 11
 // benchmarks at the default geometry), and the caches' start and end state
-// (192 KB at the default geometry).
+// (144 KB at the default geometry).
 //
 // All three caches are package-level and bounded. Within one Runner the
 // result memo already guarantees at most one simulation per key, so
@@ -49,16 +49,18 @@ import (
 )
 
 // checkpointCapacity bounds the checkpoint cache. The full figure set needs
-// ~150 distinct configurations; OTP checkpoints are the largest (SNC
-// contents + sequence tables, low single-digit MB each), so the bound keeps
-// worst-case retention in the low hundreds of MB while comfortably holding
-// every configuration the batch sweeps touch.
+// ~150 distinct configurations, which the bound holds comfortably. A
+// checkpoint at the figures' geometries holds 75 KB (baseline, XOM: the
+// caches) to 1.4 MB (OTP schemes: SNC entries and sequence tables besides),
+// so a full cache retains at most about 350 MB. Under the Spec caps an OTP
+// checkpoint grows to about 10.7 MB — a 512 KB direct-mapped SNC's entries
+// and sets, a 4 MB L2 — and worst-case retention to about 2.7 GB.
 const checkpointCapacity = 256
 
 // outcomeCapacity bounds the outcome cache. The figures touch at most 22
 // (benchmark, L2 geometry) pairs per scale: 11 benchmarks at the default
 // L2 plus Figure 8's larger one. An entry holds about 1.1 bytes per
-// measured record plus the three caches' start and end state (~200 KB at
+// measured record plus the three caches' start and end state (144 KB at
 // the default geometry), under 0.5 MB at scale 1.0.
 const outcomeCapacity = 32
 

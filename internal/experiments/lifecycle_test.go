@@ -199,6 +199,47 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+// TestSpecValidateCaps: every geometry field is bounded before anything is
+// built. A spec at each cap is accepted, one past it is rejected with an
+// error that names the field, and the oversize specs that once passed (an
+// 8 GiB SNC entry array, a 4 GiB L2, a 2^40-cycle crypto unit) are refused.
+func TestSpecValidateCaps(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		tweak func(*Spec)
+		ok    bool
+	}{
+		{"snc_kb", func(s *Spec) { s.SNCKB = MaxSNCKB }, true},
+		{"snc_kb", func(s *Spec) { s.SNCKB = MaxSNCKB * 2 }, false},
+		{"snc_kb", func(s *Spec) { s.SNCKB = 1 << 20 }, false},
+		{"snc_kb", func(s *Spec) { s.SNCKB = -64 }, false},
+		{"snc_ways", func(s *Spec) { s.SNCWays = MaxSNCWays }, true},
+		{"snc_ways", func(s *Spec) { s.SNCWays = MaxSNCWays * 2 }, false},
+		{"snc_ways", func(s *Spec) { s.SNCWays = -1 }, false},
+		{"l2_kb", func(s *Spec) { s.L2KB = MaxL2KB }, true},
+		{"l2_kb", func(s *Spec) { s.L2KB = MaxL2KB + 1 }, false},
+		{"l2_kb", func(s *Spec) { s.L2KB = 1 << 22 }, false},
+		{"l2_ways", func(s *Spec) { s.L2Ways = MaxL2Ways }, true},
+		{"l2_ways", func(s *Spec) { s.L2Ways = MaxL2Ways * 2 }, false},
+		{"l2_ways", func(s *Spec) { s.L2Ways = 0 }, false},
+		{"crypto_lat", func(s *Spec) { s.CryptoLat = MaxCryptoLat }, true},
+		{"crypto_lat", func(s *Spec) { s.CryptoLat = MaxCryptoLat + 1 }, false},
+		{"crypto_lat", func(s *Spec) { s.CryptoLat = 1 << 40 }, false},
+	} {
+		s := DefaultSpec("gzip", sim.SchemeOTPLRU)
+		tc.tweak(&s)
+		err := s.Validate()
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s at its cap (%+v) rejected: %v", tc.field, s, err)
+		case !tc.ok && err == nil:
+			t.Errorf("%s out of range (%+v) accepted", tc.field, s)
+		case !tc.ok && !strings.Contains(err.Error(), tc.field):
+			t.Errorf("%s out of range: error %q does not name the field", tc.field, err)
+		}
+	}
+}
+
 // TestExpandBenches covers the parser shared by secsim -bench and the
 // secsimd request path.
 func TestExpandBenches(t *testing.T) {

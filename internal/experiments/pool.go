@@ -126,9 +126,8 @@ func (r *Runner) simulate(ctx context.Context, k runKey, held bool) (sim.Result,
 		if w, hit := warmups.get(wk); !hit || sys.RunWarmupReplay(recs[:warm], w) != nil {
 			warmups.put(wk, sys.RunWarmupRecord(recs[:warm]))
 		}
-		if cp, ok := sys.Checkpoint(); ok {
-			checkpoints.put(k, cp)
-		}
+		cp, _ := sys.Checkpoint()
+		checkpoints.put(k, cp)
 	}
 	outKey := outcomeKey{bench: k.bench, scale: r.Scale, l2KB: k.l2KB, l2Ways: k.l2Ways}
 	if o, hit := outcomes.get(outKey); hit {
@@ -321,12 +320,46 @@ func DefaultSpec(bench string, scheme sim.SchemeRef) Spec {
 	return Spec{Bench: bench, Scheme: scheme, SNCKB: 64, L2KB: 256, L2Ways: 4, CryptoLat: 50}
 }
 
-// Validate checks the spec's benchmark against the workload registry and
-// its scheme and machine geometry by building and validating the
-// sim.Config it would simulate, so callers assembling specs from external
-// input (the secsimd request path, the secsim flags) can reject bad ones
-// before they reach the memo or a peer.
+// The largest machine a Spec may ask for. A spec is untrusted input (a
+// secsimd request body, a secsim flag), and its geometry sets what a
+// simulation allocates and how long each access takes, so Validate bounds
+// it before anything is built. The caps leave margin over what is used:
+// the figures use SNCs of 32–128 KB (fully associative or 32-way), L2s of
+// 256 and 384 KB (4- and 6-way) and crypto latencies of 50 and 102 cycles;
+// examples/memsweep goes to a 256 KB SNC, and perfbench draws latencies of
+// 20–200 cycles. An L2 must name its associativity: a fully associative
+// one scans every line on each access.
+const (
+	MaxSNCKB     = 512
+	MaxSNCWays   = 256
+	MaxL2KB      = 4096
+	MaxL2Ways    = 64
+	MaxCryptoLat = 1000
+)
+
+// Validate checks the spec's geometry against the caps above, its
+// benchmark against the workload registry, and its scheme and machine
+// geometry by building and validating the sim.Config it would simulate, so
+// callers assembling specs from external input (the secsimd request path,
+// the secsim flags) can reject bad ones before they reach the memo or a
+// peer. A geometry error names the field in its wire form.
 func (s Spec) Validate() error {
+	for _, f := range []struct {
+		name      string
+		v, lo, hi int
+	}{
+		{"snc_kb", s.SNCKB, 0, MaxSNCKB},
+		{"snc_ways", s.SNCWays, 0, MaxSNCWays},
+		{"l2_kb", s.L2KB, 0, MaxL2KB},
+		{"l2_ways", s.L2Ways, 1, MaxL2Ways},
+	} {
+		if f.v < f.lo || f.v > f.hi {
+			return fmt.Errorf("experiments: %s %d outside [%d, %d]", f.name, f.v, f.lo, f.hi)
+		}
+	}
+	if s.CryptoLat > MaxCryptoLat {
+		return fmt.Errorf("experiments: crypto_lat %d above the cap of %d", s.CryptoLat, MaxCryptoLat)
+	}
 	if _, ok := workload.ByName(s.Bench); !ok {
 		return fmt.Errorf("experiments: unknown benchmark %q", s.Bench)
 	}

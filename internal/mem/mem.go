@@ -11,6 +11,7 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -149,31 +150,6 @@ func (b *Bus) ResetStats() {
 	b.Transactions = [numSources]uint64{}
 }
 
-// BusSnapshot is a copy of the bus's mutable state (timing reservations and
-// per-source transaction counters), taken with Snapshot and reinstated with
-// Restore.
-type BusSnapshot struct {
-	nextFree     uint64
-	writeFree    uint64
-	transactions [numSources]uint64
-}
-
-// Snapshot captures the bus's full mutable state.
-func (b *Bus) Snapshot() BusSnapshot {
-	return BusSnapshot{
-		nextFree:     b.nextFree,
-		writeFree:    b.writeFree,
-		transactions: b.Transactions,
-	}
-}
-
-// Restore reinstates a snapshot taken from a bus with the same configuration.
-func (b *Bus) Restore(s BusSnapshot) {
-	b.nextFree = s.nextFree
-	b.writeFree = s.writeFree
-	b.Transactions = s.transactions
-}
-
 // WriteBuffer models the deferred-write queue between L2 and memory
 // (paper Figure 2/4). Evicted lines wait here while being encrypted; entries
 // drain to the bus in FIFO order. The CPU only stalls when the buffer is
@@ -225,25 +201,21 @@ func (w *WriteBuffer) Insert(now, ready uint64, drain func(uint64) uint64) (cpuF
 	return cpuFree
 }
 
-// WriteBufferSnapshot is a deep copy of the buffer's mutable state (pending
-// drain completion times), taken with Snapshot and reinstated with Restore.
-// It shares nothing with the buffer it came from.
-type WriteBufferSnapshot struct {
-	pending []uint64
+// Clone returns a deep copy of the buffer: a checkpoint of its pending
+// drain completion times that shares nothing with w.
+func (w *WriteBuffer) Clone() *WriteBuffer {
+	d := *w
+	d.pending = slices.Clone(w.pending)
+	return &d
 }
 
-// Snapshot captures the buffer's full mutable state.
-func (w *WriteBuffer) Snapshot() WriteBufferSnapshot {
-	s := WriteBufferSnapshot{pending: make([]uint64, len(w.pending))}
-	copy(s.pending, w.pending)
-	return s
-}
-
-// Restore reinstates a snapshot taken from a buffer with the same depth. The
-// existing backing array is reused when large enough, so a restored buffer
-// keeps its steady-state (allocation-free) capacity.
-func (w *WriteBuffer) Restore(s WriteBufferSnapshot) {
-	w.pending = append(w.pending[:0], s.pending...)
+// Restore copies the state of src, a clone taken from a buffer with the
+// same depth, into w. w keeps its depth-sized backing array, so a restored
+// buffer stays allocation-free.
+func (w *WriteBuffer) Restore(src *WriteBuffer) {
+	p := w.pending
+	*w = *src
+	w.pending = append(p[:0], src.pending...)
 }
 
 func maxU64(a, b uint64) uint64 {

@@ -7,15 +7,16 @@
 // The snapshot has two consumers:
 //
 //   - developers, via `go test ./internal/perf -run TestPerfSnapshot
-//     -perf.out=BENCH.json` or `secsim -perf`, to record where the
-//     simulator's speed stands;
+//     -perf.out=BENCH.json`, to record where the simulator's speed stands;
 //   - CI, which collects one snapshot on the merge-base and one on the PR
 //     head and fails the build when ns/op regresses beyond a threshold or
-//     allocs/op grows at all (Compare).
+//     allocs/op grows at all (Compare, run by `go test ./internal/perf
+//     -run TestPerfCompare -perf.base base.json -perf.cur pr.json`).
 //
 // Workloads, scales and iteration counts are fixed constants so that two
-// snapshots of the same code differ only by machine noise; ns/op is taken
-// as the best of Rounds runs to damp that noise further.
+// snapshots of the same code differ only by machine noise; ns/op and
+// allocs/op are each taken as the best of several runs to damp that noise
+// further.
 package perf
 
 import (
@@ -24,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
@@ -38,8 +40,8 @@ import (
 type Metric struct {
 	// NsPerOp is the best-of-Rounds wall-clock for one operation.
 	NsPerOp float64 `json:"ns_per_op"`
-	// AllocsPerOp is the heap allocation count of one operation (measured
-	// once, after warmup: allocation counts are deterministic).
+	// AllocsPerOp is the heap allocation count of one operation: the
+	// fewest over allocRounds runs (see measureOp).
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	// SimsPerSec is complete simulations per second during the best round
 	// (zero for benchmarks that aren't simulation-granular).
@@ -56,6 +58,10 @@ type Snapshot map[string]Metric
 // fastest, which is the standard way to strip scheduler noise from a
 // deterministic workload.
 const Rounds = 3
+
+// allocRounds is how many times each operation runs to count its
+// allocations; AllocsPerOp keeps the fewest (see measureOp).
+const allocRounds = 4
 
 // sweepScale is the workload scale of the figure-sweep benchmark — the
 // same reduced scale the golden figures are generated at.
@@ -122,27 +128,28 @@ func measureDispatch() Metric {
 	})
 }
 
-// measureOp times op() Rounds times (after one untimed warmup for the
-// allocation count) and fills the shared Metric fields. op reports how many
-// simulations and simulated instructions it performed.
+// measureOp runs op() once untimed, so one-time lazy initialization
+// counts nowhere, then Rounds timed and allocRounds counted times; op
+// reports how many simulations and simulated instructions it performed.
+// NsPerOp is the fastest timed round and AllocsPerOp the fewest
+// allocations of any counted round. A counted round runs on one P with the
+// collector paused, after a fresh collection: a mid-op collection restarts
+// the tiny-allocator block and empties sync.Pools, and a change of P
+// changes tiny block, each counting as more allocations. What remains only
+// adds allocations the op never asked for: the first counted round resizes
+// every sync.Pool it touches for the new P count, and the runtime rebuilds
+// a type-assertion site's cache on a random draw (runtime.typeAssert).
 func measureOp(op func() (sims int, instrs uint64)) Metric {
 	var m Metric
-	var ms0, ms1 runtime.MemStats
-
-	op() // untimed warmup: one-time lazy initialization must not count
-
-	runtime.GC()
-	runtime.ReadMemStats(&ms0)
-	sims, instrs := op()
-	runtime.ReadMemStats(&ms1)
-	m.AllocsPerOp = float64(ms1.Mallocs - ms0.Mallocs)
+	op()
 
 	best := time.Duration(0)
+	var sims int
+	var instrs uint64
 	for r := 0; r < Rounds; r++ {
 		start := time.Now()
 		sims, instrs = op()
-		el := time.Since(start)
-		if best == 0 || el < best {
+		if el := time.Since(start); best == 0 || el < best {
 			best = el
 		}
 	}
@@ -151,6 +158,23 @@ func measureOp(op func() (sims int, instrs uint64)) Metric {
 	if sec > 0 {
 		m.SimsPerSec = float64(sims) / sec
 		m.InstrsPerSec = float64(instrs) / sec
+	}
+
+	procs := runtime.GOMAXPROCS(1)
+	gcPercent := debug.SetGCPercent(-1)
+	defer func() {
+		debug.SetGCPercent(gcPercent)
+		runtime.GOMAXPROCS(procs)
+	}()
+	var ms0, ms1 runtime.MemStats
+	for r := 0; r < allocRounds; r++ {
+		runtime.GC()
+		runtime.ReadMemStats(&ms0)
+		op()
+		runtime.ReadMemStats(&ms1)
+		if a := float64(ms1.Mallocs - ms0.Mallocs); r == 0 || a < m.AllocsPerOp {
+			m.AllocsPerOp = a
+		}
 	}
 	return m
 }
@@ -206,10 +230,7 @@ func measureLatency(replay bool) Metric {
 		_, outs = warmed(sim.SchemeBaseline).RunMeasuredRecord(recs[warm:])
 	}
 	sys := warmed(sim.SchemeOTPLRU)
-	cp, ok := sys.Checkpoint()
-	if !ok {
-		panic("perf: snc-lru checkpoint unavailable")
-	}
+	cp, _ := sys.Checkpoint()
 	return measureOp(func() (int, uint64) {
 		if err := sys.Restore(cp); err != nil {
 			panic(err)

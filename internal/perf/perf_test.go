@@ -12,6 +12,19 @@ import (
 //	go test ./internal/perf -run TestPerfSnapshot -perf.out=BENCH_PR4.json
 var perfOut = flag.String("perf.out", "", "write the perf snapshot to this file")
 
+// perfBase and perfCur, when both set, make TestPerfCompare gate the
+// second snapshot against the first:
+//
+//	go test ./internal/perf -run TestPerfCompare -perf.base base.json -perf.cur pr.json
+var (
+	perfBase = flag.String("perf.base", "", "baseline snapshot for TestPerfCompare")
+	perfCur  = flag.String("perf.cur", "", "snapshot TestPerfCompare gates against -perf.base")
+)
+
+// nsTolerance is the ns/op growth TestPerfCompare allows (±10%);
+// allocs/op may not grow at all.
+const nsTolerance = 0.10
+
 // TestPerfSnapshot runs the full harness once. It never fails on speed —
 // regression gating is CI's Compare step — but it validates that every
 // benchmark produced sane measurements, and optionally persists them.
@@ -42,6 +55,27 @@ func TestPerfSnapshot(t *testing.T) {
 		}
 		t.Logf("snapshot written to %s", *perfOut)
 	}
+}
+
+// TestPerfCompare is CI's perf gate: it fails on every benchmark of
+// -perf.cur whose ns/op grew beyond nsTolerance or whose allocs/op grew at
+// all against -perf.base. Without both flags it is skipped.
+func TestPerfCompare(t *testing.T) {
+	if *perfBase == "" || *perfCur == "" {
+		t.Skip("needs -perf.base and -perf.cur")
+	}
+	base, err := Load(*perfBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := Load(*perfCur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range Compare(base, cur, nsTolerance) {
+		t.Error("regression:", r)
+	}
+	t.Logf("%d benchmarks compared, ns/op tolerance %.0f%%, allocs/op zero tolerance", len(cur), nsTolerance*100)
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {

@@ -27,40 +27,33 @@ const TimingModelVersion = "secsim-tm-2"
 // warmup/measurement boundary, in the SMARTS/SimPoint checkpointing sense:
 // the full microarchitectural state (cache contents and LRU recency, SNC
 // contents and recency, write buffer, bus and crypto-pipeline reservations,
-// core clock and in-flight misses, scheme-internal tables) deep-copied so
-// any number of measurement runs can fork from it. A checkpoint shares no
-// mutable state with the system it came from or with systems restored from
-// it.
+// core clock and in-flight misses, scheme-internal tables), held as deep
+// copies of the machine's own components so any number of measurement runs
+// can fork from it. A checkpoint shares no mutable state with the system it
+// came from or with systems restored from it.
 type Checkpoint struct {
-	cfg    Config
-	cpu    cpu.Snapshot
-	l1i    cache.Snapshot
-	l1d    cache.Snapshot
-	l2     cache.Snapshot
-	bus    mem.BusSnapshot
-	wbuf   mem.WriteBufferSnapshot
-	crypto engine.Snapshot
-	scheme core.SchemeState
+	cfg          Config
+	cpu          *cpu.CPU
+	l1i, l1d, l2 *cache.Cache
+	bus          mem.Bus
+	wbuf         *mem.WriteBuffer
+	crypto       *engine.Engine
+	scheme       core.Scheme
 }
 
-// Checkpoint captures the system's architectural state. It returns ok=false
-// when the active scheme does not implement core.Snapshottable — such runs
-// simply cannot be forked and must warm up from scratch.
+// Checkpoint captures the system's architectural state. Every scheme can be
+// checkpointed, so ok is always true.
 func (s *System) Checkpoint() (*Checkpoint, bool) {
-	sn, ok := s.scheme.(core.Snapshottable)
-	if !ok {
-		return nil, false
-	}
 	return &Checkpoint{
 		cfg:    s.cfg,
-		cpu:    s.cpu.Snapshot(),
-		l1i:    s.l1i.Snapshot(),
-		l1d:    s.l1d.Snapshot(),
-		l2:     s.l2.Snapshot(),
-		bus:    s.bus.Snapshot(),
-		wbuf:   s.wbuf.Snapshot(),
-		crypto: s.crypto.Snapshot(),
-		scheme: sn.SnapshotState(),
+		cpu:    s.cpu.Clone(),
+		l1i:    s.l1i.Clone(),
+		l1d:    s.l1d.Clone(),
+		l2:     s.l2.Clone(),
+		bus:    *s.bus,
+		wbuf:   s.wbuf.Clone(),
+		crypto: s.crypto.Clone(),
+		scheme: s.scheme.Clone(),
 	}, true
 }
 
@@ -85,18 +78,12 @@ func (s *System) Restore(cp *Checkpoint) error {
 		return fmt.Errorf("sim: checkpoint config mismatch (%s vs %s)",
 			cp.cfg.Scheme.Canonical(), s.cfg.Scheme.Canonical())
 	}
-	sn, ok := s.scheme.(core.Snapshottable)
-	if !ok {
-		return fmt.Errorf("sim: scheme %s cannot restore checkpoints", s.scheme.Name())
-	}
-	if err := sn.RestoreState(cp.scheme); err != nil {
-		return err
-	}
+	s.scheme.Restore(cp.scheme)
 	s.cpu.Restore(cp.cpu)
 	s.l1i.Restore(cp.l1i)
 	s.l1d.Restore(cp.l1d)
 	s.l2.Restore(cp.l2)
-	s.bus.Restore(cp.bus)
+	*s.bus = cp.bus
 	s.wbuf.Restore(cp.wbuf)
 	s.crypto.Restore(cp.crypto)
 	return nil

@@ -6,8 +6,8 @@ import (
 	"secureproc/internal/workload"
 )
 
-// snapshotSchemes covers every registered scheme family: all of them
-// implement core.Snapshottable, so Checkpoint must succeed everywhere.
+// snapshotSchemes covers every registered scheme family: checkpointing is
+// part of core.Scheme, so Checkpoint must succeed everywhere.
 var snapshotSchemes = []SchemeRef{
 	SchemeBaseline, SchemeXOM, SchemeOTPLRU, SchemeOTPNoRepl,
 	SchemeOTPMAC, SchemeOTPPrecompute,

@@ -22,15 +22,14 @@ import (
 // direct run would have. Two phases use it: the warmup prefix, which always
 // starts from empty caches, and the measured phase that follows it.
 
-// Outcomes is one recorded phase: the caches' configurations and start
-// state, one outcome byte per record, the victim and fill line addresses
-// the apply half needs, and the caches' end state. It is immutable once
+// Outcomes is one recorded phase: clones of the caches at its start, one
+// outcome byte per record, the victim and fill line addresses the apply
+// half needs, and clones of the caches at its end. It is immutable once
 // returned, so any number of systems may replay it concurrently.
 type Outcomes struct {
-	configs [3]cache.Config // L1I, L1D, L2
-	start   [3]cache.Snapshot
-	end     [3]cache.Snapshot
-	ops     []uint8
+	start [3]*cache.Cache // L1I, L1D, L2
+	end   [3]*cache.Cache
+	ops   []uint8
 	// addrs holds the line addresses apply consumes, in order; a record
 	// owns as many as its outcome bits name.
 	addrs []uint64
@@ -99,12 +98,9 @@ func (s *System) RunMeasuredReplay(recs []workload.Record, o *Outcomes) (Result,
 // record runs recs through lookup and apply, recording each outcome, and
 // drains the core.
 func (s *System) record(recs []workload.Record) *Outcomes {
-	o := &Outcomes{
-		configs: [3]cache.Config{s.cfg.L1I, s.cfg.L1D, s.cfg.L2},
-		ops:     make([]uint8, len(recs)),
-	}
+	o := &Outcomes{ops: make([]uint8, len(recs))}
 	for i, c := range s.caches() {
-		o.start[i] = c.Snapshot()
+		o.start[i] = c.Clone()
 	}
 	var addrs []uint64
 	for i, rec := range recs {
@@ -116,7 +112,7 @@ func (s *System) record(recs []workload.Record) *Outcomes {
 	s.cpu.Drain()
 	o.addrs = slices.Clone(addrs)
 	for i, c := range s.caches() {
-		o.end[i] = c.Snapshot()
+		o.end[i] = c.Clone()
 	}
 	return o
 }
@@ -130,14 +126,14 @@ func (s *System) guard(recs []workload.Record, o *Outcomes) error {
 	if o == nil {
 		return errNoRecording
 	}
-	if o.configs != [3]cache.Config{s.cfg.L1I, s.cfg.L1D, s.cfg.L2} {
-		return fmt.Errorf("sim: replay refused: recorded cache configs %+v differ from the system's", o.configs) //secsim:allowalloc cold refusal branch
-	}
 	if len(recs) != len(o.ops) {
 		return fmt.Errorf("sim: replay refused: %d records, recording has %d", len(recs), len(o.ops)) //secsim:allowalloc cold refusal branch
 	}
 	for i, c := range s.caches() {
-		if !c.Holds(o.start[i]) {
+		switch {
+		case o.start[i].Config() != c.Config():
+			return fmt.Errorf("sim: replay refused: recorded %s cache configs %+v differ from the system's", c.Config().Name, o.start[i].Config()) //secsim:allowalloc cold refusal branch
+		case !c.Holds(o.start[i]):
 			return fmt.Errorf("sim: replay refused: %s state differs from the recording's start", c.Config().Name) //secsim:allowalloc cold refusal branch
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"secureproc/internal/core"
+	"secureproc/internal/cpu"
 	"secureproc/internal/mem"
 	"secureproc/internal/snc"
 	"secureproc/internal/workload"
@@ -45,7 +46,7 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		t.Error("SNC/L2 line mismatch accepted")
 	}
 	bad3 := DefaultConfig()
-	bad3.CPU.IssueWidth = 0
+	bad3.CPU.ROB = 0
 	if bad3.Validate() == nil {
 		t.Error("bad CPU config accepted")
 	}
@@ -280,7 +281,8 @@ func checkpointOf(t *testing.T, sys *System) *Checkpoint {
 //   - MAC and integrity counters are zero for schemes without MACs.
 //
 // TestSNCCountersOnlyForOTP and TestTrafficAccounting keep the zero checks
-// from passing vacuously: they assert the nonzero side on vpr and mcf.
+// from passing vacuously: they assert the nonzero side on vpr and mcf. A
+// targeted update-miss leg does the same for the SNC update-miss rows.
 func TestResultInvariants(t *testing.T) {
 	for _, l2 := range invariantL2s {
 		for _, bench := range workload.BenchmarkNames {
@@ -299,89 +301,151 @@ func TestResultInvariants(t *testing.T) {
 			_, outs := rec.RunMeasuredRecord(recs[warm:])
 
 			for _, d := range core.Descriptors() {
-				ref := SchemeRef{Name: d.Name}
 				name := fmt.Sprintf("%s/%s/L2=%dKB", bench, d.Name, l2.kb)
-
-				straight := newInvariantSystem(t, ref, l2.kb, l2.ways)
-				want := straight.Run(workload.Replay(recs), warm)
-
-				src := newInvariantSystem(t, ref, l2.kb, l2.ways)
-				src.RunWarmup(workload.Replay(recs[:warm]))
-				cp := checkpointOf(t, src)
-				fork := newInvariantSystem(t, ref, l2.kb, l2.ways)
-				if err := fork.Restore(cp); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				forked := fork.RunMeasured(workload.Replay(recs[warm:]))
-				if forked != want {
-					t.Errorf("%s: forked run diverged from straight-through:\n got %+v\nwant %+v", name, forked, want)
-				}
-				checkLedgerRows(t, name+"/forked", d.Name, forked)
-
-				replay := newInvariantSystem(t, ref, l2.kb, l2.ways)
-				if err := replay.Restore(cp); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				got, err := replay.RunMeasuredReplay(recs[warm:], outs)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if got != want {
-					t.Errorf("%s: replayed run diverged from straight-through:\n got %+v\nwant %+v", name, got, want)
-				}
-				checkLedgerRows(t, name+"/replayed", d.Name, got)
-				if !reflect.DeepEqual(checkpointOf(t, replay), checkpointOf(t, fork)) {
-					t.Errorf("%s: state after replay differs from state after the direct run", name)
-				}
-
-				cold := newInvariantSystem(t, ref, l2.kb, l2.ways)
-				if err := cold.RunWarmupReplay(recs[:warm], warmOuts); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if !reflect.DeepEqual(checkpointOf(t, cold), cp) {
-					t.Errorf("%s: state after warmup replay differs from state after the direct warmup", name)
-				}
-				got, err = cold.RunMeasuredReplay(recs[warm:], outs)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if got != want {
-					t.Errorf("%s: warmup and measured replay diverged from straight-through:\n got %+v\nwant %+v", name, got, want)
-				}
-
-				r := want
-				if width := straight.cfg.CPU.IssueWidth; r.Cycles*uint64(width) < r.Instructions {
-					t.Errorf("%s: %d instructions in %d cycles exceeds issue width %d",
-						name, r.Instructions, r.Cycles, width)
-				}
-				if r.LineFills != r.L2Misses {
-					t.Errorf("%s: %d line fills for %d L2 misses", name, r.LineFills, r.L2Misses)
-				}
-				if r.L2Hits+r.L2Misses < r.L1DMisses+r.L1IMisses {
-					t.Errorf("%s: %d L2 accesses for %d L1 misses", name, r.L2Hits+r.L2Misses, r.L1DMisses+r.L1IMisses)
-				}
-				if q := r.SNCQueryHits + r.SNCQueryMisses; q > r.LineFills {
-					t.Errorf("%s: %d SNC queries for %d line fills", name, q, r.LineFills)
-				}
-				if u := r.SNCUpdateHits + r.SNCUpdateMiss; u > r.Writebacks {
-					t.Errorf("%s: %d SNC updates for %d writebacks", name, u, r.Writebacks)
-				}
-				seq := []uint64{r.SNCQueryHits, r.SNCQueryMisses, r.SNCUpdateHits, r.SNCUpdateMiss,
-					r.SeqNumFetches, r.SeqNumSpills, r.SeqOverflows}
-				if !d.NeedsSNC && slices.ContainsFunc(seq, func(v uint64) bool { return v != 0 }) {
-					t.Errorf("%s: scheme without an SNC has SNC/sequence-number counters %v", name, seq)
-				}
-				if d.Name == SchemeOTPNoRepl.Name && r.SNCTraffic() != 0 {
-					t.Errorf("%s: no-replacement SNC moved %d sequence numbers", name, r.SNCTraffic())
-				}
-				_, hasMAC := straight.Scheme().(interface{ IntegrityCounters() (uint64, uint64) })
-				mac := []uint64{r.MACFetches, r.MACUpdates, r.IntegrityVerified, r.IntegrityStallCycles}
-				if !hasMAC && slices.ContainsFunc(mac, func(v uint64) bool { return v != 0 }) {
-					t.Errorf("%s: scheme without MACs has MAC/integrity counters %v", name, mac)
-				}
+				checkRunInvariants(t, name, d, l2.kb, l2.ways, recs, warm, warmOuts, outs)
 			}
 		}
 	}
+
+	// The figure workloads never write back a line whose sequence number
+	// has left the SNC, so at invariantScale no run above has an SNC update
+	// miss. This leg does: it dirties lines, streams more lines than the
+	// SNC covers past them so their numbers spill, then evicts them. Its
+	// checkpoints carry the spilled numbers into the forked runs.
+	recs, warm := updateMissRecords()
+	rec := newInvariantSystem(t, SchemeBaseline, 256, 4)
+	warmOuts := rec.RunWarmupRecord(recs[:warm])
+	_, outs := rec.RunMeasuredRecord(recs[warm:])
+	for _, ref := range []SchemeRef{SchemeOTPLRU, SchemeOTPMAC, SchemeOTPPrecompute} {
+		d, err := core.LookupRef(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := "update-miss/" + d.Name
+		if r := checkRunInvariants(t, name, d, 256, 4, recs, warm, warmOuts, outs); r.SNCUpdateMiss == 0 {
+			t.Errorf("%s: no SNC update miss, so the update-miss rows hold vacuously", name)
+		}
+	}
+}
+
+// updateMissRecords returns a record stream, and its warmup length, whose
+// warmup and measured phase each write back lines whose SNC entries were
+// evicted while the lines sat dirty in L2. Each phase stores to 16 hot
+// lines that fill L2 sets 0-3 of the default 256KB/4-way L2, loads 40K
+// lines, more than a 64KB SNC's 32K entries, from the other sets, so the
+// hot lines stay in L2 while their sequence numbers spill, and then loads
+// 16 new lines into sets 0-3, writing the hot lines back.
+func updateMissRecords() ([]workload.Record, int) {
+	const sets, line = 512, 128
+	var recs []workload.Record
+	phase := func(base uint64) {
+		for i := uint64(0); i < 16; i++ {
+			recs = append(recs, workload.Record{Kind: workload.Store, Addr: base + (i/4*sets+i%4)*line})
+		}
+		for i, n := uint64(0), 0; n < 40<<10; i++ {
+			if i%sets < 4 {
+				continue
+			}
+			recs = append(recs, workload.Record{Gap: 1, Kind: workload.Load, Addr: base + (64*sets+i)*line})
+			n++
+		}
+		for i := uint64(0); i < 16; i++ {
+			recs = append(recs, workload.Record{Kind: workload.Load, Addr: base + (1<<20+i/4*sets+i%4)*line})
+		}
+	}
+	phase(0x1000_0000)
+	warm := len(recs)
+	phase(0x4000_0000)
+	return recs, warm
+}
+
+// checkRunInvariants runs scheme d over recs on the default machine with
+// the given L2 geometry four ways and checks the invariants listed on
+// TestResultInvariants: straight through, forked from the post-warmup
+// checkpoint, forked and replayed from outs, and replayed from warmOuts and
+// outs. It returns the straight-through Result.
+func checkRunInvariants(t *testing.T, name string, d core.Descriptor, l2KB, l2Ways int,
+	recs []workload.Record, warm int, warmOuts, outs *Outcomes) Result {
+	t.Helper()
+	ref := SchemeRef{Name: d.Name}
+	straight := newInvariantSystem(t, ref, l2KB, l2Ways)
+	want := straight.Run(workload.Replay(recs), warm)
+
+	src := newInvariantSystem(t, ref, l2KB, l2Ways)
+	src.RunWarmup(workload.Replay(recs[:warm]))
+	cp := checkpointOf(t, src)
+	fork := newInvariantSystem(t, ref, l2KB, l2Ways)
+	if err := fork.Restore(cp); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	forked := fork.RunMeasured(workload.Replay(recs[warm:]))
+	if forked != want {
+		t.Errorf("%s: forked run diverged from straight-through:\n got %+v\nwant %+v", name, forked, want)
+	}
+	checkLedgerRows(t, name+"/forked", d.Name, forked)
+
+	replay := newInvariantSystem(t, ref, l2KB, l2Ways)
+	if err := replay.Restore(cp); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	got, err := replay.RunMeasuredReplay(recs[warm:], outs)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if got != want {
+		t.Errorf("%s: replayed run diverged from straight-through:\n got %+v\nwant %+v", name, got, want)
+	}
+	checkLedgerRows(t, name+"/replayed", d.Name, got)
+	if !reflect.DeepEqual(checkpointOf(t, replay), checkpointOf(t, fork)) {
+		t.Errorf("%s: state after replay differs from state after the direct run", name)
+	}
+
+	cold := newInvariantSystem(t, ref, l2KB, l2Ways)
+	if err := cold.RunWarmupReplay(recs[:warm], warmOuts); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if !reflect.DeepEqual(checkpointOf(t, cold), cp) {
+		t.Errorf("%s: state after warmup replay differs from state after the direct warmup", name)
+	}
+	got, err = cold.RunMeasuredReplay(recs[warm:], outs)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if got != want {
+		t.Errorf("%s: warmup and measured replay diverged from straight-through:\n got %+v\nwant %+v", name, got, want)
+	}
+
+	r := want
+	if r.Cycles*cpu.IssueWidth < r.Instructions {
+		t.Errorf("%s: %d instructions in %d cycles exceeds issue width %d",
+			name, r.Instructions, r.Cycles, cpu.IssueWidth)
+	}
+	if r.LineFills != r.L2Misses {
+		t.Errorf("%s: %d line fills for %d L2 misses", name, r.LineFills, r.L2Misses)
+	}
+	if r.L2Hits+r.L2Misses < r.L1DMisses+r.L1IMisses {
+		t.Errorf("%s: %d L2 accesses for %d L1 misses", name, r.L2Hits+r.L2Misses, r.L1DMisses+r.L1IMisses)
+	}
+	if q := r.SNCQueryHits + r.SNCQueryMisses; q > r.LineFills {
+		t.Errorf("%s: %d SNC queries for %d line fills", name, q, r.LineFills)
+	}
+	if u := r.SNCUpdateHits + r.SNCUpdateMiss; u > r.Writebacks {
+		t.Errorf("%s: %d SNC updates for %d writebacks", name, u, r.Writebacks)
+	}
+	seq := []uint64{r.SNCQueryHits, r.SNCQueryMisses, r.SNCUpdateHits, r.SNCUpdateMiss,
+		r.SeqNumFetches, r.SeqNumSpills, r.SeqOverflows}
+	if !d.NeedsSNC && slices.ContainsFunc(seq, func(v uint64) bool { return v != 0 }) {
+		t.Errorf("%s: scheme without an SNC has SNC/sequence-number counters %v", name, seq)
+	}
+	if d.Name == SchemeOTPNoRepl.Name && r.SNCTraffic() != 0 {
+		t.Errorf("%s: no-replacement SNC moved %d sequence numbers", name, r.SNCTraffic())
+	}
+	_, hasMAC := straight.Scheme().(interface{ IntegrityCounters() (uint64, uint64) })
+	mac := []uint64{r.MACFetches, r.MACUpdates, r.IntegrityVerified, r.IntegrityStallCycles}
+	if !hasMAC && slices.ContainsFunc(mac, func(v uint64) bool { return v != 0 }) {
+		t.Errorf("%s: scheme without MACs has MAC/integrity counters %v", name, mac)
+	}
+	return want
 }
 
 // checkLedgerRows checks that the bus counts each sequence-number and MAC

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Policy selects the replacement behaviour.
@@ -139,15 +140,13 @@ type entry struct {
 	prev, next int32
 }
 
-// set holds the per-set LRU list endpoints and a tag index. Vacant slots
-// are handed out by a bump allocator: slots are only freed en masse by
-// resetSet, so the next vacancy in [si*ways, (si+1)*ways) is always
+// set holds the per-set LRU list endpoints. Vacant slots are handed out by
+// a bump allocator: slots are only freed en masse by resetSet, so the next
+// vacancy of set si, which owns [si*ways, (si+1)*ways), is always
 // si*ways+bump — no free list to build or maintain.
 type set struct {
 	head, tail int32 // MRU..LRU (indices into SNC.entries; -1 = empty)
-	index      tagIndex
-	base       int32 // first entry slot owned by this set (si*ways)
-	bump       int32 // slots [base, base+bump) are allocated
+	bump       int32 // slots [si*ways, si*ways+bump) are allocated
 }
 
 // SNC is the sequence number cache. Lookups are O(1) via per-set
@@ -162,6 +161,15 @@ type SNC struct {
 	setMask   uint64
 	lineShift uint
 	occupied  int
+
+	// index maps each set's tags to their entry slots. It is derived
+	// state: every slot in [si*ways, si*ways+bump) holds a live entry
+	// (eviction reuses the victim's slot in place, so allocated slots are
+	// never individually freed), so the index is exactly {entry.tag ->
+	// slot} over the allocated range. Clone leaves it out and Restore
+	// rebuilds it. Probe-chain layout after a rebuild may differ, but no
+	// timing depends on probe length.
+	index tagIndex
 
 	// flushScratch backs FlushAll's result so steady-state context
 	// switches stop allocating.
@@ -194,31 +202,28 @@ func New(cfg Config) *SNC {
 		setMask:   uint64(nsets - 1),
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 	}
+	s.index.init(nsets, ways)
 	for i := range s.sets {
-		s.sets[i].base = int32(i) * s.ways
-		s.resetSet(i)
+		s.sets[i] = set{head: -1, tail: -1}
 	}
 	return s
 }
 
 // resetSet empties set si: slots [si*ways, (si+1)*ways) become vacant again
-// via the bump allocator. Shared by New and FlushAll so the two construct
-// identical vacancy state.
+// via the bump allocator.
 func (s *SNC) resetSet(si int) {
-	st := &s.sets[si]
-	st.head, st.tail = -1, -1
-	st.bump = 0
-	st.index.init(int(s.ways))
+	s.sets[si] = set{head: -1, tail: -1}
+	s.index.clear(si)
 }
 
-// alloc hands out the set's next vacant slot, or -1 when it is full.
-func (st *set) alloc(ways int32) int32 {
-	if st.bump >= ways {
+// alloc hands out set si's next vacant slot, or -1 when it is full.
+func (s *SNC) alloc(si int) int32 {
+	st := &s.sets[si]
+	if st.bump >= s.ways {
 		return -1
 	}
-	slot := st.base + st.bump
 	st.bump++
-	return slot
+	return int32(si)*s.ways + st.bump - 1
 }
 
 // unlink removes slot from its set's LRU list.
@@ -262,19 +267,20 @@ func (s *SNC) touch(st *set, slot int32) {
 // Config returns the SNC configuration.
 func (s *SNC) Config() Config { return s.cfg }
 
-func (s *SNC) locate(lineVA uint64) (st *set, tag uint64) {
+// locate returns the set index and tag of a line.
+func (s *SNC) locate(lineVA uint64) (si int, tag uint64) {
 	lineNum := lineVA >> s.lineShift
-	return &s.sets[lineNum&s.setMask], lineNum
+	return int(lineNum & s.setMask), lineNum
 }
 
 // Query looks up the sequence number for a line being *read* from memory
 // (paper: "query" operations fill the seed for decryption). On a hit the
 // entry's LRU state is refreshed.
 func (s *SNC) Query(lineVA uint64) (seq uint16, hit bool) {
-	st, tag := s.locate(lineVA)
-	if slot, ok := st.index.find(tag); ok {
+	si, tag := s.locate(lineVA)
+	if slot, ok := s.index.find(si, tag); ok {
 		s.QueryHits++
-		s.touch(st, slot)
+		s.touch(&s.sets[si], slot)
 		return s.entries[slot].seq, true
 	}
 	s.QueryMisses++
@@ -289,8 +295,8 @@ func (s *SNC) Query(lineVA uint64) (seq uint16, hit bool) {
 // one-time pad, so the caller must re-key — the OTP scheme charges a direct
 // re-encryption of the covered line (Section 3.4.2's remedy).
 func (s *SNC) Update(lineVA uint64) (seq uint16, hit, wrapped bool) {
-	st, tag := s.locate(lineVA)
-	if slot, ok := st.index.find(tag); ok {
+	si, tag := s.locate(lineVA)
+	if slot, ok := s.index.find(si, tag); ok {
 		s.UpdateHits++
 		e := &s.entries[slot]
 		if e.seq == math.MaxUint16 {
@@ -298,7 +304,7 @@ func (s *SNC) Update(lineVA uint64) (seq uint16, hit, wrapped bool) {
 			wrapped = true
 		}
 		e.seq++
-		s.touch(st, slot)
+		s.touch(&s.sets[si], slot)
 		return e.seq, true, wrapped
 	}
 	s.UpdateMisses++
@@ -310,14 +316,15 @@ func (s *SNC) Update(lineVA uint64) (seq uint16, hit, wrapped bool) {
 // caller can spill it (Algorithm 1 lines 11-12 / 24-25). Install is used by
 // the LRU policy.
 func (s *SNC) Install(lineVA uint64, seq uint16) (victimVA uint64, victimSeq uint16, evicted bool) {
-	st, tag := s.locate(lineVA)
-	if slot, ok := st.index.find(tag); ok {
+	si, tag := s.locate(lineVA)
+	st := &s.sets[si]
+	if slot, ok := s.index.find(si, tag); ok {
 		// Already present (e.g. installed by a racing path): refresh.
 		s.entries[slot].seq = seq
 		s.touch(st, slot)
 		return 0, 0, false
 	}
-	slot := st.alloc(s.ways)
+	slot := s.alloc(si)
 	if slot >= 0 {
 		s.occupied++
 	} else {
@@ -325,11 +332,11 @@ func (s *SNC) Install(lineVA uint64, seq uint16) (victimVA uint64, victimSeq uin
 		slot = st.tail
 		victim := &s.entries[slot]
 		victimVA, victimSeq, evicted = victim.tag<<s.lineShift, victim.seq, true
-		st.index.del(victim.tag)
+		s.index.del(si, victim.tag)
 		s.unlink(st, slot)
 	}
 	s.entries[slot] = entry{tag: tag, seq: seq, prev: -1, next: -1}
-	st.index.put(tag, slot)
+	s.index.put(si, tag, slot)
 	s.pushFront(st, slot)
 	return victimVA, victimSeq, evicted
 }
@@ -339,16 +346,17 @@ func (s *SNC) Install(lineVA uint64, seq uint16) (victimVA uint64, victimSeq uin
 // policy, Section 4.1: "when SNC is full ... they should be encrypted
 // directly").
 func (s *SNC) TryInstall(lineVA uint64, seq uint16) bool {
-	st, tag := s.locate(lineVA)
-	if slot, ok := st.index.find(tag); ok {
+	si, tag := s.locate(lineVA)
+	st := &s.sets[si]
+	if slot, ok := s.index.find(si, tag); ok {
 		s.entries[slot].seq = seq
 		s.touch(st, slot)
 		return true
 	}
-	if slot := st.alloc(s.ways); slot >= 0 {
+	if slot := s.alloc(si); slot >= 0 {
 		s.occupied++
 		s.entries[slot] = entry{tag: tag, seq: seq, prev: -1, next: -1}
-		st.index.put(tag, slot)
+		s.index.put(si, tag, slot)
 		s.pushFront(st, slot)
 		return true
 	}
@@ -359,8 +367,8 @@ func (s *SNC) TryInstall(lineVA uint64, seq uint16) bool {
 // statistics (used by speculative pad-precompute schemes to read the value
 // their prediction must track).
 func (s *SNC) Peek(lineVA uint64) (seq uint16, ok bool) {
-	st, tag := s.locate(lineVA)
-	slot, ok := st.index.find(tag)
+	si, tag := s.locate(lineVA)
+	slot, ok := s.index.find(si, tag)
 	if !ok {
 		return 0, false
 	}
@@ -369,8 +377,8 @@ func (s *SNC) Peek(lineVA uint64) (seq uint16, ok bool) {
 
 // Contains reports presence without touching LRU state or stats.
 func (s *SNC) Contains(lineVA uint64) bool {
-	st, tag := s.locate(lineVA)
-	_, ok := st.index.find(tag)
+	si, tag := s.locate(lineVA)
+	_, ok := s.index.find(si, tag)
 	return ok
 }
 
@@ -400,4 +408,35 @@ func (s *SNC) FlushAll() (spilled [][2]uint64) {
 func (s *SNC) ResetStats() {
 	s.QueryHits, s.QueryMisses, s.UpdateHits, s.UpdateMisses = 0, 0, 0, 0
 	s.SeqOverflows = 0
+}
+
+// Clone returns a deep copy of the SNC's contents, recency and counters: a
+// checkpoint that shares nothing with s, so one clone can seed any number
+// of forked runs through Restore. It carries no tag index (see SNC.index),
+// so it is only a source for Restore, never an SNC to look lines up in.
+func (s *SNC) Clone() *SNC {
+	d := *s
+	d.entries = slices.Clone(s.entries)
+	d.sets = slices.Clone(s.sets)
+	d.index, d.flushScratch = tagIndex{}, nil
+	return &d
+}
+
+// Restore copies the state of src, a clone taken from an SNC with the same
+// configuration, into s and rebuilds each set's tag index from the restored
+// entries. s keeps its own arrays, index and scratch buffer, so a restore
+// allocates nothing.
+func (s *SNC) Restore(src *SNC) {
+	entries, sets, index, scratch := s.entries, s.sets, s.index, s.flushScratch
+	*s = *src
+	s.entries, s.sets, s.index, s.flushScratch = entries, sets, index, scratch
+	copy(entries, src.entries)
+	copy(sets, src.sets)
+	s.index.init(len(sets), int(s.ways))
+	for si := range sets {
+		base := int32(si) * s.ways
+		for slot := base; slot < base+sets[si].bump; slot++ {
+			s.index.put(si, entries[slot].tag, slot)
+		}
+	}
 }

@@ -333,3 +333,50 @@ func TestPaperGeometries(t *testing.T) {
 		}
 	}
 }
+
+// TestCloneRestore: a clone taken after LRU churn, restored into a fresh
+// SNC, reproduces the source's contents, recency and counters (the tag
+// index is rebuilt, not copied): the restored SNC answers like a twin that
+// went through the same operations. Later work on the source leaves the
+// clone untouched, so it seeds a second restore just as well.
+func TestCloneRestore(t *testing.T) {
+	for _, ways := range []int{0, 2} {
+		cfg := smallCfg(LRU, ways)
+		src, twins := New(cfg), []*SNC{New(cfg), New(cfg)}
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 200; i++ {
+			line, upd := uint64(rng.Intn(20))*128, uint64(rng.Intn(20))*128
+			for _, s := range append([]*SNC{src}, twins...) {
+				s.Install(line, uint16(i))
+				s.Update(upd)
+			}
+		}
+		cp := src.Clone()
+		src.FlushAll()
+		src.Install(0x9900, 1)
+		for i, twin := range twins {
+			dst := New(cfg)
+			dst.Install(0x7700, 1) // state the restore must overwrite
+			dst.Restore(cp)
+			if dst.Occupied() != twin.Occupied() || dst.UpdateHits != twin.UpdateHits || dst.QueryMisses != twin.QueryMisses {
+				t.Fatalf("ways=%d restore %d: occupancy/counters differ from the twin's", ways, i)
+			}
+			for line := uint64(0); line < 20; line++ {
+				got, gok := dst.Peek(line * 128)
+				want, wok := twin.Peek(line * 128)
+				if got != want || gok != wok {
+					t.Errorf("ways=%d restore %d line %d: (%d,%v), want (%d,%v)", ways, i, line, got, gok, want, wok)
+				}
+			}
+			if dst.Contains(0x7700) || dst.Contains(0x9900) {
+				t.Errorf("ways=%d restore %d: holds a line the clone does not", ways, i)
+			}
+			// Recency survives: the next install evicts the twin's victim.
+			v, _, e := dst.Install(0x100000, 7)
+			wv, _, we := twin.Install(0x100000, 7)
+			if v != wv || e != we {
+				t.Errorf("ways=%d restore %d: evicts %#x (%v), want %#x (%v)", ways, i, v, e, wv, we)
+			}
+		}
+	}
+}
