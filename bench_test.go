@@ -7,6 +7,7 @@ package secureproc_test
 // configurations in the paper.
 
 import (
+	"context"
 	"flag"
 	"sync"
 	"testing"
@@ -67,68 +68,27 @@ func metricName(name string) string {
 	return sanitized
 }
 
-func BenchmarkFig3XOMSlowdown(b *testing.B) {
+// benchFigure regenerates one figure b.N times on the shared runner and
+// reports its series after the last run.
+func benchFigure(b *testing.B, name string) {
 	for i := 0; i < b.N; i++ {
-		fr := sharedRunner().Figure3()
+		fr, err := sharedRunner().Figure(context.Background(), name)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if i == b.N-1 {
 			reportSeries(b, fr)
 		}
 	}
 }
 
-func BenchmarkFig5SchemeComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fr := sharedRunner().Figure5()
-		if i == b.N-1 {
-			reportSeries(b, fr)
-		}
-	}
-}
-
-func BenchmarkFig6SNCSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fr := sharedRunner().Figure6()
-		if i == b.N-1 {
-			reportSeries(b, fr)
-		}
-	}
-}
-
-func BenchmarkFig7SNCAssoc(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fr := sharedRunner().Figure7()
-		if i == b.N-1 {
-			reportSeries(b, fr)
-		}
-	}
-}
-
-func BenchmarkFig8LargerL2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fr := sharedRunner().Figure8()
-		if i == b.N-1 {
-			reportSeries(b, fr)
-		}
-	}
-}
-
-func BenchmarkFig9Traffic(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fr := sharedRunner().Figure9()
-		if i == b.N-1 {
-			reportSeries(b, fr)
-		}
-	}
-}
-
-func BenchmarkFig10CryptoLatency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fr := sharedRunner().Figure10()
-		if i == b.N-1 {
-			reportSeries(b, fr)
-		}
-	}
-}
+func BenchmarkFig3XOMSlowdown(b *testing.B)      { benchFigure(b, "fig3") }
+func BenchmarkFig5SchemeComparison(b *testing.B) { benchFigure(b, "fig5") }
+func BenchmarkFig6SNCSize(b *testing.B)          { benchFigure(b, "fig6") }
+func BenchmarkFig7SNCAssoc(b *testing.B)         { benchFigure(b, "fig7") }
+func BenchmarkFig8LargerL2(b *testing.B)         { benchFigure(b, "fig8") }
+func BenchmarkFig9Traffic(b *testing.B)          { benchFigure(b, "fig9") }
+func BenchmarkFig10CryptoLatency(b *testing.B)   { benchFigure(b, "fig10") }
 
 // --- Ablation benches (DESIGN.md Section 6) ---
 

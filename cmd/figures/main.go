@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -46,9 +47,10 @@ func main() {
 	}
 	runner := experiments.NewRunner(*scale)
 	runner.Jobs = *jobs
+	ctx := context.Background()
 	start := time.Now()
 	if *fig != "" {
-		fr, err := runner.ByName(*fig)
+		fr, err := runner.Figure(ctx, *fig)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -60,16 +62,17 @@ func main() {
 		// pool, and runs are memoized across figures.
 		for _, n := range experiments.Names() {
 			figStart := time.Now()
-			before := runner.CachedRuns()
-			fr, err := runner.ByName(n)
+			before := runner.MemoStats().Size
+			fr, err := runner.Figure(ctx, n)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
 			fmt.Print(fr.Render())
 			fmt.Println()
+			memoized := runner.MemoStats().Size
 			fmt.Fprintf(os.Stderr, "[%s: %.2fs, +%d simulations, %d memoized total]\n",
-				n, time.Since(figStart).Seconds(), runner.CachedRuns()-before, runner.CachedRuns())
+				n, time.Since(figStart).Seconds(), memoized-before, memoized)
 		}
 	}
 	effJobs := runner.Jobs

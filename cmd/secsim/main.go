@@ -193,6 +193,7 @@ func main() {
 			CryptoLat: *crypto,
 		}
 	}
+	ctx := context.Background()
 	start := time.Now()
 
 	if *compare {
@@ -209,11 +210,11 @@ func main() {
 				specs = append(specs, mkSpec(b, ref))
 			}
 		}
-		if err := runner.Sweep(context.Background(), specs); err != nil {
+		if err := runner.Sweep(ctx, specs); err != nil {
 			fatal(err)
 		}
 		for _, b := range benches {
-			base, err := runner.Run(mkSpec(b, sim.SchemeBaseline))
+			base, err := runner.RunCtx(ctx, mkSpec(b, sim.SchemeBaseline))
 			if err != nil {
 				fatal(err)
 			}
@@ -221,7 +222,7 @@ func main() {
 				"scheme", "cycles", "IPC", "slowdown%", "snc-traffic%", "mac-traffic%")
 			t.AddRow("baseline", fmt.Sprint(base.Cycles), fmt.Sprintf("%.2f", base.IPC()), "0.00", "-", "-")
 			for _, ref := range schemes {
-				r, err := runner.Run(mkSpec(b, ref))
+				r, err := runner.RunCtx(ctx, mkSpec(b, ref))
 				if err != nil {
 					fatal(err)
 				}
@@ -253,7 +254,7 @@ func main() {
 		// using the same api.StreamLine shape secsimd streams; index maps
 		// each line back to the -bench list.
 		enc := json.NewEncoder(os.Stdout)
-		err := runner.SweepEach(context.Background(), specs, func(i int, res sim.Result, err error) {
+		err := runner.SweepEach(ctx, specs, func(i int, res sim.Result, err error) {
 			line := api.StreamLine{Index: i, Spec: api.SpecOf(specs[i])}
 			if err != nil {
 				line.Error = err.Error()
@@ -271,11 +272,11 @@ func main() {
 		}
 		return
 	}
-	if err := runner.Sweep(context.Background(), specs); err != nil {
+	if err := runner.Sweep(ctx, specs); err != nil {
 		fatal(err)
 	}
 	for i, b := range benches {
-		r, err := runner.Run(specs[i])
+		r, err := runner.RunCtx(ctx, specs[i])
 		if err != nil {
 			fatal(err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -15,7 +16,7 @@ import (
 const cpScale = 0.02
 
 // straightThrough simulates one spec with a bare sim.System — no memo, no
-// checkpoint cache — as the ground truth Runner.Run must match.
+// checkpoint cache — as the ground truth Runner.RunCtx must match.
 func straightThrough(t *testing.T, r *Runner, sp Spec) sim.Result {
 	t.Helper()
 	prof, ok := workload.ByName(sp.Bench)
@@ -55,24 +56,24 @@ func TestRunnerMatchesStraightThrough(t *testing.T) {
 	for _, sp := range specs {
 		cold := NewRunner(cpScale)
 		want := straightThrough(t, cold, sp)
-		got, err := cold.Run(sp)
+		got, err := cold.RunCtx(context.Background(), sp)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Errorf("%s/%s: first Runner.Run diverged from straight-through:\n got %+v\nwant %+v",
+			t.Errorf("%s/%s: first Runner.RunCtx diverged from straight-through:\n got %+v\nwant %+v",
 				sp.Bench, sp.Scheme.Canonical(), got, want)
 		}
 		// A second Runner is guaranteed to find the checkpoint the first one
 		// left (its own memo is empty, so it simulates again — forked).
 		before := CheckpointCacheStats()
 		warm := NewRunner(cpScale)
-		got2, err := warm.Run(sp)
+		got2, err := warm.RunCtx(context.Background(), sp)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got2 != want {
-			t.Errorf("%s/%s: forked Runner.Run diverged from straight-through:\n got %+v\nwant %+v",
+			t.Errorf("%s/%s: forked Runner.RunCtx diverged from straight-through:\n got %+v\nwant %+v",
 				sp.Bench, sp.Scheme.Canonical(), got2, want)
 		}
 		if after := CheckpointCacheStats(); after.Hits <= before.Hits {
@@ -104,7 +105,7 @@ func TestRunnerReplaysOutcomesAcrossSchemes(t *testing.T) {
 		replay bool
 	}{{base, false}, {mac, true}, {snc32, true}, {lat, true}, {bigL2, false}} {
 		before := OutcomeCacheStats()
-		got, err := r.Run(c.sp)
+		got, err := r.RunCtx(context.Background(), c.sp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,11 +132,11 @@ func TestRunnerReplaysWarmupAcrossCryptoLatencies(t *testing.T) {
 	r := NewRunner(0.0204)
 	first, second := DefaultSpec("art", sim.SchemeOTPLRU), DefaultSpec("art", sim.SchemeOTPLRU)
 	first.CryptoLat, second.CryptoLat = 61, 67
-	if _, err := r.Run(first); err != nil {
+	if _, err := r.RunCtx(context.Background(), first); err != nil {
 		t.Fatal(err)
 	}
 	before := WarmupCacheStats()
-	got, err := r.Run(second)
+	got, err := r.RunCtx(context.Background(), second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestRunnerStoreWarmStart(t *testing.T) {
 	}
 	r1 := NewRunner(cpScale)
 	r1.Store = st1
-	want, err := r1.Run(sp)
+	want, err := r1.RunCtx(context.Background(), sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestRunnerStoreWarmStart(t *testing.T) {
 	}
 	r2 := NewRunner(cpScale)
 	r2.Store = st2
-	got, err := r2.Run(sp)
+	got, err := r2.RunCtx(context.Background(), sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestRunnerStoreWarmStart(t *testing.T) {
 	}
 	r3 := NewRunner(cpScale)
 	r3.Store = st3
-	got3, err := r3.Run(sp)
+	got3, err := r3.RunCtx(context.Background(), sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +288,7 @@ func TestRunnerStoreWarmStart(t *testing.T) {
 	}
 	r4 := NewRunner(cpScale)
 	r4.Store = st4
-	if got4, err := r4.Run(sp); err != nil || got4 != want {
+	if got4, err := r4.RunCtx(context.Background(), sp); err != nil || got4 != want {
 		t.Errorf("after repair: result %+v (err %v), want %+v", got4, err, want)
 	}
 	if r4.Simulations() != 0 {

@@ -85,7 +85,7 @@ func TestSweepEachStreaming(t *testing.T) {
 		t.Fatalf("delivered %d results, want %d", len(results), len(specs))
 	}
 	for i, s := range specs {
-		want, err := r.Run(s) // memo hit: must match what the sweep delivered
+		want, err := r.RunCtx(context.Background(), s) // memo hit: must match what the sweep delivered
 		if err != nil {
 			t.Fatalf("Run(%d): %v", i, err)
 		}
@@ -120,7 +120,7 @@ func TestRunDispatchedSheds(t *testing.T) {
 func TestFigureC1UsesDispatcher(t *testing.T) {
 	r := NewRunner(0.02)
 	r.Jobs = 2
-	r.FigureC1()
+	figure(t, r, "figC1")
 	if got := r.DispatchStats().Submitted; got != 16 {
 		t.Errorf("submitted %d dispatcher jobs, want 16 (8 solo + 8 multiprogrammed)", got)
 	}

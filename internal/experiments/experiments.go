@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -196,15 +197,11 @@ func (k runKey) config() (sim.Config, error) {
 	return cfg, nil
 }
 
-// run executes (or recalls) one simulation. The figure specs only reference
-// valid benchmarks and configurations, so an error here is a programming
-// bug and panics as before.
-func (r *Runner) run(k runKey) sim.Result {
-	res, err := r.result(context.Background(), k, false) //secsim:detach sequential batch path: figure sweeps run to completion by design
-	if err != nil {
-		panic(err)
-	}
-	return res
+// canonical renders k as "bench/scheme/sncNKB-Ww/l2-NKB-Ww/cN": the
+// spec's CanonicalKey and a SortedCacheKeys entry.
+func (k runKey) canonical() string {
+	return fmt.Sprintf("%s/%s/snc%dKB-%dw/l2-%dKB-%dw/c%d",
+		k.bench, k.scheme, k.sncKB, k.sncWays, k.l2KB, k.l2Ways, k.cryptoLat)
 }
 
 // defaultKey is the paper's standard configuration for a scheme (named by
@@ -384,73 +381,79 @@ func figureSpecs() []figureSpec {
 // build assembles the figure from memoized results (simulating on demand
 // for any key the sweep did not prefetch), in deterministic series then
 // benchmark order, so the output is byte-identical to the sequential path.
-func (r *Runner) build(f figureSpec) FigureResult {
+func (r *Runner) build(ctx context.Context, f figureSpec) (FigureResult, error) {
 	measured := make([]stats.Series, len(f.series))
 	for i, s := range f.series {
 		vals := make([]float64, len(Benchmarks))
 		for j, b := range Benchmarks {
-			res := r.run(s.key(b))
+			res, err := r.resultSafe(ctx, s.key(b), false)
+			if err != nil {
+				return FigureResult{}, err
+			}
+			var base sim.Result
+			if s.kind != trafficKind {
+				if base, err = r.resultSafe(ctx, defaultKey(b, schemeBaseline), false); err != nil {
+					return FigureResult{}, err
+				}
+			}
 			switch s.kind {
 			case slowdownKind:
-				vals[j] = sim.Slowdown(res, r.run(defaultKey(b, schemeBaseline)))
+				vals[j] = sim.Slowdown(res, base)
 			case normalizedKind:
-				vals[j] = sim.NormalizedTime(res, r.run(defaultKey(b, schemeBaseline)))
+				vals[j] = sim.NormalizedTime(res, base)
 			case trafficKind:
 				vals[j] = stats.Pct(res.SNCTraffic(), res.DemandTraffic())
 			}
 		}
 		measured[i] = stats.NewSeries(s.name, Benchmarks, vals)
 	}
-	return FigureResult{ID: f.id, Title: f.title, Measured: measured, Paper: f.paper, Notes: f.notes}
+	return FigureResult{ID: f.id, Title: f.title, Measured: measured, Paper: f.paper, Notes: f.notes}, nil
 }
 
-// figure sweeps and builds one figure by short name.
-func (r *Runner) figure(short string) FigureResult {
+// ErrUnknownFigure is wrapped by Figure's error for a name that matches no
+// regenerable figure.
+var ErrUnknownFigure = errors.New("experiments: unknown figure")
+
+// Figure regenerates one figure by short name ("fig5", case-insensitive;
+// "figure5" and "5" are aliases) under ctx. Its simulations (the figure's
+// key sweep, or Figure C1's scheduler runs) fan out through fanOut, tagged
+// with the owner and weight ctx carries (dispatch.WithOwner): a cancelled
+// ctx sheds the queued ones and returns ctx.Err(), and a panicking one
+// fails the figure with an error.
+func (r *Runner) Figure(ctx context.Context, name string) (FigureResult, error) {
+	n := strings.ToLower(name)
 	for _, f := range figureSpecs() {
-		if f.short == short {
-			if err := r.sweep(context.Background(), f.keys()); err != nil { //secsim:detach process-lifetime figure build (All)
-				panic(err)
+		short := strings.ToLower(f.short)
+		if n == short || n == "figure"+strings.TrimPrefix(short, "fig") || n == strings.TrimPrefix(short, "fig") {
+			if err := r.sweep(ctx, f.keys()); err != nil {
+				return FigureResult{}, err
 			}
-			return r.build(f)
+			return r.build(ctx, f)
 		}
 	}
-	panic("experiments: unknown figure " + short)
+	if n == "figc1" || n == "figurec1" || n == "c1" {
+		return r.figureC1(ctx)
+	}
+	return FigureResult{}, fmt.Errorf("%w %q (have %s)", ErrUnknownFigure, name, strings.Join(Names(), ", "))
 }
-
-// Figure3 regenerates Figure 3: XOM slowdown over the insecure baseline.
-func (r *Runner) Figure3() FigureResult { return r.figure("fig3") }
-
-// Figure5 regenerates Figure 5: XOM vs SNC-NoRepl vs SNC-LRU (64KB SNC).
-func (r *Runner) Figure5() FigureResult { return r.figure("fig5") }
-
-// Figure6 regenerates Figure 6: SNC capacity sweep under LRU.
-func (r *Runner) Figure6() FigureResult { return r.figure("fig6") }
-
-// Figure7 regenerates Figure 7: fully associative vs 32-way SNC.
-func (r *Runner) Figure7() FigureResult { return r.figure("fig7") }
-
-// Figure8 regenerates Figure 8: equal-area comparison of a larger L2 vs
-// adding the SNC (CACTI: 256KB 4-way L2 + 64KB 32-way SNC ≈ 384KB 6-way L2).
-func (r *Runner) Figure8() FigureResult { return r.figure("fig8") }
-
-// Figure9 regenerates Figure 9: SNC-induced extra memory traffic as a
-// percentage of demand (L2<->memory) traffic, 64KB LRU SNC.
-func (r *Runner) Figure9() FigureResult { return r.figure("fig9") }
-
-// Figure10 regenerates Figure 10: sensitivity to a 102-cycle crypto unit.
-func (r *Runner) Figure10() FigureResult { return r.figure("fig10") }
-
-// FigureI1 generates the integrity-overhead figure: OTP+MAC (overlap and
-// blocking verification) and OTP-Precompute against SNC-LRU across all 11
-// benchmarks — the question the paper leaves open.
-func (r *Runner) FigureI1() FigureResult { return r.figure("figI1") }
 
 // All regenerates every figure in paper order. Every required single-
 // program simulation is enqueued up front and fanned out over the worker
 // pool, then the figures are assembled in deterministic order from the
 // memoized results; the multiprogrammed Figure C1 (which drives its own
-// scheduler runs) comes last.
+// scheduler runs) comes last. The figure specs only reference valid
+// benchmarks and configurations, so an error here is a programming bug and
+// panics.
 func (r *Runner) All() []FigureResult {
+	out, err := r.all(context.Background()) //secsim:detach batch root: a full figure sweep runs to completion by design
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// all is All under ctx, returning the first error instead of panicking.
+func (r *Runner) all(ctx context.Context) ([]FigureResult, error) {
 	specs := figureSpecs()
 	var keys []runKey
 	seen := make(map[runKey]bool)
@@ -462,15 +465,22 @@ func (r *Runner) All() []FigureResult {
 			}
 		}
 	}
-	if err := r.sweep(context.Background(), keys); err != nil { //secsim:detach process-lifetime figure build (ByName)
-		panic(err)
+	if err := r.sweep(ctx, keys); err != nil {
+		return nil, err
 	}
 	out := make([]FigureResult, 0, len(specs)+1)
 	for _, f := range specs {
-		out = append(out, r.build(f))
+		fr, err := r.build(ctx, f)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, fr)
 	}
-	out = append(out, r.FigureC1())
-	return out
+	fr, err := r.figureC1(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return append(out, fr), nil
 }
 
 // Names lists the regenerable figures.
@@ -483,30 +493,10 @@ func Names() []string {
 	return append(out, "figC1")
 }
 
-// ByName regenerates one figure by short name ("fig5", case-insensitive);
-// "figure5" and "5" are accepted as aliases.
-func (r *Runner) ByName(name string) (FigureResult, error) {
-	n := strings.ToLower(name)
-	for _, f := range figureSpecs() {
-		short := strings.ToLower(f.short)
-		if n == short || n == "figure"+strings.TrimPrefix(short, "fig") || n == strings.TrimPrefix(short, "fig") {
-			return r.figure(f.short), nil
-		}
-	}
-	if n == "figc1" || n == "figurec1" || n == "c1" {
-		return r.FigureC1(), nil
-	}
-	return FigureResult{}, fmt.Errorf("experiments: unknown figure %q (have %s)", name, strings.Join(Names(), ", "))
-}
-
-// CachedRuns reports how many simulations are currently memoized
-// (diagnostics; with a Capacity bound, evicted runs no longer count).
-func (r *Runner) CachedRuns() int { return r.results().size() }
-
 // Simulations reports how many simulations actually executed, as opposed to
 // being answered from the memo. With race-free deduplication and no
-// eviction this equals CachedRuns once all requests have drained — the
-// exactly-once property the concurrency tests assert.
+// eviction this equals MemoStats().Size once all requests have drained —
+// the exactly-once property the concurrency tests assert.
 func (r *Runner) Simulations() int64 { return r.sims.Load() }
 
 // MemoStats snapshots the result memo's lifecycle counters (size,
@@ -522,8 +512,7 @@ func (r *Runner) SortedCacheKeys() []string {
 	keys := r.results().keys()
 	out := make([]string, 0, len(keys))
 	for _, k := range keys {
-		out = append(out, fmt.Sprintf("%s/%s/snc%dKB-%dw/l2-%dKB-%dw/c%d",
-			k.bench, k.scheme, k.sncKB, k.sncWays, k.l2KB, k.l2Ways, k.cryptoLat))
+		out = append(out, k.canonical())
 	}
 	sort.Strings(out)
 	return out

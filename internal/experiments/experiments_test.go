@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -38,20 +40,55 @@ func TestPaperDataComplete(t *testing.T) {
 	}
 }
 
+// figure regenerates one figure, failing the test on error.
+func figure(t testing.TB, r *Runner, name string) FigureResult {
+	t.Helper()
+	fr, err := r.Figure(context.Background(), name)
+	if err != nil {
+		t.Fatalf("Figure(%q): %v", name, err)
+	}
+	return fr
+}
+
 func TestByNameDispatch(t *testing.T) {
 	r := NewRunner(expScale)
 	for _, n := range Names() {
-		if _, err := r.ByName(n); err != nil {
-			t.Errorf("ByName(%q): %v", n, err)
+		if _, err := r.Figure(context.Background(), n); err != nil {
+			t.Errorf("Figure(%q): %v", n, err)
 		}
 	}
-	if _, err := r.ByName("fig4"); err == nil {
-		t.Error("fig4 is an architecture diagram, not a data figure")
+	for _, alias := range []string{"FIG5", "figure5", "5", "figurec1", "C1"} {
+		if _, err := r.Figure(context.Background(), alias); err != nil {
+			t.Errorf("Figure(%q): %v", alias, err)
+		}
+	}
+	if _, err := r.Figure(context.Background(), "fig4"); !errors.Is(err, ErrUnknownFigure) {
+		t.Errorf("Figure(fig4) = %v, want ErrUnknownFigure: fig4 is an architecture diagram, not a data figure", err)
+	}
+}
+
+// TestFigureCancelledContext: a figure requested under a cancelled context
+// returns the cancellation without simulating, on both the sequential and
+// the dispatched fan-out path, for a key-sweep figure and for Figure C1.
+func TestFigureCancelledContext(t *testing.T) {
+	for _, jobs := range []int{1, 2} {
+		for _, name := range []string{"fig3", "figC1"} {
+			r := NewRunner(raceScale)
+			r.Jobs = jobs
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := r.Figure(ctx, name); err != ctx.Err() {
+				t.Errorf("jobs=%d: Figure(%s) on a cancelled context = %v, want %v", jobs, name, err, ctx.Err())
+			}
+			if n, st := r.Simulations(), r.DispatchStats(); n != 0 || st.Completed != st.Submitted {
+				t.Errorf("jobs=%d: Figure(%s) ran %d simulations; dispatch %+v", jobs, name, n, st)
+			}
+		}
 	}
 }
 
 func TestFigure5ShapesHold(t *testing.T) {
-	fr := NewRunner(expScale).Figure5()
+	fr := figure(t, NewRunner(expScale), "fig5")
 	if len(fr.Measured) != 3 || len(fr.Paper) != 3 {
 		t.Fatal("figure 5 needs 3 series")
 	}
@@ -75,8 +112,8 @@ func TestFigure5ShapesHold(t *testing.T) {
 
 func TestFigure10XOMDegrades(t *testing.T) {
 	r := NewRunner(expScale)
-	f5 := r.Figure5()
-	f10 := r.Figure10()
+	f5 := figure(t, r, "fig5")
+	f10 := figure(t, r, "fig10")
 	xom50 := f5.Measured[0].Mean()
 	xom102 := f10.Measured[0].Mean()
 	lru50 := f5.Measured[2].Mean()
@@ -90,7 +127,7 @@ func TestFigure10XOMDegrades(t *testing.T) {
 }
 
 func TestFigure8SNCBeatsBiggerL2(t *testing.T) {
-	fr := NewRunner(expScale).Figure8()
+	fr := figure(t, NewRunner(expScale), "fig8")
 	xom384 := fr.Measured[1].Mean()
 	sncRow := fr.Measured[2].Mean()
 	if sncRow >= xom384 {
@@ -106,7 +143,7 @@ func TestFigure8SNCBeatsBiggerL2(t *testing.T) {
 }
 
 func TestFigure9TrafficSmall(t *testing.T) {
-	fr := NewRunner(expScale).Figure9()
+	fr := figure(t, NewRunner(expScale), "fig9")
 	m := fr.Measured[0]
 	for i, b := range Benchmarks {
 		if m.Values[i] > 15 {
@@ -119,7 +156,7 @@ func TestFigure9TrafficSmall(t *testing.T) {
 }
 
 func TestRenderContainsEverything(t *testing.T) {
-	fr := NewRunner(expScale).Figure3()
+	fr := figure(t, NewRunner(expScale), "fig3")
 	out := fr.Render()
 	for _, want := range []string{"Figure 3", "ammp", "vpr", "average", "rank correlation"} {
 		if !strings.Contains(out, want) {
@@ -130,17 +167,17 @@ func TestRenderContainsEverything(t *testing.T) {
 
 func TestRunnerMemoizes(t *testing.T) {
 	r := NewRunner(expScale)
-	r.Figure3()
-	n1 := r.CachedRuns()
-	r.Figure3() // same runs again
-	if r.CachedRuns() != n1 {
+	figure(t, r, "fig3")
+	n1 := r.MemoStats().Size
+	figure(t, r, "fig3") // same runs again
+	if r.MemoStats().Size != n1 {
 		t.Error("figure rerun added cache entries")
 	}
-	r.Figure5() // shares baseline+XOM with fig3
-	if r.CachedRuns() != n1+22 {
-		t.Errorf("figure 5 should add exactly 22 runs (NoRepl+LRU), got %d new", r.CachedRuns()-n1)
+	figure(t, r, "fig5") // shares baseline+XOM with fig3
+	if r.MemoStats().Size != n1+22 {
+		t.Errorf("figure 5 should add exactly 22 runs (NoRepl+LRU), got %d new", r.MemoStats().Size-n1)
 	}
-	if len(r.SortedCacheKeys()) != r.CachedRuns() {
+	if len(r.SortedCacheKeys()) != r.MemoStats().Size {
 		t.Error("cache key listing inconsistent")
 	}
 }
@@ -171,7 +208,7 @@ func TestAllReturnsEveryFigure(t *testing.T) {
 }
 
 func TestFigureI1IntegrityShapes(t *testing.T) {
-	fr := NewRunner(expScale).FigureI1()
+	fr := figure(t, NewRunner(expScale), "figI1")
 	if len(fr.Measured) != 4 {
 		t.Fatalf("figure I1 needs 4 series, got %d", len(fr.Measured))
 	}
@@ -248,7 +285,7 @@ func TestRenderReportsPaperMismatch(t *testing.T) {
 // claims at test scale: flush always costs more than pid, flush always
 // pays switch traffic, pid never does, and shorter quanta hurt more.
 func TestFigureC1Shapes(t *testing.T) {
-	fr := NewRunner(0.05).FigureC1()
+	fr := figure(t, NewRunner(0.05), "figC1")
 	if len(fr.Rows) == 0 {
 		t.Fatal("figure C1 must define its own rows")
 	}

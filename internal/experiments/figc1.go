@@ -39,12 +39,13 @@ func figC1Config(policy string) sim.Config {
 	return cfg
 }
 
-// FigureC1 generates the multiprogrammed context-switch figure (measured
+// figureC1 generates the multiprogrammed context-switch figure (measured
 // only — the paper states the design, Section 4.3, but reports no
 // numbers). The scheduler runs and their solo baselines are all
-// independent, so they fan out over the shared worker budget like any
-// other sweep; assembly order is fixed, so the output is deterministic.
-func (r *Runner) FigureC1() FigureResult {
+// independent, so they fan out over the shared worker budget under ctx
+// like any other sweep; assembly order is fixed, so the output is
+// deterministic.
+func (r *Runner) figureC1(ctx context.Context) (FigureResult, error) {
 	type cell struct{ slowdown, trafficPct float64 }
 	nrows := len(figC1Pairs) * len(figC1Quanta)
 	var results [2][]cell
@@ -85,7 +86,7 @@ func (r *Runner) FigureC1() FigureResult {
 	soloVals := make([]uint64, len(soloKeys))
 	multis := make([]sched.Result, len(multiRuns))
 	// Each job writes its own slot; the lookup map is built after the join.
-	err := r.fanOut(context.Background(), len(soloKeys)+len(multiRuns), func(_ context.Context, i int) error { //secsim:detach process-lifetime figure build (FigureC1)
+	err := r.fanOut(ctx, len(soloKeys)+len(multiRuns), func(_ context.Context, i int) error {
 		if i < len(soloKeys) {
 			k := soloKeys[i]
 			v, err := sched.Solo(figC1Config(k.policy), k.bench, r.Scale)
@@ -109,9 +110,7 @@ func (r *Runner) FigureC1() FigureResult {
 		return nil
 	})
 	if err != nil {
-		// Same contract as every other figure: a bad configuration is a
-		// programming error and fails in the calling goroutine.
-		panic(err)
+		return FigureResult{}, err
 	}
 	solos := make(map[soloKey]uint64, len(soloKeys))
 	for i, k := range soloKeys {
@@ -154,5 +153,5 @@ func (r *Runner) FigureC1() FigureResult {
 		Notes: "every switch invalidates L1/L2 (dirty lines drain through the scheme) under both policies; " +
 			"flush additionally spills live SNC entries (switch-traffic% of demand traffic), " +
 			"pid keeps entries resident at the cost of 8 tag bits per entry (21.8K vs 32K sequence numbers)",
-	}
+	}, nil
 }

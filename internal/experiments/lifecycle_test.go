@@ -8,6 +8,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -110,6 +111,32 @@ func TestSweepContainsSimulationPanic(t *testing.T) {
 	}
 }
 
+// TestFigureContainsJobPanic extends the service-survival contract to
+// figures: a figure job that panics, on the caller's goroutine (one
+// worker) or on a dispatcher goroutine (two), fails the figure with an
+// error instead of unwinding the caller or killing the process. The absurd
+// scale panics every simulation of a key-sweep figure; Figure C1's
+// scheduler runs survive it, so its fan-out is driven with a panicking job
+// directly.
+func TestFigureContainsJobPanic(t *testing.T) {
+	for _, jobs := range []int{1, 2} {
+		r := NewRunner(1e300)
+		r.Jobs = jobs
+		if _, err := r.Figure(context.Background(), "fig3"); err == nil || !strings.Contains(err.Error(), "panicked") {
+			t.Errorf("jobs=%d: Figure(fig3) = %v, want an error reporting the panic", jobs, err)
+		}
+		err := r.fanOut(context.Background(), 4, func(_ context.Context, i int) error {
+			if i == 1 {
+				panic("boom")
+			}
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "panicked: boom") {
+			t.Errorf("jobs=%d: fan-out over a panicking job = %v, want an error reporting the panic", jobs, err)
+		}
+	}
+}
+
 // TestOwnerDetachedFromCallerContext pins the memo-poisoning fix: the
 // goroutine that owns a result entry must run the simulation on a
 // background context, so its own caller's cancellation can never be
@@ -152,7 +179,7 @@ func TestOwnerDetachedFromCallerContext(t *testing.T) {
 		t.Errorf("owner got %v, want the trace's own error", err)
 	}
 	// The memo must hold the genuine trace error, not a context error.
-	if _, err := r.Run(spec); !errors.Is(err, sentinel) {
+	if _, err := r.RunCtx(context.Background(), spec); !errors.Is(err, sentinel) {
 		t.Errorf("memoized error is %v, want the trace's own error", err)
 	}
 }
@@ -256,4 +283,39 @@ func TestExpandBenches(t *testing.T) {
 	if _, err := ExpandBenches(" , "); err == nil {
 		t.Error("empty list accepted")
 	}
+}
+
+// FuzzExpandBenches fuzzes the parser of the untrusted "bench" field of
+// every /v1/run and /v1/sweep body. It must never panic; a success is a
+// non-empty list of distinct registered benchmarks; and "all", in any
+// letter case, is exactly workload.BenchmarkNames.
+func FuzzExpandBenches(f *testing.F) {
+	for _, seed := range []string{"", "all", "ALL", "gzip,mcf,gzip", " , ,", "nosuch"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, arg string) {
+		got, err := ExpandBenches(arg)
+		if strings.EqualFold(arg, "all") {
+			if err != nil || !slices.Equal(got, workload.BenchmarkNames) {
+				t.Fatalf("ExpandBenches(%q) = (%v, %v), want (%v, nil)", arg, got, err, workload.BenchmarkNames)
+			}
+			return
+		}
+		if err != nil {
+			return
+		}
+		if len(got) == 0 {
+			t.Fatalf("ExpandBenches(%q) succeeded with no benchmarks", arg)
+		}
+		seen := make(map[string]bool, len(got))
+		for _, b := range got {
+			if seen[b] {
+				t.Fatalf("ExpandBenches(%q) = %v repeats %q", arg, got, b)
+			}
+			seen[b] = true
+			if _, ok := workload.ByName(b); !ok {
+				t.Fatalf("ExpandBenches(%q) = %v returns unknown benchmark %q", arg, got, b)
+			}
+		}
+	})
 }

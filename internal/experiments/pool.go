@@ -239,7 +239,7 @@ func (r *Runner) dispatchEach(ctx context.Context, n int, job func(ctx context.C
 			if jctx.Err() != nil {
 				return
 			}
-			if err := job(jctx, i); err != nil {
+			if err := call(jctx, i, job); err != nil {
 				errOnce.Do(func() { firstErr = err })
 				cancel()
 			}
@@ -261,9 +261,10 @@ func (r *Runner) dispatchEach(ctx context.Context, n int, job func(ctx context.C
 // is a plain sequential loop — the batch path the perf harness gates
 // allocation-for-allocation; otherwise the jobs go through dispatchEach.
 // It returns when every job is done, the context is cancelled, or a job
-// fails (first error wins; queued work is shed). A cancelled fan-out
-// always reports the cancellation, even when it raced the last completion
-// or n was 0.
+// fails (first error wins; queued work is shed). A panicking job fails the
+// fan-out like an erroring one, on either path. A cancelled fan-out always
+// reports the cancellation, even when it raced the last completion or n
+// was 0.
 func (r *Runner) fanOut(ctx context.Context, n int, job func(ctx context.Context, i int) error) error {
 	if r.jobs() <= 1 || n <= 1 {
 		b := r.bud()
@@ -271,12 +272,9 @@ func (r *Runner) fanOut(ctx context.Context, n int, job func(ctx context.Context
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			var err error
-			func() {
-				b.Hold()
-				defer b.Release()
-				err = job(ctx, i)
-			}()
+			b.Hold()
+			err := call(ctx, i, job)
+			b.Release()
 			if err != nil {
 				return err
 			}
@@ -284,6 +282,21 @@ func (r *Runner) fanOut(ctx context.Context, n int, job func(ctx context.Context
 		return ctx.Err()
 	}
 	return r.dispatchEach(ctx, n, job)
+}
+
+// call runs job(ctx, i), converting a panic into the job's error: on a
+// dispatcher goroutine an unrecovered panic would kill the process, and on
+// the caller's goroutine it would unwind past the caller's error handling
+// (secsimd answers a failed figure with a 500 envelope). The deferred
+// closure does not escape, so a job that returns normally pays no
+// allocation for it.
+func call(ctx context.Context, i int, job func(ctx context.Context, i int) error) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("experiments: job %d panicked: %v", i, p)
+		}
+	}()
+	return job(ctx, i)
 }
 
 // sweep memoizes every key through fanOut. A panicking simulation
@@ -415,20 +428,11 @@ func (s Spec) key() runKey {
 // canonical registry form), so two specs share a key exactly when they
 // share a memo entry. The cluster fabric consistent-hashes this string to
 // pick the one node that owns the spec's simulation and caches.
-func (s Spec) CanonicalKey() string {
-	k := s.key()
-	return fmt.Sprintf("%s/%s/snc%dKB-%dw/l2-%dKB-%dw/c%d",
-		k.bench, k.scheme, k.sncKB, k.sncWays, k.l2KB, k.l2Ways, k.cryptoLat)
-}
+func (s Spec) CanonicalKey() string { return s.key().canonical() }
 
-// Run executes (or recalls) the simulation for one spec.
-func (r *Runner) Run(s Spec) (sim.Result, error) {
-	return r.result(context.Background(), s.key(), false) //secsim:detach warm checkpoint build is shared across requests
-}
-
-// RunCtx is Run with cancellation: if the spec's simulation is owned by
-// another in-flight request, a cancelled ctx releases this caller with
-// ctx.Err() while the shared simulation runs on.
+// RunCtx executes (or recalls) the simulation for one spec. If the spec's
+// simulation is owned by another in-flight request, a cancelled ctx
+// releases this caller with ctx.Err() while the shared simulation runs on.
 func (r *Runner) RunCtx(ctx context.Context, s Spec) (sim.Result, error) {
 	return r.result(ctx, s.key(), false)
 }

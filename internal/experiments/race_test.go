@@ -29,16 +29,16 @@ func TestConcurrentFiguresExactlyOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int, n string) {
 			defer wg.Done()
-			fr, err := r.ByName(n)
+			fr, err := r.Figure(context.Background(), n)
 			if err != nil {
-				t.Errorf("ByName(%q): %v", n, err)
+				t.Errorf("Figure(%q): %v", n, err)
 				return
 			}
 			rendered[i] = fr.Render()
 		}(i, n)
 	}
 	wg.Wait()
-	if got, want := r.Simulations(), int64(r.CachedRuns()); got != want {
+	if got, want := r.Simulations(), int64(r.MemoStats().Size); got != want {
 		t.Errorf("%d simulations executed for %d distinct keys; overlapping figures double-computed", got, want)
 	}
 	for i, n := range figs {
@@ -77,11 +77,11 @@ func TestConcurrentSweepSharedSpecs(t *testing.T) {
 	}
 	// Every spec must now be a memo hit returning a consistent result.
 	for _, s := range specs {
-		r1, err := r.Run(s)
+		r1, err := r.RunCtx(context.Background(), s)
 		if err != nil {
 			t.Fatalf("Run(%+v): %v", s, err)
 		}
-		r2, _ := r.Run(s)
+		r2, _ := r.RunCtx(context.Background(), s)
 		if r1 != r2 {
 			t.Errorf("memoized result for %+v not stable", s)
 		}

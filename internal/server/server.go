@@ -138,9 +138,9 @@ func (s *Server) EnableCluster(cfg cluster.Config) error {
 }
 
 // Fairness weights for the dispatcher's per-owner queues: one interactive
-// /v1/run job counts as four sweep jobs, so a caller probing individual
-// configurations stays responsive while a bulk sweep grinds through its
-// fan-out on the same worker budget.
+// /v1/run job counts as four sweep or figure jobs, so a caller probing
+// individual configurations stays responsive while a bulk sweep grinds
+// through its fan-out on the same worker budget.
 const (
 	runWeight   = 4
 	sweepWeight = 1
@@ -267,37 +267,6 @@ func parseHops(r *http.Request) int {
 		return 0
 	}
 	return n
-}
-
-// await runs fn detached from the request and waits for either the result
-// or the request context. On cancellation the caller returns promptly with
-// ctx.Err() while fn keeps running — for simulations that means the work
-// still lands in the shared memo for the next request. A panicking fn is
-// contained here (the simulation layer re-raises recorded panics in the
-// owning goroutine) so one poisoned request cannot take the service down.
-func await[T any](ctx context.Context, fn func() (T, error)) (T, error) {
-	type outcome struct {
-		v   T
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		defer func() {
-			if p := recover(); p != nil {
-				var zero T
-				ch <- outcome{zero, fmt.Errorf("internal error: %v", p)}
-			}
-		}()
-		v, err := fn()
-		ch <- outcome{v, err}
-	}()
-	select {
-	case o := <-ch:
-		return o.v, o.err
-	case <-ctx.Done():
-		var zero T
-		return zero, ctx.Err()
-	}
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -586,14 +555,12 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, specs []exp
 func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	s.figureReqs.Add(1)
 	name := r.PathValue("name")
-	fr, err := await(r.Context(), func() (experiments.FigureResult, error) {
-		return s.runner.ByName(name)
-	})
+	fr, err := s.runner.Figure(ownerCtx(r, sweepWeight), name)
 	if err != nil {
 		switch {
 		case r.Context().Err() != nil:
 			return
-		case strings.Contains(err.Error(), "unknown figure"):
+		case errors.Is(err, experiments.ErrUnknownFigure):
 			s.writeError(w, "figures", api.CodeNotFound, err)
 		default:
 			s.writeError(w, "figures", api.CodeInternal, err)

@@ -44,20 +44,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// AddRowF appends a row where every value after the first is formatted with
-// format (e.g. "%.2f").
-func (t *Table) AddRowF(label string, format string, values ...float64) {
-	cells := make([]string, 0, len(values)+1)
-	cells = append(cells, label)
-	for _, v := range values {
-		cells = append(cells, fmt.Sprintf(format, v))
-	}
-	t.AddRow(cells...)
-}
-
-// NumRows returns the number of data rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // String renders the table with aligned columns.
 func (t *Table) String() string {
 	widths := make([]int, len(t.Columns))
@@ -145,35 +131,6 @@ func (s Series) Value(label string) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// Max returns the maximum value and its label (zeroes for empty series).
-func (s Series) Max() (string, float64) {
-	if len(s.Values) == 0 {
-		return "", 0
-	}
-	bi := 0
-	for i, v := range s.Values {
-		if v > s.Values[bi] {
-			bi = i
-		}
-	}
-	return s.Labels[bi], s.Values[bi]
-}
-
-// RankOrder returns the labels sorted by descending value. It is used to
-// compare orderings ("who is hurt most") between paper and measurement.
-func (s Series) RankOrder() []string {
-	idx := make([]int, len(s.Labels))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return s.Values[idx[a]] > s.Values[idx[b]] })
-	out := make([]string, len(idx))
-	for i, j := range idx {
-		out[i] = s.Labels[j]
-	}
-	return out
 }
 
 // SpearmanRank computes the Spearman rank correlation between two series that

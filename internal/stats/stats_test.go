@@ -18,10 +18,7 @@ func TestRatioPct(t *testing.T) {
 func TestTable(t *testing.T) {
 	tb := NewTable("Title", "name", "v1", "v2")
 	tb.AddRow("alpha", "1")
-	tb.AddRowF("beta", "%.1f", 2.5, 3.5)
-	if tb.NumRows() != 2 {
-		t.Error("NumRows")
-	}
+	tb.AddRow("beta", "2.5", "3.5")
 	out := tb.String()
 	for _, want := range []string{"Title", "name", "alpha", "beta", "2.5", "3.5", "---"} {
 		if !strings.Contains(out, want) {
@@ -41,13 +38,6 @@ func TestSeriesBasics(t *testing.T) {
 	if _, ok := s.Value("zz"); ok {
 		t.Error("missing label found")
 	}
-	if l, v := s.Max(); l != "b" || v != 3 {
-		t.Error("Max")
-	}
-	order := s.RankOrder()
-	if order[0] != "b" || order[1] != "c" || order[2] != "a" {
-		t.Errorf("RankOrder: %v", order)
-	}
 	r := s.Relabel("t")
 	if r.Name != "t" || r.Mean() != 2 {
 		t.Error("Relabel")
@@ -55,9 +45,6 @@ func TestSeriesBasics(t *testing.T) {
 	var empty Series
 	if empty.Mean() != 0 {
 		t.Error("empty mean")
-	}
-	if l, v := empty.Max(); l != "" || v != 0 {
-		t.Error("empty max")
 	}
 }
 
@@ -105,12 +92,6 @@ func TestSeriesConcurrentReads(t *testing.T) {
 			}
 			if v, ok := alias.Value("c"); !ok || v != 3 {
 				t.Error("Value changed under concurrent reads")
-			}
-			if l, v := s.Max(); l != "a" || v != 4 {
-				t.Error("Max changed under concurrent reads")
-			}
-			if got := s.RankOrder(); got[0] != "a" {
-				t.Error("RankOrder changed under concurrent reads")
 			}
 			if rho := SpearmanRank(s, alias); rho < 0.999 {
 				t.Errorf("SpearmanRank(s, alias) = %v, want 1", rho)

@@ -32,6 +32,7 @@
 package secureproc
 
 import (
+	"context"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/des"
@@ -172,7 +173,7 @@ func Figures() []string { return experiments.Names() }
 // integrity-overhead extension, or "figC1" for the multiprogrammed
 // context-switch extension) at the given workload scale.
 func Figure(name string, scale float64) (FigureResult, error) {
-	return experiments.NewRunner(scale).ByName(name)
+	return experiments.NewRunner(scale).Figure(context.Background(), name) //secsim:detach library entry point without a caller context: the figure runs to completion
 }
 
 // AllFigures regenerates the paper's complete evaluation, sharing
