@@ -225,10 +225,36 @@ func (f *Fabric) post(ctx context.Context, owner, path string, hops int, clientI
 	case resp.StatusCode >= 300:
 		return api.ErrorFromBody(resp.StatusCode, b), false, nil
 	}
-	if err := json.Unmarshal(b, out); err != nil {
-		return nil, false, fmt.Errorf("cluster: peer %s: undecodable response: %w", owner, err)
+	if err := decodeBody(b, out); err != nil {
+		return nil, false, fmt.Errorf("cluster: peer %s: %w", owner, err)
 	}
 	return nil, false, nil
+}
+
+// decodeBody decodes a peer's 200 answer to a forward into out, an
+// *api.RunResponse or *api.SweepResponse. The body is untrusted input.
+func decodeBody(b []byte, out any) error {
+	if err := json.Unmarshal(b, out); err != nil {
+		return fmt.Errorf("undecodable response: %w", err)
+	}
+	return nil
+}
+
+// maxStatsBytes bounds how much of a peer's /v1/cluster/stats answer a
+// rollup reads: a NodeStats encodes in a few hundred bytes.
+const maxStatsBytes = 64 << 10
+
+// decodeNodeStats decodes a peer's answer to a /v1/cluster/stats poll,
+// reading at most maxStatsBytes of the untrusted body. ok is false for a
+// status other than 200 or a body that is not a NodeStats.
+func decodeNodeStats(status int, body io.Reader) (ns api.NodeStats, ok bool) {
+	if status != http.StatusOK {
+		return api.NodeStats{}, false
+	}
+	if err := json.NewDecoder(io.LimitReader(body, maxStatsBytes)).Decode(&ns); err != nil {
+		return api.NodeStats{}, false
+	}
+	return ns, true
 }
 
 // LocalStats assembles this node's cluster counter block; sims is the
@@ -302,8 +328,8 @@ func (f *Fabric) Rollup(ctx context.Context, local api.NodeStats) *api.FleetRoll
 				return
 			}
 			defer resp.Body.Close()
-			var ns api.NodeStats
-			if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&ns) != nil {
+			ns, ok := decodeNodeStats(resp.StatusCode, resp.Body)
+			if !ok {
 				ch <- polled{addr, nil}
 				return
 			}

@@ -5,11 +5,21 @@ package experiments
 // (workload.Profile.WarmupRefs), so the machine state at the
 // warmup/measurement boundary is a pure function of the runKey — independent
 // of the Runner's Scale, which only stretches the measured phase. simulate()
-// therefore warms each configuration up once, checkpoints the boundary
-// state, and forks every later measurement run (typically from a different
-// Runner instance: the perf harness, a restarted golden job, repeated
-// secsimd requests after memo eviction) from the checkpoint instead of
+// therefore checkpoints the boundary state of a configuration and forks
+// every later measurement run of it (typically from a different Runner
+// instance: the perf harness, a restarted golden job, repeated secsimd
+// requests after memo eviction) from the checkpoint instead of
 // re-simulating the warmup.
+//
+// A checkpoint is captured only where a fork can follow, because an OTP
+// checkpoint holds the 32K-entry SNC and its sequence-number table (about
+// 1.1–1.35 MB at the figures' geometries). A Runner whose result memo is
+// unbounded never simulates a key twice, so its first simulation of a key
+// leaves only a mark — an entry with no checkpoint, in the same LRU — and
+// the key's second simulation in the process (another Runner's) captures
+// the checkpoint later ones fork from: "cache on second hit". A Runner with
+// a bounded memo (Capacity > 0) can evict a result and simulate its key
+// again, so it captures on the first simulation.
 //
 // Cache outcome replay (see sim/outcomes.go) is a second, narrower reuse.
 // No scheme and no timing can change what the caches hold, so the L1/L2
@@ -32,15 +42,16 @@ package experiments
 // benchmarks at the default geometry), and the caches' start and end state
 // (144 KB at the default geometry).
 //
-// All three caches are package-level and bounded. Within one Runner the
-// result memo already guarantees at most one simulation per key, so
-// checkpoints pay off exactly when Runners come and go; outcomes pay off
-// within a Runner as well, across the schemes of one benchmark, and
-// warmups across the schemes, SNCs and crypto latencies of one benchmark
-// that have no checkpoint yet. Entries are immutable once published (a
-// restore or replay copies out of them, never into them), so concurrent
-// readers of one entry are safe and a racing duplicate put is benign (last
-// write wins, both values are equivalent by construction).
+// All three caches are package-level and bounded. Within one Runner with an
+// unbounded memo the result memo guarantees at most one simulation per key,
+// so checkpoints pay off when Runners come and go or a bounded memo
+// evicts; outcomes pay off within a Runner as well, across the schemes of
+// one benchmark, and warmups across the schemes, SNCs and crypto latencies
+// of one benchmark that have no checkpoint yet. Entries are immutable once
+// published (a restore or replay copies out of them, never into them), so
+// concurrent readers of one entry are safe and a racing duplicate put is
+// benign (last write wins, both values are equivalent by construction; a
+// mark never overwrites a value).
 
 import (
 	"sync"
@@ -48,13 +59,16 @@ import (
 	"secureproc/internal/sim"
 )
 
-// checkpointCapacity bounds the checkpoint cache. The full figure set needs
-// ~150 distinct configurations, which the bound holds comfortably. A
-// checkpoint at the figures' geometries holds 75 KB (baseline, XOM: the
-// caches) to 1.4 MB (OTP schemes: SNC entries and sequence tables besides),
-// so a full cache retains at most about 350 MB. Under the Spec caps an OTP
-// checkpoint grows to about 10.7 MB — a 512 KB direct-mapped SNC's entries
-// and sets, a 4 MB L2 — and worst-case retention to about 2.7 GB.
+// checkpointCapacity bounds the checkpoint cache, marks and checkpoints
+// alike. The full figure set needs ~150 distinct configurations, which the
+// bound holds comfortably. A checkpoint at the figures' geometries holds
+// 75 KB (baseline, XOM: the caches) to 1.4 MB (OTP schemes: SNC entries and
+// sequence tables besides), so a cache full of checkpoints retains at most
+// about 350 MB; a mark holds only its key. Only configurations simulated
+// twice, or by a Runner with a bounded memo, hold a checkpoint. Under the
+// Spec caps an OTP checkpoint grows to about 10.7 MB — a 512 KB
+// direct-mapped SNC's entries and sets, a 4 MB L2 — and worst-case
+// retention to about 2.7 GB.
 const checkpointCapacity = 256
 
 // outcomeCapacity bounds the outcome cache. The figures touch at most 22
@@ -74,7 +88,9 @@ const warmupCapacity = 32
 // counters (post-warmup checkpoints, warmup or measured-phase outcomes), exported
 // for diagnostics and the secsimd /metrics endpoint.
 type SharedCacheStats struct {
-	// Size is the number of cached entries.
+	// Size is the number of cached entries. In the checkpoint cache it
+	// counts marks (a configuration simulated once, with no checkpoint)
+	// as well as checkpoints.
 	Size int `json:"size"`
 	// Capacity is the cache bound.
 	Capacity int `json:"capacity"`
@@ -83,6 +99,8 @@ type SharedCacheStats struct {
 	Hits int64 `json:"hits"`
 	// Misses counts simulations that found none: they ran the warmup, or
 	// recorded the warmup or the measured phase, and left an entry behind.
+	// A checkpoint lookup that finds only a mark is a miss, so the
+	// checkpoint cache's Hits/(Hits+Misses) is forks per simulation.
 	Misses int64 `json:"misses"`
 	// Evictions counts entries dropped by the LRU bound.
 	Evictions int64 `json:"evictions"`
@@ -91,19 +109,19 @@ type SharedCacheStats struct {
 // CheckpointStats is the checkpoint cache's name for its counters.
 type CheckpointStats = SharedCacheStats
 
-// sharedCache is a mutex-guarded LRU map of immutable simulation state.
-// No singleflight: the result memo already deduplicates within a Runner,
-// and a duplicate computation across Runners or schemes is rare and
-// harmless.
+// sharedCache is a mutex-guarded LRU map of immutable simulation state,
+// held by pointer: a nil entry is a mark (see checkpointCapacity). No
+// singleflight: the result memo already deduplicates within a Runner, and a
+// duplicate computation across Runners or schemes is rare and harmless.
 type sharedCache[K comparable, V any] struct {
 	mu      sync.Mutex
-	entries lru[K, V]
+	entries lru[K, *V]
 	hits    int64
 	misses  int64
 }
 
-// checkpointCache holds post-warmup checkpoints by runKey.
-type checkpointCache = sharedCache[runKey, *sim.Checkpoint]
+// checkpointCache holds post-warmup checkpoints, and marks, by runKey.
+type checkpointCache = sharedCache[runKey, sim.Checkpoint]
 
 // outcomeKey identifies one recorded measured phase: the trace and the
 // cache geometry, and nothing else a runKey carries.
@@ -127,34 +145,39 @@ var (
 	// latency) and deliberately not the scale — see the file comment.
 	checkpoints = &checkpointCache{entries: newLRU[runKey, *sim.Checkpoint](checkpointCapacity)}
 	// outcomes is keyed by outcomeKey.
-	outcomes = &sharedCache[outcomeKey, *sim.Outcomes]{entries: newLRU[outcomeKey, *sim.Outcomes](outcomeCapacity)}
+	outcomes = &sharedCache[outcomeKey, sim.Outcomes]{entries: newLRU[outcomeKey, *sim.Outcomes](outcomeCapacity)}
 	// warmups is keyed by warmupKey.
-	warmups = &sharedCache[warmupKey, *sim.Outcomes]{entries: newLRU[warmupKey, *sim.Outcomes](warmupCapacity)}
+	warmups = &sharedCache[warmupKey, sim.Outcomes]{entries: newLRU[warmupKey, *sim.Outcomes](warmupCapacity)}
 )
 
-// get returns the entry for k, refreshing its recency. The miss counter is
-// charged here: every simulate() call asks the checkpoint and outcome
-// caches exactly once, and the warmup cache once on a checkpoint miss.
-func (c *sharedCache[K, V]) get(k K) (V, bool) {
+// get returns the value for k, nil for none or a mark, and whether k has
+// an entry at all, refreshing its recency. The hit and miss counters are
+// charged here, a mark as a miss: every simulate() call asks the
+// checkpoint and outcome caches exactly once, and the warmup cache once on
+// a checkpoint miss.
+func (c *sharedCache[K, V]) get(k K) (*V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n, ok := c.entries.get(k)
-	if !ok {
+	if !ok || n.val == nil {
 		c.misses++
-		var zero V
-		return zero, false
+		return nil, ok
 	}
 	c.hits++
 	return n.val, true
 }
 
-// put caches v for k, evicting the least-recently-used entry beyond
-// capacity.
-func (c *sharedCache[K, V]) put(k K, v V) {
+// put caches v for k, or a mark when v is nil, evicting the
+// least-recently-used entry beyond capacity. A mark never replaces a
+// value: a racing Runner's mark must not drop the checkpoint another just
+// captured.
+func (c *sharedCache[K, V]) put(k K, v *V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if n, ok := c.entries.get(k); ok {
-		n.val = v
+		if v != nil {
+			n.val = v
+		}
 		return
 	}
 	c.entries.link(c.entries.add(k, v))

@@ -46,7 +46,8 @@ func straightThrough(t *testing.T, r *Runner, sp Spec) sim.Result {
 // property: whether a Runner's simulation warms up from scratch (and leaves
 // a checkpoint behind) or forks from the process-wide checkpoint cache —
 // populated by an earlier Runner, possibly at a different scale — the Result
-// must be identical to a bare straight-through simulation.
+// must be identical to a bare straight-through simulation. The first Runner
+// has a bounded memo, so it captures on its first simulation.
 func TestRunnerMatchesStraightThrough(t *testing.T) {
 	specs := []Spec{
 		DefaultSpec("gzip", sim.SchemeOTPLRU),
@@ -55,6 +56,7 @@ func TestRunnerMatchesStraightThrough(t *testing.T) {
 	}
 	for _, sp := range specs {
 		cold := NewRunner(cpScale)
+		cold.Capacity = 1
 		want := straightThrough(t, cold, sp)
 		got, err := cold.RunCtx(context.Background(), sp)
 		if err != nil {
@@ -83,6 +85,78 @@ func TestRunnerMatchesStraightThrough(t *testing.T) {
 		if warm.Simulations() != 1 {
 			t.Errorf("forked Runner ran %d simulations, want 1", warm.Simulations())
 		}
+	}
+}
+
+// forget drops k's checkpoint-cache entry, so a test of the capture rule
+// starts cold under -count as well.
+func forget(k runKey) {
+	checkpoints.mu.Lock()
+	defer checkpoints.mu.Unlock()
+	if n, ok := checkpoints.entries.items[k]; ok {
+		checkpoints.entries.remove(n)
+	}
+}
+
+// cached reports whether the checkpoint cache holds an entry for k and
+// whether that entry is a checkpoint rather than a mark, without touching
+// the counters or the recency.
+func cached(k runKey) (entry, captured bool) {
+	checkpoints.mu.Lock()
+	defer checkpoints.mu.Unlock()
+	n, ok := checkpoints.entries.items[k]
+	return ok, ok && n.val != nil
+}
+
+// TestCaptureOnSecondSimulation pins the capture rule for Runners with an
+// unbounded memo, which never simulate a key twice: a key's first
+// simulation leaves a mark and no checkpoint, a second Runner's captures
+// one (its lookup of the mark counts as a miss), and a third forks from it.
+// Every Result equals a bare straight-through simulation. The crypto
+// latency is one no other test uses.
+func TestCaptureOnSecondSimulation(t *testing.T) {
+	sp := DefaultSpec("gzip", sim.SchemeOTPLRU)
+	sp.CryptoLat = 73
+	k := sp.key()
+	forget(k)
+	want := straightThrough(t, NewRunner(cpScale), sp)
+	for i, c := range []struct {
+		captured   bool
+		hits, miss int64
+	}{{false, 0, 1}, {true, 0, 1}, {true, 1, 0}} {
+		before := CheckpointCacheStats()
+		got, err := NewRunner(cpScale).RunCtx(context.Background(), sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := CheckpointCacheStats()
+		if got != want {
+			t.Errorf("Runner %d diverged from straight-through:\n got %+v\nwant %+v", i+1, got, want)
+		}
+		if entry, captured := cached(k); !entry || captured != c.captured {
+			t.Errorf("after Runner %d: entry %v, checkpoint %v; want an entry, checkpoint %v", i+1, entry, captured, c.captured)
+		}
+		if dh, dm := after.Hits-before.Hits, after.Misses-before.Misses; dh != c.hits || dm != c.miss {
+			t.Errorf("Runner %d: checkpoint hits +%d, misses +%d; want +%d, +%d", i+1, dh, dm, c.hits, c.miss)
+		}
+	}
+}
+
+// TestBoundedRunnerCapturesFirst: a Runner whose memo is bounded can evict
+// a result and simulate its key again, so it captures on the key's first
+// simulation.
+func TestBoundedRunnerCapturesFirst(t *testing.T) {
+	sp := DefaultSpec("gzip", sim.SchemeOTPLRU)
+	sp.CryptoLat = 79
+	k := sp.key()
+	forget(k)
+	r := NewRunner(cpScale)
+	r.Capacity = 8
+	if _, err := r.RunCtx(context.Background(), sp); err != nil {
+		t.Fatal(err)
+	}
+	if _, captured := cached(k); !captured {
+		t.Error("a bounded Runner's first simulation left no checkpoint")
 	}
 }
 
@@ -152,7 +226,8 @@ func TestRunnerReplaysWarmupAcrossCryptoLatencies(t *testing.T) {
 
 // TestCheckpointCacheLRU pins the checkpoint cache's eviction order: a get
 // refreshes recency, re-putting a present key replaces its checkpoint in
-// place, and the least-recently-used entry goes first beyond capacity.
+// place, a mark never replaces a checkpoint, and the least-recently-used
+// entry goes first beyond capacity.
 func TestCheckpointCacheLRU(t *testing.T) {
 	c := &checkpointCache{entries: newLRU[runKey, *sim.Checkpoint](2)}
 	a, b, d := runKey{bench: "a"}, runKey{bench: "b"}, runKey{bench: "d"}
@@ -163,6 +238,11 @@ func TestCheckpointCacheLRU(t *testing.T) {
 		t.Fatalf("get(a) = (%p, %v), want (%p, true)", got, ok, cpA)
 	}
 	c.put(b, cpB) // refresh in place: no eviction, b becomes most recent
+	c.put(a, nil) // a mark leaves a's checkpoint in place
+	if got, ok := c.get(a); !ok || got != cpA {
+		t.Fatalf("get(a) after a mark = (%p, %v), want (%p, true)", got, ok, cpA)
+	}
+	c.get(b) // b is most recent again
 	if st := c.stats(); st.Size != 2 || st.Evictions != 0 {
 		t.Fatalf("after re-put: %+v, want size 2 and no evictions", st)
 	}
@@ -175,21 +255,24 @@ func TestCheckpointCacheLRU(t *testing.T) {
 			t.Errorf("checkpoint %s evicted, want it kept", k.bench)
 		}
 	}
-	if st := c.stats(); st.Size != 2 || st.Evictions != 1 || st.Hits != 3 || st.Misses != 1 {
-		t.Errorf("stats = %+v, want size 2, 1 eviction, 3 hits, 1 miss", st)
+	if st := c.stats(); st.Size != 2 || st.Evictions != 1 || st.Hits != 5 || st.Misses != 1 {
+		t.Errorf("stats = %+v, want size 2, 1 eviction, 5 hits, 1 miss", st)
 	}
 }
 
 // TestForkedFiguresByteIdentical renders every figure through two
 // independent Runners: the second answers nothing from its own memo, so its
 // measurement runs fork from the checkpoints of the first wherever possible.
-// Every rendered table must come out byte-identical.
+// The first Runner's memo is bounded (and holds every key), so it captures a
+// checkpoint on each first simulation. Every rendered table must come out
+// byte-identical.
 func TestForkedFiguresByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure sweep")
 	}
 	r1 := NewRunner(cpScale)
 	r1.Jobs = 4
+	r1.Capacity = checkpointCapacity
 	first := r1.All()
 	r2 := NewRunner(cpScale)
 	r2.Jobs = 4

@@ -126,7 +126,9 @@ type Runner struct {
 	// In-flight simulations are pinned and never evicted. 0 (the default)
 	// means unbounded, which is what batch figure sweeps want — every
 	// result stays memoized, so the goldens are untouched. Long-lived
-	// services (secsimd) set a bound. Set before the first request.
+	// services (secsimd) set a bound. A bounded Runner can simulate a key
+	// again after eviction, so it checkpoints each key's first simulation
+	// (see checkpoint.go). Set before the first request.
 	Capacity int
 
 	// Store, when non-nil, persists completed results to disk: a result-memo
@@ -161,6 +163,11 @@ type Runner struct {
 	// traces memoizes materialized benchmark record sequences (see
 	// Runner.trace); independent latch domain from the result memo.
 	traces memo[string, []workload.Record]
+
+	// materialize generates a benchmark's trace; nil means
+	// workload.Materialize. The panic-containment tests set it to make
+	// every simulation fail inside its worker.
+	materialize func(workload.Profile, float64) ([]workload.Record, error)
 }
 
 // NewRunner creates a Runner at the given workload scale.
@@ -236,10 +243,10 @@ type seriesSpec struct {
 }
 
 // figureSpec declares one paper figure. The spec is the single source of
-// truth for both the simulations a figure needs (keys) and how its measured
-// series are assembled (build), so the sweep engine can enqueue every run
-// up front and the builder later reads memoized results in deterministic
-// benchmark order.
+// truth for both the simulations a figure needs (addKeys) and how its
+// measured series are assembled (build), so the sweep engine can enqueue
+// every run up front and the builder later reads the sweep's results in
+// deterministic benchmark order.
 type figureSpec struct {
 	id     string // paper figure number ("Figure 5")
 	short  string // CLI name ("fig5")
@@ -258,26 +265,35 @@ func (s seriesSpec) key(bench string) runKey {
 	return k
 }
 
-// keys lists every simulation the figure needs, deduplicated, in series
-// then benchmark order.
-func (f figureSpec) keys() []runKey {
-	var keys []runKey
-	seen := make(map[runKey]bool)
-	add := func(k runKey) {
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
+// keySet is a deduplicated list of run keys in first-added order, with
+// each key's position: the sweep's results come back in that order, and a
+// figure's builder finds a cell's result through at.
+type keySet struct {
+	keys []runKey
+	at   map[runKey]int
+}
+
+func (ks *keySet) add(k runKey) {
+	if ks.at == nil {
+		ks.at = make(map[runKey]int)
 	}
+	if _, ok := ks.at[k]; !ok {
+		ks.at[k] = len(ks.keys)
+		ks.keys = append(ks.keys, k)
+	}
+}
+
+// addKeys adds every simulation the figure needs to ks, in series then
+// benchmark order.
+func (f figureSpec) addKeys(ks *keySet) {
 	for _, s := range f.series {
 		for _, b := range Benchmarks {
 			if s.kind != trafficKind {
-				add(defaultKey(b, schemeBaseline))
+				ks.add(defaultKey(b, schemeBaseline))
 			}
-			add(s.key(b))
+			ks.add(s.key(b))
 		}
 	}
-	return keys
 }
 
 // Canonical registry references used by the figure specs.
@@ -378,23 +394,20 @@ func figureSpecs() []figureSpec {
 	}
 }
 
-// build assembles the figure from memoized results (simulating on demand
-// for any key the sweep did not prefetch), in deterministic series then
-// benchmark order, so the output is byte-identical to the sequential path.
-func (r *Runner) build(ctx context.Context, f figureSpec) (FigureResult, error) {
+// build assembles the figure from the results of a sweep over ks (which
+// holds every key addKeys adds), in deterministic series then benchmark
+// order, so the output is byte-identical to the sequential path. It reads
+// the sweep's results rather than the memo, so a memo smaller than the key
+// set never simulates a key twice.
+func (f figureSpec) build(ks keySet, results []sim.Result) FigureResult {
 	measured := make([]stats.Series, len(f.series))
 	for i, s := range f.series {
 		vals := make([]float64, len(Benchmarks))
 		for j, b := range Benchmarks {
-			res, err := r.resultSafe(ctx, s.key(b), false)
-			if err != nil {
-				return FigureResult{}, err
-			}
+			res := results[ks.at[s.key(b)]]
 			var base sim.Result
 			if s.kind != trafficKind {
-				if base, err = r.resultSafe(ctx, defaultKey(b, schemeBaseline), false); err != nil {
-					return FigureResult{}, err
-				}
+				base = results[ks.at[defaultKey(b, schemeBaseline)]]
 			}
 			switch s.kind {
 			case slowdownKind:
@@ -407,7 +420,7 @@ func (r *Runner) build(ctx context.Context, f figureSpec) (FigureResult, error) 
 		}
 		measured[i] = stats.NewSeries(s.name, Benchmarks, vals)
 	}
-	return FigureResult{ID: f.id, Title: f.title, Measured: measured, Paper: f.paper, Notes: f.notes}, nil
+	return FigureResult{ID: f.id, Title: f.title, Measured: measured, Paper: f.paper, Notes: f.notes}
 }
 
 // ErrUnknownFigure is wrapped by Figure's error for a name that matches no
@@ -425,10 +438,13 @@ func (r *Runner) Figure(ctx context.Context, name string) (FigureResult, error) 
 	for _, f := range figureSpecs() {
 		short := strings.ToLower(f.short)
 		if n == short || n == "figure"+strings.TrimPrefix(short, "fig") || n == strings.TrimPrefix(short, "fig") {
-			if err := r.sweep(ctx, f.keys()); err != nil {
+			var ks keySet
+			f.addKeys(&ks)
+			results, err := r.sweep(ctx, ks.keys)
+			if err != nil {
 				return FigureResult{}, err
 			}
-			return r.build(ctx, f)
+			return f.build(ks, results), nil
 		}
 	}
 	if n == "figc1" || n == "figurec1" || n == "c1" {
@@ -440,7 +456,7 @@ func (r *Runner) Figure(ctx context.Context, name string) (FigureResult, error) 
 // All regenerates every figure in paper order. Every required single-
 // program simulation is enqueued up front and fanned out over the worker
 // pool, then the figures are assembled in deterministic order from the
-// memoized results; the multiprogrammed Figure C1 (which drives its own
+// sweep's results; the multiprogrammed Figure C1 (which drives its own
 // scheduler runs) comes last. The figure specs only reference valid
 // benchmarks and configurations, so an error here is a programming bug and
 // panics.
@@ -455,26 +471,17 @@ func (r *Runner) All() []FigureResult {
 // all is All under ctx, returning the first error instead of panicking.
 func (r *Runner) all(ctx context.Context) ([]FigureResult, error) {
 	specs := figureSpecs()
-	var keys []runKey
-	seen := make(map[runKey]bool)
+	var ks keySet
 	for _, f := range specs {
-		for _, k := range f.keys() {
-			if !seen[k] {
-				seen[k] = true
-				keys = append(keys, k)
-			}
-		}
+		f.addKeys(&ks)
 	}
-	if err := r.sweep(ctx, keys); err != nil {
+	results, err := r.sweep(ctx, ks.keys)
+	if err != nil {
 		return nil, err
 	}
 	out := make([]FigureResult, 0, len(specs)+1)
 	for _, f := range specs {
-		fr, err := r.build(ctx, f)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, fr)
+		out = append(out, f.build(ks, results))
 	}
 	fr, err := r.figureC1(ctx)
 	if err != nil {

@@ -182,6 +182,36 @@ func TestRunnerMemoizes(t *testing.T) {
 	}
 }
 
+// TestFigureSimulatesEachKeyOnce: a memo smaller than a figure's key set
+// evicts most of the sweep's results before the figure is assembled, and
+// the figure must still be built from the sweep's own results, not by
+// simulating evicted keys again. It renders exactly as through an
+// unbounded memo.
+func TestFigureSimulatesEachKeyOnce(t *testing.T) {
+	r := NewRunner(cpScale)
+	r.Capacity = 2
+	fr, err := r.Figure(context.Background(), "fig3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ks keySet
+	for _, f := range figureSpecs() {
+		if f.short == "fig3" {
+			f.addKeys(&ks)
+		}
+	}
+	if got, want := r.Simulations(), int64(len(ks.keys)); got != want {
+		t.Errorf("fig3 at Capacity 2 ran %d simulations for %d distinct keys", got, want)
+	}
+	want, err := NewRunner(cpScale).Figure(context.Background(), "fig3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr.Render() != want.Render() {
+		t.Errorf("fig3 at Capacity 2 rendered differently:\n%s\nwant:\n%s", fr.Render(), want.Render())
+	}
+}
+
 func TestAllReturnsEveryFigure(t *testing.T) {
 	// Smoke test at tiny scale: all figures build; the seven paper figures
 	// carry paper series, the integrity and multiprogramming extensions are

@@ -31,6 +31,12 @@ func panickingProfile() workload.Profile {
 	}
 }
 
+// panickingMaterialize stands in for workload.Materialize and panics, so
+// every simulation that needs a trace panics inside its worker.
+func panickingMaterialize(workload.Profile, float64) ([]workload.Record, error) {
+	panic("trace generation failed")
+}
+
 // TestTracePanicRecorded pins the stranded-waiter bugfix in Runner.trace: a
 // panic inside workload.Materialize must be recorded as the memo entry's
 // error (and re-raised in the owner) so waiters see a failure, and the
@@ -94,11 +100,11 @@ func TestRunWaiterCancellation(t *testing.T) {
 // simulation that panics inside a sweep-pool worker must surface as the
 // sweep's error, not as an unrecovered panic in a goroutine no caller can
 // reach (which would kill a long-lived secsimd process outright). The
-// absurd scale makes workload.Materialize's record-count arithmetic
-// overflow, so the trace allocation panics for every benchmark.
+// Runner's trace generation panics for every benchmark.
 func TestSweepContainsSimulationPanic(t *testing.T) {
 	for _, jobs := range []int{1, 2} {
-		r := NewRunner(1e300)
+		r := NewRunner(raceScale)
+		r.materialize = panickingMaterialize
 		r.Jobs = jobs
 		specs := []Spec{DefaultSpec("gzip", sim.SchemeBaseline), DefaultSpec("mcf", sim.SchemeBaseline)}
 		err := r.Sweep(context.Background(), specs)
@@ -114,13 +120,14 @@ func TestSweepContainsSimulationPanic(t *testing.T) {
 // TestFigureContainsJobPanic extends the service-survival contract to
 // figures: a figure job that panics, on the caller's goroutine (one
 // worker) or on a dispatcher goroutine (two), fails the figure with an
-// error instead of unwinding the caller or killing the process. The absurd
-// scale panics every simulation of a key-sweep figure; Figure C1's
-// scheduler runs survive it, so its fan-out is driven with a panicking job
-// directly.
+// error instead of unwinding the caller or killing the process. A
+// panicking trace generation fails every simulation of a key-sweep figure;
+// Figure C1's scheduler runs generate their own streams, so its fan-out is
+// driven with a panicking job directly.
 func TestFigureContainsJobPanic(t *testing.T) {
 	for _, jobs := range []int{1, 2} {
-		r := NewRunner(1e300)
+		r := NewRunner(raceScale)
+		r.materialize = panickingMaterialize
 		r.Jobs = jobs
 		if _, err := r.Figure(context.Background(), "fig3"); err == nil || !strings.Contains(err.Error(), "panicked") {
 			t.Errorf("jobs=%d: Figure(fig3) = %v, want an error reporting the panic", jobs, err)

@@ -83,9 +83,10 @@ func (r *Runner) resultSafe(ctx context.Context, k runKey, held bool) (res sim.R
 // (identical to what a fresh generator would emit), so trace generation
 // costs once per benchmark instead of once per simulation. The warmup
 // prefix additionally forks from the process-wide checkpoint cache (see
-// checkpoint.go): the first simulation of a configuration warms up and
-// checkpoints the boundary state, later ones restore it and run only the
-// measured phase — event-for-event identical to the straight-through run.
+// checkpoint.go): a simulation that finds no checkpoint warms up and, where
+// a fork can follow, checkpoints the boundary state; later ones restore it
+// and run only the measured phase — event-for-event identical to the
+// straight-through run.
 // A configuration's first warmup in turn replays the cache outcomes
 // recorded by the first warmup of the same benchmark and cache geometry,
 // and the measured phase those of the same trace and cache geometry, under
@@ -121,12 +122,18 @@ func (r *Runner) simulate(ctx context.Context, k runKey, held bool) (sim.Result,
 		return sim.Result{}, err
 	}
 	r.sims.Add(1)
-	if cp, ok := checkpoints.get(k); !ok || sys.Restore(cp) != nil {
+	if cp, seen := checkpoints.get(k); cp == nil || sys.Restore(cp) != nil {
 		wk := warmupKey{bench: k.bench, l2KB: k.l2KB, l2Ways: k.l2Ways}
 		if w, hit := warmups.get(wk); !hit || sys.RunWarmupReplay(recs[:warm], w) != nil {
 			warmups.put(wk, sys.RunWarmupRecord(recs[:warm]))
 		}
-		cp, _ := sys.Checkpoint()
+		// Capture only where a fork can follow: the key was simulated
+		// before, or this Runner's bounded memo can evict it and ask
+		// again. Otherwise leave a mark, so a second simulation captures.
+		cp = nil
+		if seen || r.Capacity > 0 {
+			cp, _ = sys.Checkpoint()
+		}
 		checkpoints.put(k, cp)
 	}
 	outKey := outcomeKey{bench: k.bench, scale: r.Scale, l2KB: k.l2KB, l2Ways: k.l2Ways}
@@ -156,6 +163,9 @@ func (r *Runner) traceMemo() *memo[string, []workload.Record] {
 // and re-raised in the owning goroutine.
 func (r *Runner) trace(ctx context.Context, prof workload.Profile) ([]workload.Record, error) {
 	return r.traceMemo().do(ctx, prof.Name, func() ([]workload.Record, error) {
+		if r.materialize != nil {
+			return r.materialize(prof, r.Scale)
+		}
 		return workload.Materialize(prof, r.Scale)
 	})
 }
@@ -299,14 +309,20 @@ func call(ctx context.Context, i int, job func(ctx context.Context, i int) error
 	return job(ctx, i)
 }
 
-// sweep memoizes every key through fanOut. A panicking simulation
-// surfaces as the sweep's error rather than propagating out of a job
-// goroutine.
-func (r *Runner) sweep(ctx context.Context, keys []runKey) error {
-	return r.fanOut(ctx, len(keys), func(ctx context.Context, i int) error {
-		_, err := r.resultSafe(ctx, keys[i], true)
+// sweep memoizes every key through fanOut and returns the results in key
+// order. A panicking simulation surfaces as the sweep's error rather than
+// propagating out of a job goroutine.
+func (r *Runner) sweep(ctx context.Context, keys []runKey) ([]sim.Result, error) {
+	results := make([]sim.Result, len(keys))
+	err := r.fanOut(ctx, len(keys), func(ctx context.Context, i int) error {
+		var err error
+		results[i], err = r.resultSafe(ctx, keys[i], true)
 		return err
 	})
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
 }
 
 // Spec is the exported face of a runKey: one simulation in the sweep
@@ -476,7 +492,8 @@ func (r *Runner) Sweep(ctx context.Context, specs []Spec) error {
 	for i, s := range specs {
 		keys[i] = s.key()
 	}
-	return r.sweep(ctx, keys)
+	_, err := r.sweep(ctx, keys)
+	return err
 }
 
 // SweepEach memoizes every spec through the weighted-fair dispatcher and

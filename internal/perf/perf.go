@@ -182,10 +182,12 @@ func measureOp(op func() (sims int, instrs uint64)) Metric {
 // measureSweep regenerates every figure at the golden scale with a fresh
 // Runner per op, so nothing is answered from a previous round's result
 // memo. The runs do fork from the process-wide post-warmup checkpoint
-// cache, deliberately: the untimed warmup op populates it, so the timed
-// rounds measure the forked steady state a long-lived service settles
-// into — warmup simulated once per configuration, measurement phases
-// re-run in full.
+// cache, deliberately: the untimed warmup op marks every configuration and
+// the first timed round captures its checkpoint (a Runner with an
+// unbounded memo captures on a key's second simulation), so the fastest
+// rounds and every counted one measure the forked steady state a
+// long-lived service settles into — warmup simulated once per
+// configuration, measurement phases re-run in full.
 func measureSweep() Metric {
 	return measureOp(func() (int, uint64) {
 		r := experiments.NewRunner(sweepScale)

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"strings"
 
-	"secureproc/internal/core"
 	"secureproc/internal/sim"
 	"secureproc/internal/stats"
 	"secureproc/internal/workload"
@@ -242,8 +241,8 @@ func Solo(cfg sim.Config, bench string, scale float64) (uint64, error) {
 // policyLabel reads the scheme's context-switch policy for reporting; "-"
 // for schemes without per-process state.
 func policyLabel(sys *sim.System) string {
-	if sp, ok := sys.Scheme().(interface{ SwitchPolicy() core.SwitchPolicy }); ok {
-		return sp.SwitchPolicy().String()
+	if p, ok := sys.SwitchPolicy(); ok {
+		return p.String()
 	}
 	return "-"
 }

@@ -153,9 +153,11 @@ func TestAbandonedFigureShedsQueuedJobs(t *testing.T) {
 	settle(t, srv)
 }
 
-// TestFigurePanicAnswers500: a figure whose simulations panic answers a
+// TestFigurePanicAnswers500: a figure whose simulations fail answers a
 // 500 envelope on both the sequential and the dispatched fan-out path, and
-// the service keeps serving. The absurd scale panics every simulation.
+// the service keeps serving. The absurd scale fails every simulation: the
+// trace generator refuses it. That a panicking simulation fails its figure
+// with an error, not a crash, is experiments' TestFigureContainsJobPanic.
 func TestFigurePanicAnswers500(t *testing.T) {
 	for _, jobs := range []int{1, 2} {
 		_, ts := newTestServer(t, Config{Jobs: jobs, Scale: 1e300})

@@ -195,6 +195,15 @@ type System struct {
 	crypto *engine.Engine
 	scheme core.Scheme
 
+	// The scheme's optional capabilities, resolved once by New; nil where
+	// the scheme lacks one. Schemes expose them as interfaces so the
+	// registry keeps sim decoupled from the concrete scheme set; asserting
+	// on every call would miss the runtime's per-site assertion cache.
+	switcher  core.ContextSwitcher
+	schemeSNC *snc.SNC
+	integrity integrityCounter
+	policy    switchPolicier
+
 	// fillAccess and fillFn implement the scheme-read callback the CPU
 	// model takes on every miss. The closure is bound once at construction
 	// and reads its access from fillAccess, so the per-miss path allocates
@@ -246,6 +255,12 @@ func New(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	s.scheme = scheme
+	s.switcher, _ = scheme.(core.ContextSwitcher)
+	if sp, ok := scheme.(interface{ SNC() *snc.SNC }); ok {
+		s.schemeSNC = sp.SNC()
+	}
+	s.integrity, _ = scheme.(integrityCounter)
+	s.policy, _ = scheme.(switchPolicier)
 	s.fillFn = func(issue uint64) uint64 {
 		return s.scheme.ReadLine(issue, s.fillAccess)
 	}
@@ -253,8 +268,29 @@ func New(cfg Config) (*System, error) {
 	return s, nil
 }
 
+// integrityCounter is the capability of schemes that verify integrity on
+// the timing path (OTP+MAC).
+type integrityCounter interface {
+	IntegrityCounters() (verified, stallCycles uint64)
+}
+
+// switchPolicier is the capability of schemes with a Section 4.3
+// context-switch policy (the OTP family).
+type switchPolicier interface {
+	SwitchPolicy() core.SwitchPolicy
+}
+
 // Scheme returns the active protection scheme.
 func (s *System) Scheme() core.Scheme { return s.scheme }
+
+// SwitchPolicy reports the scheme's context-switch policy; ok is false for
+// schemes without per-process state.
+func (s *System) SwitchPolicy() (p core.SwitchPolicy, ok bool) {
+	if s.policy == nil {
+		return 0, false
+	}
+	return s.policy.SwitchPolicy(), true
+}
 
 // Outcome bits: what one record did in L1I/L1D/L2. The walk is split into a
 // lookup, which touches only the caches and yields these bits, and an apply,
@@ -479,8 +515,8 @@ func (s *System) ContextSwitch(next int) SwitchCost {
 	cost.DirtyWritebacks = uint64(len(victims))
 
 	cost.SchemeDone = s.cpu.Cycles()
-	if cs, ok := s.scheme.(core.ContextSwitcher); ok {
-		cost.SchemeDone = cs.ContextSwitch(s.cpu.Cycles(), next)
+	if s.switcher != nil {
+		cost.SchemeDone = s.switcher.ContextSwitch(s.cpu.Cycles(), next)
 	}
 	cost.SeqSpills = s.bus.Transactions[mem.SrcSeqNumSpill] - spills0
 	return cost
@@ -544,20 +580,15 @@ func (s *System) result() Result {
 		MSHRStallCycles: s.cpu.MSHRStallCycles - s.mshrStall0,
 		DepStallCycles:  s.cpu.DepStallCycles - s.depStall0,
 	}
-	// Schemes expose optional capability interfaces; the registry keeps
-	// sim decoupled from the concrete scheme set.
-	if sp, ok := s.scheme.(interface{ SNC() *snc.SNC }); ok {
-		sn := sp.SNC()
+	if sn := s.schemeSNC; sn != nil {
 		r.SNCQueryHits = sn.QueryHits
 		r.SNCQueryMisses = sn.QueryMisses
 		r.SNCUpdateHits = sn.UpdateHits
 		r.SNCUpdateMiss = sn.UpdateMisses
 		r.SeqOverflows = sn.SeqOverflows
 	}
-	if iv, ok := s.scheme.(interface {
-		IntegrityCounters() (verified, stallCycles uint64)
-	}); ok {
-		r.IntegrityVerified, r.IntegrityStallCycles = iv.IntegrityCounters()
+	if s.integrity != nil {
+		r.IntegrityVerified, r.IntegrityStallCycles = s.integrity.IntegrityCounters()
 	}
 	return r
 }

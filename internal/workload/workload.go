@@ -18,6 +18,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -190,6 +191,7 @@ type generator struct {
 	prof    Profile
 	rng     *rand.Rand
 	scale   float64
+	refs    int // the trace's length at scale
 	phase   int
 	emitted int // refs emitted in current phase
 	regions []regionState
@@ -206,20 +208,54 @@ type generator struct {
 // multiplies each phase's reference count (1.0 = the profile's native
 // length).
 func NewStream(p Profile, scale float64) (Stream, error) {
+	return newGenerator(p, scale)
+}
+
+func newGenerator(p Profile, scale float64) (*generator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if scale <= 0 {
-		return nil, fmt.Errorf("workload %s: scale must be positive", p.Name)
+	refs, err := traceLen(p, scale)
+	if err != nil {
+		return nil, err
 	}
 	g := &generator{
 		prof:    p,
 		rng:     rand.New(rand.NewSource(p.Seed)),
 		scale:   scale,
+		refs:    refs,
 		cursors: make(map[uint64]uint64),
 	}
 	g.loadPhase(0)
 	return g, nil
+}
+
+// traceLen returns the number of records p emits at scale. It refuses a
+// scale that is not positive and finite, or at which a phase's length or
+// the trace's overflows int.
+func traceLen(p Profile, scale float64) (int, error) {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return 0, fmt.Errorf("workload %s: scale %g must be positive and finite", p.Name, scale)
+	}
+	refs := 0
+	for i := range p.Phases {
+		n := phaseLen(p.Phases[i], scale)
+		// 2^63 is the first float64 past math.MaxInt.
+		if n >= 0x1p63 || int(n) > math.MaxInt-refs {
+			return 0, fmt.Errorf("workload %s: scale %g makes the trace longer than an int can count", p.Name, scale)
+		}
+		refs += int(n)
+	}
+	return refs, nil
+}
+
+// phaseLen is ph's length at scale, before conversion to int: warmup
+// establishes state, so a warmup phase is never scaled.
+func phaseLen(ph Phase, scale float64) float64 {
+	if ph.Warmup {
+		return float64(ph.Refs)
+	}
+	return float64(ph.Refs) * scale
 }
 
 func (g *generator) loadPhase(i int) {
@@ -243,17 +279,9 @@ func (g *generator) loadPhase(i int) {
 	}
 }
 
-func (g *generator) phaseRefs() int {
-	ph := g.prof.Phases[g.phase]
-	if ph.Warmup {
-		return ph.Refs // warmup establishes state; never scaled
-	}
-	return int(float64(ph.Refs) * g.scale)
-}
-
 // Next implements Stream.
 func (g *generator) Next() (Record, bool) {
-	for g.emitted >= g.phaseRefs() {
+	for g.emitted >= int(phaseLen(g.prof.Phases[g.phase], g.scale)) {
 		if g.phase+1 >= len(g.prof.Phases) {
 			return Record{}, false
 		}
@@ -365,15 +393,9 @@ func Replay(recs []Record) Stream { return &replay{recs: recs} }
 // and Replay it per run, taking trace generation (and its RNG) off the
 // simulation hot path.
 func Materialize(p Profile, scale float64) ([]Record, error) {
-	stream, err := NewStream(p, scale)
+	g, err := newGenerator(p, scale)
 	if err != nil {
 		return nil, err
 	}
-	refs := p.WarmupRefs()
-	for _, ph := range p.Phases {
-		if !ph.Warmup {
-			refs += int(float64(ph.Refs) * scale)
-		}
-	}
-	return collectInto(make([]Record, 0, refs), stream), nil
+	return collectInto(make([]Record, 0, g.refs), g), nil
 }

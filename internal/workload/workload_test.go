@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -90,6 +91,22 @@ func TestStreamScale(t *testing.T) {
 	}
 	if _, err := NewStream(p, 0); err == nil {
 		t.Error("zero scale accepted")
+	}
+}
+
+// TestUnusableScaleRejected: a scale that is not positive and finite, or
+// at which a measured phase's length overflows int, is an error from both
+// NewStream and Materialize, never a trace with no measured records or a
+// panic.
+func TestUnusableScaleRejected(t *testing.T) {
+	p, _ := ByName("mcf")
+	for _, scale := range []float64{math.NaN(), math.Inf(1), 1e300, math.Inf(-1), 0, -1} {
+		if _, err := NewStream(p, scale); err == nil {
+			t.Errorf("NewStream accepted scale %g", scale)
+		}
+		if recs, err := Materialize(p, scale); err == nil {
+			t.Errorf("Materialize accepted scale %g (%d records)", scale, len(recs))
+		}
 	}
 }
 
