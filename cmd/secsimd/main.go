@@ -10,12 +10,16 @@
 //	        [-drain 30s] [-store DIR] [-maxadmit 0]
 //	        [-peers host:port,... -self host:port]
 //
+// -scale must be positive and finite and keep every benchmark's trace
+// within the workload package's record cap; otherwise secsimd exits at boot
+// instead of failing every simulation request.
+//
 // With -maxadmit N > 0, at most N simulation requests (/v1/run, /v1/sweep,
 // /v1/figures) are admitted concurrently; request N+1 is rejected
 // immediately with 429 and a Retry-After estimate instead of queueing
 // unboundedly. Admitted work is scheduled weighted-fair per client
 // (X-Client-ID header, else remote host), so one bulk sweep cannot starve
-// interactive /v1/run calls.
+// interactive one-spec requests (/v1/run, or a /v1/sweep of one spec).
 //
 // A /v1/sweep request with "stream":true, or with an "Accept:
 // application/x-ndjson" header, answers as an NDJSON stream — one line per

@@ -137,8 +137,9 @@ func (f *Fabric) NoteServedForwarded() { f.servedForwarded.Add(1) }
 // exhausted — the loop guard for inconsistent rings.
 func (f *Fabric) NoteHopLimit() { f.hopStops.Add(1) }
 
-// Forward POSTs body to the owner's endpoint (path is "/v1/run" or
-// "/v1/sweep") and decodes the 200 response into out.
+// Forward POSTs a sub-sweep to the owner's /v1/sweep and decodes its 200
+// answer. Every forward is a sweep: a /v1/run travels as a one-spec
+// sub-sweep, so the owner weighs it as a run (weight follows request size).
 //
 // The outcome is a three-way contract:
 //   - ok=true, apiErr=nil: out holds the owner's answer.
@@ -152,36 +153,37 @@ func (f *Fabric) NoteHopLimit() { f.hopStops.Add(1) }
 //
 // A cancelled ctx returns ok=false without counting a fallback or marking
 // the peer down: the client gave up, the peer did nothing wrong.
-func (f *Fabric) Forward(ctx context.Context, owner, path string, hops int, clientID string, body, out any) (apiErr *api.Error, ok bool) {
+func (f *Fabric) Forward(ctx context.Context, owner string, hops int, clientID string, body api.SweepRequest) (out api.SweepResponse, apiErr *api.Error, ok bool) {
 	ps := f.peers[owner]
 	if ps == nil {
 		// Not a known member (inconsistent ring naming a stranger): treat
 		// as unreachable, run locally.
 		f.fallback.Add(1)
-		return nil, false
+		return out, nil, false
 	}
 	if !f.healthy(ps) {
 		f.fallback.Add(1)
 		ps.fallback.Add(1)
-		return nil, false
+		return out, nil, false
 	}
 	payload, err := json.Marshal(body)
 	if err != nil {
 		f.fallback.Add(1)
 		ps.fallback.Add(1)
-		return nil, false
+		return out, nil, false
 	}
 	for attempt := 0; ; attempt++ {
-		apiErr, retryable, err := f.post(ctx, owner, path, hops, clientID, payload, out)
+		var retryable bool
+		out, apiErr, retryable, err = f.post(ctx, owner, hops, clientID, payload)
 		if err == nil {
 			if attempt == 0 {
 				f.forwarded.Add(1)
 				ps.forwarded.Add(1)
 			}
-			return apiErr, true
+			return out, apiErr, true
 		}
 		if ctx.Err() != nil {
-			return nil, false
+			return out, nil, false
 		}
 		if retryable && attempt == 0 {
 			f.retries.Add(1)
@@ -191,18 +193,18 @@ func (f *Fabric) Forward(ctx context.Context, owner, path string, hops int, clie
 		f.markDown(ps)
 		f.fallback.Add(1)
 		ps.fallback.Add(1)
-		return nil, false
+		return out, nil, false
 	}
 }
 
-// post is one forward attempt. It returns (apiErr, _, nil) on a usable
-// answer — a 200 decoded into out, or a non-2xx envelope to propagate —
+// post is one forward attempt. It returns a nil err on a usable answer —
+// a 200 decoded into out, or a non-2xx envelope in apiErr to propagate —
 // and a non-nil err on transport/5xx/decoding failures, with retryable
 // saying whether a second attempt is worthwhile.
-func (f *Fabric) post(ctx context.Context, owner, path string, hops int, clientID string, payload []byte, out any) (apiErr *api.Error, retryable bool, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+owner+path, bytes.NewReader(payload))
+func (f *Fabric) post(ctx context.Context, owner string, hops int, clientID string, payload []byte) (out api.SweepResponse, apiErr *api.Error, retryable bool, err error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+owner+"/"+api.Version+"/sweep", bytes.NewReader(payload))
 	if err != nil {
-		return nil, false, err
+		return out, nil, false, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(api.HeaderAPIVersion, api.Version)
@@ -212,32 +214,33 @@ func (f *Fabric) post(ctx context.Context, owner, path string, hops int, clientI
 	}
 	resp, err := f.client.Do(req)
 	if err != nil {
-		return nil, true, err
+		return out, nil, true, err
 	}
 	defer resp.Body.Close()
 	b, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
-		return nil, true, err
+		return out, nil, true, err
 	}
 	switch {
 	case resp.StatusCode >= 500:
-		return nil, true, fmt.Errorf("cluster: peer %s: status %d", owner, resp.StatusCode)
+		return out, nil, true, fmt.Errorf("cluster: peer %s: status %d", owner, resp.StatusCode)
 	case resp.StatusCode >= 300:
-		return api.ErrorFromBody(resp.StatusCode, b), false, nil
+		return out, api.ErrorFromBody(resp.StatusCode, b), false, nil
 	}
-	if err := decodeBody(b, out); err != nil {
-		return nil, false, fmt.Errorf("cluster: peer %s: %w", owner, err)
+	if out, err = decodeBody(b); err != nil {
+		return out, nil, false, fmt.Errorf("cluster: peer %s: %w", owner, err)
 	}
-	return nil, false, nil
+	return out, nil, false, nil
 }
 
-// decodeBody decodes a peer's 200 answer to a forward into out, an
-// *api.RunResponse or *api.SweepResponse. The body is untrusted input.
-func decodeBody(b []byte, out any) error {
-	if err := json.Unmarshal(b, out); err != nil {
-		return fmt.Errorf("undecodable response: %w", err)
+// decodeBody decodes a peer's 200 answer to a forwarded sub-sweep. The
+// body is untrusted input.
+func decodeBody(b []byte) (api.SweepResponse, error) {
+	var out api.SweepResponse
+	if err := json.Unmarshal(b, &out); err != nil {
+		return out, fmt.Errorf("undecodable response: %w", err)
 	}
-	return nil
+	return out, nil
 }
 
 // maxStatsBytes bounds how much of a peer's /v1/cluster/stats answer a

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"testing"
 
@@ -92,24 +91,6 @@ func TestSweepEachStreaming(t *testing.T) {
 		if results[i] != want {
 			t.Errorf("spec %d: streamed result diverged from Run", i)
 		}
-	}
-}
-
-// TestRunDispatchedSheds: a request whose context is already dead must not
-// burn a worker slot on a simulation nobody is waiting for.
-func TestRunDispatchedSheds(t *testing.T) {
-	r := NewRunner(0.025)
-	r.Jobs = 1
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := r.RunDispatched(ctx, namedSpec(t, "vpr", schemeLRU)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunDispatched on dead context = %v, want context.Canceled", err)
-	}
-	if n := r.Simulations(); n != 0 {
-		t.Errorf("shed request still ran %d simulations", n)
-	}
-	if st := r.MemoStats(); st.Size != 0 {
-		t.Errorf("shed request left %d memoized results, want 0", st.Size)
 	}
 }
 

@@ -152,9 +152,9 @@ type Runner struct {
 	// so the sequential path pays nothing for it.
 	budget dispatch.Budget
 
-	// disp is the weighted-fair dispatcher behind SweepEach and
-	// RunDispatched, built lazily on first dispatch so batch sweeps (the
-	// figure goldens, the perf harness) never construct it. dispMu guards
+	// disp is the weighted-fair dispatcher behind SweepEach and the
+	// parallel fanOut, built lazily on first dispatch so a one-worker
+	// batch sweep (the perf harness) never constructs it. dispMu guards
 	// construction; readers (stats, owner-depth probes) load the pointer
 	// and treat nil as "never dispatched".
 	dispMu sync.Mutex

@@ -100,7 +100,9 @@ func TestRunWaiterCancellation(t *testing.T) {
 // simulation that panics inside a sweep-pool worker must surface as the
 // sweep's error, not as an unrecovered panic in a goroutine no caller can
 // reach (which would kill a long-lived secsimd process outright). The
-// Runner's trace generation panics for every benchmark.
+// Runner's trace generation panics for every benchmark. SweepEach, the
+// path of every secsimd /v1/run and /v1/sweep, reports the panic as its
+// job's error and reports nothing for that spec to its callback.
 func TestSweepContainsSimulationPanic(t *testing.T) {
 	for _, jobs := range []int{1, 2} {
 		r := NewRunner(raceScale)
@@ -113,6 +115,11 @@ func TestSweepContainsSimulationPanic(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "panicked") {
 			t.Errorf("jobs=%d: sweep error %q does not report the panic", jobs, err)
+		}
+		reported := 0
+		err = r.SweepEach(context.Background(), specs[:1], func(int, sim.Result, error) { reported++ })
+		if err == nil || !strings.Contains(err.Error(), "job 0 panicked") || reported != 0 {
+			t.Errorf("jobs=%d: SweepEach = %v with %d callbacks, want a job 0 panic error and none", jobs, err, reported)
 		}
 	}
 }

@@ -38,12 +38,9 @@ func (r *Runner) results() *memo[runKey, sim.Result] {
 // is memoized for everyone else. With a persistent store attached, a memo
 // miss consults the store before simulating and a fresh simulation is
 // spilled back to it — errored computations are dropped by the memo and
-// never reach the store.
-//
-// held reports whether the caller already holds one slot of the shared
-// worker budget (a dispatcher job does; a direct library call does not),
-// so the simulation charges the budget exactly once either way.
-func (r *Runner) result(ctx context.Context, k runKey, held bool) (sim.Result, error) {
+// never reach the store. The caller holds one slot of the shared worker
+// budget for the duration.
+func (r *Runner) result(ctx context.Context, k runKey) (sim.Result, error) {
 	return r.results().do(ctx, k, func() (sim.Result, error) {
 		if r.Store != nil {
 			var res sim.Result
@@ -56,26 +53,12 @@ func (r *Runner) result(ctx context.Context, k runKey, held bool) (sim.Result, e
 		// the caller's ctx flowed in here, an owner coalescing onto an
 		// in-flight trace could record its own timeout as the entry's
 		// permanent error, poisoning the spec for every future request.
-		res, err := r.simulate(context.Background(), k, held) //secsim:detach memo owner: a caller timeout must not poison the shared entry
+		res, err := r.simulate(context.Background(), k) //secsim:detach memo owner: a caller timeout must not poison the shared entry
 		if err == nil && r.Store != nil {
 			r.Store.Save(r.storeKey(k), res)
 		}
 		return res, err
 	})
-}
-
-// resultSafe is result with the long-lived service's panic containment: a
-// re-raised simulation panic is converted into an error (the memo has
-// already recorded it as the entry's error) so one poisoned key fails its
-// own job instead of killing the process — essential for secsimd, where
-// dispatched jobs run in goroutines no HTTP-layer recover can reach.
-func (r *Runner) resultSafe(ctx context.Context, k runKey, held bool) (res sim.Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("experiments: simulation %s/%s panicked: %v", k.bench, k.scheme, p)
-		}
-	}()
-	return r.result(ctx, k, held)
 }
 
 // simulate runs one simulation: fresh system, shared materialized trace.
@@ -92,7 +75,7 @@ func (r *Runner) resultSafe(ctx context.Context, k runKey, held bool) (res sim.R
 // and the measured phase those of the same trace and cache geometry, under
 // whatever scheme; each records them when there are none (see
 // checkpoint.go).
-func (r *Runner) simulate(ctx context.Context, k runKey, held bool) (sim.Result, error) {
+func (r *Runner) simulate(ctx context.Context, k runKey) (sim.Result, error) {
 	prof, ok := workload.ByName(k.bench)
 	if !ok {
 		return sim.Result{}, fmt.Errorf("experiments: unknown benchmark %q", k.bench)
@@ -104,14 +87,6 @@ func (r *Runner) simulate(ctx context.Context, k runKey, held bool) (sim.Result,
 	recs, err := r.trace(ctx, prof)
 	if err != nil {
 		return sim.Result{}, fmt.Errorf("experiments: %w", err)
-	}
-	if !held {
-		// Direct callers charge the budget themselves; Hold never blocks
-		// (overcommit just delays dispatched jobs), matching a dispatched
-		// job's one-slot footprint.
-		b := r.bud()
-		b.Hold()
-		defer b.Release()
 	}
 	warm := prof.WarmupRefs()
 	if warm > len(recs) {
@@ -310,13 +285,13 @@ func call(ctx context.Context, i int, job func(ctx context.Context, i int) error
 }
 
 // sweep memoizes every key through fanOut and returns the results in key
-// order. A panicking simulation surfaces as the sweep's error rather than
-// propagating out of a job goroutine.
+// order. A panicking simulation surfaces as the sweep's error (fanOut's
+// call) rather than propagating out of a job goroutine.
 func (r *Runner) sweep(ctx context.Context, keys []runKey) ([]sim.Result, error) {
 	results := make([]sim.Result, len(keys))
 	err := r.fanOut(ctx, len(keys), func(ctx context.Context, i int) error {
 		var err error
-		results[i], err = r.resultSafe(ctx, keys[i], true)
+		results[i], err = r.result(ctx, keys[i])
 		return err
 	})
 	if err != nil {
@@ -446,42 +421,16 @@ func (s Spec) key() runKey {
 // pick the one node that owns the spec's simulation and caches.
 func (s Spec) CanonicalKey() string { return s.key().canonical() }
 
-// RunCtx executes (or recalls) the simulation for one spec. If the spec's
+// RunCtx executes (or recalls) the simulation for one spec on the caller's
+// goroutine, holding one slot of the shared worker budget meanwhile (Hold
+// never blocks: overcommit just delays dispatched jobs). If the spec's
 // simulation is owned by another in-flight request, a cancelled ctx
 // releases this caller with ctx.Err() while the shared simulation runs on.
 func (r *Runner) RunCtx(ctx context.Context, s Spec) (sim.Result, error) {
-	return r.result(ctx, s.key(), false)
-}
-
-// RunDispatched executes (or recalls) one spec through the dispatcher's
-// fairness queue: instead of simulating immediately on the caller's
-// goroutine, the job competes for a worker slot under the owner/weight
-// carried by ctx (dispatch.WithOwner), so interactive requests are
-// scheduled fairly against bulk sweeps. A cancelled ctx releases the
-// caller promptly; a simulation already underway completes detached and
-// stays memoized, exactly like RunCtx's waiter semantics.
-func (r *Runner) RunDispatched(ctx context.Context, s Spec) (sim.Result, error) {
-	type outcome struct {
-		res sim.Result
-		err error
-	}
-	k := s.key()
-	owner, weight := dispatch.OwnerFromContext(ctx)
-	ch := make(chan outcome, 1)
-	r.dispatcher().Submit(ctx, owner, weight, func(jctx context.Context) {
-		if jctx.Err() != nil {
-			ch <- outcome{err: jctx.Err()}
-			return
-		}
-		res, err := r.resultSafe(jctx, k, true)
-		ch <- outcome{res, err}
-	})
-	select {
-	case o := <-ch:
-		return o.res, o.err
-	case <-ctx.Done():
-		return sim.Result{}, ctx.Err()
-	}
+	b := r.bud()
+	b.Hold()
+	defer b.Release()
+	return r.result(ctx, s.key())
 }
 
 // Sweep memoizes every spec using up to Jobs concurrent workers, so a later
@@ -502,12 +451,13 @@ func (r *Runner) Sweep(ctx context.Context, specs []Spec) error {
 // spec's own failure). Unlike Sweep, SweepEach always dispatches — even a
 // one-worker Runner queues through the fair scheduler, so a bulk sweep
 // submitted under one owner cannot starve requests submitted under
-// another. Specs shed by cancellation before simulating are not reported
-// to fn; the returned error is the first failure or the cancellation.
+// another. Specs shed by cancellation before simulating, and a spec whose
+// simulation panics, are not reported to fn; the returned error is the
+// first failure (a panic as "job i panicked") or the cancellation.
 func (r *Runner) SweepEach(ctx context.Context, specs []Spec, fn func(i int, res sim.Result, err error)) error {
 	var fnMu sync.Mutex
 	return r.dispatchEach(ctx, len(specs), func(jctx context.Context, i int) error {
-		res, err := r.resultSafe(jctx, specs[i].key(), true)
+		res, err := r.result(jctx, specs[i].key())
 		fnMu.Lock()
 		fn(i, res, err)
 		fnMu.Unlock()

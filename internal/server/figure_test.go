@@ -155,12 +155,14 @@ func TestAbandonedFigureShedsQueuedJobs(t *testing.T) {
 
 // TestFigurePanicAnswers500: a figure whose simulations fail answers a
 // 500 envelope on both the sequential and the dispatched fan-out path, and
-// the service keeps serving. The absurd scale fails every simulation: the
+// the service keeps serving. The absurd scale, which New refuses and is
+// therefore set on the Runner afterwards, fails every simulation: the
 // trace generator refuses it. That a panicking simulation fails its figure
 // with an error, not a crash, is experiments' TestFigureContainsJobPanic.
 func TestFigurePanicAnswers500(t *testing.T) {
 	for _, jobs := range []int{1, 2} {
-		_, ts := newTestServer(t, Config{Jobs: jobs, Scale: 1e300})
+		srv, ts := newTestServer(t, Config{Jobs: jobs})
+		srv.Runner().Scale = 1e300
 		resp, err := http.Get(ts.URL + "/v1/figures/fig3")
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)

@@ -74,11 +74,18 @@ type Server struct {
 	encFails map[string]int64
 }
 
-// New builds the service over a fresh Runner. The only failure mode is an
+// New builds the service over a fresh Runner. It fails on a scale at which
+// some benchmark's trace cannot be generated (so the service never boots
+// only to answer every simulation request with an error) and on an
 // unusable StoreDir.
 func New(cfg Config) (*Server, error) {
 	if cfg.Scale == 0 {
 		cfg.Scale = 1.0
+	}
+	for _, p := range workload.Profiles() {
+		if _, err := workload.NewStream(p, cfg.Scale); err != nil {
+			return nil, err
+		}
 	}
 	r := experiments.NewRunner(cfg.Scale)
 	r.Jobs = cfg.Jobs
@@ -137,10 +144,12 @@ func (s *Server) EnableCluster(cfg cluster.Config) error {
 	return nil
 }
 
-// Fairness weights for the dispatcher's per-owner queues: one interactive
-// /v1/run job counts as four sweep or figure jobs, so a caller probing
-// individual configurations stays responsive while a bulk sweep grinds
-// through its fan-out on the same worker budget.
+// Fairness weights for the dispatcher's per-owner queues. The weight
+// follows the request's size, not its URL: a one-spec request (a /v1/run,
+// or a one-spec /v1/sweep such as a run forwarded by a peer) is
+// interactive, and its job counts as four jobs of a longer sweep or a
+// figure, so a caller probing individual configurations stays responsive
+// while a bulk sweep grinds through its fan-out on the same worker budget.
 const (
 	runWeight   = 4
 	sweepWeight = 1
@@ -284,51 +293,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, "run", api.CodeBadRequest, err)
 		return
 	}
-	spec := specs[0]
-	hops := parseHops(r)
-	f := s.fabric.Load()
-
-	// Cluster routing: a spec owned by a peer forwards there (once, with a
-	// retry); an unreachable owner degrades to local execution rather than
-	// failing the request, and an exhausted hop budget — possible only on
-	// an inconsistent ring — stops the loop by serving locally.
-	if f != nil {
-		if owner, local := f.Owner(spec.CanonicalKey()); !local {
-			if hops >= cluster.HopLimit {
-				f.NoteHopLimit()
-			} else {
-				var out api.RunResponse
-				apiErr, ok := f.Forward(r.Context(), owner, "/"+api.Version+"/run", hops,
-					r.Header.Get(api.HeaderClientID), api.RequestOf(spec), &out)
-				if ok {
-					if apiErr != nil {
-						s.writeAPIError(w, "run", apiErr)
-						return
-					}
-					s.writeJSON(w, "run", http.StatusOK, out)
-					return
-				}
-				// Owner down: fall through to local execution.
-			}
-		}
-		if hops > 0 {
-			f.NoteServedForwarded()
-		}
-	}
-
-	// RunDispatched queues the job under this client's fairness owner and
-	// releases a cancelled caller promptly while a simulation already
-	// underway completes detached into the shared memo.
-	res, err := s.runner.RunDispatched(ownerCtx(r, runWeight), spec)
+	results, err := s.collect(r, specs)
 	if err != nil {
-		if r.Context().Err() != nil {
-			// Client is gone; nothing useful to write.
-			return
+		if r.Context().Err() == nil {
+			s.writeError(w, "run", api.CodeInternal, err)
 		}
-		s.writeError(w, "run", api.CodeInternal, err)
 		return
 	}
-	s.writeJSON(w, "run", http.StatusOK, api.RunResponse{Spec: api.SpecOf(spec), Result: res})
+	s.writeJSON(w, "run", http.StatusOK, results[0])
 }
 
 // streaming resolves whether this sweep answers as an NDJSON stream: the
@@ -363,52 +335,62 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		specs = append(specs, expanded...)
 	}
-	hops := parseHops(r)
-	f := s.fabric.Load()
-	if f != nil && hops > 0 {
-		f.NoteServedForwarded()
-	}
-
-	// runAll fans the expanded specs out — sharded across the ring when
-	// cluster mode is on, straight through the fair dispatcher otherwise —
-	// and reports each outcome through emit exactly once. Callbacks are
-	// serialized in both paths.
-	runAll := func(emit func(i int, res sim.Result, err error)) error {
-		if f == nil {
-			return s.runner.SweepEach(ownerCtx(r, sweepWeight), specs, emit)
-		}
-		return s.sweepCluster(f, r, specs, hops, emit)
-	}
-
 	if streaming(req, r) {
-		s.streamSweep(w, r, specs, runAll)
+		s.streamSweep(w, r, specs)
 		return
 	}
-	// Buffered mode still fans out through the fair dispatcher under the
-	// request context: a client that gives up sheds its queued specs (the
-	// backpressure point of admission control) while specs already
-	// simulating complete detached and stay memoized for the next caller.
-	results := make([]api.RunResponse, len(specs))
-	err := runAll(func(i int, res sim.Result, err error) {
-		if err == nil {
-			results[i] = api.RunResponse{Spec: api.SpecOf(specs[i]), Result: res}
-		}
-	})
+	results, err := s.collect(r, specs)
 	if err != nil {
-		if r.Context().Err() != nil {
-			return
+		if r.Context().Err() == nil {
+			s.writeError(w, "sweep", api.CodeInternal, err)
 		}
-		s.writeError(w, "sweep", api.CodeInternal, err)
 		return
 	}
 	s.writeJSON(w, "sweep", http.StatusOK, api.SweepResponse{Count: len(specs), Results: results})
 }
 
+// runSpecs is the one execution path of /v1/run and /v1/sweep. It fans the
+// expanded specs out under the client's fairness owner — sharded across
+// the ring when cluster mode is on, straight through the fair dispatcher
+// otherwise — and reports each outcome through emit exactly once, with
+// callbacks serialized in both paths. The request holds its admission slot
+// throughout: a client that gives up sheds its queued specs while specs
+// already simulating complete and stay memoized for the next caller.
+func (s *Server) runSpecs(r *http.Request, specs []experiments.Spec, emit func(i int, res sim.Result, err error)) error {
+	weight := sweepWeight
+	if len(specs) == 1 {
+		weight = runWeight
+	}
+	ctx := ownerCtx(r, weight)
+	f := s.fabric.Load()
+	if f == nil {
+		return s.runner.SweepEach(ctx, specs, emit)
+	}
+	hops := parseHops(r)
+	if hops > 0 {
+		f.NoteServedForwarded()
+	}
+	return s.sweepCluster(ctx, f, r.Header.Get(api.HeaderClientID), specs, hops, emit)
+}
+
+// collect runs specs through runSpecs and returns their answers in spec
+// order: the buffered form of /v1/run and /v1/sweep.
+func (s *Server) collect(r *http.Request, specs []experiments.Spec) ([]api.RunResponse, error) {
+	results := make([]api.RunResponse, len(specs))
+	err := s.runSpecs(r, specs, func(i int, res sim.Result, err error) {
+		if err == nil {
+			results[i] = api.RunResponse{Spec: api.SpecOf(specs[i]), Result: res}
+		}
+	})
+	return results, err
+}
+
 // sweepCluster shards one expanded sweep across the ring: each peer-owned
 // group of specs forwards as one buffered sub-sweep (in parallel, with the
 // usual down-peer degradation to local execution), while locally-owned
-// specs run through this node's dispatcher. emit is serialized internally.
-func (s *Server) sweepCluster(f *cluster.Fabric, r *http.Request, specs []experiments.Spec, hops int, emit func(i int, res sim.Result, err error)) error {
+// specs run through this node's dispatcher under ctx's fairness owner.
+// emit is serialized internally.
+func (s *Server) sweepCluster(ctx context.Context, f *cluster.Fabric, clientID string, specs []experiments.Spec, hops int, emit func(i int, res sim.Result, err error)) error {
 	atLimit := hops >= cluster.HopLimit
 	groups := make(map[string][]int)
 	var localIdx []int
@@ -447,7 +429,7 @@ func (s *Server) sweepCluster(f *cluster.Fabric, r *http.Request, specs []experi
 		for j, i := range idx {
 			group[j] = specs[i]
 		}
-		err := s.runner.SweepEach(ownerCtx(r, sweepWeight), group, func(j int, res sim.Result, err error) {
+		err := s.runner.SweepEach(ctx, group, func(j int, res sim.Result, err error) {
 			safeEmit(idx[j], res, err)
 		})
 		if err != nil {
@@ -455,7 +437,6 @@ func (s *Server) sweepCluster(f *cluster.Fabric, r *http.Request, specs []experi
 		}
 	}
 
-	clientID := r.Header.Get(api.HeaderClientID)
 	noStream := false
 	var wg sync.WaitGroup
 	for addr, idx := range groups {
@@ -466,8 +447,7 @@ func (s *Server) sweepCluster(f *cluster.Fabric, r *http.Request, specs []experi
 			for _, i := range idx {
 				sub.Specs = append(sub.Specs, api.RequestOf(specs[i]))
 			}
-			var out api.SweepResponse
-			apiErr, ok := f.Forward(r.Context(), addr, "/"+api.Version+"/sweep", hops, clientID, sub, &out)
+			out, apiErr, ok := f.Forward(ctx, addr, hops, clientID, sub)
 			switch {
 			case ok && apiErr == nil:
 				for j, i := range idx {
@@ -508,7 +488,7 @@ func (s *Server) sweepCluster(f *cluster.Fabric, r *http.Request, specs []experi
 // bounded by one simulation, not the whole fan-out, and a slow consumer
 // never holds worker slots — lines buffer in the HTTP layer while the
 // dispatcher keeps draining jobs.
-func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, specs []experiments.Spec, runAll func(emit func(i int, res sim.Result, err error)) error) {
+func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, specs []experiments.Spec) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	fl, _ := w.(http.Flusher)
@@ -517,9 +497,9 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, specs []exp
 	}
 	enc := json.NewEncoder(w)
 	count := 0
-	// Both runAll paths serialize callbacks, so the encoder and flusher
-	// are never written concurrently.
-	err := runAll(func(i int, res sim.Result, err error) {
+	// runSpecs serializes callbacks, so the encoder and flusher are never
+	// written concurrently.
+	err := s.runSpecs(r, specs, func(i int, res sim.Result, err error) {
 		line := api.StreamLine{Index: i, Spec: api.SpecOf(specs[i])}
 		if err != nil {
 			line.Error = err.Error()
@@ -536,8 +516,8 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, specs []exp
 		}
 	})
 	if r.Context().Err() != nil {
-		// Client gone mid-stream: queued specs were shed, in-flight
-		// simulations finish detached into the memo; nothing to write.
+		// Client gone mid-stream: queued specs were shed, simulations
+		// already running finished into the memo; nothing to write.
 		return
 	}
 	trailer := api.StreamTrailer{Done: true, Count: count}

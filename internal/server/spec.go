@@ -1,11 +1,14 @@
 // Package server implements secsimd: a long-lived HTTP/JSON service over
 // the experiment engine, speaking the versioned wire contract defined in
-// internal/api. Requests for the same configuration coalesce onto one
-// simulation through the Runner's singleflight memo, cancelled requests
-// detach promptly while the shared simulation runs on, and the memo's
-// lifecycle counters are exported on /metrics. With cluster mode enabled
-// (-peers), each request is routed across the fleet on a consistent-hash
-// ring so the memos partition exactly-once across instances.
+// internal/api. /v1/run and /v1/sweep share one execution path (a run is a
+// sweep of one spec). Requests for the same configuration coalesce onto
+// one simulation through the Runner's singleflight memo; a cancelled
+// request sheds its queued jobs, while a simulation already running
+// completes into the memo and the request holds its admission slot until
+// then. The memo's lifecycle counters are exported on /metrics. With
+// cluster mode enabled (-peers), each request is routed across the fleet
+// on a consistent-hash ring so the memos partition exactly-once across
+// instances.
 package server
 
 import (

@@ -230,23 +230,26 @@ func newGenerator(p Profile, scale float64) (*generator, error) {
 	return g, nil
 }
 
+// maxTraceRecords caps a trace's length: 2^28 records are 4 GiB once
+// materialized. A benchmark's trace is about 0.35 M records at scale 1.0,
+// so the cap leaves room for scales in the hundreds.
+const maxTraceRecords = 1 << 28
+
 // traceLen returns the number of records p emits at scale. It refuses a
-// scale that is not positive and finite, or at which a phase's length or
-// the trace's overflows int.
+// scale that is not positive and finite, or at which the trace would be
+// longer than maxTraceRecords.
 func traceLen(p Profile, scale float64) (int, error) {
 	if !(scale > 0) || math.IsInf(scale, 1) {
 		return 0, fmt.Errorf("workload %s: scale %g must be positive and finite", p.Name, scale)
 	}
-	refs := 0
+	refs := 0.0
 	for i := range p.Phases {
-		n := phaseLen(p.Phases[i], scale)
-		// 2^63 is the first float64 past math.MaxInt.
-		if n >= 0x1p63 || int(n) > math.MaxInt-refs {
-			return 0, fmt.Errorf("workload %s: scale %g makes the trace longer than an int can count", p.Name, scale)
-		}
-		refs += int(n)
+		refs += math.Floor(phaseLen(p.Phases[i], scale))
 	}
-	return refs, nil
+	if refs > maxTraceRecords {
+		return 0, fmt.Errorf("workload %s: scale %g makes the trace %.3g records long, over the cap of %d", p.Name, scale, refs, maxTraceRecords)
+	}
+	return int(refs), nil
 }
 
 // phaseLen is ph's length at scale, before conversion to int: warmup

@@ -95,12 +95,13 @@ func TestStreamScale(t *testing.T) {
 }
 
 // TestUnusableScaleRejected: a scale that is not positive and finite, or
-// at which a measured phase's length overflows int, is an error from both
+// at which the trace would be longer than maxTraceRecords (1e12 fits an
+// int but no machine's memory; 1e300 overflows int), is an error from both
 // NewStream and Materialize, never a trace with no measured records or a
 // panic.
 func TestUnusableScaleRejected(t *testing.T) {
 	p, _ := ByName("mcf")
-	for _, scale := range []float64{math.NaN(), math.Inf(1), 1e300, math.Inf(-1), 0, -1} {
+	for _, scale := range []float64{math.NaN(), math.Inf(1), 1e300, 1e12, math.Inf(-1), 0, -1} {
 		if _, err := NewStream(p, scale); err == nil {
 			t.Errorf("NewStream accepted scale %g", scale)
 		}
