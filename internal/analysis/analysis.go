@@ -211,26 +211,6 @@ func (p *Package) FuncAnnotation(fd *ast.FuncDecl, verb string) (Annotation, boo
 	return p.NodeAnnotation(fd, verb)
 }
 
-// Annotations returns every annotation in the package with the verb, in
-// position order (used to validate reasons and report unused escapes).
-func (p *Package) Annotations(verb string) []Annotation {
-	var out []Annotation
-	for _, as := range p.anns {
-		for _, a := range as {
-			if a.Verb == verb {
-				out = append(out, a)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Pos.Filename != out[j].Pos.Filename {
-			return out[i].Pos.Filename < out[j].Pos.Filename
-		}
-		return out[i].Pos.Line < out[j].Pos.Line
-	})
-	return out
-}
-
 // KnownVerbs lists every annotation verb the suite understands; the
 // driver flags unknown //secsim: verbs so a typo cannot silently
 // disable an escape.

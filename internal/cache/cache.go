@@ -208,20 +208,9 @@ func (c *Cache) ResetStats() {
 	c.Accesses, c.Hits, c.Misses, c.Writebacks = 0, 0, 0, 0
 }
 
-// Clone returns a deep copy of the cache: a checkpoint of its tag array,
-// per-line metadata (LRU timestamp, dirty bit), LRU tick and stat counters
-// that shares nothing with c, so one clone can seed any number of forked
-// runs through Restore.
-func (c *Cache) Clone() *Cache {
-	d := *c
-	d.tags = slices.Clone(c.tags)
-	d.meta = slices.Clone(c.meta)
-	d.dirtyScratch = nil
-	return &d
-}
-
-// Restore copies the state of src, a clone taken from a cache with the same
-// geometry, into c. c keeps its own arrays and scratch buffer, so a restore
+// Restore copies the state of src, a cache with the same geometry, into c:
+// its tag array, per-line metadata (LRU timestamp, dirty bit), LRU tick and
+// stat counters. c keeps its own arrays and scratch buffer, so a restore
 // allocates nothing.
 func (c *Cache) Restore(src *Cache) {
 	tags, meta, scratch := c.tags, c.meta, c.dirtyScratch

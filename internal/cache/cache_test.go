@@ -211,14 +211,15 @@ func TestPaperL2Geometry(t *testing.T) {
 	}
 }
 
-// TestHoldsComparesContentsAndClock: Holds matches a clone of the same
+// TestHoldsComparesContentsAndClock: Holds matches a copy of the same
 // state even after the statistics move, and rejects any change to a line,
 // its recency or dirty bit, or the LRU clock.
 func TestHoldsComparesContentsAndClock(t *testing.T) {
 	c := New(cfg4way())
 	c.Access(0x1000, true)
 	c.Access(0x2000, false)
-	snap := c.Clone()
+	snap := New(cfg4way())
+	snap.Restore(c)
 	c.ResetStats()
 	if !c.Holds(snap) {
 		t.Fatal("Holds rejects its own state after a stats reset")

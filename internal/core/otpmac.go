@@ -129,13 +129,8 @@ func (m *OTPMAC) ResetStats() {
 	m.verified, m.stallCycles = 0, 0
 }
 
-// Clone implements Scheme: the OTP state plus the MAC unit's pipeline
+// Restore implements Scheme: the OTP state plus the MAC unit's pipeline
 // occupancy and the verification counters.
-func (m *OTPMAC) Clone() Scheme {
-	return &OTPMAC{OTP: m.OTP.Clone().(*OTP), macUnit: m.macUnit.Clone(), verified: m.verified, stallCycles: m.stallCycles}
-}
-
-// Restore implements Scheme.
 func (m *OTPMAC) Restore(src Scheme) {
 	c := src.(*OTPMAC)
 	m.OTP.Restore(c.OTP)

@@ -116,15 +116,10 @@ func (p *OTPPre) WritebackLine(now uint64, a Access) uint64 {
 	return cpuFree
 }
 
-// Clone implements Scheme: the OTP state plus the pad-buffer tables.
-func (p *OTPPre) Clone() Scheme {
-	return &OTPPre{OTP: p.OTP.Clone().(*OTP), padFor: p.padFor.cloneInto(nil), instrPad: p.instrPad.cloneInto(nil)}
-}
-
-// Restore implements Scheme.
+// Restore implements Scheme: the OTP state plus the pad-buffer tables.
 func (p *OTPPre) Restore(src Scheme) {
 	c := src.(*OTPPre)
 	p.OTP.Restore(c.OTP)
-	p.padFor = c.padFor.cloneInto(p.padFor)
-	p.instrPad = c.instrPad.cloneInto(p.instrPad)
+	p.padFor.restore(c.padFor)
+	p.instrPad.restore(c.instrPad)
 }

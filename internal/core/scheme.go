@@ -54,14 +54,11 @@ type Scheme interface {
 	WritebackLine(now uint64, a Access) (cpuFree uint64)
 	// ResetStats clears counters after warmup.
 	ResetStats()
-	// Clone returns a deep copy of the scheme's own mutable state (the
-	// bus, write buffer and crypto unit it drives are checkpointed by the
-	// machine): a checkpoint of the scheme's concrete type that shares
-	// nothing with it and is wired to no machine, so it is only a source
-	// for Restore.
-	Clone() Scheme
-	// Restore copies the state of src, a Clone of a scheme with the same
-	// configuration, into this scheme.
+	// Restore copies the scheme's own mutable state (its SNC contents and
+	// tables, not the bus, write buffer and crypto unit it drives, which
+	// the machine copies) from src, a scheme built from the same
+	// reference, into this scheme. src is only read, so one checkpoint
+	// seeds any number of restores.
 	Restore(src Scheme)
 }
 
@@ -155,10 +152,7 @@ func (b *Baseline) WritebackLine(now uint64, a Access) uint64 {
 // ResetStats implements Scheme.
 func (b *Baseline) ResetStats() {}
 
-// Clone implements Scheme: the baseline holds no state of its own.
-func (b *Baseline) Clone() Scheme { return &Baseline{} }
-
-// Restore implements Scheme.
+// Restore implements Scheme: the baseline holds no state of its own.
 func (b *Baseline) Restore(Scheme) {}
 
 // XOM models the direct-encryption architecture of [Lie et al.]: every line
@@ -205,10 +199,7 @@ func (x *XOM) WritebackLine(now uint64, a Access) uint64 {
 // ResetStats implements Scheme.
 func (x *XOM) ResetStats() {}
 
-// Clone implements Scheme: XOM holds no state of its own.
-func (x *XOM) Clone() Scheme { return &XOM{} }
-
-// Restore implements Scheme.
+// Restore implements Scheme: XOM holds no state of its own.
 func (x *XOM) Restore(Scheme) {}
 
 // OTP is the paper's scheme: pads are computed from address-derived seeds in
@@ -487,18 +478,13 @@ func (o *OTP) ContextSwitch(now uint64, next int) (done uint64) {
 // ResetStats implements Scheme.
 func (o *OTP) ResetStats() { o.snc.ResetStats() }
 
-// Clone implements Scheme: the SNC's contents, the in-memory
-// sequence-number table and the running process ID.
-func (o *OTP) Clone() Scheme {
-	return &OTP{snc: o.snc.Clone(), seqMem: o.seqMem.cloneInto(nil), pid: o.pid}
-}
-
-// Restore implements Scheme. The sequence table is cloned into the live
-// one, reusing its chunks, so src stays pristine for further restores.
+// Restore implements Scheme: the SNC's contents, the in-memory
+// sequence-number table and the running process ID. The sequence table is
+// copied into this scheme's own, reusing its chunks.
 func (o *OTP) Restore(src Scheme) {
 	c := src.(*OTP)
 	o.snc.Restore(c.snc)
-	o.seqMem = c.seqMem.cloneInto(o.seqMem)
+	o.seqMem.restore(c.seqMem)
 	o.pid = c.pid
 }
 

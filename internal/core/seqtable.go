@@ -98,29 +98,25 @@ func (t *seqTable) del(va uint64) {
 	}
 }
 
-// cloneInto deep-copies t into dst (allocating one when dst is nil),
-// returning dst. Chunks already present in dst are overwritten in place and
-// stale ones deleted, so repeatedly restoring checkpoints into the same
-// live table is allocation-free once the working set stabilizes. The last-chunk cache
-// is left cold; it repopulates on first access.
-func (t *seqTable) cloneInto(dst *seqTable) *seqTable {
-	if dst == nil {
-		dst = &seqTable{chunks: make(map[uint64]*seqChunk, len(t.chunks))}
-	}
-	dst.lineShift = t.lineShift
-	dst.lastCN, dst.lastChunk = 0, nil
-	for cn := range dst.chunks {
-		if _, ok := t.chunks[cn]; !ok {
-			delete(dst.chunks, cn)
+// restore deep-copies src into t. Chunks already present in t are
+// overwritten in place and stale ones deleted, so repeatedly restoring
+// checkpoints into the same live table is allocation-free once the working
+// set stabilizes. The last-chunk cache is left cold; it repopulates on
+// first access.
+func (t *seqTable) restore(src *seqTable) {
+	t.lineShift = src.lineShift
+	t.lastCN, t.lastChunk = 0, nil
+	for cn := range t.chunks {
+		if _, ok := src.chunks[cn]; !ok {
+			delete(t.chunks, cn)
 		}
 	}
-	for cn, ch := range t.chunks {
-		d := dst.chunks[cn]
+	for cn, ch := range src.chunks {
+		d := t.chunks[cn]
 		if d == nil {
 			d = new(seqChunk)
-			dst.chunks[cn] = d
+			t.chunks[cn] = d
 		}
 		*d = *ch
 	}
-	return dst
 }

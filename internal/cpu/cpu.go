@@ -17,10 +17,7 @@
 // enough to sweep the paper's full parameter space.
 package cpu
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // IssueWidth is instructions retired per cycle when nothing stalls (the
 // paper's 4-issue). A power of two, so issue accounting is a shift and a
@@ -272,16 +269,7 @@ func (c *CPU) Drain() {
 	c.missHead, c.missN = 0, 0
 }
 
-// Clone returns a deep copy of the core: a checkpoint of its timing state
-// that shares nothing with c, so one clone can seed any number of forked
-// runs through Restore.
-func (c *CPU) Clone() *CPU {
-	d := *c
-	d.misses = slices.Clone(c.misses)
-	return &d
-}
-
-// Restore copies the state of src, a clone taken from a core with the same
+// Restore copies the timing state of src, a core with the same
 // configuration, into c. c keeps its own miss ring (sized by cfg.MSHRs), so
 // a restore allocates nothing.
 func (c *CPU) Restore(src *CPU) {

@@ -14,10 +14,7 @@
 // ciphers.
 package engine
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Config describes one crypto unit.
 type Config struct {
@@ -90,15 +87,7 @@ func (e *Engine) Issue(now uint64) (done uint64) {
 	return start + e.cfg.Latency
 }
 
-// Clone returns a deep copy of the engine: a checkpoint of its per-port
-// pipeline occupancy that shares nothing with e.
-func (e *Engine) Clone() *Engine {
-	d := *e
-	d.nextFree = slices.Clone(e.nextFree)
-	return &d
-}
-
-// Restore copies the state of src, a clone taken from an engine with the
+// Restore copies the per-port pipeline occupancy of src, an engine with the
 // same port count, into e, reusing e's port array.
 func (e *Engine) Restore(src *Engine) {
 	nf := e.nextFree

@@ -1,25 +1,28 @@
 package experiments
 
-// Post-warmup checkpoint forking (SMARTS/SimPoint-style). Every simulation
-// of a runKey replays the same trace, and its warmup prefix is never scaled
-// (workload.Profile.WarmupRefs), so the machine state at the
-// warmup/measurement boundary is a pure function of the runKey — independent
-// of the Runner's Scale, which only stretches the measured phase. simulate()
-// therefore checkpoints the boundary state of a configuration and forks
-// every later measurement run of it (typically from a different Runner
-// instance: the perf harness, a restarted golden job, repeated secsimd
-// requests after memo eviction) from the checkpoint instead of
-// re-simulating the warmup.
+// Post-warmup checkpoint forking (SMARTS-style: Wunderlich et al., ISCA
+// 2003). Every simulation of a runKey replays the same trace, and its
+// warmup prefix is never scaled (workload.Profile.WarmupRefs), so the
+// machine state at the warmup/measurement boundary is a pure function of
+// the runKey — independent of the Runner's Scale, which only stretches the
+// measured phase. simulate() therefore checkpoints the boundary state of a
+// configuration and forks every later measurement run of it (typically
+// from a different Runner instance: the perf harness, a restarted golden
+// job, repeated secsimd requests after memo eviction) from the checkpoint
+// instead of re-simulating the warmup. A checkpoint is a sim.System of the
+// key's configuration that never runs; a fork builds a fresh System and
+// copies the checkpoint's components into it, one copy per component.
 //
 // A checkpoint is captured only where a fork can follow, because an OTP
-// checkpoint holds the 32K-entry SNC and its sequence-number table (about
-// 1.1–1.35 MB at the figures' geometries). A Runner whose result memo is
-// unbounded never simulates a key twice, so its first simulation of a key
-// leaves only a mark — an entry with no checkpoint, in the same LRU — and
-// the key's second simulation in the process (another Runner's) captures
-// the checkpoint later ones fork from: "cache on second hit". A Runner with
-// a bounded memo (Capacity > 0) can evict a result and simulate its key
-// again, so it captures on the first simulation.
+// checkpoint holds the 32K-entry SNC with its tag index and the scheme's
+// sequence-number tables (about 1.3–1.6 MB at the default geometry). A
+// Runner whose result memo is unbounded never simulates a key twice, so
+// its first simulation of a key leaves only a mark — an entry with no
+// checkpoint, in the same LRU — and the key's second simulation in the
+// process (another Runner's) captures the checkpoint later ones fork from:
+// "cache on second hit". A Runner with a bounded memo (Capacity > 0) can
+// evict a result and simulate its key again, so it captures on the first
+// simulation.
 //
 // Cache outcome replay (see sim/outcomes.go) is a second, narrower reuse.
 // No scheme and no timing can change what the caches hold, so the L1/L2
@@ -61,14 +64,16 @@ import (
 
 // checkpointCapacity bounds the checkpoint cache, marks and checkpoints
 // alike. The full figure set needs ~150 distinct configurations, which the
-// bound holds comfortably. A checkpoint at the figures' geometries holds
-// 75 KB (baseline, XOM: the caches) to 1.4 MB (OTP schemes: SNC entries and
-// sequence tables besides), so a cache full of checkpoints retains at most
-// about 350 MB; a mark holds only its key. Only configurations simulated
-// twice, or by a Runner with a bounded memo, hold a checkpoint. Under the
-// Spec caps an OTP checkpoint grows to about 10.7 MB — a 512 KB
-// direct-mapped SNC's entries and sets, a 4 MB L2 — and worst-case
-// retention to about 2.7 GB.
+// bound holds comfortably. A checkpoint at the default geometry holds
+// 75 KB (baseline, XOM: the caches) to 1.3–1.6 MB (OTP schemes: the SNC's
+// entries, sets and tag index, and sequence tables besides), and up to
+// 2.6 MB at Figure 6's 128 KB SNC, so a cache full of checkpoints at the
+// figures' geometries retains at most about 670 MB; a mark holds only its
+// key. Only configurations simulated twice, or by a Runner with a bounded
+// memo, hold a checkpoint. Under the Spec caps an OTP checkpoint grows to
+// about 12.8 MB — a 512 KB direct-mapped SNC's 256K entries, sets and
+// 512K-cell tag index, a 4 MB L2 — and worst-case retention to about
+// 3.3 GB.
 const checkpointCapacity = 256
 
 // outcomeCapacity bounds the outcome cache. The figures touch at most 22

@@ -11,7 +11,6 @@ package mem
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 )
 
@@ -201,16 +200,8 @@ func (w *WriteBuffer) Insert(now, ready uint64, drain func(uint64) uint64) (cpuF
 	return cpuFree
 }
 
-// Clone returns a deep copy of the buffer: a checkpoint of its pending
-// drain completion times that shares nothing with w.
-func (w *WriteBuffer) Clone() *WriteBuffer {
-	d := *w
-	d.pending = slices.Clone(w.pending)
-	return &d
-}
-
-// Restore copies the state of src, a clone taken from a buffer with the
-// same depth, into w. w keeps its depth-sized backing array, so a restored
+// Restore copies the pending drain completion times of src, a buffer with
+// the same depth, into w. w keeps its depth-sized backing array, so a restored
 // buffer stays allocation-free.
 func (w *WriteBuffer) Restore(src *WriteBuffer) {
 	p := w.pending

@@ -3,11 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"secureproc/internal/cache"
-	"secureproc/internal/core"
-	"secureproc/internal/cpu"
-	"secureproc/internal/crypto/engine"
-	"secureproc/internal/mem"
 	"secureproc/internal/workload"
 )
 
@@ -24,37 +19,26 @@ import (
 const TimingModelVersion = "secsim-tm-2"
 
 // Checkpoint is an architectural snapshot of a System at the
-// warmup/measurement boundary, in the SMARTS/SimPoint checkpointing sense:
-// the full microarchitectural state (cache contents and LRU recency, SNC
-// contents and recency, write buffer, bus and crypto-pipeline reservations,
-// core clock and in-flight misses, scheme-internal tables), held as deep
-// copies of the machine's own components so any number of measurement runs
-// can fork from it. A checkpoint shares no mutable state with the system it
-// came from or with systems restored from it.
-type Checkpoint struct {
-	cfg          Config
-	cpu          *cpu.CPU
-	l1i, l1d, l2 *cache.Cache
-	bus          mem.Bus
-	wbuf         *mem.WriteBuffer
-	crypto       *engine.Engine
-	scheme       core.Scheme
-}
+// warmup/measurement boundary, in the SMARTS checkpointing sense (Wunderlich
+// et al., ISCA 2003): the full microarchitectural state (cache contents and
+// LRU recency, SNC contents, recency and tag index, write buffer, bus and
+// crypto-pipeline reservations, core clock and in-flight misses,
+// scheme-internal tables). It is a System of the same configuration that
+// never runs, holding copies of the source's components, so any number of
+// measurement runs can fork from it. A checkpoint shares no mutable state
+// with the system it came from or with systems restored from it.
+type Checkpoint System
 
 // Checkpoint captures the system's architectural state. Every scheme can be
-// checkpointed, so ok is always true.
+// checkpointed, so ok is true unless the configuration no longer builds,
+// which cannot happen for a configuration s was built from.
 func (s *System) Checkpoint() (*Checkpoint, bool) {
-	return &Checkpoint{
-		cfg:    s.cfg,
-		cpu:    s.cpu.Clone(),
-		l1i:    s.l1i.Clone(),
-		l1d:    s.l1d.Clone(),
-		l2:     s.l2.Clone(),
-		bus:    *s.bus,
-		wbuf:   s.wbuf.Clone(),
-		crypto: s.crypto.Clone(),
-		scheme: s.scheme.Clone(),
-	}, true
+	cp, err := New(s.cfg)
+	if err != nil {
+		return nil, false
+	}
+	cp.copyFrom(s)
+	return (*Checkpoint)(cp), true
 }
 
 // compatible reports whether two configurations describe the same machine.
@@ -78,15 +62,24 @@ func (s *System) Restore(cp *Checkpoint) error {
 		return fmt.Errorf("sim: checkpoint config mismatch (%s vs %s)",
 			cp.cfg.Scheme.Canonical(), s.cfg.Scheme.Canonical())
 	}
-	s.scheme.Restore(cp.scheme)
-	s.cpu.Restore(cp.cpu)
-	s.l1i.Restore(cp.l1i)
-	s.l1d.Restore(cp.l1d)
-	s.l2.Restore(cp.l2)
-	*s.bus = cp.bus
-	s.wbuf.Restore(cp.wbuf)
-	s.crypto.Restore(cp.crypto)
+	s.copyFrom((*System)(cp))
 	return nil
+}
+
+// copyFrom copies the architectural state of src, a system of the same
+// configuration, into s, component by component. Scratch state (the fill
+// callback's access, the lookup's line addresses, context-switch buffers)
+// and the measurement snapshot, which BeginMeasurement retakes, are not
+// copied.
+func (s *System) copyFrom(src *System) {
+	s.scheme.Restore(src.scheme)
+	s.cpu.Restore(src.cpu)
+	s.l1i.Restore(src.l1i)
+	s.l1d.Restore(src.l1d)
+	s.l2.Restore(src.l2)
+	*s.bus = *src.bus
+	s.wbuf.Restore(src.wbuf)
+	s.crypto.Restore(src.crypto)
 }
 
 // RunWarmup consumes a warmup-prefix stream and settles the machine at the

@@ -110,6 +110,24 @@ func TestCheckpointIsIsolatedFromSource(t *testing.T) {
 	}
 }
 
+// TestSameStateSeesOneStep: the comparison the replay tests rely on
+// equates two checkpoints of one state and tells apart two checkpoints one
+// record apart.
+func TestSameStateSeesOneStep(t *testing.T) {
+	recs := allocRecords()
+	warm := len(recs) / 3
+	sys := newCheckpointSystem(t, SchemeOTPLRU)
+	sys.RunWarmup(workload.Replay(recs[:warm]))
+	before := checkpointOf(t, sys)
+	if !sameState(before, checkpointOf(t, sys)) {
+		t.Fatal("two checkpoints of one state compare unequal")
+	}
+	sys.Step(recs[warm])
+	if sameState(before, checkpointOf(t, sys)) {
+		t.Error("checkpoints one record apart compare equal")
+	}
+}
+
 // TestRestoreRejectsMismatchedConfig: a checkpoint must only ever land in a
 // machine built from the same configuration, and a failed restore must leave
 // the target untouched (callers fall through to a scratch warmup).

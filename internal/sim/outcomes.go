@@ -22,9 +22,9 @@ import (
 // direct run would have. Two phases use it: the warmup prefix, which always
 // starts from empty caches, and the measured phase that follows it.
 
-// Outcomes is one recorded phase: clones of the caches at its start, one
+// Outcomes is one recorded phase: copies of the caches at its start, one
 // outcome byte per record, the victim and fill line addresses the apply
-// half needs, and clones of the caches at its end. It is immutable once
+// half needs, and copies of the caches at its end. It is immutable once
 // returned, so any number of systems may replay it concurrently.
 type Outcomes struct {
 	start [3]*cache.Cache // L1I, L1D, L2
@@ -40,6 +40,15 @@ var errNoRecording = errors.New("sim: replay refused: no recording")
 
 // caches returns the system's three caches in Outcomes order.
 func (s *System) caches() [3]*cache.Cache { return [3]*cache.Cache{s.l1i, s.l1d, s.l2} }
+
+// copyCaches returns copies of the system's three caches in Outcomes order.
+func (s *System) copyCaches() (cp [3]*cache.Cache) {
+	for i, c := range s.caches() {
+		cp[i] = cache.New(c.Config())
+		cp[i].Restore(c)
+	}
+	return cp
+}
 
 // RunWarmupRecord is RunWarmup over recs that also records the warmup's
 // cache outcomes for RunWarmupReplay. The system's final state is that of
@@ -98,10 +107,7 @@ func (s *System) RunMeasuredReplay(recs []workload.Record, o *Outcomes) (Result,
 // record runs recs through lookup and apply, recording each outcome, and
 // drains the core.
 func (s *System) record(recs []workload.Record) *Outcomes {
-	o := &Outcomes{ops: make([]uint8, len(recs))}
-	for i, c := range s.caches() {
-		o.start[i] = c.Clone()
-	}
+	o := &Outcomes{start: s.copyCaches(), ops: make([]uint8, len(recs))}
 	var addrs []uint64
 	for i, rec := range recs {
 		op := s.lookup(rec)
@@ -111,9 +117,7 @@ func (s *System) record(recs []workload.Record) *Outcomes {
 	}
 	s.cpu.Drain()
 	o.addrs = slices.Clone(addrs)
-	for i, c := range s.caches() {
-		o.end[i] = c.Clone()
-	}
+	o.end = s.copyCaches()
 	return o
 }
 

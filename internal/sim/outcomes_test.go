@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math/rand"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -104,7 +103,7 @@ func TestReplayPropertyAcrossSchemes(t *testing.T) {
 			t.Logf("%s -> %s: replay %+v, direct %+v", from.Name, to.Name, got, want)
 			return false
 		}
-		return reflect.DeepEqual(checkpointOf(t, replay), checkpointOf(t, direct))
+		return sameState(checkpointOf(t, replay), checkpointOf(t, direct))
 	}
 	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}
 	if err := quick.Check(prop, cfg); err != nil {
@@ -170,7 +169,7 @@ func TestReplayRefusals(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want a refusal mentioning %q", c.name, err, c.want)
 		}
-		if !reflect.DeepEqual(checkpointOf(t, c.sys), before) {
+		if !sameState(checkpointOf(t, c.sys), before) {
 			t.Errorf("%s: refused replay changed the system", c.name)
 		}
 	}
@@ -276,7 +275,7 @@ func TestWarmupReplayRefusals(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want a refusal mentioning %q", c.name, err, c.want)
 		}
-		if !reflect.DeepEqual(checkpointOf(t, c.sys), before) {
+		if !sameState(checkpointOf(t, c.sys), before) {
 			t.Errorf("%s: refused replay changed the system", c.name)
 		}
 	}

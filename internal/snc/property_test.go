@@ -118,9 +118,14 @@ func (r *refSNC) tryInstall(lineVA uint64, seq uint16) bool {
 // reference through long random operation traces over several geometries
 // and demands identical hit/miss/evict/victim sequences at every step —
 // the property that makes the open-addressed rewrite timing-model-neutral.
+// Every 50K operations the trace moves to a fresh SNC restored from the
+// live one, so a copied index out of step with its entries (after the
+// backward-shift deletions of the evictions so far) fails here too.
 func TestOpenAddressedMatchesMapReference(t *testing.T) {
 	configs := []Config{
 		{SizeBytes: 1 << 10, EntryBytes: 2, Ways: 0, LineBytes: 128, Policy: LRU},
+		{SizeBytes: 1 << 10, EntryBytes: 2, Ways: 1, LineBytes: 128, Policy: LRU},
+		{SizeBytes: 1 << 10, EntryBytes: 2, Ways: 2, LineBytes: 128, Policy: LRU},
 		{SizeBytes: 1 << 10, EntryBytes: 2, Ways: 4, LineBytes: 128, Policy: LRU},
 		{SizeBytes: 2 << 10, EntryBytes: 2, Ways: 32, LineBytes: 128, Policy: NoReplacement},
 		{SizeBytes: 4 << 10, EntryBytes: 2, Ways: 8, LineBytes: 64, Policy: LRU, PIDBits: 4},
@@ -136,6 +141,11 @@ func TestOpenAddressedMatchesMapReference(t *testing.T) {
 			pool[i] = uint64(rng.Intn(1<<20)) * uint64(cfg.LineBytes)
 		}
 		for op := 0; op < 200000; op++ {
+			if op%50000 == 25000 {
+				fresh := New(cfg)
+				fresh.Restore(s)
+				s = fresh
+			}
 			va := pool[rng.Intn(len(pool))]
 			switch rng.Intn(10) {
 			case 0, 1, 2: // query

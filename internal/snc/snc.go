@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 )
 
 // Policy selects the replacement behaviour.
@@ -135,8 +134,8 @@ type entry struct {
 	tag uint64
 	seq uint16
 	// LRU list links within the set (indices into SNC.entries; -1 = none).
-	// int32 keeps the entry at 16 bytes — the largest SNC holds 64K
-	// entries, far inside the range.
+	// int32 keeps the entry at 24 bytes — the largest SNC the experiment
+	// caps admit holds 256K entries, far inside the range.
 	prev, next int32
 }
 
@@ -162,13 +161,11 @@ type SNC struct {
 	lineShift uint
 	occupied  int
 
-	// index maps each set's tags to their entry slots. It is derived
-	// state: every slot in [si*ways, si*ways+bump) holds a live entry
-	// (eviction reuses the victim's slot in place, so allocated slots are
-	// never individually freed), so the index is exactly {entry.tag ->
-	// slot} over the allocated range. Clone leaves it out and Restore
-	// rebuilds it. Probe-chain layout after a rebuild may differ, but no
-	// timing depends on probe length.
+	// index maps each set's tags to their entry slots: every slot in
+	// [si*ways, si*ways+bump) holds a live entry (eviction reuses the
+	// victim's slot in place, so allocated slots are never individually
+	// freed), and the index holds exactly those slots, keyed by the tags
+	// their entries carry.
 	index tagIndex
 
 	// flushScratch backs FlushAll's result so steady-state context
@@ -201,8 +198,8 @@ func New(cfg Config) *SNC {
 		ways:      int32(ways),
 		setMask:   uint64(nsets - 1),
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		index:     newTagIndex(nsets, ways),
 	}
-	s.index.init(nsets, ways)
 	for i := range s.sets {
 		s.sets[i] = set{head: -1, tail: -1}
 	}
@@ -278,7 +275,7 @@ func (s *SNC) locate(lineVA uint64) (si int, tag uint64) {
 // entry's LRU state is refreshed.
 func (s *SNC) Query(lineVA uint64) (seq uint16, hit bool) {
 	si, tag := s.locate(lineVA)
-	if slot, ok := s.index.find(si, tag); ok {
+	if slot, ok := s.index.find(s.entries, si, tag); ok {
 		s.QueryHits++
 		s.touch(&s.sets[si], slot)
 		return s.entries[slot].seq, true
@@ -296,7 +293,7 @@ func (s *SNC) Query(lineVA uint64) (seq uint16, hit bool) {
 // re-encryption of the covered line (Section 3.4.2's remedy).
 func (s *SNC) Update(lineVA uint64) (seq uint16, hit, wrapped bool) {
 	si, tag := s.locate(lineVA)
-	if slot, ok := s.index.find(si, tag); ok {
+	if slot, ok := s.index.find(s.entries, si, tag); ok {
 		s.UpdateHits++
 		e := &s.entries[slot]
 		if e.seq == math.MaxUint16 {
@@ -318,7 +315,7 @@ func (s *SNC) Update(lineVA uint64) (seq uint16, hit, wrapped bool) {
 func (s *SNC) Install(lineVA uint64, seq uint16) (victimVA uint64, victimSeq uint16, evicted bool) {
 	si, tag := s.locate(lineVA)
 	st := &s.sets[si]
-	if slot, ok := s.index.find(si, tag); ok {
+	if slot, ok := s.index.find(s.entries, si, tag); ok {
 		// Already present (e.g. installed by a racing path): refresh.
 		s.entries[slot].seq = seq
 		s.touch(st, slot)
@@ -332,11 +329,11 @@ func (s *SNC) Install(lineVA uint64, seq uint16) (victimVA uint64, victimSeq uin
 		slot = st.tail
 		victim := &s.entries[slot]
 		victimVA, victimSeq, evicted = victim.tag<<s.lineShift, victim.seq, true
-		s.index.del(si, victim.tag)
+		s.index.del(s.entries, si, victim.tag)
 		s.unlink(st, slot)
 	}
 	s.entries[slot] = entry{tag: tag, seq: seq, prev: -1, next: -1}
-	s.index.put(si, tag, slot)
+	s.index.put(s.entries, si, slot)
 	s.pushFront(st, slot)
 	return victimVA, victimSeq, evicted
 }
@@ -348,7 +345,7 @@ func (s *SNC) Install(lineVA uint64, seq uint16) (victimVA uint64, victimSeq uin
 func (s *SNC) TryInstall(lineVA uint64, seq uint16) bool {
 	si, tag := s.locate(lineVA)
 	st := &s.sets[si]
-	if slot, ok := s.index.find(si, tag); ok {
+	if slot, ok := s.index.find(s.entries, si, tag); ok {
 		s.entries[slot].seq = seq
 		s.touch(st, slot)
 		return true
@@ -356,7 +353,7 @@ func (s *SNC) TryInstall(lineVA uint64, seq uint16) bool {
 	if slot := s.alloc(si); slot >= 0 {
 		s.occupied++
 		s.entries[slot] = entry{tag: tag, seq: seq, prev: -1, next: -1}
-		s.index.put(si, tag, slot)
+		s.index.put(s.entries, si, slot)
 		s.pushFront(st, slot)
 		return true
 	}
@@ -368,7 +365,7 @@ func (s *SNC) TryInstall(lineVA uint64, seq uint16) bool {
 // their prediction must track).
 func (s *SNC) Peek(lineVA uint64) (seq uint16, ok bool) {
 	si, tag := s.locate(lineVA)
-	slot, ok := s.index.find(si, tag)
+	slot, ok := s.index.find(s.entries, si, tag)
 	if !ok {
 		return 0, false
 	}
@@ -378,7 +375,7 @@ func (s *SNC) Peek(lineVA uint64) (seq uint16, ok bool) {
 // Contains reports presence without touching LRU state or stats.
 func (s *SNC) Contains(lineVA uint64) bool {
 	si, tag := s.locate(lineVA)
-	_, ok := s.index.find(si, tag)
+	_, ok := s.index.find(s.entries, si, tag)
 	return ok
 }
 
@@ -410,33 +407,14 @@ func (s *SNC) ResetStats() {
 	s.SeqOverflows = 0
 }
 
-// Clone returns a deep copy of the SNC's contents, recency and counters: a
-// checkpoint that shares nothing with s, so one clone can seed any number
-// of forked runs through Restore. It carries no tag index (see SNC.index),
-// so it is only a source for Restore, never an SNC to look lines up in.
-func (s *SNC) Clone() *SNC {
-	d := *s
-	d.entries = slices.Clone(s.entries)
-	d.sets = slices.Clone(s.sets)
-	d.index, d.flushScratch = tagIndex{}, nil
-	return &d
-}
-
-// Restore copies the state of src, a clone taken from an SNC with the same
-// configuration, into s and rebuilds each set's tag index from the restored
-// entries. s keeps its own arrays, index and scratch buffer, so a restore
-// allocates nothing.
+// Restore copies the state of src, an SNC with the same configuration,
+// into s: contents, recency, tag index and counters. s keeps its own arrays
+// and scratch buffer, so a restore allocates nothing.
 func (s *SNC) Restore(src *SNC) {
-	entries, sets, index, scratch := s.entries, s.sets, s.index, s.flushScratch
+	entries, sets, slots, scratch := s.entries, s.sets, s.index.slots, s.flushScratch
 	*s = *src
-	s.entries, s.sets, s.index, s.flushScratch = entries, sets, index, scratch
+	s.entries, s.sets, s.index.slots, s.flushScratch = entries, sets, slots, scratch
 	copy(entries, src.entries)
 	copy(sets, src.sets)
-	s.index.init(len(sets), int(s.ways))
-	for si := range sets {
-		base := int32(si) * s.ways
-		for slot := base; slot < base+sets[si].bump; slot++ {
-			s.index.put(si, entries[slot].tag, slot)
-		}
-	}
+	copy(slots, src.index.slots)
 }

@@ -334,13 +334,14 @@ func TestPaperGeometries(t *testing.T) {
 	}
 }
 
-// TestCloneRestore: a clone taken after LRU churn, restored into a fresh
-// SNC, reproduces the source's contents, recency and counters (the tag
-// index is rebuilt, not copied): the restored SNC answers like a twin that
-// went through the same operations. Later work on the source leaves the
-// clone untouched, so it seeds a second restore just as well.
-func TestCloneRestore(t *testing.T) {
-	for _, ways := range []int{0, 2} {
+// TestRestoreCopiesContentsAndRecency: a copy taken after LRU churn by
+// restoring a fresh SNC from the source, restored in turn into another
+// fresh SNC, reproduces the source's contents, recency and counters: the
+// restored SNC answers like a twin that went through the same operations.
+// Later work on the source leaves the copy untouched, so it seeds a second
+// restore just as well.
+func TestRestoreCopiesContentsAndRecency(t *testing.T) {
+	for _, ways := range []int{0, 1, 2} {
 		cfg := smallCfg(LRU, ways)
 		src, twins := New(cfg), []*SNC{New(cfg), New(cfg)}
 		rng := rand.New(rand.NewSource(1))
@@ -351,7 +352,8 @@ func TestCloneRestore(t *testing.T) {
 				s.Update(upd)
 			}
 		}
-		cp := src.Clone()
+		cp := New(cfg)
+		cp.Restore(src)
 		src.FlushAll()
 		src.Install(0x9900, 1)
 		for i, twin := range twins {
@@ -369,7 +371,7 @@ func TestCloneRestore(t *testing.T) {
 				}
 			}
 			if dst.Contains(0x7700) || dst.Contains(0x9900) {
-				t.Errorf("ways=%d restore %d: holds a line the clone does not", ways, i)
+				t.Errorf("ways=%d restore %d: holds a line the copy does not", ways, i)
 			}
 			// Recency survives: the next install evicts the twin's victim.
 			v, _, e := dst.Install(0x100000, 7)
