@@ -60,8 +60,10 @@
 //
 // A client must finish sending its request headers within
 // readHeaderTimeout, and an idle keep-alive connection is closed after
-// idleTimeout, so stalled clients cannot pin connections. Request bodies
-// and responses are not time-bounded: streamed sweeps are long-lived.
+// idleTimeout, and must finish sending its request body within the
+// server's fixed body-read bound, so stalled clients cannot pin connections
+// or admission slots. Responses are not time-bounded: streamed sweeps are
+// long-lived.
 //
 // On SIGINT/SIGTERM the server stops accepting connections and drains
 // in-flight requests for up to -drain before exiting.
@@ -90,8 +92,9 @@ const (
 )
 
 // newHTTPServer builds the listener-side server around h. Only header
-// reads and idle keep-alives are bounded; ReadTimeout and WriteTimeout
-// stay unset because a streamed sweep legitimately runs for minutes.
+// reads and idle keep-alives are bounded here (the server package bounds
+// body reads itself); ReadTimeout and WriteTimeout stay unset because a
+// streamed sweep legitimately runs for minutes.
 func newHTTPServer(addr string, h http.Handler, headerTimeout, idle time.Duration) *http.Server {
 	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: headerTimeout, IdleTimeout: idle}
 }

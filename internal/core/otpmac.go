@@ -37,10 +37,6 @@ type OTPMAC struct {
 	policy  integrity.VerifyPolicy
 	macUnit *engine.Engine // pipelined hash unit checking/producing MACs
 
-	// drainMACUpdate is bound once at construction so steady-state MAC
-	// refreshes pass a preallocated closure to the write buffer.
-	drainMACUpdate func(uint64) uint64
-
 	verified    uint64
 	stallCycles uint64 // cycles verification extends past the OTP-ready cycle
 }
@@ -48,7 +44,7 @@ type OTPMAC struct {
 // NewOTPMAC wraps an OTP scheme with MAC verification under the given
 // policy; verifyLatency is the MAC unit's per-line hash latency.
 func NewOTPMAC(otp *OTP, policy integrity.VerifyPolicy, verifyLatency uint64) *OTPMAC {
-	m := &OTPMAC{
+	return &OTPMAC{
 		OTP:    otp,
 		policy: policy,
 		macUnit: engine.New(engine.Config{
@@ -57,10 +53,6 @@ func NewOTPMAC(otp *OTP, policy integrity.VerifyPolicy, verifyLatency uint64) *O
 			Ports:              1,
 		}),
 	}
-	m.drainMACUpdate = func(start uint64) uint64 {
-		return m.bus.Write(start, mem.SrcMACUpdate)
-	}
-	return m
 }
 
 // Name implements Scheme.
@@ -86,7 +78,7 @@ func (m *OTPMAC) ReadLine(now uint64, a Access) uint64 {
 	macAvail := arrival
 	if !covered {
 		macArrival := m.bus.Read(now, mem.SrcMACFetch)
-		macAvail = max64(arrival, macArrival)
+		macAvail = max(arrival, macArrival)
 	}
 	verifyDone := m.macUnit.Issue(macAvail)
 	m.verified++
@@ -112,8 +104,8 @@ func (m *OTPMAC) WritebackLine(now uint64, a Access) uint64 {
 	cpuFree := m.OTP.WritebackLine(now, a)
 	macDone := m.macUnit.Issue(now)
 	if !covered {
-		free := m.wbuf.Insert(now, macDone, m.drainMACUpdate)
-		cpuFree = max64(cpuFree, free)
+		free := m.wbuf.Insert(now, macDone, m.bus, mem.SrcMACUpdate)
+		cpuFree = max(cpuFree, free)
 	}
 	return cpuFree
 }

@@ -64,7 +64,7 @@ func (p *OTPPre) ReadLine(now uint64, a Access) uint64 {
 		p.instrPad.set(key, 1)
 		pad := p.crypto.Issue(now)
 		arrival := p.bus.Read(now, mem.SrcLineFill)
-		return max64(arrival, pad) + 1
+		return max(arrival, pad) + 1
 	}
 	va := p.tagged(a.Line)
 	seq, hit := p.snc.Query(va)
@@ -78,7 +78,7 @@ func (p *OTPPre) ReadLine(now uint64, a Access) uint64 {
 		// No (or stale) prediction: generate the pad now, retain it.
 		p.padFor.set(va, seq)
 		pad := p.crypto.Issue(now)
-		return max64(arrival, pad) + 1
+		return max(arrival, pad) + 1
 	}
 	// SNC miss (LRU policy underneath): Algorithm 1's query-miss arm, with
 	// the final pad generation skipped when the fetched sequence number
@@ -89,11 +89,11 @@ func (p *OTPPre) ReadLine(now uint64, a Access) uint64 {
 	trueSeq := p.seqMem.get(va)
 	p.installFetched(now, va)
 	if want, ok := p.padFor.lookup(va); ok && want == trueSeq {
-		return max64(arrival, seqPlain) + 1
+		return max(arrival, seqPlain) + 1
 	}
 	p.padFor.set(va, trueSeq)
 	pad := p.crypto.Issue(seqPlain) // generate (and retain) the pad
-	return max64(arrival, pad) + 1
+	return max(arrival, pad) + 1
 }
 
 // WritebackLine implements Scheme: normal OTP writeback, then record that

@@ -117,19 +117,11 @@ func ParseSwitchPolicy(s string) (SwitchPolicy, error) {
 type Baseline struct {
 	bus  *mem.Bus
 	wbuf *mem.WriteBuffer
-
-	// drainWriteback is bound once at construction so the steady-state
-	// writeback path passes a preallocated closure to the write buffer.
-	drainWriteback func(uint64) uint64
 }
 
 // NewBaseline builds the insecure baseline over the given memory system.
 func NewBaseline(bus *mem.Bus, wbuf *mem.WriteBuffer) *Baseline {
-	b := &Baseline{bus: bus, wbuf: wbuf}
-	b.drainWriteback = func(start uint64) uint64 {
-		return b.bus.Write(start, mem.SrcWriteback)
-	}
-	return b
+	return &Baseline{bus: bus, wbuf: wbuf}
 }
 
 // Name implements Scheme.
@@ -146,7 +138,7 @@ func (b *Baseline) ReadLine(now uint64, a Access) uint64 {
 //
 //secsim:hotpath
 func (b *Baseline) WritebackLine(now uint64, a Access) uint64 {
-	return b.wbuf.Insert(now, now, b.drainWriteback)
+	return b.wbuf.Insert(now, now, b.bus, mem.SrcWriteback)
 }
 
 // ResetStats implements Scheme.
@@ -161,18 +153,12 @@ type XOM struct {
 	bus    *mem.Bus
 	wbuf   *mem.WriteBuffer
 	crypto *engine.Engine
-
-	drainWriteback func(uint64) uint64
 }
 
 // NewXOM builds the XOM baseline over the given memory system and crypto
 // unit.
 func NewXOM(bus *mem.Bus, wbuf *mem.WriteBuffer, crypto *engine.Engine) *XOM {
-	x := &XOM{bus: bus, wbuf: wbuf, crypto: crypto}
-	x.drainWriteback = func(start uint64) uint64 {
-		return x.bus.Write(start, mem.SrcWriteback)
-	}
-	return x
+	return &XOM{bus: bus, wbuf: wbuf, crypto: crypto}
 }
 
 // Name implements Scheme.
@@ -193,7 +179,7 @@ func (x *XOM) ReadLine(now uint64, a Access) uint64 {
 //secsim:hotpath
 func (x *XOM) WritebackLine(now uint64, a Access) uint64 {
 	ready := x.crypto.Issue(now)
-	return x.wbuf.Insert(now, ready, x.drainWriteback)
+	return x.wbuf.Insert(now, ready, x.bus, mem.SrcWriteback)
 }
 
 // ResetStats implements Scheme.
@@ -220,10 +206,6 @@ type OTP struct {
 	pid          int
 	pidBits      int
 
-	// Drain closures bound once at construction (see Baseline).
-	drainWriteback func(uint64) uint64
-	drainSpill     func(uint64) uint64
-
 	// seqMem is the architectural sequence-number table in (encrypted)
 	// memory used by the LRU policy for spilled entries. It is the
 	// functional mirror of what the timing model charges traffic for,
@@ -246,7 +228,7 @@ func (o *OTP) tagged(va uint64) uint64 {
 // NewOTP builds the one-time-pad scheme. The SNC's configured policy
 // selects LRU vs no-replacement behaviour.
 func NewOTP(bus *mem.Bus, wbuf *mem.WriteBuffer, crypto *engine.Engine, s *snc.SNC) *OTP {
-	o := &OTP{
+	return &OTP{
 		bus:     bus,
 		wbuf:    wbuf,
 		crypto:  crypto,
@@ -255,13 +237,6 @@ func NewOTP(bus *mem.Bus, wbuf *mem.WriteBuffer, crypto *engine.Engine, s *snc.S
 		pidBits: 16, // registry construction narrows this for switch=pid
 		seqMem:  newSeqTable(s.Config().LineBytes),
 	}
-	o.drainWriteback = func(start uint64) uint64 {
-		return o.bus.Write(start, mem.SrcWriteback)
-	}
-	o.drainSpill = func(start uint64) uint64 {
-		return o.bus.Write(start, mem.SrcSeqNumSpill)
-	}
-	return o
 }
 
 // Name implements Scheme, matching the paper's figure labels.
@@ -286,13 +261,13 @@ func (o *OTP) readLine(now uint64, a Access) (ready, arrival uint64) {
 		// written back), so the pad always starts with the read.
 		pad := o.crypto.Issue(now)
 		arrival = o.bus.Read(now, mem.SrcLineFill)
-		return max64(arrival, pad) + 1, arrival
+		return max(arrival, pad) + 1, arrival
 	}
 	va := o.tagged(a.Line)
 	if _, hit := o.snc.Query(va); hit {
 		pad := o.crypto.Issue(now)
 		arrival = o.bus.Read(now, mem.SrcLineFill)
-		return max64(arrival, pad) + 1, arrival
+		return max(arrival, pad) + 1, arrival
 	}
 	switch o.policy {
 	case snc.LRU:
@@ -304,7 +279,7 @@ func (o *OTP) readLine(now uint64, a Access) (ready, arrival uint64) {
 		seqPlain := o.crypto.Issue(seqArrival) // decrypt the seq number
 		pad := o.crypto.Issue(seqPlain)        // encrypt the seeds
 		o.installFetched(now, va)
-		return max64(arrival, pad) + 1, arrival
+		return max(arrival, pad) + 1, arrival
 	default: // NoReplacement
 		if seq, ok := o.seqMem.lookup(va); ok {
 			// The line was covered before a context-switch flush spilled
@@ -319,7 +294,7 @@ func (o *OTP) readLine(now uint64, a Access) (ready, arrival uint64) {
 			if o.snc.TryInstall(va, seq) {
 				o.seqMem.del(va)
 			}
-			return max64(arrival, pad) + 1, arrival
+			return max(arrival, pad) + 1, arrival
 		}
 		// Uncovered line: it was encrypted directly (XOM-style), so the
 		// read pays the serial decrypt.
@@ -345,7 +320,7 @@ func (o *OTP) spill(now uint64, victimVA uint64, victimSeq uint16) {
 	// use encryption on the sequence numbers directly, just as the XOM
 	// solution") and drains through the write buffer.
 	ready := o.crypto.Issue(now)
-	o.wbuf.Insert(now, ready, o.drainSpill)
+	o.wbuf.Insert(now, ready, o.bus, mem.SrcSeqNumSpill)
 }
 
 // WritebackLine implements Scheme.
@@ -358,19 +333,7 @@ func (o *OTP) WritebackLine(now uint64, a Access) uint64 {
 	}
 	va := o.tagged(a.Line)
 	if _, hit, wrapped := o.snc.Update(va); hit {
-		if wrapped {
-			// The 16-bit sequence space for this line is exhausted: using
-			// the wrapped number would reuse a one-time pad. The paper's
-			// remedy is to re-encrypt the covered line under fresh keying
-			// material, so this writeback pays a direct (serial) encryption
-			// instead of the pad XOR.
-			ready := o.crypto.Issue(now)
-			return o.wbuf.Insert(now, ready, o.drainWriteback)
-		}
-		// Pad generation and XOR happen while the line sits in the write
-		// buffer; one extra cycle for the XOR vs XOM (Section 4.2).
-		pad := o.crypto.Issue(now)
-		return o.wbuf.Insert(now, pad+1, o.drainWriteback)
+		return o.drainLine(now, now, wrapped)
 	}
 	switch o.policy {
 	case snc.LRU:
@@ -385,13 +348,10 @@ func (o *OTP) WritebackLine(now uint64, a Access) uint64 {
 		if wrapped {
 			// Same pad-space exhaustion as the hit path, caught on the
 			// in-memory copy: count it with the SNC-observed wraps so the
-			// stat covers every exhaustion, and charge the re-encryption.
+			// stat covers every exhaustion.
 			o.snc.SeqOverflows++
-			ready := o.crypto.Issue(seqPlain)
-			return o.wbuf.Insert(now, ready, o.drainWriteback)
 		}
-		pad := o.crypto.Issue(seqPlain)
-		return o.wbuf.Insert(now, pad+1, o.drainWriteback)
+		return o.drainLine(now, seqPlain, wrapped)
 	default: // NoReplacement
 		if prev, ok := o.seqMem.lookup(va); ok {
 			// Covered before a context-switch flush: the pad space for
@@ -409,22 +369,28 @@ func (o *OTP) WritebackLine(now uint64, a Access) uint64 {
 			}
 			if wrapped {
 				o.snc.SeqOverflows++
-				ready := o.crypto.Issue(seqPlain)
-				return o.wbuf.Insert(now, ready, o.drainWriteback)
 			}
-			pad := o.crypto.Issue(seqPlain)
-			return o.wbuf.Insert(now, pad+1, o.drainWriteback)
+			return o.drainLine(now, seqPlain, wrapped)
 		}
-		if o.snc.TryInstall(va, 1) {
-			// Vacancy: the line joins the one-time-pad world with a fresh
-			// sequence number.
-			pad := o.crypto.Issue(now)
-			return o.wbuf.Insert(now, pad+1, o.drainWriteback)
-		}
-		// Full: direct encryption, exactly like XOM.
-		ready := o.crypto.Issue(now)
-		return o.wbuf.Insert(now, ready, o.drainWriteback)
+		// Vacancy: the line joins the one-time-pad world with a fresh
+		// sequence number. Full: direct encryption, exactly like XOM.
+		return o.drainLine(now, now, !o.snc.TryInstall(va, 1))
 	}
+}
+
+// drainLine encrypts a dirty line from cycle start and queues it in the
+// write buffer at now. Pad generation and XOR happen while the line sits in
+// the buffer: one extra cycle for the XOR vs XOM (Section 4.2). A direct
+// line pays XOM's encryption instead: an uncovered line, or one whose
+// 16-bit sequence space is exhausted, where the wrapped number would reuse
+// a one-time pad and the paper's remedy is to re-encrypt the line under
+// fresh keying material.
+func (o *OTP) drainLine(now, start uint64, direct bool) uint64 {
+	ready := o.crypto.Issue(start)
+	if !direct {
+		ready++
+	}
+	return o.wbuf.Insert(now, ready, o.bus, mem.SrcWriteback)
 }
 
 // SwitchPolicy returns the configured Section 4.3 context-switch policy.
@@ -465,7 +431,7 @@ func (o *OTP) ContextSwitch(now uint64, next int) (done uint64) {
 			lineVA, seq := pair[0], uint16(pair[1])
 			o.seqMem.set(lineVA, seq)
 			ready := o.crypto.Issue(now)
-			d := o.wbuf.Insert(now, ready, o.drainSpill)
+			d := o.wbuf.Insert(now, ready, o.bus, mem.SrcSeqNumSpill)
 			if d > done {
 				done = d
 			}
@@ -486,11 +452,4 @@ func (o *OTP) Restore(src Scheme) {
 	o.snc.Restore(c.snc)
 	o.seqMem.restore(c.seqMem)
 	o.pid = c.pid
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

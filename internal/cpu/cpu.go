@@ -198,16 +198,19 @@ func (c *CPU) LoadHitL2(depends bool) {
 	c.lastLoadDone = c.clock + c.cfg.L2HitLatency
 }
 
-// LoadMiss models an L2 load miss. fill is called with the issue cycle and
-// returns the cycle the line is usable (the scheme's ReadLine). depends
-// marks the load as consuming the previous load's result.
-func (c *CPU) LoadMiss(depends bool, fill func(issue uint64) (ready uint64)) {
+// IssueMiss charges an L2 miss its retire slot, then the wait for the
+// previous load when depends marks the miss as consuming that load's result,
+// then the wait for the oldest in-flight miss when every MSHR is busy. It
+// returns the cycle the miss issues to memory. The caller asks the scheme
+// when the line is ready and hands that cycle to HoldMSHR; an instruction
+// fetch miss, which holds no MSHR and stalls the frontend instead, is
+// Compute(1) then WaitUntil(ready).
+func (c *CPU) IssueMiss(depends bool) (issue uint64) {
 	c.retireWindow(1)
 	if depends && c.lastLoadDone > c.clock {
 		c.DepStallCycles += c.lastLoadDone - c.clock
 		c.stallTo(c.lastLoadDone)
 	}
-	// MSHR pressure: wait for the oldest miss if all entries are busy.
 	if c.missN >= c.cfg.MSHRs {
 		oldest := c.missAt(0)
 		if oldest.complete > c.clock {
@@ -216,41 +219,24 @@ func (c *CPU) LoadMiss(depends bool, fill func(issue uint64) (ready uint64)) {
 		}
 		c.popMiss()
 	}
-	ready := fill(c.clock)
-	c.pushMiss(inflight{complete: ready, seq: c.retired})
-	c.lastLoadDone = ready
+	return c.clock
 }
 
-// StoreMiss models a store that misses the L2: the line fill happens in the
-// background (write-allocate) and occupies an MSHR, but the store itself
-// retires through the store buffer without exposing latency.
-func (c *CPU) StoreMiss(fill func(issue uint64) (ready uint64)) {
-	c.retireWindow(1)
-	if c.missN >= c.cfg.MSHRs {
-		oldest := c.missAt(0)
-		if oldest.complete > c.clock {
-			c.MSHRStallCycles += oldest.complete - c.clock
-			c.stallTo(oldest.complete)
-		}
-		c.popMiss()
-	}
-	ready := fill(c.clock)
+// HoldMSHR occupies an MSHR with the miss IssueMiss just issued until ready,
+// the cycle its line is usable. A load miss (load) also makes ready the
+// cycle a dependent load waits for; a store miss fills in the background
+// (write-allocate) and retires through the store buffer without exposing
+// its latency.
+func (c *CPU) HoldMSHR(ready uint64, load bool) {
 	c.pushMiss(inflight{complete: ready, seq: c.retired})
+	if load {
+		c.lastLoadDone = ready
+	}
 }
 
 // StoreHit models a store that hits on chip: retires through the store
 // buffer.
 func (c *CPU) StoreHit() { c.retireWindow(1) }
-
-// IFetchMiss models an instruction fetch that misses to memory: the
-// frontend drains, so the fill latency is fully exposed.
-func (c *CPU) IFetchMiss(fill func(issue uint64) (ready uint64)) {
-	c.retireWindow(1)
-	ready := fill(c.clock)
-	if ready > c.clock {
-		c.stallTo(ready)
-	}
-}
 
 // WaitUntil advances the clock to at least t (write-buffer-full stalls).
 func (c *CPU) WaitUntil(t uint64) {

@@ -5,8 +5,23 @@ import (
 	"testing/quick"
 )
 
-func fixed(latency uint64) func(uint64) uint64 {
-	return func(issue uint64) uint64 { return issue + latency }
+// loadMiss issues an L2 load miss whose line is usable latency cycles after
+// it issues.
+func loadMiss(c *CPU, depends bool, latency uint64) {
+	c.HoldMSHR(c.IssueMiss(depends)+latency, true)
+}
+
+// storeMiss issues an L2 store miss whose write-allocate fill returns
+// latency cycles after it issues.
+func storeMiss(c *CPU, latency uint64) {
+	c.HoldMSHR(c.IssueMiss(false)+latency, false)
+}
+
+// ifetchMiss issues an instruction fetch miss whose line is usable latency
+// cycles after it issues.
+func ifetchMiss(c *CPU, latency uint64) {
+	c.Compute(1)
+	c.WaitUntil(c.Cycles() + latency)
 }
 
 func TestDefaultConfig(t *testing.T) {
@@ -57,7 +72,7 @@ func TestIsolatedMissStallsAtROBEdge(t *testing.T) {
 	// can run ROB instructions ahead, then must wait for the fill.
 	cfg := Config{ROB: 128, MSHRs: 8, L2HitLatency: 12}
 	c := New(cfg)
-	c.LoadMiss(false, fixed(100)) // issues at ~0, done at ~100
+	loadMiss(c, false, 100) // issues at ~0, done at ~100
 	c.Compute(1000)
 	// Timeline: miss at cycle 0 (1 instr), run 128 instrs (32 cycles),
 	// stall until 100, then the remaining 872 instrs (218 cycles).
@@ -75,8 +90,8 @@ func TestIsolatedMissStallsAtROBEdge(t *testing.T) {
 func TestIndependentMissesOverlap(t *testing.T) {
 	// Two independent misses issued back to back overlap almost fully.
 	c := New(DefaultConfig())
-	c.LoadMiss(false, fixed(100))
-	c.LoadMiss(false, fixed(100))
+	loadMiss(c, false, 100)
+	loadMiss(c, false, 100)
 	c.Drain()
 	if c.Cycles() > 105 {
 		t.Errorf("independent misses did not overlap: %d cycles", c.Cycles())
@@ -86,9 +101,9 @@ func TestIndependentMissesOverlap(t *testing.T) {
 func TestDependentMissesSerialize(t *testing.T) {
 	// Pointer chasing: each miss waits for the previous fill.
 	c := New(DefaultConfig())
-	c.LoadMiss(false, fixed(100))
-	c.LoadMiss(true, fixed(100))
-	c.LoadMiss(true, fixed(100))
+	loadMiss(c, false, 100)
+	loadMiss(c, true, 100)
+	loadMiss(c, true, 100)
 	c.Drain()
 	if c.Cycles() < 300 {
 		t.Errorf("dependent misses overlapped: %d cycles, want >= 300", c.Cycles())
@@ -104,7 +119,7 @@ func TestMSHRLimitsOverlap(t *testing.T) {
 	cfg := Config{ROB: 10000, MSHRs: 2, L2HitLatency: 12}
 	c := New(cfg)
 	for i := 0; i < 4; i++ {
-		c.LoadMiss(false, fixed(100))
+		loadMiss(c, false, 100)
 	}
 	c.Drain()
 	if c.Cycles() < 200 {
@@ -135,7 +150,7 @@ func TestLoadHitL1NoExposure(t *testing.T) {
 
 func TestIFetchMissFullyExposed(t *testing.T) {
 	c := New(DefaultConfig())
-	c.IFetchMiss(fixed(100))
+	ifetchMiss(c, 100)
 	if c.Cycles() < 100 {
 		t.Errorf("ifetch miss must expose full latency: %d", c.Cycles())
 	}
@@ -143,16 +158,20 @@ func TestIFetchMissFullyExposed(t *testing.T) {
 
 func TestStoreMissDoesNotStall(t *testing.T) {
 	c := New(DefaultConfig())
-	c.StoreMiss(fixed(100))
+	storeMiss(c, 100)
 	if c.Cycles() > 1 {
 		t.Errorf("store miss stalled the core: %d cycles", c.Cycles())
 	}
 	if c.missN != 1 {
 		t.Error("store fill must occupy an MSHR")
 	}
+	c.LoadHitL1(true) // a store's fill is no load result to wait for
+	if c.Cycles() > 1 {
+		t.Errorf("dependent load waited for a store miss: %d cycles", c.Cycles())
+	}
 	c.StoreHit()
-	if c.Retired() != 2 {
-		t.Errorf("retired = %d, want 2", c.Retired())
+	if c.Retired() != 3 {
+		t.Errorf("retired = %d, want 3", c.Retired())
 	}
 }
 
@@ -170,7 +189,7 @@ func TestWaitUntil(t *testing.T) {
 
 func TestDrainWaitsForAll(t *testing.T) {
 	c := New(DefaultConfig())
-	c.LoadMiss(false, fixed(1000))
+	loadMiss(c, false, 1000)
 	c.Drain()
 	if c.Cycles() < 1000 {
 		t.Errorf("Drain did not wait: %d", c.Cycles())
@@ -188,7 +207,7 @@ func TestXOMSlowdownMechanism(t *testing.T) {
 		c := New(DefaultConfig())
 		for i := 0; i < 100; i++ {
 			c.Compute(50)
-			c.LoadMiss(true, fixed(latency))
+			loadMiss(c, true, latency)
 		}
 		c.Drain()
 		return c.Cycles()
@@ -224,9 +243,9 @@ func TestClockMonotonic(t *testing.T) {
 			case 2:
 				c.LoadHitL2(op%2 == 0)
 			case 3:
-				c.LoadMiss(op%2 == 0, fixed(uint64(op)))
+				loadMiss(c, op%2 == 0, uint64(op))
 			case 4:
-				c.StoreMiss(fixed(uint64(op)))
+				storeMiss(c, uint64(op))
 			case 5:
 				c.StoreHit()
 			}
@@ -250,10 +269,10 @@ func TestRetiredCountsEverything(t *testing.T) {
 	c.Compute(10)
 	c.LoadHitL1(false)
 	c.LoadHitL2(false)
-	c.LoadMiss(false, fixed(1))
+	loadMiss(c, false, 1)
 	c.StoreHit()
-	c.StoreMiss(fixed(1))
-	c.IFetchMiss(fixed(1))
+	storeMiss(c, 1)
+	ifetchMiss(c, 1)
 	if got := c.Retired(); got != 16 {
 		t.Errorf("retired = %d, want 16", got)
 	}

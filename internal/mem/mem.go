@@ -168,11 +168,13 @@ func NewWriteBuffer(depth int) *WriteBuffer {
 	return &WriteBuffer{depth: depth, pending: make([]uint64, 0, depth)}
 }
 
-// Insert queues a writeback at time `now` whose data becomes eligible to
-// drain at `ready` (e.g. after encryption finishes). It returns the time the
-// CPU may proceed: `now` unless the buffer was full, in which case the CPU
-// waits for the oldest entry to drain.
-func (w *WriteBuffer) Insert(now, ready uint64, drain func(uint64) uint64) (cpuFree uint64) {
+// Insert queues a write at time `now` whose data becomes eligible to drain
+// at `ready` (e.g. after encryption finishes); it drains to bus as a src
+// transaction. It returns the time the CPU may proceed: `now` unless the
+// buffer was full, in which case the CPU waits for the oldest entry to
+// drain. The bus is an argument rather than a field, so Restore has no
+// bus pointer to put back.
+func (w *WriteBuffer) Insert(now, ready uint64, bus *Bus, src TrafficSource) (cpuFree uint64) {
 	// Retire entries that have drained by now. Compact in place rather than
 	// re-slicing so the backing array keeps its depth-sized capacity and
 	// the sorted insert below never allocates.
@@ -190,7 +192,7 @@ func (w *WriteBuffer) Insert(now, ready uint64, drain func(uint64) uint64) (cpuF
 		n := copy(w.pending, w.pending[1:])
 		w.pending = w.pending[:n]
 	}
-	done := drain(maxU64(cpuFree, ready))
+	done := bus.Write(max(cpuFree, ready), src)
 	// Insert keeping sorted order (drains can complete out of order when
 	// ready times differ).
 	pos := sort.Search(len(w.pending), func(j int) bool { return w.pending[j] > done }) //secsim:allowalloc non-escaping search closure; inlined by the compiler
@@ -207,13 +209,6 @@ func (w *WriteBuffer) Restore(src *WriteBuffer) {
 	p := w.pending
 	*w = *src
 	w.pending = append(p[:0], src.pending...)
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // pageBits sets the functional memory's page size: 4KB.

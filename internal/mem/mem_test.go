@@ -109,7 +109,7 @@ func TestTrafficSourceString(t *testing.T) {
 func TestWriteBufferNoStallWhenEmpty(t *testing.T) {
 	b := NewBus(DefaultDRAMConfig())
 	w := NewWriteBuffer(4)
-	free := w.Insert(10, 10, func(start uint64) uint64 { return b.Write(start, SrcWriteback) })
+	free := w.Insert(10, 10, b, SrcWriteback)
 	if free != 10 {
 		t.Errorf("cpuFree = %d, want 10 (no stall)", free)
 	}
@@ -121,22 +121,25 @@ func TestWriteBufferNoStallWhenEmpty(t *testing.T) {
 func TestWriteBufferFullStalls(t *testing.T) {
 	// Drains take 1000 cycles each; depth 2. The third insert at t=0 must
 	// wait for the first drain.
+	b := NewBus(DRAMConfig{AccessLatency: 100, BusCyclesPerLine: 1000})
 	w := NewWriteBuffer(2)
-	slow := func(start uint64) uint64 { return start + 1000 }
-	w.Insert(0, 0, slow) // drains at 1000
-	w.Insert(0, 0, slow) // drains at 2000 (sequenced by caller's bus; here both 1000)
-	free := w.Insert(0, 0, slow)
+	w.Insert(0, 0, b, SrcWriteback) // drains at 1000
+	w.Insert(0, 0, b, SrcWriteback) // drains at 2000: writes serialize on the bus
+	free := w.Insert(0, 0, b, SrcSeqNumSpill)
 	if free != 1000 {
 		t.Errorf("cpuFree = %d, want 1000", free)
+	}
+	if b.Transactions[SrcWriteback] != 2 || b.Transactions[SrcSeqNumSpill] != 1 {
+		t.Errorf("transactions = %v, want 2 writebacks and 1 spill", b.Transactions)
 	}
 }
 
 func TestWriteBufferRetiresDrained(t *testing.T) {
+	b := NewBus(DRAMConfig{AccessLatency: 100, BusCyclesPerLine: 5})
 	w := NewWriteBuffer(1)
-	fast := func(start uint64) uint64 { return start + 5 }
-	w.Insert(0, 0, fast) // drains at 5
+	w.Insert(0, 0, b, SrcWriteback) // drains at 5
 	// At t=100 the previous entry has drained; no stall.
-	if free := w.Insert(100, 100, fast); free != 100 {
+	if free := w.Insert(100, 100, b, SrcWriteback); free != 100 {
 		t.Errorf("cpuFree = %d, want 100", free)
 	}
 }

@@ -8,10 +8,12 @@
 //
 //   - developers, via `go test ./internal/perf -run TestPerfSnapshot
 //     -perf.out=BENCH.json`, to record where the simulator's speed stands;
-//   - CI, which collects one snapshot on the merge-base and one on the PR
-//     head and fails the build when ns/op regresses beyond a threshold or
-//     allocs/op grows at all (Compare, run by `go test ./internal/perf
-//     -run TestPerfCompare -perf.base base.json -perf.cur pr.json`).
+//   - CI, which collects three snapshots each on the merge-base and the PR
+//     head, alternating between them, and fails the build when the head's
+//     best ns/op regresses beyond a threshold or its fewest allocs/op grow
+//     at all against the merge-base's (Compare, run by `go test
+//     ./internal/perf -run TestPerfCompare -perf.base b1.json,b2.json,b3.json
+//     -perf.cur p1.json,p2.json,p3.json`).
 //
 // Workloads, scales and iteration counts are fixed constants so that two
 // snapshots of the same code differ only by machine noise; ns/op and

@@ -3,6 +3,7 @@ package perf
 import (
 	"flag"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -13,12 +14,13 @@ import (
 var perfOut = flag.String("perf.out", "", "write the perf snapshot to this file")
 
 // perfBase and perfCur, when both set, make TestPerfCompare gate the
-// second snapshot against the first:
+// second side against the first. Each is one snapshot file or a
+// comma-separated list of them, merged by Best:
 //
-//	go test ./internal/perf -run TestPerfCompare -perf.base base.json -perf.cur pr.json
+//	go test ./internal/perf -run TestPerfCompare -perf.base b1.json,b2.json -perf.cur p1.json,p2.json
 var (
-	perfBase = flag.String("perf.base", "", "baseline snapshot for TestPerfCompare")
-	perfCur  = flag.String("perf.cur", "", "snapshot TestPerfCompare gates against -perf.base")
+	perfBase = flag.String("perf.base", "", "baseline snapshot file(s), comma-separated, for TestPerfCompare")
+	perfCur  = flag.String("perf.cur", "", "snapshot file(s), comma-separated, TestPerfCompare gates against -perf.base")
 )
 
 // nsTolerance is the ns/op growth TestPerfCompare allows (±10%);
@@ -57,25 +59,75 @@ func TestPerfSnapshot(t *testing.T) {
 	}
 }
 
-// TestPerfCompare is CI's perf gate: it fails on every benchmark of
-// -perf.cur whose ns/op grew beyond nsTolerance or whose allocs/op grew at
-// all against -perf.base. Without both flags it is skipped.
+// TestPerfCompare is CI's perf gate: it fails on every benchmark whose
+// best ns/op over the -perf.cur snapshots grew beyond nsTolerance, or whose
+// fewest allocs/op grew at all, against the best of the -perf.base
+// snapshots. Without both flags it is skipped.
 func TestPerfCompare(t *testing.T) {
 	if *perfBase == "" || *perfCur == "" {
 		t.Skip("needs -perf.base and -perf.cur")
 	}
-	base, err := Load(*perfBase)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, err := Load(*perfCur)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base, cur := loadBest(t, *perfBase), loadBest(t, *perfCur)
 	for _, r := range Compare(base, cur, nsTolerance) {
 		t.Error("regression:", r)
 	}
 	t.Logf("%d benchmarks compared, ns/op tolerance %.0f%%, allocs/op zero tolerance", len(cur), nsTolerance*100)
+}
+
+// Best merges snapshots of one revision, taken in turn with another
+// revision's on one host: per benchmark it keeps the fastest ns/op, with
+// that run's sims/sec and instrs/sec, and the fewest allocs/op. The
+// fastest of several interleaved runs is the one least disturbed by the
+// host, so two revisions' bests differ by their code rather than by the
+// drift between two single snapshots.
+func Best(snaps ...Snapshot) Snapshot {
+	out := make(Snapshot)
+	for _, s := range snaps {
+		for name, m := range s {
+			b, ok := out[name]
+			if !ok {
+				out[name] = m
+				continue
+			}
+			allocs := min(b.AllocsPerOp, m.AllocsPerOp)
+			if m.NsPerOp < b.NsPerOp {
+				b = m
+			}
+			b.AllocsPerOp = allocs
+			out[name] = b
+		}
+	}
+	return out
+}
+
+// loadBest loads a comma-separated list of snapshot files and merges them
+// with Best.
+func loadBest(t *testing.T, list string) Snapshot {
+	t.Helper()
+	var snaps []Snapshot
+	for _, path := range strings.Split(list, ",") {
+		s, err := Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, s)
+	}
+	return Best(snaps...)
+}
+
+// TestBestKeepsFastestAndFewest: Best takes each benchmark's fastest ns/op
+// with that run's rates, and its fewest allocs/op, which may come from
+// another run; a benchmark only some snapshots carry is kept.
+func TestBestKeepsFastestAndFewest(t *testing.T) {
+	got := Best(
+		Snapshot{"a": {NsPerOp: 120, AllocsPerOp: 5, SimsPerSec: 1}, "b": {NsPerOp: 7, AllocsPerOp: 1}},
+		Snapshot{"a": {NsPerOp: 100, AllocsPerOp: 6, SimsPerSec: 2}},
+		Snapshot{"a": {NsPerOp: 110, AllocsPerOp: 4, SimsPerSec: 3}},
+	)
+	want := Snapshot{"a": {NsPerOp: 100, AllocsPerOp: 4, SimsPerSec: 2}, "b": {NsPerOp: 7, AllocsPerOp: 1}}
+	if len(got) != len(want) || got["a"] != want["a"] || got["b"] != want["b"] {
+		t.Errorf("Best = %+v, want %+v", got, want)
+	}
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {

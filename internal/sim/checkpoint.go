@@ -67,10 +67,9 @@ func (s *System) Restore(cp *Checkpoint) error {
 }
 
 // copyFrom copies the architectural state of src, a system of the same
-// configuration, into s, component by component. Scratch state (the fill
-// callback's access, the lookup's line addresses, context-switch buffers)
-// and the measurement snapshot, which BeginMeasurement retakes, are not
-// copied.
+// configuration, into s, component by component. Scratch state (the
+// lookup's line addresses, context-switch buffers) and the measurement
+// snapshot, which BeginMeasurement retakes, are not copied.
 func (s *System) copyFrom(src *System) {
 	s.scheme.Restore(src.scheme)
 	s.cpu.Restore(src.cpu)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"secureproc/internal/workload"
@@ -119,11 +120,11 @@ func TestSameStateSeesOneStep(t *testing.T) {
 	sys := newCheckpointSystem(t, SchemeOTPLRU)
 	sys.RunWarmup(workload.Replay(recs[:warm]))
 	before := checkpointOf(t, sys)
-	if !sameState(before, checkpointOf(t, sys)) {
+	if !reflect.DeepEqual(before, checkpointOf(t, sys)) {
 		t.Fatal("two checkpoints of one state compare unequal")
 	}
 	sys.Step(recs[warm])
-	if sameState(before, checkpointOf(t, sys)) {
+	if reflect.DeepEqual(before, checkpointOf(t, sys)) {
 		t.Error("checkpoints one record apart compare equal")
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -103,7 +104,7 @@ func TestReplayPropertyAcrossSchemes(t *testing.T) {
 			t.Logf("%s -> %s: replay %+v, direct %+v", from.Name, to.Name, got, want)
 			return false
 		}
-		return sameState(checkpointOf(t, replay), checkpointOf(t, direct))
+		return reflect.DeepEqual(checkpointOf(t, replay), checkpointOf(t, direct))
 	}
 	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}
 	if err := quick.Check(prop, cfg); err != nil {
@@ -169,7 +170,7 @@ func TestReplayRefusals(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want a refusal mentioning %q", c.name, err, c.want)
 		}
-		if !sameState(checkpointOf(t, c.sys), before) {
+		if !reflect.DeepEqual(checkpointOf(t, c.sys), before) {
 			t.Errorf("%s: refused replay changed the system", c.name)
 		}
 	}
@@ -275,7 +276,7 @@ func TestWarmupReplayRefusals(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want a refusal mentioning %q", c.name, err, c.want)
 		}
-		if !sameState(checkpointOf(t, c.sys), before) {
+		if !reflect.DeepEqual(checkpointOf(t, c.sys), before) {
 			t.Errorf("%s: refused replay changed the system", c.name)
 		}
 	}

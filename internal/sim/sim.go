@@ -183,7 +183,9 @@ func (r Result) SNCTraffic() uint64 { return r.SeqNumFetches + r.SeqNumSpills }
 // updates), the Figure I1 traffic numerator.
 func (r Result) MACTraffic() uint64 { return r.MACFetches + r.MACUpdates }
 
-// System is an assembled machine ready to consume a trace.
+// System is an assembled machine ready to consume a trace. It is plain
+// data: no component holds a callback, so two systems (and two
+// checkpoints) compare with reflect.DeepEqual.
 type System struct {
 	cfg    Config
 	cpu    *cpu.CPU
@@ -203,14 +205,6 @@ type System struct {
 	schemeSNC *snc.SNC
 	integrity integrityCounter
 	policy    switchPolicier
-
-	// fillAccess and fillFn implement the scheme-read callback the CPU
-	// model takes on every miss. The closure is bound once at construction
-	// and reads its access from fillAccess, so the per-miss path allocates
-	// nothing; this is safe because the CPU invokes the callback
-	// synchronously, before the next access is staged.
-	fillAccess core.Access
-	fillFn     func(uint64) uint64
 
 	// la holds the line addresses the last lookup produced, at most
 	// three: see lookup.
@@ -261,9 +255,6 @@ func New(cfg Config) (*System, error) {
 	}
 	s.integrity, _ = scheme.(integrityCounter)
 	s.policy, _ = scheme.(switchPolicier)
-	s.fillFn = func(issue uint64) uint64 {
-		return s.scheme.ReadLine(issue, s.fillAccess)
-	}
 	s.switchSeen = make(map[uint64]struct{})
 	return s, nil
 }
@@ -364,7 +355,10 @@ func (s *System) lookupL2(addr uint64, write bool, n int) uint8 {
 
 // apply makes the core and scheme calls for rec given its outcome bits o,
 // taking victim and fill line addresses from la in lookup's order. It
-// returns how many words of la it consumed, and touches no cache.
+// returns how many words of la it consumed, and touches no cache. An L2
+// miss is three calls, written out at each site: the core issues it, the
+// scheme says when the line is ready, and the core holds an MSHR until
+// then.
 func (s *System) apply(rec workload.Record, o uint8, la []uint64) int {
 	if rec.Gap > 0 {
 		s.cpu.Compute(uint64(rec.Gap))
@@ -378,8 +372,10 @@ func (s *System) apply(rec workload.Record, o uint8, la []uint64) int {
 			s.cpu.LoadHitL2(false) // exposed only to the frontend restart
 			return 0
 		}
+		// The frontend drains, so the fill latency is fully exposed.
 		n := s.writeback(o, la)
-		s.cpu.IFetchMiss(s.l2FillFor(core.Access{Line: s.l2.LineAddr(rec.Addr), Instr: true}))
+		s.cpu.Compute(1)
+		s.cpu.WaitUntil(s.scheme.ReadLine(s.cpu.Cycles(), core.Access{Line: s.l2.LineAddr(rec.Addr), Instr: true}))
 		return n
 	}
 	write := rec.Kind == workload.Store
@@ -398,7 +394,8 @@ func (s *System) apply(rec workload.Record, o uint8, la []uint64) int {
 			s.writebackLine(la[0])
 			n = 1
 		}
-		s.cpu.StoreMiss(s.l2FillFor(core.Access{Line: la[n]}))
+		issue := s.cpu.IssueMiss(false)
+		s.cpu.HoldMSHR(s.scheme.ReadLine(issue, core.Access{Line: la[n]}), false)
 		n++
 	}
 	if o&oL2Hit != 0 {
@@ -410,12 +407,8 @@ func (s *System) apply(rec workload.Record, o uint8, la []uint64) int {
 		return n
 	}
 	n += s.writeback(o, la[n:])
-	a := core.Access{Line: s.l2.LineAddr(rec.Addr)}
-	if write {
-		s.cpu.StoreMiss(s.l2FillFor(a))
-	} else {
-		s.cpu.LoadMiss(rec.Depends, s.l2FillFor(a))
-	}
+	issue := s.cpu.IssueMiss(rec.Depends && !write)
+	s.cpu.HoldMSHR(s.scheme.ReadLine(issue, core.Access{Line: s.l2.LineAddr(rec.Addr)}), !write)
 	return n
 }
 
@@ -434,13 +427,6 @@ func (s *System) writeback(o uint8, la []uint64) int {
 func (s *System) writebackLine(line uint64) {
 	cpuFree := s.scheme.WritebackLine(s.cpu.Cycles(), core.Access{Line: line})
 	s.cpu.WaitUntil(cpuFree)
-}
-
-// l2FillFor stages a and returns the prebound fill callback for a missing
-// L2 line: it asks the scheme when the line is ready.
-func (s *System) l2FillFor(a core.Access) func(uint64) uint64 {
-	s.fillAccess = a
-	return s.fillFn
 }
 
 // Step feeds one trace record through the machine: apply(lookup(rec)), the

@@ -261,83 +261,6 @@ func checkpointOf(t *testing.T, sys *System) *Checkpoint {
 	return cp
 }
 
-// sameState reports whether two checkpoints hold the same architectural
-// state. It is reflect.DeepEqual except that func values compare equal: a
-// System holds closures bound to itself (the fill callback, the schemes'
-// drain callbacks), and DeepEqual never equates two non-nil funcs.
-func sameState(a, b *Checkpoint) bool {
-	return equalSkippingFuncs(reflect.ValueOf(a), reflect.ValueOf(b), map[visit]bool{})
-}
-
-// visit is a pair of pointers of one type already being compared, as in
-// reflect.DeepEqual: the components of a System point at each other.
-type visit struct {
-	a, b uintptr
-	typ  reflect.Type
-}
-
-func equalSkippingFuncs(a, b reflect.Value, seen map[visit]bool) bool {
-	if a.Type() != b.Type() {
-		return false
-	}
-	switch a.Kind() {
-	case reflect.Func:
-		return true
-	case reflect.Pointer, reflect.Interface:
-		if a.IsNil() || b.IsNil() {
-			return a.IsNil() == b.IsNil()
-		}
-		if a.Kind() == reflect.Pointer {
-			v := visit{a.Pointer(), b.Pointer(), a.Type()}
-			if seen[v] {
-				return true
-			}
-			seen[v] = true
-		}
-		return equalSkippingFuncs(a.Elem(), b.Elem(), seen)
-	case reflect.Struct:
-		for i := range a.NumField() {
-			if !equalSkippingFuncs(a.Field(i), b.Field(i), seen) {
-				return false
-			}
-		}
-		return true
-	case reflect.Slice, reflect.Array:
-		if a.Kind() == reflect.Slice && a.IsNil() != b.IsNil() || a.Len() != b.Len() {
-			return false
-		}
-		for i := range a.Len() {
-			if !equalSkippingFuncs(a.Index(i), b.Index(i), seen) {
-				return false
-			}
-		}
-		return true
-	case reflect.Map:
-		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
-			return false
-		}
-		for it := a.MapRange(); it.Next(); {
-			bv := b.MapIndex(it.Key())
-			if !bv.IsValid() || !equalSkippingFuncs(it.Value(), bv, seen) {
-				return false
-			}
-		}
-		return true
-	case reflect.Bool:
-		return a.Bool() == b.Bool()
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return a.Int() == b.Int()
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		return a.Uint() == b.Uint()
-	case reflect.Float32, reflect.Float64:
-		return a.Float() == b.Float()
-	case reflect.String:
-		return a.String() == b.String()
-	default:
-		panic("sameState: unhandled kind " + a.Kind().String())
-	}
-}
-
 // TestResultInvariants checks conservation invariants over every registered
 // scheme × every benchmark × both figure L2 geometries, for a
 // straight-through run, a run forked from a post-warmup checkpoint into a
@@ -473,7 +396,7 @@ func checkRunInvariants(t *testing.T, name string, d core.Descriptor, l2KB, l2Wa
 		t.Errorf("%s: replayed run diverged from straight-through:\n got %+v\nwant %+v", name, got, want)
 	}
 	checkLedgerRows(t, name+"/replayed", d.Name, got)
-	if !sameState(checkpointOf(t, replay), checkpointOf(t, fork)) {
+	if !reflect.DeepEqual(checkpointOf(t, replay), checkpointOf(t, fork)) {
 		t.Errorf("%s: state after replay differs from state after the direct run", name)
 	}
 
@@ -481,7 +404,7 @@ func checkRunInvariants(t *testing.T, name string, d core.Descriptor, l2KB, l2Wa
 	if err := cold.RunWarmupReplay(recs[:warm], warmOuts); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	if !sameState(checkpointOf(t, cold), cp) {
+	if !reflect.DeepEqual(checkpointOf(t, cold), cp) {
 		t.Errorf("%s: state after warmup replay differs from state after the direct warmup", name)
 	}
 	got, err = cold.RunMeasuredReplay(recs[warm:], outs)
