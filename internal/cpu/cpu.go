@@ -15,13 +15,26 @@
 // This is an interval model, not a pipeline simulator: precise enough to
 // reproduce which workloads expose how much of the crypto latency, and fast
 // enough to sweep the paper's full parameter space.
+//
+// Every method that retires instructions takes their count n: the memory
+// operation is the last of them, and the n-1 before it are non-memory work.
+// Retiring a then b instructions leaves the core exactly as retiring a+b
+// does, because leftover issue slots carry over and the ROB edge stops both
+// at the same instruction, so a caller makes one call per trace record for
+// its gap and its memory operation together. The ROB edge (the oldest
+// in-flight miss's sequence number plus ROB, or MaxUint64 with no miss in
+// flight) is kept in a field, so a retire inside the window reads no
+// in-flight miss.
 package cpu
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // IssueWidth is instructions retired per cycle when nothing stalls (the
-// paper's 4-issue). A power of two, so issue accounting is a shift and a
-// mask.
+// paper's 4-issue). A power of two, so the clock is a shift of the issue
+// slot count.
 const IssueWidth = 4
 
 // Config describes the core.
@@ -58,8 +71,12 @@ type inflight struct {
 
 // CPU is the core timing state.
 type CPU struct {
-	cfg   Config
-	clock uint64
+	cfg Config
+	// issued counts issue slots since cycle 0: the clock is
+	// issued/IssueWidth, and issued%IssueWidth slots of the current cycle
+	// are used, so single-instruction events aggregate at IssueWidth per
+	// cycle.
+	issued uint64
 	// retired counts instructions retired so far (the program order
 	// position of the next instruction).
 	retired uint64
@@ -68,12 +85,13 @@ type CPU struct {
 	misses   []inflight
 	missHead int
 	missN    int
+	// edge is the retired count at which retirement must wait for the
+	// oldest in-flight miss: its seq plus ROB, or MaxUint64 with none in
+	// flight. pushMiss, popMiss, Drain and Restore keep it.
+	edge uint64
 	// lastLoadDone is the completion time of the most recent load, for
 	// dependent chains.
 	lastLoadDone uint64
-	// slot is the number of issue slots already consumed in the current
-	// cycle, so single-instruction events aggregate at IssueWidth/cycle.
-	slot uint64
 
 	// Stats.
 	ROBStallCycles  uint64
@@ -86,7 +104,7 @@ func New(cfg Config) *CPU {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &CPU{cfg: cfg, misses: make([]inflight, cfg.MSHRs)}
+	return &CPU{cfg: cfg, misses: make([]inflight, cfg.MSHRs), edge: math.MaxUint64}
 }
 
 // missAt returns the in-flight miss at ring position i (0 = oldest).
@@ -98,16 +116,22 @@ func (c *CPU) missAt(i int) inflight {
 	return c.misses[j]
 }
 
-// popMiss drops the oldest in-flight miss.
+// popMiss drops the oldest in-flight miss and moves the ROB edge to the
+// next one.
 func (c *CPU) popMiss() {
 	c.missHead++
 	if c.missHead == len(c.misses) {
 		c.missHead = 0
 	}
 	c.missN--
+	c.edge = math.MaxUint64
+	if c.missN > 0 {
+		c.edge = c.missAt(0).seq + uint64(c.cfg.ROB)
+	}
 }
 
-// pushMiss records a new in-flight miss (the caller has ensured a free MSHR).
+// pushMiss records a new in-flight miss (the caller has ensured a free
+// MSHR); the first one in flight sets the ROB edge.
 func (c *CPU) pushMiss(m inflight) {
 	j := c.missHead + c.missN
 	if j >= len(c.misses) {
@@ -115,111 +139,101 @@ func (c *CPU) pushMiss(m inflight) {
 	}
 	c.misses[j] = m
 	c.missN++
+	if c.missN == 1 {
+		c.edge = m.seq + uint64(c.cfg.ROB)
+	}
 }
 
 // Config returns the core configuration.
 func (c *CPU) Config() Config { return c.cfg }
 
 // Cycles returns the current clock.
-func (c *CPU) Cycles() uint64 { return c.clock }
+func (c *CPU) Cycles() uint64 { return c.issued / IssueWidth }
 
 // Retired returns the number of instructions retired.
 func (c *CPU) Retired() uint64 { return c.retired }
 
-// advanceIssue retires n instructions at IssueWidth per cycle, carrying
-// leftover issue slots between calls.
-func (c *CPU) advanceIssue(n uint64) {
-	total := c.slot + n
-	c.clock += total / IssueWidth
-	c.slot = total % IssueWidth
-}
-
 // stallTo jumps the clock to t (a pipeline stall), discarding partial-cycle
 // issue slack.
-func (c *CPU) stallTo(t uint64) {
-	c.clock = t
-	c.slot = 0
+func (c *CPU) stallTo(t uint64) { c.issued = t * IssueWidth }
+
+// waitFor stalls until t if it lies ahead, adding the stall to *stat.
+func (c *CPU) waitFor(t uint64, stat *uint64) {
+	if now := c.Cycles(); t > now {
+		*stat += t - now
+		c.stallTo(t)
+	}
 }
 
-// retireWindow enforces the ROB: before retiring more instructions, check
-// whether the window past the oldest incomplete miss is exhausted, and if
-// so wait for that miss.
-func (c *CPU) retireWindow(n uint64) {
-	for n > 0 {
-		if c.missN == 0 {
-			c.retired += n
-			c.advanceIssue(n)
-			return
-		}
-		oldest := c.missAt(0)
-		limit := oldest.seq + uint64(c.cfg.ROB)
-		if c.retired+n <= limit {
-			c.retired += n
-			c.advanceIssue(n)
-			return
-		}
-		// Retire up to the window edge, then stall for the oldest miss.
-		headroom := uint64(0)
-		if limit > c.retired {
-			headroom = limit - c.retired
-		}
-		c.retired += headroom
-		c.advanceIssue(headroom)
-		if oldest.complete > c.clock {
-			c.ROBStallCycles += oldest.complete - c.clock
-			c.stallTo(oldest.complete)
-		}
+// Compute retires n non-memory instructions at IssueWidth per cycle; a
+// store that hits on chip retires through the store buffer and is one of
+// them. Below the ROB edge that is one compare and two adds; retireROB
+// handles a retire that crosses it.
+func (c *CPU) Compute(n uint64) {
+	if c.retired+n <= c.edge {
+		c.retired += n
+		c.issued += n
+		return
+	}
+	c.retireROB(n)
+}
+
+// retireROB retires n instructions that cross the ROB edge: up to each
+// edge, then a stall for the oldest miss, which leaves the window. retired
+// never passes edge, so the headroom is never negative: an edge is set at
+// or past the retired count (misses are pushed in retire order), and only
+// this loop retires up to one. The miss count bounds the loop, so a stale
+// edge shows as a wrong result, not a hang.
+func (c *CPU) retireROB(n uint64) {
+	for c.missN > 0 && c.retired+n > c.edge {
+		headroom := c.edge - c.retired
+		c.retired = c.edge
+		c.issued += headroom
+		c.waitFor(c.missAt(0).complete, &c.ROBStallCycles)
 		c.popMiss()
 		n -= headroom
 	}
+	c.retired += n
+	c.issued += n
 }
 
-// Compute advances the core through instrs non-memory instructions.
-func (c *CPU) Compute(instrs uint64) { c.retireWindow(instrs) }
-
-// LoadHitL1 models a load that hits the L1: fully pipelined, no exposure.
-func (c *CPU) LoadHitL1(depends bool) {
-	c.retireWindow(1)
-	if depends && c.lastLoadDone > c.clock {
-		c.DepStallCycles += c.lastLoadDone - c.clock
-		c.stallTo(c.lastLoadDone)
+// retireLoad retires n instructions ending in a load, then waits for the
+// previous load when depends marks this one as consuming its result.
+func (c *CPU) retireLoad(n uint64, depends bool) {
+	c.Compute(n)
+	if depends {
+		c.waitFor(c.lastLoadDone, &c.DepStallCycles)
 	}
-	c.lastLoadDone = c.clock
 }
 
-// LoadHitL2 models an L1 miss that hits the L2: the latency is exposed only
-// to dependent consumers.
-func (c *CPU) LoadHitL2(depends bool) {
-	c.retireWindow(1)
-	if depends && c.lastLoadDone > c.clock {
-		c.DepStallCycles += c.lastLoadDone - c.clock
-		c.stallTo(c.lastLoadDone)
-	}
-	c.lastLoadDone = c.clock + c.cfg.L2HitLatency
+// LoadHitL1 retires n instructions ending in a load that hits the L1: fully
+// pipelined, no exposure.
+func (c *CPU) LoadHitL1(n uint64, depends bool) {
+	c.retireLoad(n, depends)
+	c.lastLoadDone = c.Cycles()
 }
 
-// IssueMiss charges an L2 miss its retire slot, then the wait for the
-// previous load when depends marks the miss as consuming that load's result,
-// then the wait for the oldest in-flight miss when every MSHR is busy. It
-// returns the cycle the miss issues to memory. The caller asks the scheme
-// when the line is ready and hands that cycle to HoldMSHR; an instruction
-// fetch miss, which holds no MSHR and stalls the frontend instead, is
-// Compute(1) then WaitUntil(ready).
-func (c *CPU) IssueMiss(depends bool) (issue uint64) {
-	c.retireWindow(1)
-	if depends && c.lastLoadDone > c.clock {
-		c.DepStallCycles += c.lastLoadDone - c.clock
-		c.stallTo(c.lastLoadDone)
-	}
+// LoadHitL2 retires n instructions ending in an L1 miss that hits the L2:
+// the latency is exposed only to dependent consumers.
+func (c *CPU) LoadHitL2(n uint64, depends bool) {
+	c.retireLoad(n, depends)
+	c.lastLoadDone = c.Cycles() + c.cfg.L2HitLatency
+}
+
+// IssueMiss retires n instructions ending in an L2 miss, then charges the
+// wait for the previous load when depends marks the miss as consuming that
+// load's result, then the wait for the oldest in-flight miss when every
+// MSHR is busy. It returns the cycle the miss issues to memory. The caller
+// asks the scheme when the line is ready and hands that cycle to HoldMSHR;
+// an instruction fetch miss, which holds no MSHR and stalls the frontend
+// instead, is Compute(n) then WaitUntil(ready).
+func (c *CPU) IssueMiss(n uint64, depends bool) (issue uint64) {
+	c.retireLoad(n, depends)
 	if c.missN >= c.cfg.MSHRs {
-		oldest := c.missAt(0)
-		if oldest.complete > c.clock {
-			c.MSHRStallCycles += oldest.complete - c.clock
-			c.stallTo(oldest.complete)
-		}
+		c.waitFor(c.missAt(0).complete, &c.MSHRStallCycles)
 		c.popMiss()
 	}
-	return c.clock
+	return c.Cycles()
 }
 
 // HoldMSHR occupies an MSHR with the miss IssueMiss just issued until ready,
@@ -234,13 +248,9 @@ func (c *CPU) HoldMSHR(ready uint64, load bool) {
 	}
 }
 
-// StoreHit models a store that hits on chip: retires through the store
-// buffer.
-func (c *CPU) StoreHit() { c.retireWindow(1) }
-
 // WaitUntil advances the clock to at least t (write-buffer-full stalls).
 func (c *CPU) WaitUntil(t uint64) {
-	if t > c.clock {
+	if t > c.Cycles() {
 		c.stallTo(t)
 	}
 }
@@ -248,11 +258,10 @@ func (c *CPU) WaitUntil(t uint64) {
 // Drain waits for all outstanding misses — call at the end of a run.
 func (c *CPU) Drain() {
 	for i := 0; i < c.missN; i++ {
-		if m := c.missAt(i); m.complete > c.clock {
-			c.stallTo(m.complete)
-		}
+		c.WaitUntil(c.missAt(i).complete)
 	}
 	c.missHead, c.missN = 0, 0
+	c.edge = math.MaxUint64
 }
 
 // Restore copies the timing state of src, a core with the same

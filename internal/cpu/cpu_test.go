@@ -1,6 +1,9 @@
 package cpu
 
 import (
+	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -8,13 +11,13 @@ import (
 // loadMiss issues an L2 load miss whose line is usable latency cycles after
 // it issues.
 func loadMiss(c *CPU, depends bool, latency uint64) {
-	c.HoldMSHR(c.IssueMiss(depends)+latency, true)
+	c.HoldMSHR(c.IssueMiss(1, depends)+latency, true)
 }
 
 // storeMiss issues an L2 store miss whose write-allocate fill returns
 // latency cycles after it issues.
 func storeMiss(c *CPU, latency uint64) {
-	c.HoldMSHR(c.IssueMiss(false)+latency, false)
+	c.HoldMSHR(c.IssueMiss(1, false)+latency, false)
 }
 
 // ifetchMiss issues an instruction fetch miss whose line is usable latency
@@ -132,8 +135,8 @@ func TestMSHRLimitsOverlap(t *testing.T) {
 
 func TestLoadHitL2DependentExposure(t *testing.T) {
 	c := New(DefaultConfig())
-	c.LoadHitL2(false) // completes at clock+12
-	c.LoadHitL1(true)  // depends: waits for the L2 hit
+	c.LoadHitL2(1, false) // completes at clock+12
+	c.LoadHitL1(1, true)  // depends: waits for the L2 hit
 	if c.Cycles() < 12 {
 		t.Errorf("dependent consumer did not wait for L2 hit: %d", c.Cycles())
 	}
@@ -141,8 +144,8 @@ func TestLoadHitL2DependentExposure(t *testing.T) {
 
 func TestLoadHitL1NoExposure(t *testing.T) {
 	c := New(DefaultConfig())
-	c.LoadHitL1(false)
-	c.LoadHitL1(true)
+	c.LoadHitL1(1, false)
+	c.LoadHitL1(1, true)
 	if c.Cycles() > 1 {
 		t.Errorf("L1 hits should be nearly free: %d cycles", c.Cycles())
 	}
@@ -165,11 +168,11 @@ func TestStoreMissDoesNotStall(t *testing.T) {
 	if c.missN != 1 {
 		t.Error("store fill must occupy an MSHR")
 	}
-	c.LoadHitL1(true) // a store's fill is no load result to wait for
+	c.LoadHitL1(1, true) // a store's fill is no load result to wait for
 	if c.Cycles() > 1 {
 		t.Errorf("dependent load waited for a store miss: %d cycles", c.Cycles())
 	}
-	c.StoreHit()
+	c.Compute(1) // a store hit
 	if c.Retired() != 3 {
 		t.Errorf("retired = %d, want 3", c.Retired())
 	}
@@ -239,15 +242,15 @@ func TestClockMonotonic(t *testing.T) {
 			case 0:
 				c.Compute(uint64(op))
 			case 1:
-				c.LoadHitL1(op%2 == 0)
+				c.LoadHitL1(1, op%2 == 0)
 			case 2:
-				c.LoadHitL2(op%2 == 0)
+				c.LoadHitL2(1, op%2 == 0)
 			case 3:
 				loadMiss(c, op%2 == 0, uint64(op))
 			case 4:
 				storeMiss(c, uint64(op))
 			case 5:
-				c.StoreHit()
+				c.Compute(1) // a store hit
 			}
 			if c.Cycles() < last {
 				return false
@@ -262,18 +265,99 @@ func TestClockMonotonic(t *testing.T) {
 	}
 }
 
-// TestRetiredCountsEverything: every API that models an instruction
-// increments the retired count by exactly one (Compute by n).
+// TestRetiredCountsEverything: every API that models instructions
+// increments the retired count by exactly their count n.
 func TestRetiredCountsEverything(t *testing.T) {
 	c := New(DefaultConfig())
 	c.Compute(10)
-	c.LoadHitL1(false)
-	c.LoadHitL2(false)
+	c.LoadHitL1(1, false)
+	c.LoadHitL2(1, false)
 	loadMiss(c, false, 1)
-	c.StoreHit()
+	c.Compute(1) // a store hit
 	storeMiss(c, 1)
 	ifetchMiss(c, 1)
 	if got := c.Retired(); got != 16 {
 		t.Errorf("retired = %d, want 16", got)
+	}
+}
+
+// wantEdge recomputes the ROB edge from the miss ring.
+func wantEdge(c *CPU) uint64 {
+	if c.missN == 0 {
+		return math.MaxUint64
+	}
+	return c.missAt(0).seq + uint64(c.cfg.ROB)
+}
+
+// TestFoldedRetireMatchesSplit: retiring a record's gap together with its
+// memory operation (the operation called with gap+1) leaves the core
+// exactly as retiring the gap with Compute and then the operation with 1
+// does. A seeded random mix of hits with and without dependence, load and
+// store misses that fill every MSHR and cross the ROB edge, write-buffer
+// waits and drains drives one core each way; after every step the two
+// deep-equal, and the edge field matches the miss ring, in both and in a
+// core restored from one of them.
+func TestFoldedRetireMatchesSplit(t *testing.T) {
+	cfg := Config{ROB: 24, MSHRs: 3, L2HitLatency: 5}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		split, folded, restored := New(cfg), New(cfg), New(cfg)
+		for step := 0; step < 2000; step++ {
+			gap := uint64(rng.Intn(12))
+			if rng.Intn(8) == 0 {
+				gap = uint64(rng.Intn(60))
+			}
+			depends := rng.Intn(3) == 0
+			switch op := rng.Intn(16); {
+			case op < 3:
+				split.Compute(gap)
+				split.Compute(1)
+				folded.Compute(gap + 1)
+			case op < 6:
+				split.Compute(gap)
+				split.LoadHitL1(1, depends)
+				folded.LoadHitL1(gap+1, depends)
+			case op < 9:
+				split.Compute(gap)
+				split.LoadHitL2(1, depends)
+				folded.LoadHitL2(gap+1, depends)
+			case op < 14:
+				load := op < 12
+				latency := 20 + uint64(rng.Intn(300))
+				split.Compute(gap)
+				a := split.IssueMiss(1, depends && load)
+				b := folded.IssueMiss(gap+1, depends && load)
+				if a != b {
+					t.Fatalf("seed %d step %d: miss issued at %d split, %d folded", seed, step, a, b)
+				}
+				split.HoldMSHR(a+latency, load)
+				folded.HoldMSHR(b+latency, load)
+			case op < 15:
+				until := split.Cycles() + uint64(rng.Intn(40))
+				split.WaitUntil(until)
+				folded.WaitUntil(until)
+			default:
+				split.Drain()
+				folded.Drain()
+			}
+			if !reflect.DeepEqual(split, folded) {
+				t.Fatalf("seed %d step %d: folded core diverged:\n split  %+v\n folded %+v", seed, step, split, folded)
+			}
+			if rng.Intn(50) == 0 {
+				restored.Restore(folded)
+				if !reflect.DeepEqual(restored, folded) {
+					t.Fatalf("seed %d step %d: restored core differs from its source", seed, step)
+				}
+			}
+			for _, c := range []*CPU{split, restored} {
+				if got, want := c.edge, wantEdge(c); got != want {
+					t.Fatalf("seed %d step %d: ROB edge %d, miss ring says %d", seed, step, got, want)
+				}
+			}
+		}
+		if split.ROBStallCycles == 0 || split.MSHRStallCycles == 0 || split.DepStallCycles == 0 {
+			t.Fatalf("seed %d: stalls ROB %d, MSHR %d, dependence %d: a kind never happened",
+				seed, split.ROBStallCycles, split.MSHRStallCycles, split.DepStallCycles)
+		}
 	}
 }

@@ -14,7 +14,7 @@ var snapshotSchemes = []SchemeRef{
 	SchemeOTPMAC, SchemeOTPPrecompute,
 }
 
-func newCheckpointSystem(t *testing.T, ref SchemeRef) *System {
+func newCheckpointSystem(t testing.TB, ref SchemeRef) *System {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Scheme = ref

@@ -355,61 +355,69 @@ func (s *System) lookupL2(addr uint64, write bool, n int) uint8 {
 
 // apply makes the core and scheme calls for rec given its outcome bits o,
 // taking victim and fill line addresses from la in lookup's order. It
-// returns how many words of la it consumed, and touches no cache. An L2
+// returns how many words of la it consumed, and touches no cache.
+//
+// A record retires with one core call: its gap and its own instruction go
+// to the call for the operation (rec.Gap+1 instructions), which leaves the
+// core as a Compute(rec.Gap) before it would. Only when a writeback or a
+// write-allocate fill comes first does the gap retire on its own, since
+// those read the clock before the record's own instruction retires. An L2
 // miss is three calls, written out at each site: the core issues it, the
 // scheme says when the line is ready, and the core holds an MSHR until
 // then.
 func (s *System) apply(rec workload.Record, o uint8, la []uint64) int {
-	if rec.Gap > 0 {
+	n := uint64(rec.Gap) + 1
+	if o&(oVictim|oWBFill) != 0 {
 		s.cpu.Compute(uint64(rec.Gap))
+		n = 1
 	}
 	if rec.Kind == workload.IFetch {
 		switch {
 		case o&oL1Hit != 0:
-			s.cpu.Compute(1)
+			s.cpu.Compute(n)
 			return 0
 		case o&oL2Hit != 0:
-			s.cpu.LoadHitL2(false) // exposed only to the frontend restart
+			s.cpu.LoadHitL2(n, false) // exposed only to the frontend restart
 			return 0
 		}
 		// The frontend drains, so the fill latency is fully exposed.
-		n := s.writeback(o, la)
-		s.cpu.Compute(1)
+		w := s.writeback(o, la)
+		s.cpu.Compute(n)
 		s.cpu.WaitUntil(s.scheme.ReadLine(s.cpu.Cycles(), core.Access{Line: s.l2.LineAddr(rec.Addr), Instr: true}))
-		return n
+		return w
 	}
 	write := rec.Kind == workload.Store
 	if o&oL1Hit != 0 {
 		if write {
-			s.cpu.StoreHit()
+			s.cpu.Compute(n) // retires through the store buffer
 		} else {
-			s.cpu.LoadHitL1(rec.Depends)
+			s.cpu.LoadHitL1(n, rec.Depends)
 		}
 		return 0
 	}
-	n := 0
+	w := 0
 	if o&oWBFill != 0 {
 		// Write-allocate the L1 victim's line in L2: a background fill.
 		if o&oWBVictim != 0 {
 			s.writebackLine(la[0])
-			n = 1
+			w = 1
 		}
-		issue := s.cpu.IssueMiss(false)
-		s.cpu.HoldMSHR(s.scheme.ReadLine(issue, core.Access{Line: la[n]}), false)
-		n++
+		issue := s.cpu.IssueMiss(1, false)
+		s.cpu.HoldMSHR(s.scheme.ReadLine(issue, core.Access{Line: la[w]}), false)
+		w++
 	}
 	if o&oL2Hit != 0 {
 		if write {
-			s.cpu.StoreHit()
+			s.cpu.Compute(n)
 		} else {
-			s.cpu.LoadHitL2(rec.Depends)
+			s.cpu.LoadHitL2(n, rec.Depends)
 		}
-		return n
+		return w
 	}
-	n += s.writeback(o, la[n:])
-	issue := s.cpu.IssueMiss(rec.Depends && !write)
+	w += s.writeback(o, la[w:])
+	issue := s.cpu.IssueMiss(n, rec.Depends && !write)
 	s.cpu.HoldMSHR(s.scheme.ReadLine(issue, core.Access{Line: s.l2.LineAddr(rec.Addr)}), !write)
-	return n
+	return w
 }
 
 // writeback writes back the demand fill's dirty L2 victim, if o has one,

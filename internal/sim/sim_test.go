@@ -252,7 +252,7 @@ func newInvariantSystem(t *testing.T, ref SchemeRef, l2KB, l2Ways int) *System {
 
 // checkpointOf is Checkpoint for tests, failing when the scheme cannot
 // snapshot.
-func checkpointOf(t *testing.T, sys *System) *Checkpoint {
+func checkpointOf(t testing.TB, sys *System) *Checkpoint {
 	t.Helper()
 	cp, ok := sys.Checkpoint()
 	if !ok {
@@ -274,7 +274,10 @@ func checkpointOf(t *testing.T, sys *System) *Checkpoint {
 //     one after the direct warmup, so a replay leaves the system where a
 //     direct run would;
 //   - no run retires more than IssueWidth instructions per cycle;
-//   - every L2 miss is one line fill, and L2 sees at least every L1 miss;
+//   - the straight, forked and replayed runs each retire every measured
+//     record's gap and instruction, plus one instruction per write-allocate
+//     fill, and make one line fill per L2 miss;
+//   - L2 sees at least every L1 miss;
 //   - SNC queries are bounded by line fills and SNC updates by writebacks;
 //   - SNC and sequence-number counters are zero for schemes without an SNC;
 //   - a no-replacement SNC never moves sequence numbers over the bus;
@@ -370,6 +373,7 @@ func checkRunInvariants(t *testing.T, name string, d core.Descriptor, l2KB, l2Wa
 	ref := SchemeRef{Name: d.Name}
 	straight := newInvariantSystem(t, ref, l2KB, l2Ways)
 	want := straight.Run(workload.Replay(recs), warm)
+	checkConservationRows(t, name+"/straight", want, recs[warm:], outs)
 
 	src := newInvariantSystem(t, ref, l2KB, l2Ways)
 	src.RunWarmup(workload.Replay(recs[:warm]))
@@ -383,6 +387,7 @@ func checkRunInvariants(t *testing.T, name string, d core.Descriptor, l2KB, l2Wa
 		t.Errorf("%s: forked run diverged from straight-through:\n got %+v\nwant %+v", name, forked, want)
 	}
 	checkLedgerRows(t, name+"/forked", d.Name, forked)
+	checkConservationRows(t, name+"/forked", forked, recs[warm:], outs)
 
 	replay := newInvariantSystem(t, ref, l2KB, l2Ways)
 	if err := replay.Restore(cp); err != nil {
@@ -396,6 +401,7 @@ func checkRunInvariants(t *testing.T, name string, d core.Descriptor, l2KB, l2Wa
 		t.Errorf("%s: replayed run diverged from straight-through:\n got %+v\nwant %+v", name, got, want)
 	}
 	checkLedgerRows(t, name+"/replayed", d.Name, got)
+	checkConservationRows(t, name+"/replayed", got, recs[warm:], outs)
 	if !reflect.DeepEqual(checkpointOf(t, replay), checkpointOf(t, fork)) {
 		t.Errorf("%s: state after replay differs from state after the direct run", name)
 	}
@@ -420,9 +426,6 @@ func checkRunInvariants(t *testing.T, name string, d core.Descriptor, l2KB, l2Wa
 		t.Errorf("%s: %d instructions in %d cycles exceeds issue width %d",
 			name, r.Instructions, r.Cycles, cpu.IssueWidth)
 	}
-	if r.LineFills != r.L2Misses {
-		t.Errorf("%s: %d line fills for %d L2 misses", name, r.LineFills, r.L2Misses)
-	}
 	if r.L2Hits+r.L2Misses < r.L1DMisses+r.L1IMisses {
 		t.Errorf("%s: %d L2 accesses for %d L1 misses", name, r.L2Hits+r.L2Misses, r.L1DMisses+r.L1IMisses)
 	}
@@ -446,6 +449,27 @@ func checkRunInvariants(t *testing.T, name string, d core.Descriptor, l2KB, l2Wa
 		t.Errorf("%s: scheme without MACs has MAC/integrity counters %v", name, mac)
 	}
 	return want
+}
+
+// checkConservationRows checks that r, a run over measured whose cache
+// outcomes outs recorded, retired each record's gap and its own instruction
+// plus one instruction per write-allocate fill, and that the bus carried
+// one line fill per L2 miss.
+func checkConservationRows(t *testing.T, name string, r Result, measured []workload.Record, outs *Outcomes) {
+	t.Helper()
+	var instrs uint64
+	for i, rec := range measured {
+		instrs += uint64(rec.Gap) + 1
+		if outs.ops[i]&oWBFill != 0 {
+			instrs++
+		}
+	}
+	if r.Instructions != instrs {
+		t.Errorf("%s: %d instructions retired, the measured records hold %d", name, r.Instructions, instrs)
+	}
+	if r.LineFills != r.L2Misses {
+		t.Errorf("%s: %d line fills for %d L2 misses", name, r.LineFills, r.L2Misses)
+	}
 }
 
 // checkLedgerRows checks that the bus counts each sequence-number and MAC
