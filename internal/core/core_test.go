@@ -572,29 +572,3 @@ func TestEncModeString(t *testing.T) {
 		t.Error("mode names")
 	}
 }
-
-// TestSeqTableRestoreReusesDroppedChunks: a fork that touches a region its
-// checkpoint lacks gets the region's chunk back from the spare list on the
-// next restore and run, zeroed, so restore-and-run cycles allocate nothing.
-func TestSeqTableRestoreReusesDroppedChunks(t *testing.T) {
-	const lineBytes = 128
-	cp := newSeqTable(lineBytes)
-	cp.set(0x1000, 7)
-	live := newSeqTable(lineBytes)
-	far := uint64(1) << 30 // a chunk cp never touches
-	cycle := func() {
-		live.restore(cp)
-		live.set(far, 9)
-	}
-	cycle()
-	live.set(far+lineBytes, 3) // stale once the chunk is dropped and reused
-	if avg := testing.AllocsPerRun(10, cycle); avg != 0 {
-		t.Errorf("%.1f allocs per restore and run, want 0", avg)
-	}
-	if v, ok := live.lookup(far + lineBytes); ok {
-		t.Errorf("reused chunk kept a stale number %d", v)
-	}
-	if v, ok := live.lookup(0x1000); !ok || v != 7 {
-		t.Errorf("restored number = %d (ok=%v), want 7", v, ok)
-	}
-}

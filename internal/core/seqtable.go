@@ -14,10 +14,6 @@ type seqTable struct {
 	lastCN    uint64
 	lastChunk *seqChunk
 	lineShift uint
-	// spare holds chunks restore dropped, for chunk to reuse: a fork that
-	// touches a region its checkpoint lacks gets the chunk back from here
-	// on the next restore and run. It is not table state.
-	spare []*seqChunk
 }
 
 // seqChunkBits is the log2 of lines per chunk: 512 lines × 128B span 64KB
@@ -52,24 +48,11 @@ func (t *seqTable) chunk(va uint64, create bool) (*seqChunk, uint64) {
 		if !create {
 			return nil, idx
 		}
-		ch = t.newChunk()
-		t.chunks[cn] = ch //secsim:allowalloc chunk directory grows only on first touch of a region
+		ch = new(seqChunk) //secsim:allowalloc one-time chunk fault per 4MB region; steady state touches no new chunks
+		t.chunks[cn] = ch  //secsim:allowalloc chunk directory grows only on first touch of a region
 	}
 	t.lastCN, t.lastChunk = cn, ch
 	return ch, idx
-}
-
-// newChunk returns an empty chunk, taken from the spare list when it has
-// one.
-func (t *seqTable) newChunk() *seqChunk {
-	k := len(t.spare) - 1
-	if k < 0 {
-		return new(seqChunk) //secsim:allowalloc one-time chunk fault per 4MB region; steady state touches no new chunks
-	}
-	ch := t.spare[k]
-	t.spare = t.spare[:k]
-	*ch = seqChunk{}
-	return ch
 }
 
 // lookup returns the stored number and whether va has one.
@@ -116,23 +99,22 @@ func (t *seqTable) del(va uint64) {
 }
 
 // restore deep-copies src into t. Chunks already present in t are
-// overwritten in place and stale ones moved to the spare list, so
-// repeatedly restoring checkpoints into the same live table and running
-// from them is allocation-free once the working set stabilizes. The
-// last-chunk cache is left cold; it repopulates on first access.
+// overwritten in place and stale ones deleted, so repeatedly restoring
+// checkpoints into the same live table is allocation-free once the working
+// set stabilizes. The last-chunk cache is left cold; it repopulates on
+// first access.
 func (t *seqTable) restore(src *seqTable) {
 	t.lineShift = src.lineShift
 	t.lastCN, t.lastChunk = 0, nil
-	for cn, ch := range t.chunks {
+	for cn := range t.chunks {
 		if _, ok := src.chunks[cn]; !ok {
 			delete(t.chunks, cn)
-			t.spare = append(t.spare, ch)
 		}
 	}
 	for cn, ch := range src.chunks {
 		d := t.chunks[cn]
 		if d == nil {
-			d = t.newChunk()
+			d = new(seqChunk)
 			t.chunks[cn] = d
 		}
 		*d = *ch

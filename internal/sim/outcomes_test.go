@@ -178,47 +178,37 @@ func TestReplayRefusals(t *testing.T) {
 
 // TestRestoreReplayAllocsZero extends the zero-alloc guarantee to the
 // replayed measured phase: restoring a checkpoint and replaying shared
-// outcomes on a settled system allocates nothing. The mcf legs run the
-// smallest figure trace (scale 0.3) whose measured phase stores sequence
-// numbers in a region its checkpoint holds none for, so each fork must get
-// that table chunk back from the restore instead of allocating it.
+// outcomes on a settled system allocates nothing.
 func TestRestoreReplayAllocsZero(t *testing.T) {
 	recs := allocRecords()
-	prof, _ := workload.ByName("mcf")
-	mcf, err := workload.Materialize(prof, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm := len(recs) / 3
 	for _, ref := range []SchemeRef{SchemeBaseline, SchemeOTPLRU, SchemeOTPMAC} {
 		t.Run(ref.Name, func(t *testing.T) {
-			checkRestoreReplayAllocs(t, ref, recs, len(recs)/3)
+			sys := newCheckpointSystem(t, ref)
+			sys.RunWarmup(workload.Replay(recs[:warm]))
+			cp := checkpointOf(t, sys)
+			_, outs := sys.RunMeasuredRecord(recs[warm:])
+			// Settle every structure's high-water mark.
+			for range 2 {
+				if err := sys.Restore(cp); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sys.RunMeasuredReplay(recs[warm:], outs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			avg := testing.AllocsPerRun(5, func() {
+				if err := sys.Restore(cp); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sys.RunMeasuredReplay(recs[warm:], outs); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if avg != 0 {
+				t.Errorf("scheme %s: %.2f allocs per restore + replay, want 0", ref.Name, avg)
+			}
 		})
-		t.Run("mcf/"+ref.Name, func(t *testing.T) {
-			checkRestoreReplayAllocs(t, ref, mcf, prof.WarmupRefs())
-		})
-	}
-}
-
-// checkRestoreReplayAllocs records recs[warm:] under ref, settles a
-// restore-and-replay cycle, and fails if one more cycle allocates.
-func checkRestoreReplayAllocs(t *testing.T, ref SchemeRef, recs []workload.Record, warm int) {
-	sys := newCheckpointSystem(t, ref)
-	sys.RunWarmup(workload.Replay(recs[:warm]))
-	cp := checkpointOf(t, sys)
-	_, outs := sys.RunMeasuredRecord(recs[warm:])
-	cycle := func() {
-		if err := sys.Restore(cp); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sys.RunMeasuredReplay(recs[warm:], outs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Settle every structure's high-water mark.
-	cycle()
-	cycle()
-	if avg := testing.AllocsPerRun(5, cycle); avg != 0 {
-		t.Errorf("scheme %s: %.2f allocs per restore + replay, want 0", ref.Name, avg)
 	}
 }
 

@@ -12,10 +12,11 @@ const benchReplayScale = 1.0
 
 // BenchmarkMeasuredReplay times the forked measured phase the way a sweep
 // runs it: mcf's measured outcomes are recorded once under baseline, and
-// each iteration restores a post-warmup checkpoint (untimed) and replays
-// them under one scheme. It reports ns per replayed record; allocs/op is
-// that of the replay alone, which TestRestoreReplayAllocsZero pins at 0
-// together with the restore.
+// each iteration builds a new System, restores a post-warmup checkpoint
+// into it (both untimed) and replays them under one scheme. It reports ns
+// per replayed record; allocs/op is that of the replay alone, so it counts
+// the sequence-number chunks a fork allocates for regions its checkpoint
+// holds none for.
 func BenchmarkMeasuredReplay(b *testing.B) {
 	prof, ok := workload.ByName("mcf")
 	if !ok {
@@ -38,23 +39,18 @@ func BenchmarkMeasuredReplay(b *testing.B) {
 				b.Fatal(err)
 			}
 			cp := checkpointOf(b, sys)
-			run := func() {
-				b.StopTimer()
-				if err := sys.Restore(cp); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if _, err := sys.RunMeasuredReplay(measured, outs); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for range 2 { // settle every structure's high-water mark
-				run()
-			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for range b.N {
-				run()
+				b.StopTimer()
+				fork := newCheckpointSystem(b, ref)
+				if err := fork.Restore(cp); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := fork.RunMeasuredReplay(measured, outs); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(measured)), "ns/rec")
 		})
