@@ -71,9 +71,9 @@ import (
 // figures' geometries retains at most about 670 MB; a mark holds only its
 // key. Only configurations simulated twice, or by a Runner with a bounded
 // memo, hold a checkpoint. Under the Spec caps an OTP checkpoint grows to
-// about 12.8 MB — a 512 KB direct-mapped SNC's 256K entries, sets and
+// about 11.7 MB — a 512 KB direct-mapped SNC's 256K entries, sets and
 // 512K-cell tag index, a 4 MB L2 — and worst-case retention to about
-// 3.3 GB.
+// 3.0 GB.
 const checkpointCapacity = 256
 
 // outcomeCapacity bounds the outcome cache. The figures touch at most 22

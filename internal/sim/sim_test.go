@@ -278,7 +278,9 @@ func checkpointOf(t testing.TB, sys *System) *Checkpoint {
 //     record's gap and instruction, plus one instruction per write-allocate
 //     fill, and make one line fill per L2 miss;
 //   - L2 sees at least every L1 miss;
-//   - SNC queries are bounded by line fills and SNC updates by writebacks;
+//   - SNC queries are bounded by line fills and SNC updates by writebacks,
+//     and under a scheme with an SNC every writeback updates it exactly
+//     once;
 //   - SNC and sequence-number counters are zero for schemes without an SNC;
 //   - a no-replacement SNC never moves sequence numbers over the bus;
 //   - MAC and integrity counters are zero for schemes without MACs.
@@ -432,7 +434,7 @@ func checkRunInvariants(t *testing.T, name string, d core.Descriptor, l2KB, l2Wa
 	if q := r.SNCQueryHits + r.SNCQueryMisses; q > r.LineFills {
 		t.Errorf("%s: %d SNC queries for %d line fills", name, q, r.LineFills)
 	}
-	if u := r.SNCUpdateHits + r.SNCUpdateMiss; u > r.Writebacks {
+	if u := r.SNCUpdateHits + r.SNCUpdateMiss; u > r.Writebacks || d.NeedsSNC && u != r.Writebacks {
 		t.Errorf("%s: %d SNC updates for %d writebacks", name, u, r.Writebacks)
 	}
 	seq := []uint64{r.SNCQueryHits, r.SNCQueryMisses, r.SNCUpdateHits, r.SNCUpdateMiss,

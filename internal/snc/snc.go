@@ -16,8 +16,9 @@
 //     evicted; lines without an entry fall back to XOM-style direct
 //     encryption.
 //
-// The SNC itself is policy-neutral storage with hit/miss and LRU mechanics;
-// the scheme logic in internal/core drives it according to Algorithm 1.
+// The SNC itself is policy-neutral storage with hit/miss and LRU mechanics
+// (a per-set hash index finds a line, a per-set ring orders recency); the
+// scheme logic in internal/core drives it according to Algorithm 1.
 package snc
 
 import (
@@ -133,23 +134,25 @@ func (c Config) CoverageBytes() int { return c.Entries() * c.LineBytes }
 type entry struct {
 	tag uint64
 	seq uint16
-	// LRU list links within the set (indices into SNC.entries; -1 = none).
-	// int32 keeps the entry at 24 bytes — the largest SNC the experiment
-	// caps admit holds 256K entries, far inside the range.
+	// Ring links within the set (indices into SNC.entries), meaningful
+	// only while the slot is live. int32 keeps the entry at 24 bytes — the
+	// largest SNC the experiment caps admit holds 256K entries, far inside
+	// the range.
 	prev, next int32
 }
 
-// set holds the per-set LRU list endpoints. Vacant slots are handed out by
-// a bump allocator: slots are only freed en masse by resetSet, so the next
-// vacancy of set si, which owns [si*ways, (si+1)*ways), is always
-// si*ways+bump — no free list to build or maintain.
+// set is one set's recency ring. Set si owns slots [si*ways, (si+1)*ways);
+// the live ones, [si*ways, si*ways+n), are linked into a ring in MRU→LRU
+// order starting at head, so the LRU entry is entries[head].prev and the
+// next vacancy is si*ways+n. Slots are only freed en masse by FlushAll,
+// which is what keeps the live slots a prefix. The zero set is empty.
 type set struct {
-	head, tail int32 // MRU..LRU (indices into SNC.entries; -1 = empty)
-	bump       int32 // slots [si*ways, si*ways+bump) are allocated
+	head int32 // MRU slot; meaningless while n == 0
+	n    int32 // live slots
 }
 
 // SNC is the sequence number cache. Lookups are O(1) via per-set
-// open-addressed hash indexes; LRU is maintained with intrusive lists so
+// open-addressed hash indexes; recency is an intrusive ring per set, so
 // fully associative configurations (a single 32K-way set in the paper's
 // default) stay fast.
 type SNC struct {
@@ -159,13 +162,10 @@ type SNC struct {
 	ways      int32
 	setMask   uint64
 	lineShift uint
-	occupied  int
 
-	// index maps each set's tags to their entry slots: every slot in
-	// [si*ways, si*ways+bump) holds a live entry (eviction reuses the
-	// victim's slot in place, so allocated slots are never individually
-	// freed), and the index holds exactly those slots, keyed by the tags
-	// their entries carry.
+	// index maps each set's tags to their entry slots: it holds exactly
+	// each set's live slots [si*ways, si*ways+n) (eviction reuses the
+	// victim's slot in place), keyed by the tags their entries carry.
 	index tagIndex
 
 	// flushScratch backs FlushAll's result so steady-state context
@@ -191,7 +191,7 @@ func New(cfg Config) *SNC {
 		ways = entries
 	}
 	nsets := entries / ways
-	s := &SNC{
+	return &SNC{
 		cfg:       cfg,
 		entries:   make([]entry, entries),
 		sets:      make([]set, nsets),
@@ -200,65 +200,29 @@ func New(cfg Config) *SNC {
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		index:     newTagIndex(nsets, ways),
 	}
-	for i := range s.sets {
-		s.sets[i] = set{head: -1, tail: -1}
-	}
-	return s
 }
 
-// resetSet empties set si: slots [si*ways, (si+1)*ways) become vacant again
-// via the bump allocator.
-func (s *SNC) resetSet(si int) {
-	s.sets[si] = set{head: -1, tail: -1}
-	s.index.clear(si)
+// linkBefore links slot into at's ring just before at. With at the head,
+// that is the ring's LRU end, so moving the head to slot then makes it MRU.
+func (s *SNC) linkBefore(at, slot int32) {
+	a, e := &s.entries[at], &s.entries[slot]
+	e.prev, e.next = a.prev, at
+	s.entries[a.prev].next = slot
+	a.prev = slot
 }
 
-// alloc hands out set si's next vacant slot, or -1 when it is full.
-func (s *SNC) alloc(si int) int32 {
-	st := &s.sets[si]
-	if st.bump >= s.ways {
-		return -1
-	}
-	st.bump++
-	return int32(si)*s.ways + st.bump - 1
-}
-
-// unlink removes slot from its set's LRU list.
-func (s *SNC) unlink(st *set, slot int32) {
-	e := &s.entries[slot]
-	if e.prev >= 0 {
-		s.entries[e.prev].next = e.next
-	} else {
-		st.head = e.next
-	}
-	if e.next >= 0 {
-		s.entries[e.next].prev = e.prev
-	} else {
-		st.tail = e.prev
-	}
-	e.prev, e.next = -1, -1
-}
-
-// pushFront makes slot the MRU of its set.
-func (s *SNC) pushFront(st *set, slot int32) {
-	e := &s.entries[slot]
-	e.prev, e.next = -1, st.head
-	if st.head >= 0 {
-		s.entries[st.head].prev = slot
-	}
-	st.head = slot
-	if st.tail < 0 {
-		st.tail = slot
-	}
-}
-
-// touch refreshes slot to MRU.
+// touch makes slot, a live entry of st, its MRU: it unlinks slot, links it
+// in just before the head and moves the head to it. The LRU entry already
+// sits just before the head, so touching it only turns the ring.
 func (s *SNC) touch(st *set, slot int32) {
-	if st.head == slot {
+	if slot == st.head {
 		return
 	}
-	s.unlink(st, slot)
-	s.pushFront(st, slot)
+	if e := &s.entries[slot]; slot != s.entries[st.head].prev {
+		s.entries[e.prev].next, s.entries[e.next].prev = e.next, e.prev
+		s.linkBefore(st.head, slot)
+	}
+	st.head = slot
 }
 
 // Config returns the SNC configuration.
@@ -313,29 +277,11 @@ func (s *SNC) Update(lineVA uint64) (seq uint16, hit, wrapped bool) {
 // caller can spill it (Algorithm 1 lines 11-12 / 24-25). Install is used by
 // the LRU policy.
 func (s *SNC) Install(lineVA uint64, seq uint16) (victimVA uint64, victimSeq uint16, evicted bool) {
-	si, tag := s.locate(lineVA)
-	st := &s.sets[si]
-	if slot, ok := s.index.find(s.entries, si, tag); ok {
-		// Already present (e.g. installed by a racing path): refresh.
-		s.entries[slot].seq = seq
-		s.touch(st, slot)
+	victim, evicted, _ := s.fill(lineVA, seq, true)
+	if !evicted {
 		return 0, 0, false
 	}
-	slot := s.alloc(si)
-	if slot >= 0 {
-		s.occupied++
-	} else {
-		// Evict the set's LRU entry.
-		slot = st.tail
-		victim := &s.entries[slot]
-		victimVA, victimSeq, evicted = victim.tag<<s.lineShift, victim.seq, true
-		s.index.del(s.entries, si, victim.tag)
-		s.unlink(st, slot)
-	}
-	s.entries[slot] = entry{tag: tag, seq: seq, prev: -1, next: -1}
-	s.index.put(s.entries, si, slot)
-	s.pushFront(st, slot)
-	return victimVA, victimSeq, evicted
+	return victim.tag << s.lineShift, victim.seq, true
 }
 
 // TryInstall installs only if the line's set has a vacancy; it never evicts.
@@ -343,21 +289,44 @@ func (s *SNC) Install(lineVA uint64, seq uint16) (victimVA uint64, victimSeq uin
 // policy, Section 4.1: "when SNC is full ... they should be encrypted
 // directly").
 func (s *SNC) TryInstall(lineVA uint64, seq uint16) bool {
+	_, _, installed := s.fill(lineVA, seq, false)
+	return installed
+}
+
+// fill makes (lineVA, seq) its set's MRU entry. A line already present
+// (e.g. installed by a racing path) only takes the new seq. A new line
+// takes the set's next vacancy or, when the set is full and evict is set,
+// the LRU slot, whose old entry comes back as victim: the ring then turns
+// one step so that slot is the head. installed is false only when a full
+// set may not evict.
+func (s *SNC) fill(lineVA uint64, seq uint16, evict bool) (victim entry, evicted, installed bool) {
 	si, tag := s.locate(lineVA)
 	st := &s.sets[si]
 	if slot, ok := s.index.find(s.entries, si, tag); ok {
 		s.entries[slot].seq = seq
 		s.touch(st, slot)
-		return true
+		return entry{}, false, true
 	}
-	if slot := s.alloc(si); slot >= 0 {
-		s.occupied++
-		s.entries[slot] = entry{tag: tag, seq: seq, prev: -1, next: -1}
-		s.index.put(s.entries, si, slot)
-		s.pushFront(st, slot)
-		return true
+	var slot int32
+	switch {
+	case st.n < s.ways:
+		slot = int32(si)*s.ways + st.n
+		s.entries[slot] = entry{tag: tag, seq: seq, prev: slot, next: slot}
+		if st.n > 0 {
+			s.linkBefore(st.head, slot)
+		}
+		st.n++
+	case evict:
+		slot = s.entries[st.head].prev
+		victim, evicted = s.entries[slot], true
+		s.index.del(s.entries, si, victim.tag)
+		s.entries[slot].tag, s.entries[slot].seq = tag, seq
+	default:
+		return entry{}, false, false
 	}
-	return false
+	s.index.put(s.entries, si, slot)
+	st.head = slot
+	return victim, evicted, true
 }
 
 // Peek returns the stored sequence number without touching LRU state or
@@ -380,7 +349,12 @@ func (s *SNC) Contains(lineVA uint64) bool {
 }
 
 // Occupied returns the number of valid entries.
-func (s *SNC) Occupied() int { return s.occupied }
+func (s *SNC) Occupied() (n int) {
+	for _, st := range s.sets {
+		n += int(st.n)
+	}
+	return n
+}
 
 // FlushAll invalidates every entry, returning the (lineVA, seq) pairs that
 // were held. Used on context switches when the SNC is flushed to memory
@@ -390,13 +364,18 @@ func (s *SNC) FlushAll() (spilled [][2]uint64) {
 	spilled = s.flushScratch[:0]
 	for si := range s.sets {
 		st := &s.sets[si]
-		for slot := st.head; slot >= 0; slot = s.entries[slot].next {
+		if st.n == 0 {
+			continue
+		}
+		slot := st.head
+		for range st.n {
 			e := &s.entries[slot]
 			spilled = append(spilled, [2]uint64{e.tag << s.lineShift, uint64(e.seq)}) //secsim:allowalloc flushScratch reuse; stable once the largest flush has been seen
+			slot = e.next
 		}
-		s.resetSet(si)
+		*st = set{}
+		s.index.clear(si)
 	}
-	s.occupied = 0
 	s.flushScratch = spilled
 	return spilled
 }

@@ -271,7 +271,7 @@ func TestPIDBitsShrinkCapacity(t *testing.T) {
 }
 
 // TestFlushAllRebuildsVacancies checks that a flushed SNC accepts exactly
-// its capacity again — FlushAll reconstructs the same free-lists New builds.
+// its capacity again — FlushAll leaves every set empty, as New builds it.
 func TestFlushAllRebuildsVacancies(t *testing.T) {
 	s := New(smallCfg(LRU, 2))
 	capacity := s.Config().Entries()
