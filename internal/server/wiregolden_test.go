@@ -29,8 +29,11 @@ type wireCase struct {
 }
 
 // wireCases pins the /v1 contract byte for byte: a run under every scheme,
-// two SNC associativities, a buffered multi-spec and a one-spec sweep, and
-// one envelope per error class a client is expected to handle.
+// two SNC associativities, two parameterized scheme references (one an
+// alias with spaces, unsorted keys and a repeated key, echoed in canonical
+// form), a buffered multi-spec and a one-spec sweep, the scheme and
+// benchmark listings, and one envelope per error class a client is
+// expected to handle.
 func wireCases() []wireCase {
 	var cs []wireCase
 	for _, scheme := range []string{"baseline", "xom", "snc-lru", "snc-norepl", "otp-mac", "otp-precompute"} {
@@ -42,6 +45,14 @@ func wireCases() []wireCase {
 			body: fmt.Sprintf(`{"bench":"mcf","scheme":"snc-lru","snc_ways":%d}`, ways)})
 	}
 	return append(cs,
+		wireCase{name: "run-alias-params", method: http.MethodPost, path: "/v1/run",
+			body: `{"bench":"mcf","scheme":"mac: verify_lat=120 ,verify=overlap,verify=blocking"}`},
+		wireCase{name: "run-snc-lru-pid", method: http.MethodPost, path: "/v1/run",
+			body: `{"bench":"mcf","scheme":"snc-lru:switch=pid,pidbits=4"}`},
+		wireCase{name: "schemes", method: http.MethodGet, path: "/v1/schemes"},
+		wireCase{name: "benchmarks", method: http.MethodGet, path: "/v1/benchmarks"},
+		wireCase{name: "error-unknown-param", method: http.MethodPost, path: "/v1/run",
+			body: `{"bench":"mcf","scheme":"otp-mac:frobnicate=1"}`},
 		wireCase{name: "sweep-two-specs", method: http.MethodPost, path: "/v1/sweep",
 			body: `{"specs":[{"bench":"gzip","scheme":"xom"},{"bench":"art","scheme":"snc-lru","crypto_lat":102}]}`},
 		wireCase{name: "sweep-one-spec", method: http.MethodPost, path: "/v1/sweep",
