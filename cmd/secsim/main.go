@@ -76,10 +76,45 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
+// multiScheme resolves -scheme for -multi with the -switch policy merged
+// in. The policy rides as a registry parameter on the scheme, so "-scheme
+// otp-mac:verify=blocking" composes. An explicit switch= in the scheme
+// reference wins over the flag's default (a conflicting explicit -switch is
+// an error), and schemes without per-process state (baseline, xom) run
+// without a policy unless -switch was set explicitly.
+func multiScheme(scheme, switchPolicy string, switchSet bool) (sim.SchemeRef, error) {
+	if _, err := core.ParseSwitchPolicy(switchPolicy); err != nil {
+		return sim.SchemeRef{}, err
+	}
+	ref, err := sim.SchemeByName(scheme)
+	if err != nil {
+		return sim.SchemeRef{}, err
+	}
+	if prev, ok := ref.Params().Get("switch"); ok {
+		if switchSet && prev != switchPolicy {
+			return sim.SchemeRef{}, fmt.Errorf("scheme %q says switch=%s but -switch says %s", scheme, prev, switchPolicy)
+		}
+		return ref, nil
+	}
+	sep := ","
+	if ref == (sim.SchemeRef{Name: ref.Name}) {
+		sep = ":"
+	}
+	withSwitch, err := sim.SchemeByName(ref.Canonical() + sep + "switch=" + switchPolicy)
+	if err == nil {
+		return withSwitch, nil
+	}
+	if switchSet {
+		return sim.SchemeRef{}, fmt.Errorf("scheme %q does not support -switch: %w", scheme, err)
+	}
+	return ref, nil
+}
+
 // runMulti is the -multi entry point: time-slice the benchmarks through one
-// machine under the scheme with the requested context-switch policy.
-func runMulti(multi, scheme, switchPolicy string, switchSet bool, quantum uint64, scale float64,
-	sncKB, ways int, crypto uint64, l2, l2ways int) {
+// machine, spec's geometry under the scheme with the requested
+// context-switch policy.
+func runMulti(multi string, spec experiments.Spec, scheme, switchPolicy string, switchSet bool,
+	quantum uint64, scale float64) {
 	benches, err := experiments.ExpandBenches(multi)
 	if err != nil {
 		fatal(err)
@@ -87,47 +122,11 @@ func runMulti(multi, scheme, switchPolicy string, switchSet bool, quantum uint64
 	if len(benches) < 2 {
 		fatal(fmt.Errorf("-multi needs at least 2 benchmarks (got %d)", len(benches)))
 	}
-	// The switch policy rides as a registry parameter on the scheme; pass
-	// it through ParseRef so "-scheme otp-mac:verify=blocking" composes.
-	// An explicit switch= in the scheme reference wins over the flag's
-	// default (conflicting explicit values are an error), and schemes
-	// without per-process state (baseline, xom) run without a policy
-	// unless the user explicitly demanded one.
-	if _, err := core.ParseSwitchPolicy(switchPolicy); err != nil {
+	if spec.Scheme, err = multiScheme(scheme, switchPolicy, switchSet); err != nil {
 		fatal(err)
 	}
-	ref, err := sim.SchemeByName(scheme)
-	if err != nil {
-		fatal(err)
-	}
-	if prev, ok := ref.Params["switch"]; ok {
-		if switchSet && prev != switchPolicy {
-			fatal(fmt.Errorf("scheme %q says switch=%s but -switch says %s", scheme, prev, switchPolicy))
-		}
-	} else {
-		withSwitch := ref
-		withSwitch.Params = sim.SchemeParams{"switch": switchPolicy}
-		for k, v := range ref.Params {
-			withSwitch.Params[k] = v
-		}
-		if _, err := core.LookupRef(withSwitch); err == nil {
-			ref = withSwitch
-		} else if switchSet {
-			fatal(fmt.Errorf("scheme %q does not support -switch: %w", scheme, err))
-		}
-	}
-	if _, err := core.LookupRef(ref); err != nil {
-		fatal(err)
-	}
-	cfg := sim.DefaultConfig()
-	cfg.Scheme = ref
-	cfg.SNC.SizeBytes = sncKB << 10
-	cfg.SNC.Ways = ways
-	cfg.Crypto.Latency = crypto
-	cfg.L2.SizeBytes = l2 << 10
-	cfg.L2.Ways = l2ways
 	start := time.Now()
-	res, err := sched.RunBenchmarks(sched.Config{Sim: cfg, Quantum: quantum, Scale: scale}, benches)
+	res, err := sched.RunBenchmarks(sched.Config{Sim: spec.Config(), Quantum: quantum, Scale: scale}, benches)
 	if err != nil {
 		fatal(err)
 	}
@@ -168,8 +167,16 @@ func main() {
 	if *streamOut && (*compare || *multi != "") {
 		fatal(fmt.Errorf("-stream streams per-benchmark sweep results; it is incompatible with -compare and -multi"))
 	}
+	mkSpec := func(b string, ref sim.SchemeRef) experiments.Spec {
+		return experiments.Spec{
+			Bench: b, Scheme: ref,
+			SNCKB: *sncKB, SNCWays: *ways,
+			L2KB: *l2, L2Ways: *l2ways,
+			CryptoLat: *crypto,
+		}
+	}
 	if *multi != "" {
-		runMulti(*multi, *scheme, *switchPolicy, switchSet, *quantum, *scale, *sncKB, *ways, *crypto, *l2, *l2ways)
+		runMulti(*multi, mkSpec("", sim.SchemeRef{}), *scheme, *switchPolicy, switchSet, *quantum, *scale)
 		return
 	}
 	benches, err := experiments.ExpandBenches(*bench)
@@ -184,14 +191,6 @@ func main() {
 			fatal(err)
 		}
 		runner.Store = st
-	}
-	mkSpec := func(b string, ref sim.SchemeRef) experiments.Spec {
-		return experiments.Spec{
-			Bench: b, Scheme: ref,
-			SNCKB: *sncKB, SNCWays: *ways,
-			L2KB: *l2, L2Ways: *l2ways,
-			CryptoLat: *crypto,
-		}
 	}
 	ctx := context.Background()
 	start := time.Now()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"secureproc/internal/integrity"
@@ -13,17 +14,13 @@ import (
 // address spaces, the right order for a time-sliced machine.
 const DefaultPIDBits = 8
 
-// checkKeys rejects parameters outside the scheme's accepted set.
+// checkKeys rejects parameters outside the scheme's accepted set, naming
+// the first unknown key in sorted order.
 func checkKeys(scheme string, p Params, allowed ...string) error {
-	for k := range p {
-		ok := false
-		for _, a := range allowed {
-			if k == a {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+	for rest := p.s; rest != ""; {
+		var k string
+		k, _, rest = nextParam(rest)
+		if !slices.Contains(allowed, k) {
 			return fmt.Errorf("core: %s: unknown parameter %q (%s)",
 				scheme, k, strings.Join(allowed, ", "))
 		}
@@ -46,7 +43,7 @@ func otpSwitchParams(p Params) (SwitchPolicy, int, error) {
 	if bits <= 0 || bits > 16 {
 		return 0, 0, fmt.Errorf("core: pidbits must be in [1,16] (got %d)", bits)
 	}
-	if _, given := p["pidbits"]; given && policy != SwitchPID {
+	if _, given := p.Get("pidbits"); given && policy != SwitchPID {
 		return 0, 0, fmt.Errorf("core: pidbits is only meaningful with switch=pid")
 	}
 	return policy, bits, nil

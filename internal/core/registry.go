@@ -6,7 +6,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -15,32 +15,26 @@ import (
 	"secureproc/internal/snc"
 )
 
-// Params carries free-form scheme parameters (e.g. "verify" -> "blocking").
-// A nil map means "no parameters". Params travel inside Refs and must be
-// treated as immutable once a Ref is built.
-type Params map[string]string
+// Params is a read-only view of a Ref's construction parameters (e.g.
+// "verify" -> "blocking") in their canonical "k=v,k=v" form: sorted by key,
+// one value per key. Reading a parameter allocates nothing.
+type Params struct{ s string }
 
-// Canonical renders the parameters as a sorted "k=v,k=v" string — the
-// stable identity used for memo keys and round-trippable through ParseRef.
-func (p Params) Canonical() string {
-	if len(p) == 0 {
-		return ""
+// Get returns the value of key and whether the parameters carry it.
+func (p Params) Get(key string) (string, bool) {
+	for rest := p.s; rest != ""; {
+		var k, v string
+		k, v, rest = nextParam(rest)
+		if k == key {
+			return v, true
+		}
 	}
-	keys := make([]string, 0, len(p))
-	for k := range p {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = k + "=" + p[k]
-	}
-	return strings.Join(parts, ",")
+	return "", false
 }
 
 // Int reads an integer parameter, falling back to def when absent.
 func (p Params) Int(key string, def int) (int, error) {
-	v, ok := p[key]
+	v, ok := p.Get(key)
 	if !ok {
 		return def, nil
 	}
@@ -53,62 +47,81 @@ func (p Params) Int(key string, def int) (int, error) {
 
 // Str reads a string parameter, falling back to def when absent.
 func (p Params) Str(key, def string) string {
-	if v, ok := p[key]; ok {
+	if v, ok := p.Get(key); ok {
 		return v
 	}
 	return def
 }
 
-// Ref names a registered scheme plus its construction parameters. The zero
-// Ref is invalid (no scheme selected); build one from a descriptor name or
-// via ParseRef.
+// nextParam splits the first "k=v" pair off a canonical parameter string.
+func nextParam(s string) (k, v, rest string) {
+	kv, rest, _ := strings.Cut(s, ",")
+	k, v, _ = strings.Cut(kv, "=")
+	return k, v, rest
+}
+
+// Ref names a registered scheme plus its construction parameters. It is a
+// comparable value: only ParseRef sets the parameters, in canonical form, so
+// two Refs are equal exactly when their canonical forms are. The zero Ref is
+// invalid (no scheme selected); build one from a descriptor name or via
+// ParseRef.
 type Ref struct {
 	// Name is the registry name ("baseline", "snc-lru", "otp-mac", ...).
 	Name string
-	// Params tunes the scheme's constructor; nil for defaults.
-	Params Params
+	// params is the canonical parameter string; "" for defaults.
+	params string
 }
 
+// Params returns the parameters that tune the scheme's constructor.
+func (r Ref) Params() Params { return Params{r.params} }
+
 // Canonical renders the Ref as "name" or "name:k=v,k=v" (params sorted) —
-// a stable, comparable identity accepted back by ParseRef.
+// a stable identity accepted back by ParseRef.
 func (r Ref) Canonical() string {
-	if ps := r.Params.Canonical(); ps != "" {
-		return r.Name + ":" + ps
+	if r.params == "" {
+		return r.Name
 	}
-	return r.Name
+	return r.Name + ":" + r.params
 }
 
 // String implements fmt.Stringer as the canonical form.
 func (r Ref) String() string { return r.Canonical() }
 
-// ParseRef parses "name" or "name:k=v,k=v" into a Ref. It does not consult
-// the registry; pair it with Lookup to validate the name.
+// ParseRef parses "name" or "name:k=v,k=v" into a Ref, sorting the
+// parameters by key; a repeated key keeps its last value. It does not
+// consult the registry; pair it with Lookup to validate the name.
 func ParseRef(s string) (Ref, error) {
-	name, rest, hasParams := strings.Cut(s, ":")
+	name, rest, _ := strings.Cut(s, ":")
 	name = strings.TrimSpace(name)
 	if name == "" {
 		return Ref{}, fmt.Errorf("core: empty scheme reference")
 	}
-	r := Ref{Name: name}
-	if !hasParams {
-		return r, nil
-	}
-	r.Params = make(Params)
+	type param struct{ k, v string }
+	var ps []param
 	for _, kv := range strings.Split(rest, ",") {
 		kv = strings.TrimSpace(kv)
 		if kv == "" {
 			continue
 		}
 		k, v, ok := strings.Cut(kv, "=")
+		k = strings.TrimSpace(k)
 		if !ok || k == "" {
 			return Ref{}, fmt.Errorf("core: malformed scheme parameter %q (want k=v)", kv)
 		}
-		r.Params[strings.TrimSpace(k)] = strings.TrimSpace(v)
+		ps = slices.DeleteFunc(ps, func(p param) bool { return p.k == k })
+		ps = append(ps, param{k, strings.TrimSpace(v)})
 	}
-	if len(r.Params) == 0 {
-		r.Params = nil
+	slices.SortFunc(ps, func(a, b param) int { return strings.Compare(a.k, b.k) })
+	var b strings.Builder
+	for i, p := range ps {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(p.k)
+		b.WriteByte('=')
+		b.WriteString(p.v)
 	}
-	return r, nil
+	return Ref{Name: name, params: b.String()}, nil
 }
 
 // Resources bundles the shared machine components a scheme constructor may
@@ -149,8 +162,8 @@ func (d Descriptor) checkParams(p Params) error {
 	if d.CheckParams != nil {
 		return d.CheckParams(p)
 	}
-	if len(p) > 0 {
-		return fmt.Errorf("core: scheme %q accepts no parameters (got %s)", d.Name, p.Canonical())
+	if p.s != "" {
+		return fmt.Errorf("core: scheme %q accepts no parameters (got %s)", d.Name, p.s)
 	}
 	return nil
 }
@@ -184,7 +197,7 @@ func LookupRef(r Ref) (Descriptor, error) {
 	if err != nil {
 		return Descriptor{}, err
 	}
-	if err := d.checkParams(r.Params); err != nil {
+	if err := d.checkParams(r.Params()); err != nil {
 		return Descriptor{}, err
 	}
 	return d, nil
@@ -196,7 +209,7 @@ func Build(r Ref, res Resources) (Scheme, error) {
 	if err != nil {
 		return nil, err
 	}
-	return d.New(res, r.Params)
+	return d.New(res, r.Params())
 }
 
 // Names lists the canonical scheme names in table order.

@@ -82,6 +82,11 @@ func TestRefParseAndCanonical(t *testing.T) {
 		"otp-mac:verify=blocking":                "otp-mac:verify=blocking",
 		"otp-mac:verify_lat=90, verify=blocking": "otp-mac:verify=blocking,verify_lat=90",
 		"otp-mac:":                               "otp-mac",
+		// An alias with spaces, unsorted keys and a repeated key: the
+		// last value wins.
+		"mac: verify_lat=120 ,verify=overlap,verify=blocking": "mac:verify=blocking,verify_lat=120",
+		// Sorted by key, not by pair: "a" precedes "a.b".
+		"x:a.b=1,a=2": "x:a=2,a.b=1",
 	} {
 		ref, err := ParseRef(in)
 		if err != nil {
@@ -96,20 +101,64 @@ func TestRefParseAndCanonical(t *testing.T) {
 			t.Errorf("canonical form %q does not round-trip", want)
 		}
 	}
-	for _, bad := range []string{"", ":x=1", "name:broken"} {
+	for _, bad := range []string{"", ":x=1", "name:broken", "name: =1"} {
 		if _, err := ParseRef(bad); err == nil {
 			t.Errorf("ParseRef(%q) accepted", bad)
 		}
 	}
 }
 
-// FuzzParseRef checks that every reference ParseRef and LookupRef accept
-// has a canonical form that re-parses to the same descriptor and the same
+// mustRef parses a scheme reference or fails the test.
+func mustRef(t testing.TB, s string) Ref {
+	t.Helper()
+	r, err := ParseRef(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestUnknownParamErrorIsDeterministic: with several unknown parameters,
+// the error names the first in sorted key order, on every lookup.
+func TestUnknownParamErrorIsDeterministic(t *testing.T) {
+	const want = `core: otp-mac: unknown parameter "frobnicate" (verify, verify_lat, switch, pidbits)`
+	for i := 0; i < 100; i++ {
+		_, err := LookupRef(mustRef(t, "otp-mac:frobnicate=1,zap=2"))
+		if err == nil || err.Error() != want {
+			t.Fatalf("lookup %d: got %v, want %s", i, err, want)
+		}
+	}
+}
+
+// TestParamsReadWithoutAllocating: a scheme constructor reads its
+// parameters on every sim.New, so the accessors must not allocate.
+func TestParamsReadWithoutAllocating(t *testing.T) {
+	p := mustRef(t, "otp-mac:switch=pid,verify=blocking,verify_lat=120").Params()
+	allocs := testing.AllocsPerRun(100, func() {
+		if v, ok := p.Get("verify"); !ok || v != "blocking" {
+			t.Fatalf("Get(verify) = %q, %v", v, ok)
+		}
+		if n, err := p.Int("verify_lat", 0); err != nil || n != 120 {
+			t.Fatalf("Int(verify_lat) = %d, %v", n, err)
+		}
+		if v := p.Str("pidbits", "8"); v != "8" {
+			t.Fatalf("Str(pidbits) = %q, want the default", v)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("parameter reads allocate %.1f times", allocs)
+	}
+}
+
+// FuzzParseRef checks that every reference ParseRef accepts re-parses from
+// its canonical form to an equal Ref, that every one LookupRef accepts has
+// a canonical form that re-parses to the same descriptor and the same
 // canonical string, and that no input panics.
 func FuzzParseRef(f *testing.F) {
 	for _, s := range []string{
 		"snc-lru", "otp-mac:verify=blocking,verify_lat=90", "LRU:switch=pid,pidbits=4",
 		"mac:", " xom ", "otp-pre:switch=flush", "base:k=v", ":x=1", "name:broken",
+		"mac: verify_lat=120 ,verify=overlap,verify=blocking", "otp-mac:frobnicate=1,zap=2", "x:a.b=1,a=2",
 	} {
 		f.Add(s)
 	}
@@ -118,11 +167,14 @@ func FuzzParseRef(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if back, err := ParseRef(r.Canonical()); err != nil || back != r {
+			t.Fatalf("ParseRef(%q) = %q, but its canonical form re-parses as %q (%v)", s, r, back, err)
+		}
 		d, err := LookupRef(r)
 		if err != nil {
 			return
 		}
-		canon := Ref{Name: d.Name, Params: r.Params}.Canonical()
+		canon := Ref{Name: d.Name, params: r.params}.Canonical()
 		back, err := ParseRef(canon)
 		if err != nil {
 			t.Fatalf("ParseRef(%q) accepted, but its canonical form %q does not parse: %v", s, canon, err)
@@ -144,25 +196,25 @@ func TestLookupRefValidatesParams(t *testing.T) {
 	if _, err := LookupRef(Ref{}); err == nil || !strings.Contains(err.Error(), "no scheme selected") {
 		t.Errorf("zero Ref: %v", err)
 	}
-	if _, err := LookupRef(Ref{Name: "baseline", Params: Params{"k": "v"}}); err == nil {
+	if _, err := LookupRef(mustRef(t, "baseline:k=v")); err == nil {
 		t.Error("params accepted by parameterless scheme")
 	}
-	if _, err := LookupRef(Ref{Name: "otp-mac", Params: Params{"verify": "blocking", "verify_lat": "64"}}); err != nil {
+	if _, err := LookupRef(mustRef(t, "otp-mac:verify=blocking,verify_lat=64")); err != nil {
 		t.Errorf("valid otp-mac params rejected: %v", err)
 	}
-	if _, err := LookupRef(Ref{Name: "otp-mac", Params: Params{"verify_lat": "zero"}}); err == nil {
+	if _, err := LookupRef(mustRef(t, "otp-mac:verify_lat=zero")); err == nil {
 		t.Error("non-integer verify_lat accepted")
 	}
 }
 
 func TestSwitchParamsValidate(t *testing.T) {
 	good := []Ref{
-		{Name: "snc-lru", Params: Params{"switch": "flush"}},
-		{Name: "snc-lru", Params: Params{"switch": "pid"}},
-		{Name: "snc-lru", Params: Params{"switch": "pid", "pidbits": "4"}},
-		{Name: "snc-norepl", Params: Params{"switch": "pid"}},
-		{Name: "otp-mac", Params: Params{"verify": "blocking", "switch": "pid"}},
-		{Name: "otp-precompute", Params: Params{"switch": "flush"}},
+		mustRef(t, "snc-lru:switch=flush"),
+		mustRef(t, "snc-lru:switch=pid"),
+		mustRef(t, "snc-lru:switch=pid,pidbits=4"),
+		mustRef(t, "snc-norepl:switch=pid"),
+		mustRef(t, "otp-mac:verify=blocking,switch=pid"),
+		mustRef(t, "otp-precompute:switch=flush"),
 	}
 	for _, r := range good {
 		if _, err := LookupRef(r); err != nil {
@@ -170,11 +222,11 @@ func TestSwitchParamsValidate(t *testing.T) {
 		}
 	}
 	bad := []Ref{
-		{Name: "snc-lru", Params: Params{"switch": "drop"}},
-		{Name: "snc-lru", Params: Params{"switch": "pid", "pidbits": "0"}},
-		{Name: "snc-lru", Params: Params{"switch": "pid", "pidbits": "17"}},
-		{Name: "snc-lru", Params: Params{"pidbits": "8"}}, // pidbits without pid
-		{Name: "xom", Params: Params{"switch": "flush"}},  // no per-process state
+		mustRef(t, "snc-lru:switch=drop"),
+		mustRef(t, "snc-lru:switch=pid,pidbits=0"),
+		mustRef(t, "snc-lru:switch=pid,pidbits=17"),
+		mustRef(t, "snc-lru:pidbits=8"), // pidbits without pid
+		mustRef(t, "xom:switch=flush"),  // no per-process state
 	}
 	for _, r := range bad {
 		if _, err := LookupRef(r); err == nil {
@@ -182,7 +234,7 @@ func TestSwitchParamsValidate(t *testing.T) {
 		}
 	}
 	// The built scheme carries the policy and the shrunken SNC.
-	s, err := Build(Ref{Name: "snc-lru", Params: Params{"switch": "pid"}}, testResources())
+	s, err := Build(mustRef(t, "snc-lru:switch=pid"), testResources())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +264,7 @@ func TestBuildConstructsEveryBuiltin(t *testing.T) {
 			t.Errorf("Build(%s).Name() = %q, want %q", n, s.Name(), want)
 		}
 	}
-	s, err := Build(Ref{Name: "otp-mac", Params: Params{"verify": "blocking"}}, testResources())
+	s, err := Build(mustRef(t, "otp-mac:verify=blocking"), testResources())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +279,7 @@ func TestBuildConstructsEveryBuiltin(t *testing.T) {
 func TestOTPMACTiming(t *testing.T) {
 	build := func(policy integrity.VerifyPolicy) (*OTPMAC, *mem.Bus) {
 		res := testResources()
-		otp, err := newOTPWith(res, snc.LRU, nil)
+		otp, err := newOTPWith(res, snc.LRU, Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +329,7 @@ func TestOTPPrePadRetention(t *testing.T) {
 	res := testResources()
 	// A slow crypto unit makes the hidden latency visible.
 	res.Crypto = engine.New(engine.Config{Latency: 300, InitiationInterval: 1, Ports: 1})
-	otp, err := newOTPWith(res, snc.LRU, nil)
+	otp, err := newOTPWith(res, snc.LRU, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

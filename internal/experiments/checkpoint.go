@@ -1,16 +1,16 @@
 package experiments
 
 // Post-warmup checkpoint forking (SMARTS-style: Wunderlich et al., ISCA
-// 2003). Every simulation of a runKey replays the same trace, and its
+// 2003). Every simulation of a Spec replays the same trace, and its
 // warmup prefix is never scaled (workload.Profile.WarmupRefs), so the
 // machine state at the warmup/measurement boundary is a pure function of
-// the runKey — independent of the Runner's Scale, which only stretches the
+// the Spec — independent of the Runner's Scale, which only stretches the
 // measured phase. simulate() therefore checkpoints the boundary state of a
 // configuration and forks every later measurement run of it (typically
 // from a different Runner instance: the perf harness, a restarted golden
 // job, repeated secsimd requests after memo eviction) from the checkpoint
 // instead of re-simulating the warmup. A checkpoint is a sim.System of the
-// key's configuration that never runs; a fork builds a fresh System and
+// spec's configuration that never runs; a fork builds a fresh System and
 // copies the checkpoint's components into it, one copy per component.
 //
 // A checkpoint is captured only where a fork can follow, because an OTP
@@ -27,7 +27,7 @@ package experiments
 // Cache outcome replay (see sim/outcomes.go) is a second, narrower reuse.
 // No scheme and no timing can change what the caches hold, so the L1/L2
 // outcomes of a phase are a pure function of its records, the cache
-// geometry — the runKey fields that reach a cache.Config, here only the L2
+// geometry — the Spec fields that reach a cache.Config, here only the L2
 // size and ways — and the caches' start state. The warmup prefix starts
 // from empty caches and is never scaled, so its outcomes are a pure
 // function of (benchmark, L2 geometry), the warmupKey; that leaves the
@@ -125,11 +125,11 @@ type sharedCache[K comparable, V any] struct {
 	misses  int64
 }
 
-// checkpointCache holds post-warmup checkpoints, and marks, by runKey.
-type checkpointCache = sharedCache[runKey, sim.Checkpoint]
+// checkpointCache holds post-warmup checkpoints, and marks, by Spec.
+type checkpointCache = sharedCache[Spec, sim.Checkpoint]
 
 // outcomeKey identifies one recorded measured phase: the trace and the
-// cache geometry, and nothing else a runKey carries.
+// cache geometry, and nothing else a Spec carries.
 type outcomeKey struct {
 	bench        string
 	scale        float64
@@ -145,10 +145,10 @@ type warmupKey struct {
 }
 
 var (
-	// checkpoints is keyed by runKey. The key carries the full
+	// checkpoints is keyed by Spec. The key carries the full
 	// configuration (benchmark, scheme, SNC and L2 geometry, crypto
 	// latency) and deliberately not the scale — see the file comment.
-	checkpoints = &checkpointCache{entries: newLRU[runKey, *sim.Checkpoint](checkpointCapacity)}
+	checkpoints = &checkpointCache{entries: newLRU[Spec, *sim.Checkpoint](checkpointCapacity)}
 	// outcomes is keyed by outcomeKey.
 	outcomes = &sharedCache[outcomeKey, sim.Outcomes]{entries: newLRU[outcomeKey, *sim.Outcomes](outcomeCapacity)}
 	// warmups is keyed by warmupKey.

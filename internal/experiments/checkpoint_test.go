@@ -27,11 +27,7 @@ func straightThrough(t *testing.T, r *Runner, sp Spec) sim.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := sp.key().config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := sim.New(cfg)
+	sys, err := sim.New(sp.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +86,7 @@ func TestRunnerMatchesStraightThrough(t *testing.T) {
 
 // forget drops k's checkpoint-cache entry, so a test of the capture rule
 // starts cold under -count as well.
-func forget(k runKey) {
+func forget(k Spec) {
 	checkpoints.mu.Lock()
 	defer checkpoints.mu.Unlock()
 	if n, ok := checkpoints.entries.items[k]; ok {
@@ -101,7 +97,7 @@ func forget(k runKey) {
 // cached reports whether the checkpoint cache holds an entry for k and
 // whether that entry is a checkpoint rather than a mark, without touching
 // the counters or the recency.
-func cached(k runKey) (entry, captured bool) {
+func cached(k Spec) (entry, captured bool) {
 	checkpoints.mu.Lock()
 	defer checkpoints.mu.Unlock()
 	n, ok := checkpoints.entries.items[k]
@@ -117,8 +113,7 @@ func cached(k runKey) (entry, captured bool) {
 func TestCaptureOnSecondSimulation(t *testing.T) {
 	sp := DefaultSpec("gzip", sim.SchemeOTPLRU)
 	sp.CryptoLat = 73
-	k := sp.key()
-	forget(k)
+	forget(sp)
 	want := straightThrough(t, NewRunner(cpScale), sp)
 	for i, c := range []struct {
 		captured   bool
@@ -133,7 +128,7 @@ func TestCaptureOnSecondSimulation(t *testing.T) {
 		if got != want {
 			t.Errorf("Runner %d diverged from straight-through:\n got %+v\nwant %+v", i+1, got, want)
 		}
-		if entry, captured := cached(k); !entry || captured != c.captured {
+		if entry, captured := cached(sp); !entry || captured != c.captured {
 			t.Errorf("after Runner %d: entry %v, checkpoint %v; want an entry, checkpoint %v", i+1, entry, captured, c.captured)
 		}
 		if dh, dm := after.Hits-before.Hits, after.Misses-before.Misses; dh != c.hits || dm != c.miss {
@@ -148,14 +143,13 @@ func TestCaptureOnSecondSimulation(t *testing.T) {
 func TestBoundedRunnerCapturesFirst(t *testing.T) {
 	sp := DefaultSpec("gzip", sim.SchemeOTPLRU)
 	sp.CryptoLat = 79
-	k := sp.key()
-	forget(k)
+	forget(sp)
 	r := NewRunner(cpScale)
 	r.Capacity = 8
 	if _, err := r.RunCtx(context.Background(), sp); err != nil {
 		t.Fatal(err)
 	}
-	if _, captured := cached(k); !captured {
+	if _, captured := cached(sp); !captured {
 		t.Error("a bounded Runner's first simulation left no checkpoint")
 	}
 }
@@ -184,7 +178,7 @@ func TestRunnerReplaysOutcomesAcrossSchemes(t *testing.T) {
 			t.Fatal(err)
 		}
 		after := OutcomeCacheStats()
-		name := c.sp.key().scheme + "/" + c.sp.key().bench
+		name := c.sp.Scheme.Canonical() + "/" + c.sp.Bench
 		if replayed := after.Hits > before.Hits; replayed != c.replay || after.Hits+after.Misses != before.Hits+before.Misses+1 {
 			t.Errorf("%s (L2 %dKB): outcome hits %d->%d, misses %d->%d; want replay=%v",
 				name, c.sp.L2KB, before.Hits, after.Hits, before.Misses, after.Misses, c.replay)
@@ -229,8 +223,8 @@ func TestRunnerReplaysWarmupAcrossCryptoLatencies(t *testing.T) {
 // place, a mark never replaces a checkpoint, and the least-recently-used
 // entry goes first beyond capacity.
 func TestCheckpointCacheLRU(t *testing.T) {
-	c := &checkpointCache{entries: newLRU[runKey, *sim.Checkpoint](2)}
-	a, b, d := runKey{bench: "a"}, runKey{bench: "b"}, runKey{bench: "d"}
+	c := &checkpointCache{entries: newLRU[Spec, *sim.Checkpoint](2)}
+	a, b, d := Spec{Bench: "a"}, Spec{Bench: "b"}, Spec{Bench: "d"}
 	cpA, cpB, cpD := new(sim.Checkpoint), new(sim.Checkpoint), new(sim.Checkpoint)
 	c.put(a, cpA)
 	c.put(b, cpB)
@@ -250,9 +244,9 @@ func TestCheckpointCacheLRU(t *testing.T) {
 	if _, ok := c.get(a); ok {
 		t.Error("least-recently-used checkpoint survived eviction")
 	}
-	for _, k := range []runKey{b, d} {
+	for _, k := range []Spec{b, d} {
 		if _, ok := c.get(k); !ok {
-			t.Errorf("checkpoint %s evicted, want it kept", k.bench)
+			t.Errorf("checkpoint %s evicted, want it kept", k.Bench)
 		}
 	}
 	if st := c.stats(); st.Size != 2 || st.Evictions != 1 || st.Hits != 5 || st.Misses != 1 {

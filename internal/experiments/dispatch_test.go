@@ -56,9 +56,9 @@ func namedSpec(t *testing.T, bench, scheme string) Spec {
 func TestSweepEachStreaming(t *testing.T) {
 	const scale = 0.025
 	specs := []Spec{
-		namedSpec(t, "mcf", schemeLRU),
-		namedSpec(t, "gzip", schemeLRU),
-		namedSpec(t, "parser", schemeLRU),
+		namedSpec(t, "mcf", "snc-lru"),
+		namedSpec(t, "gzip", "snc-lru"),
+		namedSpec(t, "parser", "snc-lru"),
 	}
 	r := NewRunner(scale)
 	r.Jobs = 2

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -94,21 +93,8 @@ func (fr FigureResult) Render() string {
 	return b.String()
 }
 
-// runKey identifies one memoized simulation. The scheme is its canonical
-// registry reference ("snc-lru", "otp-mac:verify=blocking"), which keeps
-// the key comparable while letting specs name any registered scheme.
-type runKey struct {
-	bench     string
-	scheme    string
-	sncKB     int
-	sncWays   int
-	l2KB      int
-	l2Ways    int
-	cryptoLat uint64
-}
-
 // Runner executes and memoizes the simulations behind the figures. Safe for
-// concurrent use: concurrent requests for the same runKey are deduplicated
+// concurrent use: concurrent requests for the same Spec are deduplicated
 // through per-key latches, so every configuration simulates at most once no
 // matter how many goroutines (or pool workers) ask for it.
 type Runner struct {
@@ -144,7 +130,7 @@ type Runner struct {
 	// each memo's sync.Once) so a Runner costs no extra allocations over
 	// the maps themselves — the perf harness gates allocs/op at zero
 	// tolerance.
-	cache memo[runKey, sim.Result]
+	cache memo[Spec, sim.Result]
 	sims  atomic.Int64
 
 	// budget is the shared worker-slot ledger (cap = jobs()): every
@@ -175,48 +161,6 @@ func NewRunner(scale float64) *Runner {
 	return &Runner{Scale: scale}
 }
 
-// storeKey renders k plus the Runner's scale as the persistent-store key.
-// Unlike the checkpoint cache (warmup state is scale-independent), a stored
-// Result depends on the measured-phase length, so the scale is part of the
-// identity.
-func (r *Runner) storeKey(k runKey) string {
-	return fmt.Sprintf("%s|%s|snc%d.%d|l2_%d.%d|c%d|x%s",
-		k.bench, k.scheme, k.sncKB, k.sncWays, k.l2KB, k.l2Ways, k.cryptoLat,
-		strconv.FormatFloat(r.Scale, 'g', -1, 64))
-}
-
-// config translates k into the machine it simulates: the paper's default
-// system with the key's scheme, SNC, L2 and crypto settings. Both the
-// simulation path and Spec.Validate go through it, so a spec validates
-// exactly when its machine can be built.
-func (k runKey) config() (sim.Config, error) {
-	cfg := sim.DefaultConfig()
-	ref, err := sim.SchemeByName(k.scheme)
-	if err != nil {
-		return sim.Config{}, err
-	}
-	cfg.Scheme = ref
-	cfg.SNC.SizeBytes = k.sncKB << 10
-	cfg.SNC.Ways = k.sncWays
-	cfg.L2.SizeBytes = k.l2KB << 10
-	cfg.L2.Ways = k.l2Ways
-	cfg.Crypto.Latency = k.cryptoLat
-	return cfg, nil
-}
-
-// canonical renders k as "bench/scheme/sncNKB-Ww/l2-NKB-Ww/cN": the
-// spec's CanonicalKey and a SortedCacheKeys entry.
-func (k runKey) canonical() string {
-	return fmt.Sprintf("%s/%s/snc%dKB-%dw/l2-%dKB-%dw/c%d",
-		k.bench, k.scheme, k.sncKB, k.sncWays, k.l2KB, k.l2Ways, k.cryptoLat)
-}
-
-// defaultKey is the paper's standard configuration for a scheme (named by
-// its canonical registry reference).
-func defaultKey(bench string, scheme string) runKey {
-	return runKey{bench: bench, scheme: scheme, sncKB: 64, sncWays: 0, l2KB: 256, l2Ways: 4, cryptoLat: 50}
-}
-
 // seriesKind selects the metric a measured series reports.
 type seriesKind int
 
@@ -231,15 +175,15 @@ const (
 	trafficKind
 )
 
-// seriesSpec declares one measured series: which scheme to run (by
-// canonical registry reference, so new registered schemes are immediately
+// seriesSpec declares one measured series: which scheme to run (any
+// registered scheme reference, so new registered schemes are immediately
 // addressable from figure specs), how to tweak the default configuration,
 // and which metric to report.
 type seriesSpec struct {
 	name   string
 	kind   seriesKind
-	scheme string
-	tweak  func(*runKey)
+	scheme sim.SchemeRef
+	tweak  func(*Spec)
 }
 
 // figureSpec declares one paper figure. The spec is the single source of
@@ -256,26 +200,26 @@ type figureSpec struct {
 	paper  []stats.Series
 }
 
-// key returns the runKey for one series/benchmark cell.
-func (s seriesSpec) key(bench string) runKey {
-	k := defaultKey(bench, s.scheme)
+// spec returns the simulation for one series/benchmark cell.
+func (s seriesSpec) spec(bench string) Spec {
+	sp := DefaultSpec(bench, s.scheme)
 	if s.tweak != nil {
-		s.tweak(&k)
+		s.tweak(&sp)
 	}
-	return k
+	return sp
 }
 
-// keySet is a deduplicated list of run keys in first-added order, with
-// each key's position: the sweep's results come back in that order, and a
+// keySet is a deduplicated list of specs in first-added order, with each
+// spec's position: the sweep's results come back in that order, and a
 // figure's builder finds a cell's result through at.
 type keySet struct {
-	keys []runKey
-	at   map[runKey]int
+	keys []Spec
+	at   map[Spec]int
 }
 
-func (ks *keySet) add(k runKey) {
+func (ks *keySet) add(k Spec) {
 	if ks.at == nil {
-		ks.at = make(map[runKey]int)
+		ks.at = make(map[Spec]int)
 	}
 	if _, ok := ks.at[k]; !ok {
 		ks.at[k] = len(ks.keys)
@@ -289,33 +233,37 @@ func (f figureSpec) addKeys(ks *keySet) {
 	for _, s := range f.series {
 		for _, b := range Benchmarks {
 			if s.kind != trafficKind {
-				ks.add(defaultKey(b, schemeBaseline))
+				ks.add(DefaultSpec(b, sim.SchemeBaseline))
 			}
-			ks.add(s.key(b))
+			ks.add(s.spec(b))
 		}
 	}
 }
 
-// Canonical registry references used by the figure specs.
-const (
-	schemeBaseline   = "baseline"
-	schemeXOM        = "xom"
-	schemeNoRepl     = "snc-norepl"
-	schemeLRU        = "snc-lru"
-	schemeMACOverlap = "otp-mac:verify=overlap"
-	schemeMACBlock   = "otp-mac:verify=blocking"
-	schemePrecompute = "otp-precompute"
+// Figure I1's two MAC verification policies.
+var (
+	schemeMACOverlap = mustScheme("otp-mac:verify=overlap")
+	schemeMACBlock   = mustScheme("otp-mac:verify=blocking")
 )
+
+// mustScheme resolves a scheme reference this package names itself.
+func mustScheme(s string) sim.SchemeRef {
+	ref, err := sim.SchemeByName(s)
+	if err != nil {
+		panic(err)
+	}
+	return ref
+}
 
 // figureSpecs declares all regenerable figures in paper order.
 func figureSpecs() []figureSpec {
-	lat102 := func(k *runKey) { k.cryptoLat = 102 }
+	lat102 := func(s *Spec) { s.CryptoLat = 102 }
 	return []figureSpec{
 		{
 			id: "Figure 3", short: "fig3",
 			title: "performance loss due to critical-path encryption/decryption (XOM, 50-cycle crypto)",
 			series: []seriesSpec{
-				{name: "XOM (measured)", scheme: schemeXOM},
+				{name: "XOM (measured)", scheme: sim.SchemeXOM},
 			},
 			paper: []stats.Series{PaperFig3XOM},
 		},
@@ -323,9 +271,9 @@ func figureSpecs() []figureSpec {
 			id: "Figure 5", short: "fig5",
 			title: "scheme comparison with a 64KB SNC (32K sequence numbers, 4MB coverage)",
 			series: []seriesSpec{
-				{name: "XOM (measured)", scheme: schemeXOM},
-				{name: "SNC-NoRepl (measured)", scheme: schemeNoRepl},
-				{name: "SNC-LRU (measured)", scheme: schemeLRU},
+				{name: "XOM (measured)", scheme: sim.SchemeXOM},
+				{name: "SNC-NoRepl (measured)", scheme: sim.SchemeOTPNoRepl},
+				{name: "SNC-LRU (measured)", scheme: sim.SchemeOTPLRU},
 			},
 			paper: []stats.Series{PaperFig3XOM, PaperFig5NoRepl, PaperFig5LRU},
 		},
@@ -333,9 +281,9 @@ func figureSpecs() []figureSpec {
 			id: "Figure 6", short: "fig6",
 			title: "SNC size sweep (LRU): 32KB/64KB/128KB cover 2/4/8MB of memory",
 			series: []seriesSpec{
-				{name: "32KB (measured)", scheme: schemeLRU, tweak: func(k *runKey) { k.sncKB = 32 }},
-				{name: "64KB (measured)", scheme: schemeLRU},
-				{name: "128KB (measured)", scheme: schemeLRU, tweak: func(k *runKey) { k.sncKB = 128 }},
+				{name: "32KB (measured)", scheme: sim.SchemeOTPLRU, tweak: func(s *Spec) { s.SNCKB = 32 }},
+				{name: "64KB (measured)", scheme: sim.SchemeOTPLRU},
+				{name: "128KB (measured)", scheme: sim.SchemeOTPLRU, tweak: func(s *Spec) { s.SNCKB = 128 }},
 			},
 			paper: []stats.Series{PaperFig6SNC32, PaperFig6SNC64, PaperFig6SNC128},
 		},
@@ -343,8 +291,8 @@ func figureSpecs() []figureSpec {
 			id: "Figure 7", short: "fig7",
 			title: "SNC associativity: fully associative vs 32-way (64KB, LRU)",
 			series: []seriesSpec{
-				{name: "fully assoc (measured)", scheme: schemeLRU},
-				{name: "32-way (measured)", scheme: schemeLRU, tweak: func(k *runKey) { k.sncWays = 32 }},
+				{name: "fully assoc (measured)", scheme: sim.SchemeOTPLRU},
+				{name: "32-way (measured)", scheme: sim.SchemeOTPLRU, tweak: func(s *Spec) { s.SNCWays = 32 }},
 			},
 			paper: []stats.Series{PaperFig7FullAssoc, PaperFig7Way32},
 			notes: "ammp's strided working set maps into a single 32-way set, recreating the paper's outlier",
@@ -353,11 +301,11 @@ func figureSpecs() []figureSpec {
 			id: "Figure 8", short: "fig8",
 			title: "larger L2 vs L2+SNC at equal chip area (times normalized to insecure 256KB-L2 baseline)",
 			series: []seriesSpec{
-				{name: "XOM-256KL2 (measured)", kind: normalizedKind, scheme: schemeXOM},
-				{name: "XOM-384KL2 (measured)", kind: normalizedKind, scheme: schemeXOM,
-					tweak: func(k *runKey) { k.l2KB = 384; k.l2Ways = 6 }},
-				{name: "SNC-32way-LRU-256KL2 (measured)", kind: normalizedKind, scheme: schemeLRU,
-					tweak: func(k *runKey) { k.sncWays = 32 }},
+				{name: "XOM-256KL2 (measured)", kind: normalizedKind, scheme: sim.SchemeXOM},
+				{name: "XOM-384KL2 (measured)", kind: normalizedKind, scheme: sim.SchemeXOM,
+					tweak: func(s *Spec) { s.L2KB = 384; s.L2Ways = 6 }},
+				{name: "SNC-32way-LRU-256KL2 (measured)", kind: normalizedKind, scheme: sim.SchemeOTPLRU,
+					tweak: func(s *Spec) { s.SNCWays = 32 }},
 			},
 			paper: []stats.Series{PaperFig8XOM256, PaperFig8XOM384, PaperFig8SNC},
 		},
@@ -365,7 +313,7 @@ func figureSpecs() []figureSpec {
 			id: "Figure 9", short: "fig9",
 			title: "SNC-induced additional memory traffic (64KB SNC, LRU)",
 			series: []seriesSpec{
-				{name: "traffic % (measured)", kind: trafficKind, scheme: schemeLRU},
+				{name: "traffic % (measured)", kind: trafficKind, scheme: sim.SchemeOTPLRU},
 			},
 			paper: []stats.Series{PaperFig9Traffic},
 			notes: "absolute percentages are sensitive to the synthetic workloads' cold-region weights; the shape (small everywhere, largest for the low-traffic benchmarks) is the reproduced claim",
@@ -374,9 +322,9 @@ func figureSpecs() []figureSpec {
 			id: "Figure 10", short: "fig10",
 			title: "102-cycle encryption/decryption unit (Sandia-class): XOM degrades, OTP is insensitive",
 			series: []seriesSpec{
-				{name: "XOM (measured)", scheme: schemeXOM, tweak: lat102},
-				{name: "SNC-NoRepl (measured)", scheme: schemeNoRepl, tweak: lat102},
-				{name: "SNC-LRU (measured)", scheme: schemeLRU, tweak: lat102},
+				{name: "XOM (measured)", scheme: sim.SchemeXOM, tweak: lat102},
+				{name: "SNC-NoRepl (measured)", scheme: sim.SchemeOTPNoRepl, tweak: lat102},
+				{name: "SNC-LRU (measured)", scheme: sim.SchemeOTPLRU, tweak: lat102},
 			},
 			paper: []stats.Series{PaperFig10XOM, PaperFig10NoRepl, PaperFig10LRU},
 		},
@@ -384,10 +332,10 @@ func figureSpecs() []figureSpec {
 			id: "Figure I1", short: "figI1",
 			title: "integrity verification on the timing path: what MAC fetch/verify adds on top of OTP (64KB SNC, LRU; measured only — the paper scopes integrity out)",
 			series: []seriesSpec{
-				{name: "SNC-LRU (measured)", scheme: schemeLRU},
+				{name: "SNC-LRU (measured)", scheme: sim.SchemeOTPLRU},
 				{name: "OTP+MAC overlap (measured)", scheme: schemeMACOverlap},
 				{name: "OTP+MAC blocking (measured)", scheme: schemeMACBlock},
-				{name: "OTP-Pre (measured)", scheme: schemePrecompute},
+				{name: "OTP-Pre (measured)", scheme: sim.SchemeOTPPrecompute},
 			},
 			notes: "overlap retires verification off the critical path (Gassend-style speculation) and costs only the MAC-table traffic; blocking holds every L2 miss for the 80-cycle MAC check; OTP-Pre bounds what pad precompute can recover",
 		},
@@ -404,10 +352,10 @@ func (f figureSpec) build(ks keySet, results []sim.Result) FigureResult {
 	for i, s := range f.series {
 		vals := make([]float64, len(Benchmarks))
 		for j, b := range Benchmarks {
-			res := results[ks.at[s.key(b)]]
+			res := results[ks.at[s.spec(b)]]
 			var base sim.Result
 			if s.kind != trafficKind {
-				base = results[ks.at[defaultKey(b, schemeBaseline)]]
+				base = results[ks.at[DefaultSpec(b, sim.SchemeBaseline)]]
 			}
 			switch s.kind {
 			case slowdownKind:
@@ -519,7 +467,7 @@ func (r *Runner) SortedCacheKeys() []string {
 	keys := r.results().keys()
 	out := make([]string, 0, len(keys))
 	for _, k := range keys {
-		out = append(out, k.canonical())
+		out = append(out, k.CanonicalKey())
 	}
 	sort.Strings(out)
 	return out

@@ -274,11 +274,13 @@ func TestFigureI1IntegrityShapes(t *testing.T) {
 
 func TestSchemesResolvableThroughRegistry(t *testing.T) {
 	// Every scheme reference the figure specs name must resolve through
-	// the registry — the seam the specs now depend on.
+	// the registry — the seam the specs now depend on — to itself: a
+	// figure's spec is a memo key, and must equal the spec a request for
+	// the same configuration resolves to.
 	for _, f := range figureSpecs() {
 		for _, s := range f.series {
-			if _, err := sim.SchemeByName(s.scheme); err != nil {
-				t.Errorf("%s series %q: scheme %q not resolvable: %v", f.id, s.name, s.scheme, err)
+			if ref, err := sim.SchemeByName(s.scheme.Canonical()); err != nil || ref != s.scheme {
+				t.Errorf("%s series %q: scheme %q resolves to %q (%v)", f.id, s.name, s.scheme, ref, err)
 			}
 		}
 	}

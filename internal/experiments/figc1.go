@@ -30,12 +30,8 @@ var figC1Policies = [2]string{"flush", "pid"}
 
 // figC1Config is the machine for one policy.
 func figC1Config(policy string) sim.Config {
-	ref, err := sim.SchemeByName("snc-lru:switch=" + policy)
-	if err != nil {
-		panic(err)
-	}
 	cfg := sim.DefaultConfig()
-	cfg.Scheme = ref
+	cfg.Scheme = mustScheme("snc-lru:switch=" + policy)
 	return cfg
 }
 

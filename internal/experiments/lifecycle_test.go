@@ -70,10 +70,9 @@ func TestTracePanicRecorded(t *testing.T) {
 func TestRunWaiterCancellation(t *testing.T) {
 	r := NewRunner(raceScale)
 	spec := DefaultSpec("gzip", sim.SchemeBaseline)
-	k := spec.key()
 	m := r.results()
 	m.mu.Lock()
-	n := m.entries.add(k, memoEntry[sim.Result]{done: make(chan struct{})})
+	n := m.entries.add(spec, memoEntry[sim.Result]{done: make(chan struct{})})
 	m.mu.Unlock()
 	e := &n.val
 

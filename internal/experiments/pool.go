@@ -4,7 +4,7 @@ package experiments
 // secsimd service: a singleflight-style memo (per-key latches, so
 // concurrent requests for the same configuration block on one simulation
 // instead of racing or double-computing) fed by the dispatch layer's
-// weighted-fair scheduler, which fans runKeys out over the shared worker
+// weighted-fair scheduler, which fans Specs out over the shared worker
 // budget (Runner.Jobs slots). Every simulation builds its own sim.System,
 // workload stream and RNG, so concurrent jobs share nothing but the memo.
 // The memo mechanics (coalescing, cancellation, LRU eviction, panic
@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -25,13 +26,13 @@ import (
 
 // results returns the result memo, initializing it on first use so
 // Capacity can be set after NewRunner but before the first request.
-func (r *Runner) results() *memo[runKey, sim.Result] {
-	return r.cache.init(r.Capacity, func(k runKey) string {
-		return fmt.Sprintf("simulation %s/%s", k.bench, k.scheme)
+func (r *Runner) results() *memo[Spec, sim.Result] {
+	return r.cache.init(r.Capacity, func(s Spec) string {
+		return fmt.Sprintf("simulation %s/%s", s.Bench, s.Scheme)
 	})
 }
 
-// result executes (or recalls) the simulation for k, deduplicating
+// result executes (or recalls) the simulation for s, deduplicating
 // concurrent requests for the same key. A caller whose ctx expires while
 // another goroutine owns the in-flight simulation returns ctx.Err()
 // promptly; the simulation itself always runs to completion so the result
@@ -40,11 +41,11 @@ func (r *Runner) results() *memo[runKey, sim.Result] {
 // spilled back to it — errored computations are dropped by the memo and
 // never reach the store. The caller holds one slot of the shared worker
 // budget for the duration.
-func (r *Runner) result(ctx context.Context, k runKey) (sim.Result, error) {
-	return r.results().do(ctx, k, func() (sim.Result, error) {
+func (r *Runner) result(ctx context.Context, s Spec) (sim.Result, error) {
+	return r.results().do(ctx, s, func() (sim.Result, error) {
 		if r.Store != nil {
 			var res sim.Result
-			if r.Store.Load(r.storeKey(k), &res) {
+			if r.Store.Load(s.storeKey(r.Scale), &res) {
 				return res, nil
 			}
 		}
@@ -53,9 +54,9 @@ func (r *Runner) result(ctx context.Context, k runKey) (sim.Result, error) {
 		// the caller's ctx flowed in here, an owner coalescing onto an
 		// in-flight trace could record its own timeout as the entry's
 		// permanent error, poisoning the spec for every future request.
-		res, err := r.simulate(context.Background(), k) //secsim:detach memo owner: a caller timeout must not poison the shared entry
+		res, err := r.simulate(context.Background(), s) //secsim:detach memo owner: a caller timeout must not poison the shared entry
 		if err == nil && r.Store != nil {
-			r.Store.Save(r.storeKey(k), res)
+			r.Store.Save(s.storeKey(r.Scale), res)
 		}
 		return res, err
 	})
@@ -75,14 +76,10 @@ func (r *Runner) result(ctx context.Context, k runKey) (sim.Result, error) {
 // and the measured phase those of the same trace and cache geometry, under
 // whatever scheme; each records them when there are none (see
 // checkpoint.go).
-func (r *Runner) simulate(ctx context.Context, k runKey) (sim.Result, error) {
-	prof, ok := workload.ByName(k.bench)
+func (r *Runner) simulate(ctx context.Context, s Spec) (sim.Result, error) {
+	prof, ok := workload.ByName(s.Bench)
 	if !ok {
-		return sim.Result{}, fmt.Errorf("experiments: unknown benchmark %q", k.bench)
-	}
-	cfg, err := k.config()
-	if err != nil {
-		return sim.Result{}, fmt.Errorf("experiments: %w", err)
+		return sim.Result{}, fmt.Errorf("experiments: unknown benchmark %q", s.Bench)
 	}
 	recs, err := r.trace(ctx, prof)
 	if err != nil {
@@ -92,13 +89,13 @@ func (r *Runner) simulate(ctx context.Context, k runKey) (sim.Result, error) {
 	if warm > len(recs) {
 		warm = len(recs)
 	}
-	sys, err := sim.New(cfg)
+	sys, err := sim.New(s.Config())
 	if err != nil {
 		return sim.Result{}, err
 	}
 	r.sims.Add(1)
-	if cp, seen := checkpoints.get(k); cp == nil || sys.Restore(cp) != nil {
-		wk := warmupKey{bench: k.bench, l2KB: k.l2KB, l2Ways: k.l2Ways}
+	if cp, seen := checkpoints.get(s); cp == nil || sys.Restore(cp) != nil {
+		wk := warmupKey{bench: s.Bench, l2KB: s.L2KB, l2Ways: s.L2Ways}
 		if w, hit := warmups.get(wk); !hit || sys.RunWarmupReplay(recs[:warm], w) != nil {
 			warmups.put(wk, sys.RunWarmupRecord(recs[:warm]))
 		}
@@ -109,9 +106,9 @@ func (r *Runner) simulate(ctx context.Context, k runKey) (sim.Result, error) {
 		if seen || r.Capacity > 0 {
 			cp, _ = sys.Checkpoint()
 		}
-		checkpoints.put(k, cp)
+		checkpoints.put(s, cp)
 	}
-	outKey := outcomeKey{bench: k.bench, scale: r.Scale, l2KB: k.l2KB, l2Ways: k.l2Ways}
+	outKey := outcomeKey{bench: s.Bench, scale: r.Scale, l2KB: s.L2KB, l2Ways: s.L2Ways}
 	if o, hit := outcomes.get(outKey); hit {
 		if res, err := sys.RunMeasuredReplay(recs[warm:], o); err == nil {
 			return res, nil
@@ -284,14 +281,14 @@ func call(ctx context.Context, i int, job func(ctx context.Context, i int) error
 	return job(ctx, i)
 }
 
-// sweep memoizes every key through fanOut and returns the results in key
+// sweep memoizes every spec through fanOut and returns the results in spec
 // order. A panicking simulation surfaces as the sweep's error (fanOut's
 // call) rather than propagating out of a job goroutine.
-func (r *Runner) sweep(ctx context.Context, keys []runKey) ([]sim.Result, error) {
-	results := make([]sim.Result, len(keys))
-	err := r.fanOut(ctx, len(keys), func(ctx context.Context, i int) error {
+func (r *Runner) sweep(ctx context.Context, specs []Spec) ([]sim.Result, error) {
+	results := make([]sim.Result, len(specs))
+	err := r.fanOut(ctx, len(specs), func(ctx context.Context, i int) error {
 		var err error
-		results[i], err = r.result(ctx, keys[i])
+		results[i], err = r.result(ctx, specs[i])
 		return err
 	})
 	if err != nil {
@@ -300,9 +297,10 @@ func (r *Runner) sweep(ctx context.Context, keys []runKey) ([]sim.Result, error)
 	return results, nil
 }
 
-// Spec is the exported face of a runKey: one simulation in the sweep
-// engine's memo space. The zero value is not useful — start from
-// DefaultSpec and tweak.
+// Spec is one simulation in the sweep engine's memo space, and its key: the
+// result memo, the checkpoint cache and the figures' key sets are keyed by
+// the Spec itself, so two specs share an entry exactly when they are equal.
+// The zero value is not useful — start from DefaultSpec and tweak.
 type Spec struct {
 	// Bench is the benchmark name (workload.BenchmarkNames).
 	Bench string
@@ -367,14 +365,25 @@ func (s Spec) Validate() error {
 	if _, ok := workload.ByName(s.Bench); !ok {
 		return fmt.Errorf("experiments: unknown benchmark %q", s.Bench)
 	}
-	cfg, err := s.key().config()
-	if err == nil {
-		err = cfg.Validate()
-	}
-	if err != nil {
+	if err := s.Config().Validate(); err != nil {
 		return fmt.Errorf("experiments: %w", err)
 	}
 	return nil
+}
+
+// Config translates s into the machine it simulates: the paper's default
+// system with the spec's scheme, SNC, L2 and crypto settings. The
+// simulation path, Validate and secsim -multi all build through it, so a
+// spec validates exactly when its machine can be built.
+func (s Spec) Config() sim.Config {
+	cfg := sim.DefaultConfig()
+	cfg.Scheme = s.Scheme
+	cfg.SNC.SizeBytes = s.SNCKB << 10
+	cfg.SNC.Ways = s.SNCWays
+	cfg.L2.SizeBytes = s.L2KB << 10
+	cfg.L2.Ways = s.L2Ways
+	cfg.Crypto.Latency = s.CryptoLat
+	return cfg
 }
 
 // ExpandBenches expands a benchmark argument — a single name, a
@@ -409,17 +418,26 @@ func ExpandBenches(arg string) ([]string, error) {
 	return out, nil
 }
 
-func (s Spec) key() runKey {
-	return runKey{bench: s.Bench, scheme: s.Scheme.Canonical(), sncKB: s.SNCKB, sncWays: s.SNCWays,
-		l2KB: s.L2KB, l2Ways: s.L2Ways, cryptoLat: s.CryptoLat}
+// CanonicalKey renders the spec's memo identity as
+// "bench/scheme/sncNKB-Ww/l2-NKB-Ww/cN", the scheme in canonical registry
+// form, so two specs share a key exactly when they share a memo entry. It
+// is also a SortedCacheKeys entry. The cluster fabric consistent-hashes
+// this string to pick the one node that owns the spec's simulation and
+// caches.
+func (s Spec) CanonicalKey() string {
+	return fmt.Sprintf("%s/%s/snc%dKB-%dw/l2-%dKB-%dw/c%d",
+		s.Bench, s.Scheme, s.SNCKB, s.SNCWays, s.L2KB, s.L2Ways, s.CryptoLat)
 }
 
-// CanonicalKey renders the spec's memo identity as a string: the same
-// canonicalization the singleflight memo deduplicates on (scheme in
-// canonical registry form), so two specs share a key exactly when they
-// share a memo entry. The cluster fabric consistent-hashes this string to
-// pick the one node that owns the spec's simulation and caches.
-func (s Spec) CanonicalKey() string { return s.key().canonical() }
+// storeKey renders s plus the Runner's scale as the persistent-store key.
+// Unlike the checkpoint cache (warmup state is scale-independent), a stored
+// Result depends on the measured-phase length, so the scale is part of the
+// identity.
+func (s Spec) storeKey(scale float64) string {
+	return fmt.Sprintf("%s|%s|snc%d.%d|l2_%d.%d|c%d|x%s",
+		s.Bench, s.Scheme, s.SNCKB, s.SNCWays, s.L2KB, s.L2Ways, s.CryptoLat,
+		strconv.FormatFloat(scale, 'g', -1, 64))
+}
 
 // RunCtx executes (or recalls) the simulation for one spec on the caller's
 // goroutine, holding one slot of the shared worker budget meanwhile (Hold
@@ -430,18 +448,14 @@ func (r *Runner) RunCtx(ctx context.Context, s Spec) (sim.Result, error) {
 	b := r.bud()
 	b.Hold()
 	defer b.Release()
-	return r.result(ctx, s.key())
+	return r.result(ctx, s)
 }
 
 // Sweep memoizes every spec using up to Jobs concurrent workers, so a later
 // Run for any of them returns instantly. Specs already memoized cost
 // nothing; duplicate specs are deduplicated.
 func (r *Runner) Sweep(ctx context.Context, specs []Spec) error {
-	keys := make([]runKey, len(specs))
-	for i, s := range specs {
-		keys[i] = s.key()
-	}
-	_, err := r.sweep(ctx, keys)
+	_, err := r.sweep(ctx, specs)
 	return err
 }
 
@@ -457,7 +471,7 @@ func (r *Runner) Sweep(ctx context.Context, specs []Spec) error {
 func (r *Runner) SweepEach(ctx context.Context, specs []Spec, fn func(i int, res sim.Result, err error)) error {
 	var fnMu sync.Mutex
 	return r.dispatchEach(ctx, len(specs), func(jctx context.Context, i int) error {
-		res, err := r.result(jctx, specs[i].key())
+		res, err := r.result(jctx, specs[i])
 		fnMu.Lock()
 		fn(i, res, err)
 		fnMu.Unlock()

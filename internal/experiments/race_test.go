@@ -15,7 +15,7 @@ const raceScale = 0.02
 
 // TestConcurrentFiguresExactlyOnce hammers one Runner from many goroutines
 // requesting overlapping figures and asserts the singleflight memo ran each
-// runKey exactly once: the executed-simulation counter must equal the number
+// Spec exactly once: the executed-simulation counter must equal the number
 // of distinct memo entries, and repeated figures must render identically.
 func TestConcurrentFiguresExactlyOnce(t *testing.T) {
 	r := NewRunner(raceScale)

@@ -53,6 +53,10 @@ func wireCases() []wireCase {
 		wireCase{name: "benchmarks", method: http.MethodGet, path: "/v1/benchmarks"},
 		wireCase{name: "error-unknown-param", method: http.MethodPost, path: "/v1/run",
 			body: `{"bench":"mcf","scheme":"otp-mac:frobnicate=1"}`},
+		// With several unknown parameters the envelope names the first in
+		// sorted key order, every time.
+		wireCase{name: "error-unknown-params", method: http.MethodPost, path: "/v1/run",
+			body: `{"bench":"mcf","scheme":"otp-mac:zap=2,frobnicate=1"}`},
 		wireCase{name: "sweep-two-specs", method: http.MethodPost, path: "/v1/sweep",
 			body: `{"specs":[{"bench":"gzip","scheme":"xom"},{"bench":"art","scheme":"snc-lru","crypto_lat":102}]}`},
 		wireCase{name: "sweep-one-spec", method: http.MethodPost, path: "/v1/sweep",

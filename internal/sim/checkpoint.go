@@ -41,24 +41,12 @@ func (s *System) Checkpoint() (*Checkpoint, bool) {
 	return (*Checkpoint)(cp), true
 }
 
-// compatible reports whether two configurations describe the same machine.
-// Config as a whole is not comparable (the scheme reference carries a
-// parameter map), so the comparable sub-configs are checked directly and the
-// scheme by its canonical reference string.
-func compatible(a, b Config) bool {
-	return a.CPU == b.CPU &&
-		a.L1I == b.L1I && a.L1D == b.L1D && a.L2 == b.L2 &&
-		a.DRAM == b.DRAM && a.Crypto == b.Crypto && a.SNC == b.SNC &&
-		a.WriteBufferDepth == b.WriteBufferDepth &&
-		a.Scheme.Canonical() == b.Scheme.Canonical()
-}
-
 // Restore reinstates a checkpoint into this system. The system must have
 // been built from the same configuration the checkpoint was taken under;
 // restoring reuses the system's existing allocations, so a settled system
 // stays allocation-free through restore-and-run cycles.
 func (s *System) Restore(cp *Checkpoint) error {
-	if !compatible(s.cfg, cp.cfg) {
+	if s.cfg != cp.cfg {
 		return fmt.Errorf("sim: checkpoint config mismatch (%s vs %s)",
 			cp.cfg.Scheme.Canonical(), s.cfg.Scheme.Canonical())
 	}

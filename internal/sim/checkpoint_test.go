@@ -144,6 +144,11 @@ func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 	if err := other.Restore(cp); err == nil {
 		t.Error("restore into a different scheme accepted")
 	}
+	// Same scheme, different parameters.
+	pid := newCheckpointSystem(t, parseRef(t, "snc-lru:switch=pid"))
+	if err := pid.Restore(cp); err == nil {
+		t.Error("restore into different scheme parameters accepted")
+	}
 	// Different geometry, same scheme.
 	cfg := DefaultConfig()
 	cfg.Scheme = SchemeOTPLRU

@@ -20,9 +20,6 @@ import (
 // scheme table plus optional construction parameters (core.Ref).
 type SchemeRef = core.Ref
 
-// SchemeParams carries free-form scheme parameters inside a SchemeRef.
-type SchemeParams = core.Params
-
 // References to the six schemes in core's table (the four the paper
 // evaluates plus two extensions); any name or alias works equally via
 // SchemeByName.

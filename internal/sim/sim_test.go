@@ -102,8 +102,11 @@ func TestSchemeByNameResolvesAliasesAndParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.Params["verify"] != "blocking" || ref.Params["verify_lat"] != "120" {
-		t.Errorf("params not parsed: %v", ref.Params)
+	if v, _ := ref.Params().Get("verify"); v != "blocking" {
+		t.Errorf("verify not parsed: %v", ref)
+	}
+	if v, _ := ref.Params().Get("verify_lat"); v != "120" {
+		t.Errorf("verify_lat not parsed: %v", ref)
 	}
 	if _, err := SchemeByName("nosuch"); err == nil {
 		t.Error("unknown scheme accepted")
@@ -113,6 +116,17 @@ func TestSchemeByNameResolvesAliasesAndParams(t *testing.T) {
 	if _, err := SchemeByName("otp-mac:verify=sometimes"); err == nil {
 		t.Error("bad verify policy accepted")
 	}
+}
+
+// parseRef parses a scheme reference without validating it against the
+// registry, or fails the test.
+func parseRef(t *testing.T, s string) SchemeRef {
+	t.Helper()
+	ref, err := core.ParseRef(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref
 }
 
 func runBench(t *testing.T, name string, scheme SchemeRef) Result {
@@ -707,20 +721,20 @@ func TestValidateSchemeErrors(t *testing.T) {
 	}
 
 	badParam := DefaultConfig()
-	badParam.Scheme = SchemeRef{Name: "otp-mac", Params: SchemeParams{"verify": "perhaps"}}
+	badParam.Scheme = parseRef(t, "otp-mac:verify=perhaps")
 	if badParam.Validate() == nil {
 		t.Error("bad otp-mac verify policy accepted")
 	}
-	badParam.Scheme = SchemeRef{Name: "otp-mac", Params: SchemeParams{"verify_lat": "-3"}}
+	badParam.Scheme = parseRef(t, "otp-mac:verify_lat=-3")
 	if badParam.Validate() == nil {
 		t.Error("negative verify_lat accepted")
 	}
-	badParam.Scheme = SchemeRef{Name: "otp-mac", Params: SchemeParams{"frobnicate": "1"}}
+	badParam.Scheme = parseRef(t, "otp-mac:frobnicate=1")
 	if badParam.Validate() == nil {
 		t.Error("unknown otp-mac parameter accepted")
 	}
 	noParams := DefaultConfig()
-	noParams.Scheme = SchemeRef{Name: "baseline", Params: SchemeParams{"x": "1"}}
+	noParams.Scheme = parseRef(t, "baseline:x=1")
 	if noParams.Validate() == nil {
 		t.Error("parameters accepted by a parameterless scheme")
 	}
@@ -748,7 +762,7 @@ func TestValidateSchemeErrors(t *testing.T) {
 func TestNewSchemesRun(t *testing.T) {
 	lru := runBench(t, "vpr", SchemeOTPLRU)
 	overlap := runBench(t, "vpr", SchemeOTPMAC)
-	blocking := runBench(t, "vpr", SchemeRef{Name: "otp-mac", Params: SchemeParams{"verify": "blocking"}})
+	blocking := runBench(t, "vpr", parseRef(t, "otp-mac:verify=blocking"))
 	pre := runBench(t, "vpr", SchemeOTPPrecompute)
 
 	if overlap.IntegrityVerified == 0 || blocking.IntegrityVerified == 0 {
