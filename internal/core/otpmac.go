@@ -70,11 +70,10 @@ func (m *OTPMAC) VerifyPolicy() integrity.VerifyPolicy { return m.policy }
 //
 //secsim:hotpath
 func (m *OTPMAC) ReadLine(now uint64, a Access) uint64 {
-	// Whether the metadata (seq number + MAC) is on chip must be decided
-	// before the OTP read installs the entry. Instruction lines use
-	// VA-derived constant seeds and a static MAC, always resident.
-	covered := a.Instr || m.snc.Contains(m.tagged(a.Line))
-	ready, arrival := m.readLine(now, a)
+	// The metadata (seq number + MAC) is on chip when the OTP read's SNC
+	// query hits, before that read installs the entry. Instruction lines
+	// use VA-derived constant seeds and a static MAC, always resident.
+	ready, arrival, covered := m.readLine(now, a)
 	macAvail := arrival
 	if !covered {
 		macArrival := m.bus.Read(now, mem.SrcMACFetch)
@@ -100,8 +99,7 @@ func (m *OTPMAC) WritebackLine(now uint64, a Access) uint64 {
 	if a.Instr {
 		return m.OTP.WritebackLine(now, a)
 	}
-	covered := m.snc.Contains(m.tagged(a.Line))
-	cpuFree := m.OTP.WritebackLine(now, a)
+	cpuFree, _, covered := m.writebackLine(now, m.tagged(a.Line))
 	macDone := m.macUnit.Issue(now)
 	if !covered {
 		free := m.wbuf.Insert(now, macDone, m.bus, mem.SrcMACUpdate)

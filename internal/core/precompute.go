@@ -87,7 +87,7 @@ func (p *OTPPre) ReadLine(now uint64, a Access) uint64 {
 	seqArrival := p.bus.Read(now, mem.SrcSeqNumFetch)
 	seqPlain := p.crypto.Issue(seqArrival) // decrypt the stored seq number
 	trueSeq := p.seqMem.get(va)
-	p.installFetched(now, va)
+	p.installFetched(now, va, trueSeq)
 	if want, ok := p.padFor.lookup(va); ok && want == trueSeq {
 		return max(arrival, seqPlain) + 1
 	}
@@ -98,21 +98,18 @@ func (p *OTPPre) ReadLine(now uint64, a Access) uint64 {
 
 // WritebackLine implements Scheme: normal OTP writeback, then record that
 // the encryption pad for the incremented sequence number doubles as the
-// precomputed decryption pad for the line's next read.
+// precomputed decryption pad for the line's next read. The SNC underneath
+// is LRU, so the writeback always leaves the line resident under that
+// number: an update hit increments it in place, an update miss installs it.
 //
 //secsim:hotpath
 func (p *OTPPre) WritebackLine(now uint64, a Access) uint64 {
-	cpuFree := p.OTP.WritebackLine(now, a)
-	if !a.Instr {
-		va := p.tagged(a.Line)
-		if seq, ok := p.snc.Peek(va); ok {
-			p.padFor.set(va, seq)
-		} else {
-			// Uncovered writeback (entry not resident): any buffered pad
-			// is stale now.
-			p.padFor.del(va)
-		}
+	if a.Instr {
+		return p.OTP.WritebackLine(now, a)
 	}
+	va := p.tagged(a.Line)
+	cpuFree, seq, _ := p.writebackLine(now, va)
+	p.padFor.set(va, seq)
 	return cpuFree
 }
 

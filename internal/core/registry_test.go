@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -352,5 +353,77 @@ func TestOTPPrePadRetention(t *testing.T) {
 	third := p.ReadLine(3000, a)
 	if third != 3000+108+1 {
 		t.Errorf("post-writeback read ready at %d, want %d", third, 3000+108+1)
+	}
+}
+
+// smallSNC is a 32-entry, 4-way SNC over 128B lines: a few hundred lines
+// keep it full and evicting.
+var smallSNC = snc.Config{SizeBytes: 64, EntryBytes: 2, Ways: 4, LineBytes: 128}
+
+// TestOTPPreWritebackLeavesLineResident pins what OTPPre.WritebackLine
+// relies on: over the LRU SNC underneath, a writeback always leaves the
+// line resident under the sequence number whose pad it retains, on an
+// update hit and on an update miss into a full set alike.
+func TestOTPPreWritebackLeavesLineResident(t *testing.T) {
+	res := testResources()
+	res.SNC = smallSNC
+	otp, err := newOTPWith(res, snc.LRU, Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewOTPPre(otp)
+	rng := rand.New(rand.NewSource(1))
+	for i := range uint64(5000) {
+		a := Access{Line: uint64(rng.Intn(256)) * 128}
+		if rng.Intn(2) == 0 {
+			p.ReadLine(10*i, a)
+			continue
+		}
+		p.WritebackLine(10*i, a)
+		seq, resident := p.snc.Peek(a.Line)
+		pad, buffered := p.padFor.lookup(a.Line)
+		if !resident || !buffered || seq != pad {
+			t.Fatalf("writeback %d of %#x: SNC (%d, %v), buffered pad (%d, %v)", i, a.Line, seq, resident, pad, buffered)
+		}
+	}
+	if s := p.snc; s.UpdateHits == 0 || s.UpdateMisses == 0 || s.Occupied() != 32 {
+		t.Errorf("update hits %d, misses %d, occupied %d: want both arms over a full SNC", s.UpdateHits, s.UpdateMisses, s.Occupied())
+	}
+}
+
+// TestOTPMACCoverageMatchesSNC: an otp-mac read or data writeback costs a
+// MAC-table transfer exactly when the SNC does not hold the line's number
+// as it starts; an instruction read is always covered.
+func TestOTPMACCoverageMatchesSNC(t *testing.T) {
+	res := testResources()
+	res.SNC = smallSNC
+	otp, err := newOTPWith(res, snc.LRU, Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewOTPMAC(otp, integrity.VerifyOverlap, 80)
+	rng := rand.New(rand.NewSource(2))
+	var fetches, updates uint64
+	for i := range uint64(5000) {
+		a := Access{Line: uint64(rng.Intn(256)) * 128}
+		if rng.Intn(2) == 0 {
+			a.Instr = rng.Intn(4) == 0
+			if !a.Instr && !m.snc.Contains(a.Line) {
+				fetches++
+			}
+			m.ReadLine(10*i, a)
+			continue
+		}
+		if !m.snc.Contains(a.Line) {
+			updates++
+		}
+		m.WritebackLine(10*i, a)
+	}
+	bus := res.Bus.Transactions
+	if bus[mem.SrcMACFetch] != fetches || bus[mem.SrcMACUpdate] != updates {
+		t.Errorf("MAC fetches %d, updates %d; want %d, %d", bus[mem.SrcMACFetch], bus[mem.SrcMACUpdate], fetches, updates)
+	}
+	if fetches == 0 || updates == 0 {
+		t.Errorf("fetches %d, updates %d: want uncovered reads and writebacks", fetches, updates)
 	}
 }

@@ -249,25 +249,27 @@ func (o *OTP) SNC() *snc.SNC { return o.snc }
 //
 //secsim:hotpath
 func (o *OTP) ReadLine(now uint64, a Access) uint64 {
-	ready, _ := o.readLine(now, a)
+	ready, _, _ := o.readLine(now, a)
 	return ready
 }
 
 // readLine is ReadLine plus the raw line-arrival cycle, which integrity
-// wrappers need to time MAC verification against.
-func (o *OTP) readLine(now uint64, a Access) (ready, arrival uint64) {
+// wrappers need to time MAC verification against, and whether the line's
+// metadata was on chip when the read began: an instruction line, or a data
+// line whose SNC query hit.
+func (o *OTP) readLine(now uint64, a Access) (ready, arrival uint64, covered bool) {
 	if a.Instr {
 		// Instructions: seed is derived from the VA alone (they are never
 		// written back), so the pad always starts with the read.
 		pad := o.crypto.Issue(now)
 		arrival = o.bus.Read(now, mem.SrcLineFill)
-		return max(arrival, pad) + 1, arrival
+		return max(arrival, pad) + 1, arrival, true
 	}
 	va := o.tagged(a.Line)
 	if _, hit := o.snc.Query(va); hit {
 		pad := o.crypto.Issue(now)
 		arrival = o.bus.Read(now, mem.SrcLineFill)
-		return max(arrival, pad) + 1, arrival
+		return max(arrival, pad) + 1, arrival, true
 	}
 	switch o.policy {
 	case snc.LRU:
@@ -278,8 +280,8 @@ func (o *OTP) readLine(now uint64, a Access) (ready, arrival uint64) {
 		seqArrival := o.bus.Read(now, mem.SrcSeqNumFetch)
 		seqPlain := o.crypto.Issue(seqArrival) // decrypt the seq number
 		pad := o.crypto.Issue(seqPlain)        // encrypt the seeds
-		o.installFetched(now, va)
-		return max(arrival, pad) + 1, arrival
+		o.installFetched(now, va, o.seqMem.get(va))
+		return max(arrival, pad) + 1, arrival, false
 	default: // NoReplacement
 		if seq, ok := o.seqMem.lookup(va); ok {
 			// The line was covered before a context-switch flush spilled
@@ -294,20 +296,19 @@ func (o *OTP) readLine(now uint64, a Access) (ready, arrival uint64) {
 			if o.snc.TryInstall(va, seq) {
 				o.seqMem.del(va)
 			}
-			return max(arrival, pad) + 1, arrival
+			return max(arrival, pad) + 1, arrival, false
 		}
 		// Uncovered line: it was encrypted directly (XOM-style), so the
 		// read pays the serial decrypt.
 		arrival = o.bus.Read(now, mem.SrcLineFill)
-		return o.crypto.Issue(arrival), arrival
+		return o.crypto.Issue(arrival), arrival, false
 	}
 }
 
-// installFetched moves the line's sequence number from the in-memory table
-// into the SNC, spilling the LRU victim back to memory (off the critical
-// path, through the write buffer).
-func (o *OTP) installFetched(now uint64, lineVA uint64) {
-	seq := o.seqMem.get(lineVA)
+// installFetched moves the line's sequence number seq, read from the
+// in-memory table, into the SNC, spilling the LRU victim back to memory
+// (off the critical path, through the write buffer).
+func (o *OTP) installFetched(now uint64, lineVA uint64, seq uint16) {
 	victimVA, victimSeq, evicted := o.snc.Install(lineVA, seq)
 	if evicted {
 		o.spill(now, victimVA, victimSeq)
@@ -331,9 +332,17 @@ func (o *OTP) WritebackLine(now uint64, a Access) uint64 {
 		// Instruction lines are never dirty; nothing to do.
 		return now
 	}
-	va := o.tagged(a.Line)
-	if _, hit, wrapped := o.snc.Update(va); hit {
-		return o.drainLine(now, now, wrapped)
+	cpuFree, _, _ := o.writebackLine(now, o.tagged(a.Line))
+	return cpuFree
+}
+
+// writebackLine is WritebackLine for the data line at tagged address va,
+// plus the line's new sequence number (0 when the line goes out directly
+// encrypted without one) and whether the SNC held the line when the
+// writeback began, which wrappers need for their own bookkeeping.
+func (o *OTP) writebackLine(now, va uint64) (cpuFree uint64, seq uint16, covered bool) {
+	if seq, hit, wrapped := o.snc.Update(va); hit {
+		return o.drainLine(now, now, wrapped), seq, true
 	}
 	switch o.policy {
 	case snc.LRU:
@@ -342,16 +351,16 @@ func (o *OTP) WritebackLine(now uint64, a Access) uint64 {
 		// write buffer's shadow.
 		seqArrival := o.bus.Read(now, mem.SrcSeqNumFetch)
 		seqPlain := o.crypto.Issue(seqArrival)
-		wrapped := o.seqMem.get(va) == math.MaxUint16
-		o.seqMem.inc(va) // increment the architectural copy
-		o.installFetched(now, va)
+		seq := o.seqMem.inc(va) // increment the architectural copy
+		wrapped := seq == 0
+		o.installFetched(now, va, seq)
 		if wrapped {
 			// Same pad-space exhaustion as the hit path, caught on the
 			// in-memory copy: count it with the SNC-observed wraps so the
 			// stat covers every exhaustion.
 			o.snc.SeqOverflows++
 		}
-		return o.drainLine(now, seqPlain, wrapped)
+		return o.drainLine(now, seqPlain, wrapped), seq, false
 	default: // NoReplacement
 		if prev, ok := o.seqMem.lookup(va); ok {
 			// Covered before a context-switch flush: the pad space for
@@ -370,11 +379,14 @@ func (o *OTP) WritebackLine(now uint64, a Access) uint64 {
 			if wrapped {
 				o.snc.SeqOverflows++
 			}
-			return o.drainLine(now, seqPlain, wrapped)
+			return o.drainLine(now, seqPlain, wrapped), next, false
 		}
 		// Vacancy: the line joins the one-time-pad world with a fresh
 		// sequence number. Full: direct encryption, exactly like XOM.
-		return o.drainLine(now, now, !o.snc.TryInstall(va, 1))
+		if o.snc.TryInstall(va, 1) {
+			return o.drainLine(now, now, false), 1, false
+		}
+		return o.drainLine(now, now, true), 0, false
 	}
 }
 

@@ -77,17 +77,19 @@ func (t *seqTable) set(va uint64, v uint16) {
 	ch.seq[idx] = v
 }
 
-// inc adds one to va's number (installing 1 when absent, like a map's
-// self-increment of a missing key — the array cell may hold a stale value
-// from a deleted entry, so absence must reset it, not increment it).
-func (t *seqTable) inc(va uint64) {
+// inc adds one to va's number and returns the new number (installing 1
+// when absent, like a map's self-increment of a missing key — the array
+// cell may hold a stale value from a deleted entry, so absence must reset
+// it, not increment it).
+func (t *seqTable) inc(va uint64) uint16 {
 	ch, idx := t.chunk(va, true)
 	if ch.present[idx>>6]&(1<<(idx&63)) == 0 {
 		ch.present[idx>>6] |= 1 << (idx & 63)
 		ch.seq[idx] = 1
-		return
+		return 1
 	}
 	ch.seq[idx]++
+	return ch.seq[idx]
 }
 
 // del removes va's number.

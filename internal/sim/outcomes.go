@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"secureproc/internal/cache"
@@ -10,27 +11,37 @@ import (
 )
 
 // This file records a phase's cache outcomes once and replays them under
-// any scheme. Step is apply(lookup(rec)): lookup touches only L1I, L1D and
-// L2, and apply only the core and the scheme. No scheme and no timing can
-// change what the caches hold (core.Resources never hands a scheme a
-// cache), so for one record stream, one cache geometry and one cache start
-// state, the lookup half yields the same outcomes under every scheme and
-// crypto setting — the one-pass idea of Mattson et al., "Evaluation
-// Techniques for Storage Hierarchies" (IBM Systems Journal, 1970). A replay
-// runs only the apply half over recorded outcomes and then installs the
-// recorded end state of the caches, so it leaves the System exactly where a
-// direct run would have. Two phases use it: the warmup prefix, which always
-// starts from empty caches, and the measured phase that follows it.
+// any scheme. A record's walk has two halves: lookup touches only L1I, L1D
+// and L2 and yields the record's outcome bits, and retire turns the bits
+// into core and scheme calls. No scheme and no timing can change what the
+// caches hold (core.Resources never hands a scheme a cache), so for one
+// record stream, one cache geometry and one cache start state, the lookup
+// half yields the same outcomes under every scheme and crypto setting —
+// the one-pass idea of Mattson et al., "Evaluation Techniques for Storage
+// Hierarchies" (IBM Systems Journal, 1970). A replay runs only the retire
+// half over recorded outcomes and then installs the recorded end state of
+// the caches, so it leaves the System exactly where a direct run would
+// have. Two phases use it: the warmup prefix, which always starts from
+// empty caches, and the measured phase that follows it.
+//
+// retire is the one loop for all three paths: Step runs it over one
+// record, record over a whole phase after its lookup pass, and replay over
+// recorded outcomes. A record that hits in L1 or L2 without a
+// write-allocate fill calls no scheme and retires inside the loop with one
+// inlined core call; only the records that call the scheme (L2 misses,
+// instruction fetch misses and write-allocate fills) call out to apply.
+// The hit arms cannot move into a helper, since no helper holding them
+// fits the inliner's budget (see retire).
 
 // Outcomes is one recorded phase: copies of the caches at its start, one
-// outcome byte per record, the victim and fill line addresses the apply
+// outcome byte per record, the victim and fill line addresses the retire
 // half needs, and copies of the caches at its end. It is immutable once
 // returned, so any number of systems may replay it concurrently.
 type Outcomes struct {
 	start [3]*cache.Cache // L1I, L1D, L2
 	end   [3]*cache.Cache
 	ops   []uint8
-	// addrs holds the line addresses apply consumes, in order; a record
+	// addrs holds the line addresses retire consumes, in order; a record
 	// owns as many as its outcome bits name.
 	addrs []uint64
 }
@@ -104,20 +115,22 @@ func (s *System) RunMeasuredReplay(recs []workload.Record, o *Outcomes) (Result,
 	return s.result(), nil
 }
 
-// record runs recs through lookup and apply, recording each outcome, and
-// drains the core.
+// record runs recs through lookup, recording each outcome and the
+// caches' end state, then retires them and drains the core. The lookup
+// pass touches only the caches and retire only the core and the scheme,
+// so running them one after the other is exact.
 func (s *System) record(recs []workload.Record) *Outcomes {
 	o := &Outcomes{start: s.copyCaches(), ops: make([]uint8, len(recs))}
 	var addrs []uint64
 	for i, rec := range recs {
 		op := s.lookup(rec)
-		n := s.apply(rec, op, s.la[:])
 		o.ops[i] = op
-		addrs = append(addrs, s.la[:n]...)
+		addrs = append(addrs, s.la[:bits.OnesCount8(op&(oVictim|oWBFill|oWBVictim))]...)
 	}
-	s.cpu.Drain()
 	o.addrs = slices.Clone(addrs)
 	o.end = s.copyCaches()
+	s.retire(recs, o.ops, o.addrs)
+	s.cpu.Drain()
 	return o
 }
 
@@ -144,15 +157,12 @@ func (s *System) guard(recs []workload.Record, o *Outcomes) error {
 	return nil
 }
 
-// replay makes the apply half's calls for every record of recs from o,
-// drains the core and installs o's end state of the caches.
+// replay retires every record of recs from o, drains the core and
+// installs o's end state of the caches.
 //
 //secsim:hotpath
 func (s *System) replay(recs []workload.Record, o *Outcomes) {
-	a := o.addrs
-	for i, rec := range recs {
-		a = a[s.apply(rec, o.ops[i], a):]
-	}
+	s.retire(recs, o.ops, o.addrs)
 	s.cpu.Drain()
 	for i, c := range s.caches() {
 		c.Restore(o.end[i])

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"secureproc/internal/cache"
+	"secureproc/internal/core"
 	"secureproc/internal/workload"
 )
 
@@ -49,62 +50,147 @@ func randomRecords(raw []uint32) []workload.Record {
 	return recs
 }
 
-// outcomeKinds lists every (instruction fetch?, outcome bits) pair lookup
-// can produce.
-var outcomeKinds = func() map[[2]uint8]bool {
-	kinds := map[[2]uint8]bool{}
+// outcomeKinds lists every (instruction fetch?, outcome bits, depends?)
+// triple a record can produce.
+var outcomeKinds = func() map[[3]uint8]bool {
+	kinds := map[[3]uint8]bool{}
 	for _, o := range []uint8{oL1Hit, oL2Hit, 0, oVictim} {
-		kinds[[2]uint8{1, o}] = false
-		kinds[[2]uint8{0, o}] = false
-		if o != oL1Hit {
-			kinds[[2]uint8{0, oWBFill | o}] = false
-			kinds[[2]uint8{0, oWBFill | oWBVictim | o}] = false
+		for dep := range uint8(2) {
+			kinds[[3]uint8{1, o, dep}] = false
+			kinds[[3]uint8{0, o, dep}] = false
+			if o != oL1Hit {
+				kinds[[3]uint8{0, oWBFill | o, dep}] = false
+				kinds[[3]uint8{0, oWBFill | oWBVictim | o, dep}] = false
+			}
 		}
 	}
 	return kinds
 }()
 
+// refApply is the reference for retire: the core and scheme calls of one
+// record, every outcome in one switch, as a direct run made them before
+// the hit arms moved into retire's loop. It returns the words of la it
+// consumed.
+func refApply(s *System, rec workload.Record, o uint8, la []uint64) int {
+	n := uint64(rec.Gap) + 1
+	if o&(oVictim|oWBFill) != 0 {
+		s.cpu.Compute(uint64(rec.Gap))
+		n = 1
+	}
+	if rec.Kind == workload.IFetch {
+		switch {
+		case o&oL1Hit != 0:
+			s.cpu.Compute(n)
+			return 0
+		case o&oL2Hit != 0:
+			s.cpu.LoadHitL2(n, false)
+			return 0
+		}
+		w := s.writeback(o, la)
+		s.cpu.Compute(n)
+		s.cpu.WaitUntil(s.scheme.ReadLine(s.cpu.Cycles(), core.Access{Line: s.l2.LineAddr(rec.Addr), Instr: true}))
+		return w
+	}
+	write := rec.Kind == workload.Store
+	if o&oL1Hit != 0 {
+		if write {
+			s.cpu.Compute(n)
+		} else {
+			s.cpu.LoadHitL1(n, rec.Depends)
+		}
+		return 0
+	}
+	w := 0
+	if o&oWBFill != 0 {
+		if o&oWBVictim != 0 {
+			s.writebackLine(la[0])
+			w = 1
+		}
+		issue := s.cpu.IssueMiss(1, false)
+		s.cpu.HoldMSHR(s.scheme.ReadLine(issue, core.Access{Line: la[w]}), false)
+		w++
+	}
+	if o&oL2Hit != 0 {
+		if write {
+			s.cpu.Compute(n)
+		} else {
+			s.cpu.LoadHitL2(n, rec.Depends)
+		}
+		return w
+	}
+	w += s.writeback(o, la[w:])
+	issue := s.cpu.IssueMiss(n, rec.Depends && !write)
+	s.cpu.HoldMSHR(s.scheme.ReadLine(issue, core.Access{Line: s.l2.LineAddr(rec.Addr)}), !write)
+	return w
+}
+
+// refRun runs warm and then measured through lookup and refApply, one
+// record at a time, with RunWarmup's drain and RunMeasured's measurement
+// boundary, and returns the measured Result.
+func refRun(s *System, warm, measured []workload.Record) Result {
+	for _, rec := range warm {
+		refApply(s, rec, s.lookup(rec), s.la[:])
+	}
+	s.cpu.Drain()
+	s.BeginMeasurement()
+	for _, rec := range measured {
+		refApply(s, rec, s.lookup(rec), s.la[:])
+	}
+	s.cpu.Drain()
+	return s.result()
+}
+
 // TestReplayPropertyAcrossSchemes: over random record streams on a tiny
 // machine, outcomes recorded under one scheme and replayed under another
 // give the Result and the final state of a direct run under the second
-// scheme. Every outcome kind must occur over the run, so the rare ones (an
-// instruction fill evicting a dirty line, a write-allocated L1 victim
-// evicting another) are exercised, not just reachable.
+// scheme, and both equal a reference run through refApply, which keeps
+// every arm in one place and so checks retire's hit arms independently.
+// Every outcome kind must occur over the run, with and without a
+// dependence, so the rare ones (an instruction fill evicting a dirty line,
+// a write-allocated L1 victim evicting another) are exercised, not just
+// reachable.
 func TestReplayPropertyAcrossSchemes(t *testing.T) {
 	schemes := snapshotSchemes
-	seen := map[[2]uint8]bool{}
+	seen := map[[3]uint8]bool{}
 	prop := func(raw []uint32, pick uint8) bool {
 		if len(raw) < 2 {
 			return true
 		}
 		recs := randomRecords(raw)
-		warm := recs[:len(recs)/2]
+		warm, measured := recs[:len(recs)/2], recs[len(recs)/2:]
 		from := schemes[int(pick)%len(schemes)]
 		to := schemes[int(pick/8)%len(schemes)]
 
 		recorder := mustNew(t, tinyConfig(from))
 		recorder.RunWarmup(workload.Replay(warm))
-		_, outs := recorder.RunMeasuredRecord(recs[len(warm):])
-		for i, r := range recs[len(warm):] {
-			seen[[2]uint8{boolByte(r.Kind == workload.IFetch), outs.ops[i]}] = true
+		_, outs := recorder.RunMeasuredRecord(measured)
+		for i, r := range measured {
+			seen[[3]uint8{boolByte(r.Kind == workload.IFetch), outs.ops[i], boolByte(r.Depends)}] = true
 		}
+
+		ref := mustNew(t, tinyConfig(to))
+		want := refRun(ref, warm, measured)
 
 		direct := mustNew(t, tinyConfig(to))
 		direct.RunWarmup(workload.Replay(warm))
-		want := direct.RunMeasured(workload.Replay(recs[len(warm):]))
+		if got := direct.RunMeasured(workload.Replay(measured)); got != want {
+			t.Logf("%s: direct %+v, reference %+v", to.Name, got, want)
+			return false
+		}
 
 		replay := mustNew(t, tinyConfig(to))
 		replay.RunWarmup(workload.Replay(warm))
-		got, err := replay.RunMeasuredReplay(recs[len(warm):], outs)
+		got, err := replay.RunMeasuredReplay(measured, outs)
 		if err != nil {
 			t.Logf("%s -> %s: %v", from.Name, to.Name, err)
 			return false
 		}
 		if got != want {
-			t.Logf("%s -> %s: replay %+v, direct %+v", from.Name, to.Name, got, want)
+			t.Logf("%s -> %s: replay %+v, reference %+v", from.Name, to.Name, got, want)
 			return false
 		}
-		return reflect.DeepEqual(checkpointOf(t, replay), checkpointOf(t, direct))
+		cp := checkpointOf(t, ref)
+		return reflect.DeepEqual(checkpointOf(t, direct), cp) && reflect.DeepEqual(checkpointOf(t, replay), cp)
 	}
 	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}
 	if err := quick.Check(prop, cfg); err != nil {
@@ -112,12 +198,12 @@ func TestReplayPropertyAcrossSchemes(t *testing.T) {
 	}
 	for k := range outcomeKinds {
 		if !seen[k] {
-			t.Errorf("outcome kind (ifetch=%d, bits=%05b) never occurred", k[0], k[1])
+			t.Errorf("outcome kind (ifetch=%d, bits=%05b, depends=%d) never occurred", k[0], k[1], k[2])
 		}
 	}
 	for k := range seen {
 		if _, ok := outcomeKinds[k]; !ok {
-			t.Errorf("unexpected outcome kind (ifetch=%d, bits=%05b)", k[0], k[1])
+			t.Errorf("unexpected outcome kind (ifetch=%d, bits=%05b, depends=%d)", k[0], k[1], k[2])
 		}
 	}
 }

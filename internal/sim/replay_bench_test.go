@@ -56,3 +56,37 @@ func BenchmarkMeasuredReplay(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkWarmupReplay times the warmup a never-checkpointed spec runs:
+// mcf's warmup outcomes are recorded once under baseline, and each
+// iteration builds a new System (untimed) and replays them into it under
+// one scheme. It reports ns per replayed record; allocs/op is that of the
+// replay alone.
+func BenchmarkWarmupReplay(b *testing.B) {
+	prof, ok := workload.ByName("mcf")
+	if !ok {
+		b.Fatal("no profile mcf")
+	}
+	recs, err := workload.Materialize(prof, benchReplayScale)
+	if err != nil {
+		b.Fatal(err)
+	}
+	warm := recs[:min(prof.WarmupRefs(), len(recs))]
+	outs := newCheckpointSystem(b, SchemeBaseline).RunWarmupRecord(warm)
+
+	for _, ref := range snapshotSchemes {
+		b.Run(ref.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				b.StopTimer()
+				sys := newCheckpointSystem(b, ref)
+				b.StartTimer()
+				if err := sys.RunWarmupReplay(warm, outs); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(warm)), "ns/rec")
+		})
+	}
+}

@@ -281,7 +281,7 @@ func (s *System) SwitchPolicy() (p core.SwitchPolicy, ok bool) {
 }
 
 // Outcome bits: what one record did in L1I/L1D/L2. The walk is split into a
-// lookup, which touches only the caches and yields these bits, and an apply,
+// lookup, which touches only the caches and yields these bits, and a retire,
 // which makes the core and scheme calls they imply. No scheme and no timing
 // can change what the caches hold, so the bits for a record stream depend on
 // the cache geometry and start state alone (see outcomes.go).
@@ -301,8 +301,8 @@ const (
 )
 
 // lookup walks rec through the caches and returns its outcome bits. The
-// line addresses apply needs beyond rec itself — dirty L2 victims and the
-// L1 victim's write-allocated line — go to s.la in the order apply
+// line addresses retire needs beyond rec itself — dirty L2 victims and the
+// L1 victim's write-allocated line — go to s.la in the order retire
 // consumes them.
 func (s *System) lookup(rec workload.Record) uint8 {
 	if rec.Kind == workload.IFetch {
@@ -350,18 +350,58 @@ func (s *System) lookupL2(addr uint64, write bool, n int) uint8 {
 	return 0
 }
 
-// apply makes the core and scheme calls for rec given its outcome bits o,
-// taking victim and fill line addresses from la in lookup's order. It
-// returns how many words of la it consumed, and touches no cache.
+// retire makes the core and scheme calls for recs, whose outcome bits are
+// ops, taking victim and fill line addresses from la in lookup's order. It
+// is the one place outcome bits become calls: Step runs it over one record,
+// record over a phase after its lookup pass, and replay over recorded
+// outcomes. It touches no cache.
 //
 // A record retires with one core call: its gap and its own instruction go
 // to the call for the operation (rec.Gap+1 instructions), which leaves the
-// core as a Compute(rec.Gap) before it would. Only when a writeback or a
-// write-allocate fill comes first does the gap retire on its own, since
-// those read the clock before the record's own instruction retires. An L2
-// miss is three calls, written out at each site: the core issues it, the
-// scheme says when the line is ready, and the core holds an MSHR until
-// then.
+// core as a Compute(rec.Gap) before it would. A record that hits in L1 or
+// L2 and write-allocates no fill calls no scheme and retires here: a store
+// or an instruction fetch L1 hit is Compute, a data L1 hit LoadHitL1, and an
+// L2 hit LoadHitL2, exposed only to the frontend restart for an instruction
+// fetch. Every other record calls apply, and an L2 hit behind a
+// write-allocate fill comes back here with its gap retired. The hit arms
+// sit in the loop body, not in a helper: cpu.(*CPU).Compute alone costs 77
+// of the inliner's budget of 80, so a helper holding them would not inline,
+// and its call would spill the loop's registers on every hit.
+//
+//secsim:hotpath
+func (s *System) retire(recs []workload.Record, ops []uint8, la []uint64) {
+	ops = ops[:len(recs)] // one bounds check here, none per record
+	for i, rec := range recs {
+		o := ops[i]
+		n := uint64(rec.Gap) + 1
+		if o&(oL1Hit|oL2Hit) == 0 || o&oWBFill != 0 {
+			la = la[s.apply(rec, o, la):]
+			if o&oL2Hit == 0 {
+				continue
+			}
+			n = 1 // the fill retired the gap on its own
+		}
+		switch ifetch := rec.Kind == workload.IFetch; {
+		case rec.Kind == workload.Store || ifetch && o&oL1Hit != 0:
+			s.cpu.Compute(n) // a store retires through the store buffer
+		case o&oL1Hit != 0:
+			s.cpu.LoadHitL1(n, rec.Depends)
+		default:
+			s.cpu.LoadHitL2(n, rec.Depends && !ifetch)
+		}
+	}
+}
+
+// apply makes the calls of a record whose outcome calls the scheme: an L2
+// miss, an instruction fetch miss or a write-allocate fill. It returns how
+// many words of la it consumed. A fill in front of an L2 hit leaves the hit
+// to retire.
+//
+// When a writeback or a write-allocate fill comes first, the gap retires
+// on its own before it, since those read the clock before the record's own
+// instruction retires. An L2 miss is three calls, written out at each site:
+// the core issues it, the scheme says when the line is ready, and the core
+// holds an MSHR until then.
 func (s *System) apply(rec workload.Record, o uint8, la []uint64) int {
 	n := uint64(rec.Gap) + 1
 	if o&(oVictim|oWBFill) != 0 {
@@ -369,28 +409,11 @@ func (s *System) apply(rec workload.Record, o uint8, la []uint64) int {
 		n = 1
 	}
 	if rec.Kind == workload.IFetch {
-		switch {
-		case o&oL1Hit != 0:
-			s.cpu.Compute(n)
-			return 0
-		case o&oL2Hit != 0:
-			s.cpu.LoadHitL2(n, false) // exposed only to the frontend restart
-			return 0
-		}
 		// The frontend drains, so the fill latency is fully exposed.
 		w := s.writeback(o, la)
 		s.cpu.Compute(n)
 		s.cpu.WaitUntil(s.scheme.ReadLine(s.cpu.Cycles(), core.Access{Line: s.l2.LineAddr(rec.Addr), Instr: true}))
 		return w
-	}
-	write := rec.Kind == workload.Store
-	if o&oL1Hit != 0 {
-		if write {
-			s.cpu.Compute(n) // retires through the store buffer
-		} else {
-			s.cpu.LoadHitL1(n, rec.Depends)
-		}
-		return 0
 	}
 	w := 0
 	if o&oWBFill != 0 {
@@ -402,15 +425,11 @@ func (s *System) apply(rec workload.Record, o uint8, la []uint64) int {
 		issue := s.cpu.IssueMiss(1, false)
 		s.cpu.HoldMSHR(s.scheme.ReadLine(issue, core.Access{Line: la[w]}), false)
 		w++
-	}
-	if o&oL2Hit != 0 {
-		if write {
-			s.cpu.Compute(n)
-		} else {
-			s.cpu.LoadHitL2(n, rec.Depends)
+		if o&oL2Hit != 0 {
+			return w
 		}
-		return w
 	}
+	write := rec.Kind == workload.Store
 	w += s.writeback(o, la[w:])
 	issue := s.cpu.IssueMiss(n, rec.Depends && !write)
 	s.cpu.HoldMSHR(s.scheme.ReadLine(issue, core.Access{Line: s.l2.LineAddr(rec.Addr)}), !write)
@@ -434,12 +453,16 @@ func (s *System) writebackLine(line uint64) {
 	s.cpu.WaitUntil(cpuFree)
 }
 
-// Step feeds one trace record through the machine: apply(lookup(rec)), the
-// one timing path every run goes through. External drivers (the
-// multiprogrammed scheduler in internal/sched) use it to interleave several
-// streams on one system; Run remains the single-stream entry point.
+// Step feeds one trace record through the machine: lookup, then a
+// one-record retire, the loop every run's core and scheme calls go
+// through. External drivers (the multiprogrammed scheduler in
+// internal/sched) use it to interleave several streams on one system; Run
+// remains the single-stream entry point. The record and its outcome go to
+// retire as slices of local one-element arrays, which stay on the stack.
 func (s *System) Step(rec workload.Record) {
-	s.apply(rec, s.lookup(rec), s.la[:])
+	recs := [1]workload.Record{rec}
+	ops := [1]uint8{s.lookup(rec)}
+	s.retire(recs[:], ops[:], s.la[:])
 }
 
 // Cycles returns the core's current clock.

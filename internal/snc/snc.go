@@ -330,8 +330,7 @@ func (s *SNC) fill(lineVA uint64, seq uint16, evict bool) (victim entry, evicted
 }
 
 // Peek returns the stored sequence number without touching LRU state or
-// statistics (used by speculative pad-precompute schemes to read the value
-// their prediction must track).
+// statistics.
 func (s *SNC) Peek(lineVA uint64) (seq uint16, ok bool) {
 	si, tag := s.locate(lineVA)
 	slot, ok := s.index.find(s.entries, si, tag)
