@@ -28,15 +28,20 @@ type Metrics struct {
 	// (hits, misses, corrupt entries, writes); absent when no -store
 	// directory is configured.
 	ResultStore *store.Stats `json:"result_store,omitempty"`
-	// Checkpoints exposes the process-wide post-warmup checkpoint cache.
+	// Checkpoints, Outcomes and Warmups expose the three kinds of state
+	// the process-wide retention cache holds. Each block's bytes is what
+	// its entries are charged; capacity is the one byte budget all three
+	// share, so their bytes together never exceed it.
+	//
+	// Checkpoints are post-warmup checkpoints and marks.
 	Checkpoints experiments.CheckpointStats `json:"checkpoints"`
-	// Outcomes exposes the process-wide measured-phase outcome cache: a
-	// hit is a simulation that replayed the cache outcomes recorded under
-	// another scheme instead of looking every record up again.
+	// Outcomes are measured-phase outcome recordings: a hit is a
+	// simulation that replayed the cache outcomes recorded under another
+	// scheme instead of looking every record up again.
 	Outcomes experiments.SharedCacheStats `json:"outcomes"`
-	// Warmups exposes the process-wide warmup outcome cache: a hit is a
-	// simulation with no checkpoint that replayed the warmup's cache
-	// outcomes recorded under another configuration of its benchmark.
+	// Warmups are warmup outcome recordings: a hit is a simulation with no
+	// checkpoint that replayed the warmup's cache outcomes recorded under
+	// another configuration of its benchmark.
 	Warmups experiments.SharedCacheStats `json:"warmups"`
 	// Dispatch exposes the execution dispatch layer: the admission gate
 	// (rejections become 429s) and the weighted-fair queue over the shared

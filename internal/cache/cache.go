@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"unsafe"
 )
 
 // Config describes one cache.
@@ -225,4 +226,10 @@ func (c *Cache) Restore(src *Cache) {
 // Statistics are not compared. It allocates nothing.
 func (c *Cache) Holds(src *Cache) bool {
 	return c.tick == src.tick && slices.Equal(c.tags, src.tags) && slices.Equal(c.meta, src.meta)
+}
+
+// Bytes reports the heap bytes the cache holds: the struct, its tag and
+// metadata arrays and its scratch buffer. It allocates nothing.
+func (c *Cache) Bytes() int {
+	return int(unsafe.Sizeof(*c)) + 8*(cap(c.tags)+cap(c.dirtyScratch)) + cap(c.meta)*int(unsafe.Sizeof(lineMeta{}))
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"unsafe"
+
 	"secureproc/internal/mem"
 )
 
@@ -111,6 +113,12 @@ func (p *OTPPre) WritebackLine(now uint64, a Access) uint64 {
 	cpuFree, seq, _ := p.writebackLine(now, va)
 	p.padFor.set(va, seq)
 	return cpuFree
+}
+
+// Bytes reports the heap bytes the scheme holds: the OTP state plus the
+// pad-buffer tables. It allocates nothing.
+func (p *OTPPre) Bytes() int {
+	return int(unsafe.Sizeof(*p)) + p.OTP.Bytes() + p.padFor.bytes() + p.instrPad.bytes()
 }
 
 // Restore implements Scheme: the OTP state plus the pad-buffer tables.

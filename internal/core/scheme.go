@@ -22,6 +22,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"secureproc/internal/crypto/engine"
 	"secureproc/internal/mem"
@@ -455,6 +456,12 @@ func (o *OTP) ContextSwitch(now uint64, next int) (done uint64) {
 
 // ResetStats implements Scheme.
 func (o *OTP) ResetStats() { o.snc.ResetStats() }
+
+// Bytes reports the heap bytes the scheme holds: its SNC and its
+// sequence-number table. It allocates nothing.
+func (o *OTP) Bytes() int {
+	return int(unsafe.Sizeof(*o)) + o.snc.Bytes() + o.seqMem.bytes()
+}
 
 // Restore implements Scheme: the SNC's contents, the in-memory
 // sequence-number table and the running process ID. The sequence table is

@@ -1,6 +1,9 @@
 package core
 
-import "math/bits"
+import (
+	"math/bits"
+	"unsafe"
+)
 
 // seqTable is the architectural in-memory sequence-number table: line VA →
 // 16-bit sequence number, with explicit presence (a stored zero is distinct
@@ -121,4 +124,10 @@ func (t *seqTable) restore(src *seqTable) {
 		}
 		*d = *ch
 	}
+}
+
+// bytes reports the heap bytes the table holds: the struct and its chunks,
+// each with its directory slot (key and pointer). It allocates nothing.
+func (t *seqTable) bytes() int {
+	return int(unsafe.Sizeof(*t)) + len(t.chunks)*int(unsafe.Sizeof(seqChunk{})+16)
 }

@@ -40,64 +40,54 @@ package experiments
 // records, and the checkpoint is captured after it as before; every
 // simulation then replays or records its measured phase. A replay checks
 // that the system's caches are where the recording started and refuses
-// otherwise; simulate() then records afresh. A warmup recording costs one
-// byte per record, one line address per victim or fill (2.3 MB over the 11
-// benchmarks at the default geometry), and the caches' start and end state
-// (144 KB at the default geometry).
+// otherwise; simulate() then records afresh.
 //
-// All three caches are package-level and bounded. Within one Runner with an
-// unbounded memo the result memo guarantees at most one simulation per key,
-// so checkpoints pay off when Runners come and go or a bounded memo
-// evicts; outcomes pay off within a Runner as well, across the schemes of
-// one benchmark, and warmups across the schemes, SNCs and crypto latencies
-// of one benchmark that have no checkpoint yet. Entries are immutable once
-// published (a restore or replay copies out of them, never into them), so
-// concurrent readers of one entry are safe and a racing duplicate put is
-// benign (last write wins, both values are equivalent by construction; a
-// mark never overwrites a value).
+// Checkpoints, marks and both kinds of recording share one process-wide
+// LRU, bounded by one constant byte budget: each entry is charged the
+// bytes it holds (sim.Checkpoint.Bytes, sim.Outcomes.Bytes) plus a fixed
+// cost for its key and node, so a mark costs that fixed cost alone and a
+// stream of never-seen specs cannot grow the map without bound. Within one
+// Runner with an unbounded memo the result memo guarantees at most one
+// simulation per key, so checkpoints pay off when Runners come and go or a
+// bounded memo evicts; outcomes pay off within a Runner as well, across
+// the schemes of one benchmark, and warmups across the schemes, SNCs and
+// crypto latencies of one benchmark that have no checkpoint yet. Entries
+// are immutable once published (a restore or replay copies out of them,
+// never into them), so concurrent readers of one entry are safe and a
+// racing duplicate put is benign (last write wins, both values are
+// equivalent by construction; a mark never overwrites a value).
 
 import (
 	"sync"
+	"unsafe"
 
 	"secureproc/internal/sim"
 )
 
-// checkpointCapacity bounds the checkpoint cache, marks and checkpoints
-// alike. The full figure set needs ~150 distinct configurations, which the
-// bound holds comfortably. A checkpoint at the default geometry holds
-// 75 KB (baseline, XOM: the caches) to 1.3–1.6 MB (OTP schemes: the SNC's
-// entries, sets and tag index, and sequence tables besides), and up to
-// 2.6 MB at Figure 6's 128 KB SNC, so a cache full of checkpoints at the
-// figures' geometries retains at most about 670 MB; a mark holds only its
-// key. Only configurations simulated twice, or by a Runner with a bounded
-// memo, hold a checkpoint. Under the Spec caps an OTP checkpoint grows to
-// about 11.7 MB — a 512 KB direct-mapped SNC's 256K entries, sets and
-// 512K-cell tag index, a 4 MB L2 — and worst-case retention to about
-// 3.0 GB.
-const checkpointCapacity = 256
+// retainBudget bounds the bytes the retention cache holds, so it is the
+// worst-case retention under any mix of specs, the Spec caps included: a
+// capped OTP checkpoint holds about 11.7 MB, and the budget holds about 22
+// of them. The figure set, run by two fresh Runners so the second captures
+// every configuration, holds 147 MB at the golden scale: 154 checkpoints
+// (133 MB) and 22 + 22 recordings (14 MB; TestFigureSetFitsBudget). At
+// scale 1 its 22 measured recordings hold about 8 MB instead of 4, so the
+// set holds about 151 MB. perfbench's sweep-forked grid at scale 1 holds
+// 35 MB: 44 checkpoints and 11 + 11 recordings. 256 MB keeps all of that
+// with 100 MB to spare.
+const retainBudget = 256 << 20
 
-// outcomeCapacity bounds the outcome cache. The figures touch at most 22
-// (benchmark, L2 geometry) pairs per scale: 11 benchmarks at the default
-// L2 plus Figure 8's larger one. An entry holds about 1.1 bytes per
-// measured record plus the three caches' start and end state (144 KB at
-// the default geometry), under 0.5 MB at scale 1.0.
-const outcomeCapacity = 32
-
-// warmupCapacity bounds the warmup outcome cache: like outcomeCapacity, it
-// holds the 22 (benchmark, L2 geometry) pairs the figures use, at any
-// scale. An entry holds 1.3–4.5 bytes per warmup record (44K–158K records,
-// so at most 0.6 MB) plus the three caches' start and end state.
-const warmupCapacity = 32
-
-// SharedCacheStats is a point-in-time snapshot of a process-wide cache's
-// counters (post-warmup checkpoints, warmup or measured-phase outcomes), exported
-// for diagnostics and the secsimd /metrics endpoint.
+// SharedCacheStats is a point-in-time snapshot of one kind of retained
+// simulation state (post-warmup checkpoints, warmup or measured-phase
+// outcomes), exported for diagnostics and the secsimd /metrics endpoint.
 type SharedCacheStats struct {
-	// Size is the number of cached entries. In the checkpoint cache it
+	// Size is the number of entries of this kind. For checkpoints it
 	// counts marks (a configuration simulated once, with no checkpoint)
 	// as well as checkpoints.
 	Size int `json:"size"`
-	// Capacity is the cache bound.
+	// Bytes is what this kind's entries are charged against the budget.
+	Bytes int `json:"bytes"`
+	// Capacity is the budget in bytes, shared by all three kinds: their
+	// Bytes together never exceed it.
 	Capacity int `json:"capacity"`
 	// Hits counts simulations that found an entry: a checkpoint to fork
 	// from (warmup skipped) or outcomes to replay (cache lookups skipped).
@@ -107,104 +97,154 @@ type SharedCacheStats struct {
 	// A checkpoint lookup that finds only a mark is a miss, so the
 	// checkpoint cache's Hits/(Hits+Misses) is forks per simulation.
 	Misses int64 `json:"misses"`
-	// Evictions counts entries dropped by the LRU bound.
+	// Evictions counts entries of this kind dropped by the budget.
 	Evictions int64 `json:"evictions"`
 }
 
 // CheckpointStats is the checkpoint cache's name for its counters.
 type CheckpointStats = SharedCacheStats
 
-// sharedCache is a mutex-guarded LRU map of immutable simulation state,
-// held by pointer: a nil entry is a mark (see checkpointCapacity). No
-// singleflight: the result memo already deduplicates within a Runner, and a
-// duplicate computation across Runners or schemes is rare and harmless.
-type sharedCache[K comparable, V any] struct {
-	mu      sync.Mutex
-	entries lru[K, *V]
-	hits    int64
-	misses  int64
-}
+// retainKind is what a retained entry holds; each kind keeps its own
+// counters and is its own /metrics block.
+type retainKind uint8
 
-// checkpointCache holds post-warmup checkpoints, and marks, by Spec.
-type checkpointCache = sharedCache[Spec, sim.Checkpoint]
-
-// outcomeKey identifies one recorded measured phase: the trace and the
-// cache geometry, and nothing else a Spec carries.
-type outcomeKey struct {
-	bench        string
-	scale        float64
-	l2KB, l2Ways int
-}
-
-// warmupKey identifies one recorded warmup prefix: the benchmark and the
-// cache geometry. Like the checkpoint key it leaves out the scale, which
-// never reaches the warmup prefix.
-type warmupKey struct {
-	bench        string
-	l2KB, l2Ways int
-}
-
-var (
-	// checkpoints is keyed by Spec. The key carries the full
-	// configuration (benchmark, scheme, SNC and L2 geometry, crypto
-	// latency) and deliberately not the scale — see the file comment.
-	checkpoints = &checkpointCache{entries: newLRU[Spec, *sim.Checkpoint](checkpointCapacity)}
-	// outcomes is keyed by outcomeKey.
-	outcomes = &sharedCache[outcomeKey, sim.Outcomes]{entries: newLRU[outcomeKey, *sim.Outcomes](outcomeCapacity)}
-	// warmups is keyed by warmupKey.
-	warmups = &sharedCache[warmupKey, sim.Outcomes]{entries: newLRU[warmupKey, *sim.Outcomes](warmupCapacity)}
+const (
+	checkpointKind retainKind = iota
+	warmupKind
+	outcomeKind
 )
 
-// get returns the value for k, nil for none or a mark, and whether k has
-// an entry at all, refreshing its recency. The hit and miss counters are
-// charged here, a mark as a miss: every simulate() call asks the
-// checkpoint and outcome caches exactly once, and the warmup cache once on
-// a checkpoint miss.
-func (c *sharedCache[K, V]) get(k K) (*V, bool) {
+// retainKey names one retained entry. A checkpoint's spec is its whole
+// Spec, and deliberately not the scale (see the file comment). A
+// recording's spec holds only what reaches a cache.Config, the benchmark
+// and the L2 geometry, and a measured recording adds the scale; the warmup
+// prefix is never scaled.
+type retainKey struct {
+	kind  retainKind
+	spec  Spec
+	scale float64
+}
+
+func checkpointKey(s Spec) retainKey { return retainKey{kind: checkpointKind, spec: s} }
+
+func warmupKey(s Spec) retainKey {
+	return retainKey{kind: warmupKind, spec: Spec{Bench: s.Bench, L2KB: s.L2KB, L2Ways: s.L2Ways}}
+}
+
+func outcomeKey(s Spec, scale float64) retainKey {
+	k := warmupKey(s)
+	k.kind, k.scale = outcomeKind, scale
+	return k
+}
+
+// retained is one entry's value: a checkpoint, a recording, or neither for
+// a mark.
+type retained struct {
+	cp  *sim.Checkpoint
+	rec *sim.Outcomes
+}
+
+// entryBytes is what every entry is charged beyond its value: its LRU node
+// and its map slot (key and pointer). A mark costs this alone.
+const entryBytes = int(unsafe.Sizeof(lruNode[retainKey, retained]{}) + unsafe.Sizeof(retainKey{}) + 8)
+
+// cost returns what the entry holding v is charged.
+func (v retained) cost() int {
+	switch {
+	case v.cp != nil:
+		return entryBytes + v.cp.Bytes()
+	case v.rec != nil:
+		return entryBytes + v.rec.Bytes()
+	}
+	return entryBytes
+}
+
+// retainCache is a mutex-guarded LRU of immutable simulation state bounded
+// by a byte budget. No singleflight: the result memo already deduplicates
+// within a Runner, and a duplicate computation across Runners or schemes is
+// rare and harmless.
+type retainCache struct {
+	mu      sync.Mutex
+	entries lru[retainKey, retained]
+	stats   [3]SharedCacheStats // by retainKind; Capacity is filled in on read
+}
+
+func newRetainCache(budget int) *retainCache {
+	return &retainCache{entries: newLRU[retainKey, retained](budget)}
+}
+
+// retention is the process's one retention cache.
+var retention = newRetainCache(retainBudget)
+
+// get returns the value for k, empty for none or a mark, and whether k has
+// an entry at all, refreshing its recency. The hit and miss counters of k's
+// kind are charged here, a mark as a miss: every simulate() call asks for
+// a checkpoint and for a measured recording exactly once, and for a warmup
+// recording once on a checkpoint miss.
+func (c *retainCache) get(k retainKey) (retained, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n, ok := c.entries.get(k)
-	if !ok || n.val == nil {
-		c.misses++
-		return nil, ok
+	if !ok || n.val == (retained{}) {
+		c.stats[k.kind].Misses++
+		return retained{}, ok
 	}
-	c.hits++
+	c.stats[k.kind].Hits++
 	return n.val, true
 }
 
-// put caches v for k, or a mark when v is nil, evicting the
-// least-recently-used entry beyond capacity. A mark never replaces a
-// value: a racing Runner's mark must not drop the checkpoint another just
-// captured.
-func (c *sharedCache[K, V]) put(k K, v *V) {
+// put retains v for k, or a mark when v is empty, then evicts
+// least-recently-used entries until the held bytes fit the budget. A mark
+// never replaces a value: a racing Runner's mark must not drop the
+// checkpoint another just captured. A value that alone costs more than the
+// budget is not retained, so it cannot flush the cache.
+func (c *retainCache) put(k retainKey, v retained) {
+	cost := v.cost()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n, ok := c.entries.get(k); ok {
-		if v != nil {
-			n.val = v
-		}
+	if cost > c.entries.cap {
 		return
 	}
-	c.entries.link(c.entries.add(k, v))
-}
-
-func (c *sharedCache[K, V]) stats() SharedCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return SharedCacheStats{
-		Size:      c.entries.len(),
-		Capacity:  c.entries.cap,
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.entries.evictions,
+	st := &c.stats[k.kind]
+	if n, ok := c.entries.get(k); ok {
+		if v == (retained{}) {
+			return
+		}
+		st.Bytes += cost - n.cost
+		c.entries.set(n, v, cost)
+	} else {
+		st.Size++
+		st.Bytes += cost
+		c.entries.link(c.entries.add(k, v, cost))
+	}
+	for n := c.entries.evict(); n != nil; n = c.entries.evict() {
+		c.dropped(n)
+		c.stats[n.key.kind].Evictions++
 	}
 }
 
-// CheckpointCacheStats snapshots the process-wide checkpoint cache counters.
-func CheckpointCacheStats() CheckpointStats { return checkpoints.stats() }
+// dropped uncounts n, which has left the LRU.
+func (c *retainCache) dropped(n *lruNode[retainKey, retained]) {
+	st := &c.stats[n.key.kind]
+	st.Size--
+	st.Bytes -= n.cost
+}
 
-// OutcomeCacheStats snapshots the process-wide outcome cache counters.
-func OutcomeCacheStats() SharedCacheStats { return outcomes.stats() }
+// kind snapshots one kind's counters.
+func (c *retainCache) kind(k retainKind) SharedCacheStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st := c.stats[k]
+	st.Capacity = c.entries.cap
+	return st
+}
 
-// WarmupCacheStats snapshots the process-wide warmup outcome cache counters.
-func WarmupCacheStats() SharedCacheStats { return warmups.stats() }
+// CheckpointCacheStats snapshots the process-wide checkpoint counters.
+func CheckpointCacheStats() CheckpointStats { return retention.kind(checkpointKind) }
+
+// OutcomeCacheStats snapshots the process-wide measured-phase outcome
+// counters.
+func OutcomeCacheStats() SharedCacheStats { return retention.kind(outcomeKind) }
+
+// WarmupCacheStats snapshots the process-wide warmup outcome counters.
+func WarmupCacheStats() SharedCacheStats { return retention.kind(warmupKind) }

@@ -84,24 +84,25 @@ func TestRunnerMatchesStraightThrough(t *testing.T) {
 	}
 }
 
-// forget drops k's checkpoint-cache entry, so a test of the capture rule
-// starts cold under -count as well.
+// forget drops k's checkpoint entry, so a test of the capture rule starts
+// cold under -count as well.
 func forget(k Spec) {
-	checkpoints.mu.Lock()
-	defer checkpoints.mu.Unlock()
-	if n, ok := checkpoints.entries.items[k]; ok {
-		checkpoints.entries.remove(n)
+	retention.mu.Lock()
+	defer retention.mu.Unlock()
+	if n, ok := retention.entries.items[checkpointKey(k)]; ok {
+		retention.entries.remove(n)
+		retention.dropped(n)
 	}
 }
 
-// cached reports whether the checkpoint cache holds an entry for k and
-// whether that entry is a checkpoint rather than a mark, without touching
-// the counters or the recency.
+// cached reports whether the retention cache holds a checkpoint entry for
+// k and whether that entry is a checkpoint rather than a mark, without
+// touching the counters or the recency.
 func cached(k Spec) (entry, captured bool) {
-	checkpoints.mu.Lock()
-	defer checkpoints.mu.Unlock()
-	n, ok := checkpoints.entries.items[k]
-	return ok, ok && n.val != nil
+	retention.mu.Lock()
+	defer retention.mu.Unlock()
+	n, ok := retention.entries.items[checkpointKey(k)]
+	return ok, ok && n.val.cp != nil
 }
 
 // TestCaptureOnSecondSimulation pins the capture rule for Runners with an
@@ -218,39 +219,55 @@ func TestRunnerReplaysWarmupAcrossCryptoLatencies(t *testing.T) {
 	}
 }
 
-// TestCheckpointCacheLRU pins the checkpoint cache's eviction order: a get
+// newCheckpoint captures a checkpoint of a fresh system of sp's
+// configuration: what a warmed-up one holds, bar the sequence-number
+// chunks an OTP scheme's warmup adds.
+func newCheckpoint(t testing.TB, sp Spec) *sim.Checkpoint {
+	t.Helper()
+	sys, err := sim.New(sp.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, _ := sys.Checkpoint()
+	return cp
+}
+
+// TestCheckpointCacheLRU pins the retention cache's eviction order: a get
 // refreshes recency, re-putting a present key replaces its checkpoint in
 // place, a mark never replaces a checkpoint, and the least-recently-used
-// entry goes first beyond capacity.
+// entry goes first once the held bytes pass the budget.
 func TestCheckpointCacheLRU(t *testing.T) {
-	c := &checkpointCache{entries: newLRU[Spec, *sim.Checkpoint](2)}
-	a, b, d := Spec{Bench: "a"}, Spec{Bench: "b"}, Spec{Bench: "d"}
-	cpA, cpB, cpD := new(sim.Checkpoint), new(sim.Checkpoint), new(sim.Checkpoint)
-	c.put(a, cpA)
-	c.put(b, cpB)
-	if got, ok := c.get(a); !ok || got != cpA { // a is now most recent
-		t.Fatalf("get(a) = (%p, %v), want (%p, true)", got, ok, cpA)
+	base := DefaultSpec("gzip", sim.SchemeBaseline)
+	cpA, cpB, cpD := newCheckpoint(t, base), newCheckpoint(t, base), newCheckpoint(t, base)
+	cost := retained{cp: cpA}.cost()
+	c := newRetainCache(2 * cost)
+	a, b, d := checkpointKey(Spec{Bench: "a"}), checkpointKey(Spec{Bench: "b"}), checkpointKey(Spec{Bench: "d"})
+	c.put(a, retained{cp: cpA})
+	c.put(b, retained{cp: cpB})
+	if got, ok := c.get(a); !ok || got.cp != cpA { // a is now most recent
+		t.Fatalf("get(a) = (%p, %v), want (%p, true)", got.cp, ok, cpA)
 	}
-	c.put(b, cpB) // refresh in place: no eviction, b becomes most recent
-	c.put(a, nil) // a mark leaves a's checkpoint in place
-	if got, ok := c.get(a); !ok || got != cpA {
-		t.Fatalf("get(a) after a mark = (%p, %v), want (%p, true)", got, ok, cpA)
+	c.put(b, retained{cp: cpB}) // refresh in place: no eviction, b becomes most recent
+	c.put(a, retained{})        // a mark leaves a's checkpoint in place
+	if got, ok := c.get(a); !ok || got.cp != cpA {
+		t.Fatalf("get(a) after a mark = (%p, %v), want (%p, true)", got.cp, ok, cpA)
 	}
 	c.get(b) // b is most recent again
-	if st := c.stats(); st.Size != 2 || st.Evictions != 0 {
-		t.Fatalf("after re-put: %+v, want size 2 and no evictions", st)
+	if st := c.kind(checkpointKind); st.Size != 2 || st.Bytes != 2*cost || st.Evictions != 0 {
+		t.Fatalf("after re-put: %+v, want size 2, %d bytes and no evictions", st, 2*cost)
 	}
-	c.put(d, cpD) // evicts a, the least recently used
+	c.put(d, retained{cp: cpD}) // evicts a, the least recently used
 	if _, ok := c.get(a); ok {
 		t.Error("least-recently-used checkpoint survived eviction")
 	}
-	for _, k := range []Spec{b, d} {
+	for _, k := range []retainKey{b, d} {
 		if _, ok := c.get(k); !ok {
-			t.Errorf("checkpoint %s evicted, want it kept", k.Bench)
+			t.Errorf("checkpoint %s evicted, want it kept", k.spec.Bench)
 		}
 	}
-	if st := c.stats(); st.Size != 2 || st.Evictions != 1 || st.Hits != 5 || st.Misses != 1 {
-		t.Errorf("stats = %+v, want size 2, 1 eviction, 5 hits, 1 miss", st)
+	if st := c.kind(checkpointKind); st.Size != 2 || st.Bytes != 2*cost || st.Capacity != 2*cost ||
+		st.Evictions != 1 || st.Hits != 5 || st.Misses != 1 {
+		t.Errorf("stats = %+v, want size 2, %d bytes of %[2]d, 1 eviction, 5 hits, 1 miss", st, 2*cost)
 	}
 }
 
@@ -266,7 +283,7 @@ func TestForkedFiguresByteIdentical(t *testing.T) {
 	}
 	r1 := NewRunner(cpScale)
 	r1.Jobs = 4
-	r1.Capacity = checkpointCapacity
+	r1.Capacity = 1 << 10
 	first := r1.All()
 	r2 := NewRunner(cpScale)
 	r2.Jobs = 4

@@ -72,7 +72,7 @@ func TestRunWaiterCancellation(t *testing.T) {
 	spec := DefaultSpec("gzip", sim.SchemeBaseline)
 	m := r.results()
 	m.mu.Lock()
-	n := m.entries.add(spec, memoEntry[sim.Result]{done: make(chan struct{})})
+	n := m.entries.add(spec, memoEntry[sim.Result]{done: make(chan struct{})}, 1)
 	m.mu.Unlock()
 	e := &n.val
 
@@ -163,7 +163,7 @@ func TestOwnerDetachedFromCallerContext(t *testing.T) {
 	}
 	tm := r.traceMemo()
 	tm.mu.Lock()
-	tn := tm.entries.add(prof.Name, memoEntry[[]workload.Record]{done: make(chan struct{})})
+	tn := tm.entries.add(prof.Name, memoEntry[[]workload.Record]{done: make(chan struct{})}, 1)
 	tm.mu.Unlock()
 	te := &tn.val
 

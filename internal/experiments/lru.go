@@ -1,17 +1,19 @@
 package experiments
 
 // lru is the map-plus-recency-list behind the result and trace memos and
-// the checkpoint cache. Entries are added pinned: they sit in the map, but
+// the retention cache. Entries are added pinned: they sit in the map, but
 // not on the recency list, so eviction cannot touch them (the memos pin
 // in-flight computations this way). link makes an entry evictable, and the
-// capacity bounds linked entries only. lru is not safe for concurrent use;
+// capacity bounds the summed cost of linked entries only: a memo charges
+// each entry 1, so its capacity counts entries, and the retention cache
+// charges the bytes an entry holds. lru is not safe for concurrent use;
 // every owner guards it with its own mutex.
 type lru[K comparable, V any] struct {
-	cap   int // bound on linked entries; <= 0 means unbounded
+	cap   int // bound on the linked entries' summed cost; <= 0 means unbounded
 	items map[K]*lruNode[K, V]
 	// head/tail are the linked entries, most recently used first.
 	head, tail *lruNode[K, V]
-	linked     int
+	used       int // summed cost of the linked entries
 	evictions  int64
 }
 
@@ -20,6 +22,7 @@ type lru[K comparable, V any] struct {
 type lruNode[K comparable, V any] struct {
 	key        K
 	val        V
+	cost       int
 	linked     bool
 	prev, next *lruNode[K, V]
 }
@@ -38,23 +41,36 @@ func (l *lru[K, V]) get(k K) (*lruNode[K, V], bool) {
 	return n, ok
 }
 
-// add inserts a pinned entry for k, which must not be present.
-func (l *lru[K, V]) add(k K, v V) *lruNode[K, V] {
-	n := &lruNode[K, V]{key: k, val: v}
+// add inserts a pinned entry for k costing cost, which must not be
+// present.
+func (l *lru[K, V]) add(k K, v V, cost int) *lruNode[K, V] {
+	n := &lruNode[K, V]{key: k, val: v, cost: cost}
 	l.items[k] = n
 	return n
 }
 
-// link makes a pinned entry evictable as the most recently used one, then
-// evicts least-recently-used entries until at most cap remain linked.
-func (l *lru[K, V]) link(n *lruNode[K, V]) {
-	l.pushFront(n)
-	for l.cap > 0 && l.linked > l.cap {
-		victim := l.tail
-		l.unlink(victim)
-		delete(l.items, victim.key)
-		l.evictions++
+// link makes a pinned entry evictable as the most recently used one.
+func (l *lru[K, V]) link(n *lruNode[K, V]) { l.pushFront(n) }
+
+// set replaces a linked entry's value and cost.
+func (l *lru[K, V]) set(n *lruNode[K, V], v V, cost int) {
+	l.used += cost - n.cost
+	n.val, n.cost = v, cost
+}
+
+// evict drops and returns the least-recently-used linked entry while the
+// linked entries cost more than cap, and returns nil once they fit. An
+// owner calls it until nil after each link or set; the entry just linked
+// or set is the most recent, so it goes last, and only if it alone costs
+// more than cap.
+func (l *lru[K, V]) evict() *lruNode[K, V] {
+	if l.cap <= 0 || l.used <= l.cap {
+		return nil
 	}
+	victim := l.tail
+	l.remove(victim)
+	l.evictions++
+	return victim
 }
 
 // remove drops an entry, linked or pinned.
@@ -76,7 +92,7 @@ func (l *lru[K, V]) pushFront(n *lruNode[K, V]) {
 		l.tail = n
 	}
 	l.head = n
-	l.linked++
+	l.used += n.cost
 }
 
 func (l *lru[K, V]) unlink(n *lruNode[K, V]) {
@@ -91,5 +107,5 @@ func (l *lru[K, V]) unlink(n *lruNode[K, V]) {
 		l.tail = n.prev
 	}
 	n.prev, n.next, n.linked = nil, nil, false
-	l.linked--
+	l.used -= n.cost
 }

@@ -108,7 +108,7 @@ func (m *memo[K, V]) do(ctx context.Context, k K, fn func() (V, error)) (V, erro
 		return m.wait(ctx, e)
 	}
 	m.misses++
-	n := m.entries.add(k, memoEntry[V]{done: make(chan struct{})})
+	n := m.entries.add(k, memoEntry[V]{done: make(chan struct{})}, 1)
 	e := &n.val
 	m.mu.Unlock()
 
@@ -132,6 +132,8 @@ func (m *memo[K, V]) do(ctx context.Context, k K, fn func() (V, error)) (V, erro
 			// distinct in-flight specs would otherwise thrash the completed
 			// set down to nothing).
 			m.entries.link(n)
+			for m.entries.evict() != nil {
+			}
 		}
 		m.mu.Unlock()
 		close(e.done)
@@ -188,7 +190,7 @@ func (m *memo[K, V]) stats() CacheStats {
 	return CacheStats{
 		Size:      m.entries.len(),
 		Capacity:  m.entries.cap,
-		InFlight:  m.entries.len() - m.entries.linked,
+		InFlight:  m.entries.len() - m.entries.used,
 		Hits:      m.hits,
 		Misses:    m.misses,
 		Coalesced: m.coalesced,

@@ -94,28 +94,26 @@ func (r *Runner) simulate(ctx context.Context, s Spec) (sim.Result, error) {
 		return sim.Result{}, err
 	}
 	r.sims.Add(1)
-	if cp, seen := checkpoints.get(s); cp == nil || sys.Restore(cp) != nil {
-		wk := warmupKey{bench: s.Bench, l2KB: s.L2KB, l2Ways: s.L2Ways}
-		if w, hit := warmups.get(wk); !hit || sys.RunWarmupReplay(recs[:warm], w) != nil {
-			warmups.put(wk, sys.RunWarmupRecord(recs[:warm]))
+	if v, seen := retention.get(checkpointKey(s)); v.cp == nil || sys.Restore(v.cp) != nil {
+		if w, hit := retention.get(warmupKey(s)); !hit || sys.RunWarmupReplay(recs[:warm], w.rec) != nil {
+			retention.put(warmupKey(s), retained{rec: sys.RunWarmupRecord(recs[:warm])})
 		}
 		// Capture only where a fork can follow: the key was simulated
 		// before, or this Runner's bounded memo can evict it and ask
 		// again. Otherwise leave a mark, so a second simulation captures.
-		cp = nil
+		var cp retained
 		if seen || r.Capacity > 0 {
-			cp, _ = sys.Checkpoint()
+			cp.cp, _ = sys.Checkpoint()
 		}
-		checkpoints.put(s, cp)
+		retention.put(checkpointKey(s), cp)
 	}
-	outKey := outcomeKey{bench: s.Bench, scale: r.Scale, l2KB: s.L2KB, l2Ways: s.L2Ways}
-	if o, hit := outcomes.get(outKey); hit {
-		if res, err := sys.RunMeasuredReplay(recs[warm:], o); err == nil {
+	if o, hit := retention.get(outcomeKey(s, r.Scale)); hit {
+		if res, err := sys.RunMeasuredReplay(recs[warm:], o.rec); err == nil {
 			return res, nil
 		}
 	}
 	res, o := sys.RunMeasuredRecord(recs[warm:])
-	outcomes.put(outKey, o)
+	retention.put(outcomeKey(s, r.Scale), retained{rec: o})
 	return res, nil
 }
 

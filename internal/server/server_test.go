@@ -503,6 +503,14 @@ func TestMetricsOutcomeReplay(t *testing.T) {
 		t.Errorf("second scheme: outcome hits +%d, misses +%d; want a replay (+1 hit, +0 misses)",
 			d, m2.Outcomes.Misses-m1.Outcomes.Misses)
 	}
+	if m1.Outcomes.Bytes <= m0.Outcomes.Bytes {
+		t.Errorf("outcome bytes %d -> %d across a recording; want growth", m0.Outcomes.Bytes, m1.Outcomes.Bytes)
+	}
+	if held := m2.Checkpoints.Bytes + m2.Outcomes.Bytes + m2.Warmups.Bytes; held > m2.Checkpoints.Capacity ||
+		m2.Outcomes.Capacity != m2.Checkpoints.Capacity || m2.Warmups.Capacity != m2.Checkpoints.Capacity {
+		t.Errorf("retention holds %d bytes; capacities %d, %d, %d: want one shared budget that bounds them",
+			held, m2.Checkpoints.Capacity, m2.Outcomes.Capacity, m2.Warmups.Capacity)
+	}
 }
 
 // TestMetricsWarmupReplay: /metrics reports the warmup outcome cache, and a

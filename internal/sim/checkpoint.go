@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"unsafe"
 
 	"secureproc/internal/workload"
 )
@@ -39,6 +40,22 @@ func (s *System) Checkpoint() (*Checkpoint, bool) {
 	}
 	cp.copyFrom(s)
 	return (*Checkpoint)(cp), true
+}
+
+// Bytes reports the heap bytes the checkpoint holds: the System itself,
+// its caches and, where the scheme reports them, the scheme's tables. The
+// core, bus, write buffer and crypto pipeline are a few hundred bytes and
+// are left out. It allocates nothing.
+func (cp *Checkpoint) Bytes() int {
+	s := (*System)(cp)
+	n := int(unsafe.Sizeof(*s))
+	for _, c := range s.caches() {
+		n += c.Bytes()
+	}
+	if s.sized != nil {
+		n += s.sized.Bytes()
+	}
+	return n
 }
 
 // Restore reinstates a checkpoint into this system. The system must have

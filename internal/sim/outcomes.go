@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"unsafe"
 
 	"secureproc/internal/cache"
 	"secureproc/internal/workload"
@@ -44,6 +45,16 @@ type Outcomes struct {
 	// addrs holds the line addresses retire consumes, in order; a record
 	// owns as many as its outcome bits name.
 	addrs []uint64
+}
+
+// Bytes reports the heap bytes the recording holds: its outcome bytes,
+// line addresses and cache copies. It allocates nothing.
+func (o *Outcomes) Bytes() int {
+	n := int(unsafe.Sizeof(*o)) + cap(o.ops) + 8*cap(o.addrs)
+	for i := range o.start {
+		n += o.start[i].Bytes() + o.end[i].Bytes()
+	}
+	return n
 }
 
 // errNoRecording refuses a replay of nil outcomes.

@@ -368,10 +368,15 @@ func TestWarmupReplayRefusals(t *testing.T) {
 	}
 }
 
-// TestWarmupReplayAllocsZero: replaying a shared warmup recording on a
-// freshly built system allocates nothing. Building the system stays
-// outside the measured closure. otp-precompute is left out: its pad
-// retention table grows on first use, under a direct Step as well.
+// TestWarmupReplayAllocsZero: replaying a shared warmup recording of
+// allocRecords on a freshly built system allocates nothing. That holds at
+// allocRecords' footprint, whose 32K data lines fit the default SNC, so no
+// sequence number spills to the in-memory table. A longer trace spills,
+// and each 64 KB region it first spills to allocates a sequence-table
+// chunk: BenchmarkWarmupReplay (mcf, scale 1) allocates 173 per replay
+// under snc-lru and otp-mac. Building the system stays outside the
+// measured closure. otp-precompute is left out: its pad retention table
+// grows on first use, under a direct Step as well.
 func TestWarmupReplayAllocsZero(t *testing.T) {
 	recs := allocRecords()
 	const runs = 3

@@ -202,6 +202,7 @@ type System struct {
 	schemeSNC *snc.SNC
 	integrity integrityCounter
 	policy    switchPolicier
+	sized     byteCounter
 
 	// la holds the line addresses the last lookup produced, at most
 	// three: see lookup.
@@ -252,6 +253,7 @@ func New(cfg Config) (*System, error) {
 	}
 	s.integrity, _ = scheme.(integrityCounter)
 	s.policy, _ = scheme.(switchPolicier)
+	s.sized, _ = scheme.(byteCounter)
 	s.switchSeen = make(map[uint64]struct{})
 	return s, nil
 }
@@ -260,6 +262,13 @@ func New(cfg Config) (*System, error) {
 // the timing path (OTP+MAC).
 type integrityCounter interface {
 	IntegrityCounters() (verified, stallCycles uint64)
+}
+
+// byteCounter is the capability of schemes that hold tables of their own
+// (the OTP family: the SNC and the sequence-number tables), reporting
+// their heap bytes without allocating.
+type byteCounter interface {
+	Bytes() int
 }
 
 // switchPolicier is the capability of schemes with a Section 4.3

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"unsafe"
 )
 
 // Policy selects the replacement behaviour.
@@ -395,4 +396,11 @@ func (s *SNC) Restore(src *SNC) {
 	copy(entries, src.entries)
 	copy(sets, src.sets)
 	copy(slots, src.index.slots)
+}
+
+// Bytes reports the heap bytes the SNC holds: the struct, its entries,
+// sets and tag index, and its scratch buffer. It allocates nothing.
+func (s *SNC) Bytes() int {
+	return int(unsafe.Sizeof(*s)) + cap(s.entries)*int(unsafe.Sizeof(entry{})) +
+		cap(s.sets)*int(unsafe.Sizeof(set{})) + 4*cap(s.index.slots) + 16*cap(s.flushScratch)
 }
